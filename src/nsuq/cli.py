@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -50,14 +51,11 @@ def main(argv=None) -> int:
         with open(args.config) as fh:
             doc = json.load(fh)
         config = ExperimentConfig.from_dict(doc)
-        overrides = {}
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        overrides["threads"] = _resolve_threads(args, config)
-        if overrides:
-            doc = config.to_dict()
-            doc.update(overrides)
-            config = ExperimentConfig.from_dict(doc)
+        config = dataclasses.replace(
+            config,
+            seed=config.seed if args.seed is None else args.seed,
+            threads=_resolve_threads(args, config),
+        )
         if config.mode != mode:
             raise ValueError(f"config mode {config.mode!r} does not match {args.command}")
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:

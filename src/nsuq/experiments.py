@@ -19,7 +19,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import __version__
-from .mesh import GridSpec, save_field, trajectory_lq_distance
+from .mesh import GridSpec, _fmt, save_field, trajectory_lq_distance
 from .random_data import (
     DistributionSpec,
     Ensemble,
@@ -52,10 +52,6 @@ __all__ = [
     "run_strong",
     "run_deterministic_convergence",
 ]
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 @dataclass(frozen=True)
@@ -136,6 +132,8 @@ class ExperimentConfig:
             raise ValueError("failure budget must lie in [0, 1]")
         if self.point_rule not in ("center", "random"):
             raise ValueError("point_rule must be center or random")
+        if self.mode == "convergence":
+            _convergence_plan(self.convergence or {})
 
     def to_dict(self) -> dict:
         return {
@@ -167,8 +165,31 @@ class ExperimentConfig:
         )
 
     def config_hash(self) -> str:
-        blob = json.dumps(self.to_dict(), sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()
+        """sha256 of the config; `threads` is left out, since output does not depend on it."""
+        doc = self.to_dict()
+        del doc["threads"]
+        return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+# study kind -> default study grids
+_STUDY_GRIDS = {"manufactured": [32, 64, 128], "self": [8, 16, 32]}
+
+
+def _convergence_plan(doc: dict) -> tuple:
+    """(study, grids, ref_n) of a convergence document, defaults filled in and checked."""
+    if not isinstance(doc, dict):
+        raise ValueError("convergence must be a mapping")
+    study = doc.get("study", "manufactured")
+    if study not in _STUDY_GRIDS:
+        raise ValueError(f"unknown convergence study {study!r}")
+    grids = list(doc.get("grids", _STUDY_GRIDS[study]))
+    ref_n = doc.get("ref_n", 64)
+    if not grids or not all(type(n) is int and n >= 2 for n in grids):
+        raise ValueError("convergence grids must be a non-empty list of integers >= 2")
+    if study == "self" and (type(ref_n) is not int
+                            or any(ref_n % n != 0 or n >= ref_n for n in grids)):
+        raise ValueError("study grids must be strictly coarser divisors of an integer ref_n")
+    return study, grids, ref_n
 
 
 @dataclass
@@ -441,7 +462,7 @@ def run_deterministic_convergence(config: ExperimentConfig) -> ExperimentReport:
     if config.mode != "convergence":
         raise ValueError("config mode must be 'convergence'")
     doc = config.convergence or {}
-    study = doc.get("study", "manufactured")
+    study, grids, ref_n = _convergence_plan(doc)
     report = ExperimentReport(summary={"provenance": _provenance(config)})
     if study == "manufactured":
         case = TravelingWaveCase(
@@ -453,14 +474,11 @@ def run_deterministic_convergence(config: ExperimentConfig) -> ExperimentReport:
             period=config.distribution.period,
             horizon=max(1.0, config.scheme.T),
         )
-        rows = manufactured_convergence(case, doc.get("grids", [32, 64, 128]), config.scheme)
-    elif study == "self":
+        rows = manufactured_convergence(case, grids, config.scheme)
+    else:
         spec = config.distribution
         data = spec.realize(np.full(spec.K, 0.5))
-        rows = self_convergence(data, doc.get("grids", [8, 16, 32]), doc.get("ref_n", 64),
-                                config.scheme)
-    else:
-        raise ValueError(f"unknown convergence study {study!r}")
+        rows = self_convergence(data, grids, ref_n, config.scheme)
     report.summary["rows"] = [
         {"n": r.n, "h": r.h, "error_l1": r.error_l1, "order": r.order} for r in rows
     ]

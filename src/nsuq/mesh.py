@@ -116,9 +116,6 @@ class ScalarField:
         """Midpoint-rule integral over the torus."""
         return float(self.values.sum() * self.grid.cell_volume)
 
-    def mean(self) -> float:
-        return float(self.values.mean())
-
 
 @dataclass(frozen=True)
 class VectorField:
@@ -135,11 +132,6 @@ class VectorField:
         vals = np.broadcast_to(vec, grid.shape + (grid.d,))
         return cls(grid, np.array(vals))
 
-    @classmethod
-    def from_functions(cls, grid: GridSpec, fns) -> "VectorField":
-        comps = [fn(*grid.cell_centers()) for fn in fns]
-        return cls(grid, np.stack(comps, axis=-1))
-
     def magnitude(self) -> np.ndarray:
         """Pointwise Euclidean magnitude."""
         return np.sqrt(np.sum(self.values**2, axis=-1))
@@ -148,12 +140,8 @@ class VectorField:
 Field = ScalarField | VectorField
 
 
-def _is_vector(f: Field) -> bool:
-    return isinstance(f, VectorField)
-
-
 def _pointwise_abs(f: Field) -> np.ndarray:
-    return f.magnitude() if _is_vector(f) else np.abs(f.values)
+    return f.magnitude() if isinstance(f, VectorField) else np.abs(f.values)
 
 
 @dataclass(frozen=True)
@@ -227,10 +215,6 @@ class Trajectory:
         u = (1 - w) * s0.u.values + w * s1.u.values
         return rho, u
 
-    def sample_momentum(self, t: float) -> np.ndarray:
-        rho, u = self.sample(t)
-        return rho[..., None] * u
-
 
 # ---------------------------------------------------------------------------
 # norms
@@ -273,10 +257,10 @@ def neg_sobolev_norm(obj, m: int) -> float:
     over the stored steps, applied to the (rho, u) pair jointly.
     Requires m > d + 1 so that bounded fields embed compactly.
     """
+    grid = obj.grid
+    if m <= grid.d + 1:
+        raise ValueError(f"need m > d+1 = {grid.d + 1}, got {m}")
     if isinstance(obj, Trajectory):
-        grid = obj.grid
-        if m <= grid.d + 1:
-            raise ValueError(f"need m > d+1 = {grid.d + 1}, got {m}")
         sq = np.array(
             [
                 _spatial_neg_sobolev_sq(s.rho.values, grid, m)
@@ -287,9 +271,6 @@ def neg_sobolev_norm(obj, m: int) -> float:
         if len(obj) == 1:
             return float(np.sqrt(sq[0]))
         return float(np.sqrt(np.trapezoid(sq, obj.times)))
-    grid = obj.grid
-    if m <= grid.d + 1:
-        raise ValueError(f"need m > d+1 = {grid.d + 1}, got {m}")
     return float(np.sqrt(_spatial_neg_sobolev_sq(obj.values, grid, m)))
 
 
@@ -331,18 +312,9 @@ def restrict(f: Field, target: GridSpec) -> Field:
     if src.n % target.n != 0:
         raise ValueError(f"grids not nested: {src.n} -> {target.n}")
     r = src.n // target.n
-    v = f.values
-    if src.d == 1:
-        if _is_vector(f):
-            v = v.reshape(target.n, r, src.d).mean(axis=1)
-        else:
-            v = v.reshape(target.n, r).mean(axis=1)
-    else:
-        if _is_vector(f):
-            v = v.reshape(target.n, r, target.n, r, src.d).mean(axis=(1, 3))
-        else:
-            v = v.reshape(target.n, r, target.n, r).mean(axis=(1, 3))
-    return type(f)(target, v)
+    # split each spatial axis into (coarse cell, fine cell within it) and average the latter
+    v = f.values.reshape((target.n, r) * src.d + f.values.shape[src.d:])
+    return type(f)(target, v.mean(axis=tuple(range(1, 2 * src.d, 2))))
 
 
 def prolong(f: Field, target: GridSpec) -> Field:
@@ -383,7 +355,7 @@ def save_field(f: Field, path) -> None:
     Values are flattened in row-major (C) order; for vector fields the
     component index is the fastest-varying one.
     """
-    ncomp = f.grid.d if _is_vector(f) else 1
+    ncomp = f.grid.d if isinstance(f, VectorField) else 1
     with open(path, "w") as fh:
         fh.write(f"{f.grid.d},{f.grid.n},{_fmt(f.grid.period)},{ncomp}\n")
         for x in f.values.ravel(order="C"):

@@ -11,7 +11,7 @@ common random data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -162,9 +162,6 @@ class FourierField:
             phase = sum((2 * np.pi * k / self.period) * x for k, x in zip(m.wavevec, xs))
             out = out + m.coef * (np.cos(phase) if m.kind == "cos" else np.sin(phase))
         return out
-
-    def to_scalar_field(self, grid: GridSpec) -> ScalarField:
-        return ScalarField(grid, self.evaluate(grid))
 
     def inf_bound(self) -> float:
         """Rigorous lower bound for the continuum infimum (exact for <= 1 mode)."""
@@ -369,15 +366,10 @@ class DataRecord:
     def min_density(self) -> float:
         return self.rho0.inf_bound()
 
-    def rho0_on(self, grid: GridSpec) -> ScalarField:
-        return ScalarField(grid, self.rho0.evaluate(grid))
-
-    def u0_on(self, grid: GridSpec) -> VectorField:
-        comps = [c.evaluate(grid) for c in self.u0]
-        return VectorField(grid, np.stack(comps, axis=-1))
-
     def initial_state(self, grid: GridSpec) -> FluidState:
-        return FluidState(self.rho0_on(grid), self.u0_on(grid), 0.0)
+        rho0 = ScalarField(grid, self.rho0.evaluate(grid))
+        u0 = VectorField(grid, np.stack([c.evaluate(grid) for c in self.u0], axis=-1))
+        return FluidState(rho0, u0, 0.0)
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ from .physics import (
     ForcingSpec,
     FourierField,
     FourierMode,
+    _poly_abs_max,
 )
 
 __all__ = [
@@ -36,7 +37,6 @@ __all__ = [
     "DistributionSpec",
     "SpecValidationError",
     "sample_latent",
-    "realize_data",
     "CollocationPartition",
     "build_partition",
     "collocate_data",
@@ -232,7 +232,7 @@ class DistributionSpec:
             raise SpecValidationError("latent dimension must be nonnegative")
         if len(self.u0) != self.d:
             raise SpecValidationError("u0 needs one field spec per component")
-        for tr in self._transforms():
+        for tr in (self.mu, self.eta, self.a, self.g_scale):
             if tr.latent_index is not None and tr.latent_index >= self.K:
                 raise SpecValidationError("latent index out of range")
         for fs in (self.rho0, *self.u0):
@@ -256,9 +256,6 @@ class DistributionSpec:
             raise SpecValidationError("forcing sup bound can exceed g_sup")
         if self.gamma <= 1:
             raise SpecValidationError("gamma must exceed 1")
-
-    def _transforms(self):
-        return (self.mu, self.eta, self.a, self.g_scale)
 
     def realize(self, omega: np.ndarray) -> DataRecord:
         omega = np.asarray(omega, dtype=float)
@@ -286,7 +283,7 @@ class DistributionSpec:
         if self.g_scale.latent_index is not None:
             base_unit = sum(
                 math.sqrt(sum(a * a for a in t.amplitude))
-                * _poly_max(t.poly, self.g_base.horizon)
+                * _poly_abs_max(t.poly, self.g_base.horizon)
                 for t in self.g_base.terms
             )
             per_coord[self.g_scale.latent_index] += self.g_scale.lipschitz() * base_unit
@@ -334,16 +331,6 @@ class DistributionSpec:
         )
 
 
-def _poly_max(poly: tuple, horizon: float) -> float:
-    from .physics import _poly_abs_max
-
-    return _poly_abs_max(poly, horizon)
-
-
-def realize_data(spec: DistributionSpec, omega: np.ndarray) -> DataRecord:
-    return spec.realize(omega)
-
-
 # ---------------------------------------------------------------------------
 # Monte-Carlo latent stream
 
@@ -361,6 +348,12 @@ def sample_latent(seed: int, count: int, K: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # collocation partitions
+
+
+def _multi_index(K: int, n: int) -> np.ndarray:
+    """Integer multi-indices of the n^K cells, one row per cell in C order."""
+    grids = np.meshgrid(*[np.arange(n)] * K, indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -388,12 +381,8 @@ class CollocationPartition:
     def weights(self) -> np.ndarray:
         return np.full(self.num_cells, float(self.n_per_axis) ** (-self.K))
 
-    def _multi_index(self) -> np.ndarray:
-        grids = np.meshgrid(*[np.arange(self.n_per_axis)] * self.K, indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=-1)
-
     def _bounds_all(self) -> tuple:
-        idx = self._multi_index()
+        idx = _multi_index(self.K, self.n_per_axis)
         w = 1.0 / self.n_per_axis
         return idx * w, (idx + 1) * w
 
@@ -413,8 +402,7 @@ def build_partition(K: int, n_per_axis: int, rule: str = "center",
         raise ValueError("need K >= 1 and n_per_axis >= 1")
     if n_per_axis**K > MAX_PARTITION_CELLS:
         raise ValueError(f"partition would have more than {MAX_PARTITION_CELLS} cells")
-    grids = np.meshgrid(*[np.arange(n_per_axis)] * K, indexing="ij")
-    idx = np.stack([g.ravel() for g in grids], axis=-1).astype(float)
+    idx = _multi_index(K, n_per_axis).astype(float)
     w = 1.0 / n_per_axis
     if rule == "center":
         pts = (idx + 0.5) * w
@@ -474,8 +462,3 @@ class Ensemble:
     def unresolved_mass(self) -> float:
         """Weight mass of members whose solve did not complete."""
         return float(self.weights[~self.completed_mask].sum())
-
-    @property
-    def final_time(self) -> float:
-        times = {m.report.trajectory.final_time for m in self.members}
-        return max(times)

@@ -16,9 +16,8 @@ under the advective CFL condition.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -76,7 +75,6 @@ class NoConvergenceError(SolverError):
 class SchemeConfig:
     cfl: float = 0.4
     T: float = 0.25
-    theta_implicit: bool = True
     linf_ceiling: float = 1e4
     picard_tol: float = 1e-10
     picard_max_iter: int = 100
@@ -94,17 +92,14 @@ class SchemeConfig:
             raise ValueError("linf_ceiling must be positive")
 
     def to_dict(self) -> dict:
-        return {
-            "cfl": self.cfl,
-            "T": self.T,
-            "theta_implicit": self.theta_implicit,
-            "linf_ceiling": self.linf_ceiling,
-            "picard_tol": self.picard_tol,
-            "picard_max_iter": self.picard_max_iter,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SchemeConfig":
+        doc = dict(doc)
+        # saved configs name the scheme variant; the semi-implicit one is the only one
+        if doc.pop("theta_implicit", True) is not True:
+            raise ValueError("theta_implicit must be true (the scheme is semi-implicit)")
         return cls(**doc)
 
 
@@ -131,9 +126,6 @@ class SolveReport:
             "final_energy": float(self.energy_history[-1]),
             "max_linf": self.max_linf,
         }
-
-    def summary_json(self) -> str:
-        return json.dumps(self.to_summary(), sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +238,7 @@ def cfl_dt(state: FluidState, data: DataRecord, grid: GridSpec | None = None,
 
 
 def _residual_parts(data: DataRecord, old: FluidState, new: FluidState, dt: float,
-                    theta_implicit: bool = True, conv: np.ndarray | None = None,
-                    g: np.ndarray | None = None) -> tuple:
+                    conv: np.ndarray | None = None, g: np.ndarray | None = None) -> tuple:
     """Defect (R_rho, R_m) of the update system at the state pair.
 
     `conv` and `g` can be passed in to avoid recomputing the explicit
@@ -261,35 +252,21 @@ def _residual_parts(data: DataRecord, old: FluidState, new: FluidState, dt: floa
     if conv is None:
         faces_k = [_face_avg(u_k[..., ax], ax) for ax in range(grid.d)]
         conv = _momentum_conv_div(m_k, faces_k, grid)
-    if theta_implicit:
-        faces_n = [_face_avg(u_n[..., ax], ax) for ax in range(grid.d)]
-        r_rho = rho_n - rho_k + dt * _mass_div(rho_k, faces_n, grid)
-        p = pressure(rho_n, data.a, data.gamma)
-        if g is None:
-            g = data.g.evaluate(new.time, grid)
-        r_m = (
-            m_n - m_k + dt * conv
-            + dt * np.stack([_grad_c(p, ax, grid.h) for ax in range(grid.d)], axis=-1)
-            - dt * _apply_viscous(u_n, data.mu, data.eta, grid)
-            - dt * rho_n[..., None] * g
-        )
-    else:
-        faces_k = [_face_avg(u_k[..., ax], ax) for ax in range(grid.d)]
-        r_rho = rho_n - rho_k + dt * _mass_div(rho_k, faces_k, grid)
-        p = pressure(rho_k, data.a, data.gamma)
-        if g is None:
-            g = data.g.evaluate(old.time, grid)
-        r_m = (
-            m_n - m_k + dt * conv
-            + dt * np.stack([_grad_c(p, ax, grid.h) for ax in range(grid.d)], axis=-1)
-            - dt * _apply_viscous(u_k, data.mu, data.eta, grid)
-            - dt * rho_k[..., None] * g
-        )
+    faces_n = [_face_avg(u_n[..., ax], ax) for ax in range(grid.d)]
+    r_rho = rho_n - rho_k + dt * _mass_div(rho_k, faces_n, grid)
+    p = pressure(rho_n, data.a, data.gamma)
+    if g is None:
+        g = data.g.evaluate(new.time, grid)
+    r_m = (
+        m_n - m_k + dt * conv
+        + dt * np.stack([_grad_c(p, ax, grid.h) for ax in range(grid.d)], axis=-1)
+        - dt * _apply_viscous(u_n, data.mu, data.eta, grid)
+        - dt * rho_n[..., None] * g
+    )
     return r_rho, r_m
 
 
-def scheme_residual(data: DataRecord, states: tuple, dt: float,
-                    cfg: SchemeConfig | None = None) -> float:
+def scheme_residual(data: DataRecord, states: tuple, dt: float) -> float:
     """Max-norm defect of the algebraic update for a pair of consecutive states.
 
     Pairs produced by `step` satisfy residual <= cfg.picard_tol by
@@ -298,8 +275,7 @@ def scheme_residual(data: DataRecord, states: tuple, dt: float,
     old, new = states
     if old.grid != new.grid:
         raise ValueError("states must share one grid")
-    theta = True if cfg is None else cfg.theta_implicit
-    r_rho, r_m = _residual_parts(data, old, new, dt, theta)
+    r_rho, r_m = _residual_parts(data, old, new, dt)
     return float(max(np.abs(r_rho).max(), np.abs(r_m).max()))
 
 
@@ -320,17 +296,6 @@ def step(state: FluidState, data: DataRecord, dt: float, cfg: SchemeConfig) -> F
     faces_k = [_face_avg(u_k[..., ax], ax) for ax in range(grid.d)]
     conv = _momentum_conv_div(m_k, faces_k, grid)
 
-    if not cfg.theta_implicit:
-        rho_n = rho_k - dt * _mass_div(rho_k, faces_k, grid)
-        if rho_n.min() <= 0:
-            raise VacuumError(f"vacuum at t={t_new}")
-        p = pressure(rho_k, data.a, data.gamma)
-        gradp = np.stack([_grad_c(p, ax, grid.h) for ax in range(grid.d)], axis=-1)
-        g = data.g.evaluate(state.time, grid)
-        m_n = m_k - dt * conv - dt * gradp \
-            + dt * _apply_viscous(u_k, data.mu, data.eta, grid) + dt * rho_k[..., None] * g
-        return FluidState(ScalarField(grid, rho_n), VectorField(grid, m_n / rho_n[..., None]), t_new)
-
     g_new = data.g.evaluate(t_new, grid)
     lin_tol = 0.05 * cfg.picard_tol
     u_s = u_k
@@ -345,8 +310,7 @@ def step(state: FluidState, data: DataRecord, dt: float, cfg: SchemeConfig) -> F
         u_n = _solve_momentum_system(rho_n, b, dt, data.mu, data.eta, grid, u_s, lin_tol)
 
         new = FluidState(ScalarField(grid, rho_n), VectorField(grid, u_n), t_new)
-        r_rho, r_m = _residual_parts(data, state, new, dt, theta_implicit=True,
-                                     conv=conv, g=g_new)
+        r_rho, r_m = _residual_parts(data, state, new, dt, conv=conv, g=g_new)
         defect = max(np.abs(r_rho).max(), np.abs(r_m).max())
         u_s = u_n
         if defect <= cfg.picard_tol:
@@ -518,6 +482,8 @@ def _observed_order(prev: float | None, err: float) -> float | None:
 def self_convergence(data: DataRecord, grid_sizes: list, ref_n: int,
                      cfg: SchemeConfig, n_times: int = 17) -> list:
     """Errors against a fine-grid reference solve of the same data (L1 space-time)."""
+    if any(ref_n % n != 0 or n >= ref_n for n in grid_sizes):
+        raise ValueError("study grids must be strictly coarser divisors of the reference")
     d = data.d
     ref = solve(data, GridSpec(d, ref_n, data.period), cfg)
     if ref.status != COMPLETED:
@@ -525,8 +491,6 @@ def self_convergence(data: DataRecord, grid_sizes: list, ref_n: int,
     rows = []
     prev = None
     for n in grid_sizes:
-        if ref_n % n != 0 or n >= ref_n:
-            raise ValueError("study grids must be strictly coarser divisors of the reference")
         grid = GridSpec(d, n, data.period)
         report = solve(data, grid, cfg)
         if report.status != COMPLETED:

@@ -79,6 +79,14 @@ def test_config_validation(bounds):
     with pytest.raises(ValueError):
         ExperimentConfig(mode="sideways", ladder=(LadderLevel(1, 8),), scheme=SCHEME,
                          distribution=make_spec(bounds), seed=0)
+    # convergence documents are checked before any solve
+    for conv in ({"study": "bogus"}, {"study": "self", "grids": [6], "ref_n": 16},
+                 {"study": "self", "grids": [8, 32], "ref_n": 32},
+                 {"study": "manufactured", "grids": []},
+                 {"study": "manufactured", "grids": [16.0]}):
+        with pytest.raises(ValueError):
+            ExperimentConfig(mode="convergence", ladder=(), scheme=SCHEME,
+                             distribution=make_spec(bounds), seed=0, convergence=conv)
 
 
 def test_mode_mismatch(bounds):
@@ -233,6 +241,11 @@ def test_cli_threads_resolution(bounds, tmp_path, monkeypatch):
     out2 = tmp_path / "flag"
     assert main(["run-weak", "--config", str(cfg_path), "--threads", "2",
                  "--out", str(out2)]) == 0
+    # output, config hash included, does not depend on the thread count
+    out1 = tmp_path / "one"
+    assert main(["run-weak", "--config", str(cfg_path), "--threads", "1",
+                 "--out", str(out1)]) == 0
+    assert hash_dir(out1) == hash_dir(out2) == hash_dir(out)
 
 
 def test_cli_config_errors(bounds, tmp_path):
@@ -244,6 +257,20 @@ def test_cli_config_errors(bounds, tmp_path):
     cfg_path = tmp_path / "cfg.json"
     write_config(cfg_path, weak_config(bounds, levels=((2, 8),)))
     assert main(["run-strong", "--config", str(cfg_path)]) == 2
+    # configs the runners would reject only after a solve exit 2 up front
+    conv = {"mode": "convergence", "ladder": []}
+    for path, command, patch in (
+        ("bogus.json", "run-convergence", {**conv, "convergence": {"study": "bogus"}}),
+        ("coarse.json", "run-convergence",
+         {**conv, "convergence": {"study": "self", "grids": [6], "ref_n": 16}}),
+        ("explicit.json", "run-weak",
+         {"scheme": {**SCHEME.to_dict(), "theta_implicit": False}}),
+    ):
+        doc = {**weak_config(bounds, levels=((2, 8),)).to_dict(), **patch}
+        (tmp_path / path).write_text(json.dumps(doc))
+        assert main([command, "--config", str(tmp_path / path),
+                     "--out", str(tmp_path / "never")]) == 2
+    assert not (tmp_path / "never").exists()
 
 
 def test_cli_run_convergence(bounds, tmp_path):

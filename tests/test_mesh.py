@@ -155,7 +155,7 @@ def test_restrict_preserves_mass_and_mean():
     f = ScalarField(g, rng.standard_normal((8, 8)))
     coarse = restrict(f, GridSpec(2, 4))
     assert coarse.integral() == pytest.approx(f.integral(), rel=1e-14, abs=1e-15)
-    assert coarse.mean() == pytest.approx(f.mean(), abs=1e-15)
+    assert coarse.values.mean() == pytest.approx(f.values.mean(), abs=1e-15)
 
 
 def test_restrict_or_prolong_dispatch_and_errors():

@@ -8,7 +8,6 @@ from nsuq.random_data import (
     SpecValidationError,
     build_partition,
     collocate_data,
-    realize_data,
     sample_latent,
 )
 from conftest import fake_ensemble, make_spec
@@ -120,7 +119,7 @@ def test_realize_domain_checks(bounds):
         spec.realize(np.array([0.5, 0.5]))  # wrong K
     with pytest.raises(ValueError):
         spec.realize(np.array([1.5]))
-    assert realize_data(spec, np.array([0.3])).mu == pytest.approx(0.02 + 0.06 * 0.3)
+    assert spec.realize(np.array([0.3])).mu == pytest.approx(0.02 + 0.06 * 0.3)
 
 
 def test_every_draw_is_admissible(bounds):
