@@ -28,7 +28,7 @@ from .random_data import (
     collocate_data,
     sample_latent,
 )
-from .solver import SchemeConfig, TravelingWaveCase, manufactured_convergence, \
+from .solver import COMPLETED, SchemeConfig, TravelingWaveCase, manufactured_convergence, \
     self_convergence, solve
 from .stats import (
     PairedEnsemble,
@@ -133,7 +133,7 @@ class ExperimentConfig:
         if self.point_rule not in ("center", "random"):
             raise ValueError("point_rule must be center or random")
         if self.mode == "convergence":
-            _convergence_plan(self.convergence or {})
+            _convergence_plan(self)
 
     def to_dict(self) -> dict:
         return {
@@ -175,8 +175,13 @@ class ExperimentConfig:
 _STUDY_GRIDS = {"manufactured": [32, 64, 128], "self": [8, 16, 32]}
 
 
-def _convergence_plan(doc: dict) -> tuple:
-    """(study, grids, ref_n) of a convergence document, defaults filled in and checked."""
+def _convergence_plan(config: ExperimentConfig) -> tuple:
+    """(study, grids, ref_n, case) of the convergence document, defaults filled in and checked.
+
+    `case` is the manufactured TravelingWaveCase (None for a self study); its
+    data record is built here so that bad wave parameters fail validation.
+    """
+    doc = config.convergence or {}
     if not isinstance(doc, dict):
         raise ValueError("convergence must be a mapping")
     study = doc.get("study", "manufactured")
@@ -189,7 +194,19 @@ def _convergence_plan(doc: dict) -> tuple:
     if study == "self" and (type(ref_n) is not int
                             or any(ref_n % n != 0 or n >= ref_n for n in grids)):
         raise ValueError("study grids must be strictly coarser divisors of an integer ref_n")
-    return study, grids, ref_n
+    case = None
+    if study == "manufactured":
+        case = TravelingWaveCase(
+            amplitude=doc.get("amplitude", 0.1),
+            speed=doc.get("speed", 0.5),
+            a_coef=doc.get("a_coef", 1.0),
+            mu=doc.get("mu", 0.05),
+            eta=doc.get("eta", 0.0),
+            period=config.distribution.period,
+            horizon=max(1.0, config.scheme.T),
+        )
+        case.data_record()  # raises on inadmissible wave parameters
+    return study, grids, ref_n, case
 
 
 @dataclass
@@ -228,9 +245,10 @@ def _solve_members(records, grid: GridSpec, scheme: SchemeConfig, threads: int):
     def run(rec):
         return solve(rec, grid, scheme)
 
-    if threads <= 1:
+    workers = min(threads, os.cpu_count() or 1, len(records))
+    if workers <= 1:
         return [run(r) for r in records]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
+    with ThreadPoolExecutor(max_workers=workers) as ex:
         return list(ex.map(run, records))
 
 
@@ -422,9 +440,9 @@ def run_strong(config: ExperimentConfig) -> ExperimentReport:
             coarse_member = ens.members[part.locate(omega)]
             fine_member = fine_ens.members[j]
             ta = (coarse_member.report.trajectory
-                  if coarse_member.report.status == "completed" else None)
+                  if coarse_member.report.status == COMPLETED else None)
             tb = (fine_member.report.trajectory
-                  if fine_member.report.status == "completed" else None)
+                  if fine_member.report.status == COMPLETED else None)
             samples.append(PairedSample(omega, w, ta, tb))
             if ta is not None and tb is not None:
                 resolved_mass += w
@@ -461,19 +479,9 @@ def run_deterministic_convergence(config: ExperimentConfig) -> ExperimentReport:
     """Manufactured or self-convergence study for one fixed data record."""
     if config.mode != "convergence":
         raise ValueError("config mode must be 'convergence'")
-    doc = config.convergence or {}
-    study, grids, ref_n = _convergence_plan(doc)
+    study, grids, ref_n, case = _convergence_plan(config)
     report = ExperimentReport(summary={"provenance": _provenance(config)})
     if study == "manufactured":
-        case = TravelingWaveCase(
-            amplitude=doc.get("amplitude", 0.1),
-            speed=doc.get("speed", 0.5),
-            a_coef=doc.get("a_coef", 1.0),
-            mu=doc.get("mu", 0.05),
-            eta=doc.get("eta", 0.0),
-            period=config.distribution.period,
-            horizon=max(1.0, config.scheme.T),
-        )
         rows = manufactured_convergence(case, grids, config.scheme)
     else:
         spec = config.distribution

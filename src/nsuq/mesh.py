@@ -304,41 +304,46 @@ def field_sub(x: Field, y: Field) -> Field:
 # grid transfer (nested uniform grids only)
 
 
-def restrict(f: Field, target: GridSpec) -> Field:
-    """Cell-averaging restriction onto a coarser nested grid."""
-    src = f.grid
+def _transfer(values: np.ndarray, src: GridSpec, target: GridSpec) -> np.ndarray:
+    """Cell values moved from `src` onto a nested `target` grid.
+
+    Cell averages onto a coarser grid, copies onto a finer one, and the
+    values themselves (not a copy) on the same grid.
+    """
     if target.d != src.d or target.period != src.period:
         raise ValueError("grids must share dimension and period")
-    if src.n % target.n != 0:
-        raise ValueError(f"grids not nested: {src.n} -> {target.n}")
-    r = src.n // target.n
-    # split each spatial axis into (coarse cell, fine cell within it) and average the latter
-    v = f.values.reshape((target.n, r) * src.d + f.values.shape[src.d:])
-    return type(f)(target, v.mean(axis=tuple(range(1, 2 * src.d, 2))))
+    if target.n == src.n:
+        return values
+    if src.n % target.n == 0:
+        r = src.n // target.n
+        # split each spatial axis into (coarse cell, fine cell within it) and average the latter
+        v = values.reshape((target.n, r) * src.d + values.shape[src.d:])
+        return v.mean(axis=tuple(range(1, 2 * src.d, 2)))
+    if target.n % src.n == 0:
+        for ax in range(src.d):
+            values = np.repeat(values, target.n // src.n, axis=ax)
+        return values
+    raise ValueError(f"grids not nested: {src.n} vs {target.n}")
+
+
+def restrict(f: Field, target: GridSpec) -> Field:
+    """Cell-averaging restriction onto a coarser nested grid."""
+    if f.grid.n % target.n != 0:
+        raise ValueError(f"grids not nested: {f.grid.n} -> {target.n}")
+    return type(f)(target, _transfer(f.values, f.grid, target))
 
 
 def prolong(f: Field, target: GridSpec) -> Field:
     """Piecewise-constant prolongation onto a finer nested grid."""
-    src = f.grid
-    if target.d != src.d or target.period != src.period:
-        raise ValueError("grids must share dimension and period")
-    if target.n % src.n != 0:
-        raise ValueError(f"grids not nested: {src.n} -> {target.n}")
-    r = target.n // src.n
-    v = f.values
-    for ax in range(src.d):
-        v = np.repeat(v, r, axis=ax)
-    return type(f)(target, v)
+    if target.n % f.grid.n != 0:
+        raise ValueError(f"grids not nested: {f.grid.n} -> {target.n}")
+    return type(f)(target, _transfer(f.values, f.grid, target))
 
 
 def restrict_or_prolong(f: Field, target: GridSpec) -> Field:
-    if target.n == f.grid.n and target == f.grid:
+    if target == f.grid:
         return f
-    if f.grid.n % target.n == 0:
-        return restrict(f, target)
-    if target.n % f.grid.n == 0:
-        return prolong(f, target)
-    raise ValueError(f"grids not nested: {f.grid.n} vs {target.n}")
+    return type(f)(target, _transfer(f.values, f.grid, target))
 
 
 # ---------------------------------------------------------------------------
@@ -420,9 +425,7 @@ def trajectory_lq_distance(a: Trajectory, b: Trajectory, q: float = 2.0,
 
     def on_coarse(traj, t):
         rho, u = traj.sample(t)
-        rf = restrict_or_prolong(ScalarField(traj.grid, rho), coarse)
-        uf = restrict_or_prolong(VectorField(traj.grid, u), coarse)
-        return rf.values, uf.values
+        return _transfer(rho, traj.grid, coarse), _transfer(u, traj.grid, coarse)
 
     vol = coarse.cell_volume
     slice_int = np.empty(n_times)

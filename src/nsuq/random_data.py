@@ -29,6 +29,7 @@ from .physics import (
     FourierMode,
     _poly_abs_max,
 )
+from .solver import COMPLETED
 
 __all__ = [
     "ScalarTransform",
@@ -456,7 +457,7 @@ class Ensemble:
 
     @property
     def completed_mask(self) -> np.ndarray:
-        return np.array([m.report.status == "completed" for m in self.members])
+        return np.array([m.report.status == COMPLETED for m in self.members])
 
     @property
     def unresolved_mass(self) -> float:

@@ -159,20 +159,25 @@ def _lap(v: np.ndarray, h: float, d: int) -> np.ndarray:
     return out
 
 
-def _mass_div(rho_donor: np.ndarray, faces: list, grid: GridSpec) -> np.ndarray:
-    """Divergence of the upwind mass flux for given face velocities (telescoping)."""
+def _faces(u: np.ndarray, grid: GridSpec) -> list:
+    """Face velocities: component ax averaged onto the faces i+1/2 along axis ax."""
+    return [_face_avg(u[..., ax], ax) for ax in range(grid.d)]
+
+
+def _grad(p: np.ndarray, grid: GridSpec) -> np.ndarray:
+    return np.stack([_grad_c(p, ax, grid.h) for ax in range(grid.d)], axis=-1)
+
+
+def _flux_div(c: np.ndarray, faces: list, grid: GridSpec) -> np.ndarray:
+    """Divergence of the upwind flux of c for given face velocities (telescoping)."""
     out = np.zeros(grid.shape)
     for ax, w in enumerate(faces):
-        out += _div_faces(w * _upwind(rho_donor, w, ax), ax, grid.h)
+        out += _div_faces(w * _upwind(c, w, ax), ax, grid.h)
     return out
 
 
-def _momentum_conv_div(m: np.ndarray, faces: list, grid: GridSpec) -> np.ndarray:
-    out = np.zeros(m.shape)
-    for ax, w in enumerate(faces):
-        for c in range(grid.d):
-            out[..., c] += _div_faces(w * _upwind(m[..., c], w, ax), ax, grid.h)
-    return out
+def _momentum_flux_div(m: np.ndarray, faces: list, grid: GridSpec) -> np.ndarray:
+    return np.stack([_flux_div(m[..., c], faces, grid) for c in range(grid.d)], axis=-1)
 
 
 def _apply_viscous(u: np.ndarray, mu: float, eta: float, grid: GridSpec) -> np.ndarray:
@@ -187,6 +192,12 @@ def _apply_viscous(u: np.ndarray, mu: float, eta: float, grid: GridSpec) -> np.n
     return out
 
 
+def _momentum_operator(u: np.ndarray, rho: np.ndarray, dt: float, mu: float, eta: float,
+                       grid: GridSpec) -> np.ndarray:
+    """A(rho) u = (diag(rho) - dt div S) u, the matrix of the momentum update."""
+    return rho[..., None] * u - dt * _apply_viscous(u, mu, eta, grid)
+
+
 def _solve_momentum_system(rho: np.ndarray, b: np.ndarray, dt: float, mu: float,
                            eta: float, grid: GridSpec, guess: np.ndarray,
                            tol: float, max_iter: int = 800) -> np.ndarray:
@@ -197,18 +208,14 @@ def _solve_momentum_system(rho: np.ndarray, b: np.ndarray, dt: float, mu: float,
     number is O(rho_max / rho_min), so plain CG with the previous Picard
     iterate as warm start converges in a few dozen sweeps.
     """
-
-    def apply(u):
-        return rho[..., None] * u - dt * _apply_viscous(u, mu, eta, grid)
-
     x = guess.copy()
-    r = b - apply(x)
+    r = b - _momentum_operator(x, rho, dt, mu, eta, grid)
     if np.abs(r).max() <= tol:
         return x
     p = r.copy()
     rs = float(np.sum(r * r))
     for _ in range(max_iter):
-        ap = apply(p)
+        ap = _momentum_operator(p, rho, dt, mu, eta, grid)
         alpha = rs / float(np.sum(p * ap))
         x += alpha * p
         r -= alpha * ap
@@ -237,45 +244,27 @@ def cfl_dt(state: FluidState, data: DataRecord, grid: GridSpec | None = None,
     return cfl * min(advective, viscous)
 
 
-def _residual_parts(data: DataRecord, old: FluidState, new: FluidState, dt: float,
-                    conv: np.ndarray | None = None, g: np.ndarray | None = None) -> tuple:
-    """Defect (R_rho, R_m) of the update system at the state pair.
+def scheme_residual(data: DataRecord, states: tuple, dt: float) -> float:
+    """Max-norm defect (R_rho, R_m) of the algebraic update at a pair of consecutive states.
 
-    `conv` and `g` can be passed in to avoid recomputing the explicit
-    convective divergence and the forcing inside Picard sweeps.
+    Pairs produced by `step` satisfy residual <= cfg.picard_tol: its
+    stopping test measures the same defect from inside the iteration.
     """
+    old, new = states
     grid = old.grid
+    if new.grid != grid:
+        raise ValueError("states must share one grid")
     rho_k, u_k = old.rho.values, old.u.values
     rho_n, u_n = new.rho.values, new.u.values
     m_k = rho_k[..., None] * u_k
-    m_n = rho_n[..., None] * u_n
-    if conv is None:
-        faces_k = [_face_avg(u_k[..., ax], ax) for ax in range(grid.d)]
-        conv = _momentum_conv_div(m_k, faces_k, grid)
-    faces_n = [_face_avg(u_n[..., ax], ax) for ax in range(grid.d)]
-    r_rho = rho_n - rho_k + dt * _mass_div(rho_k, faces_n, grid)
-    p = pressure(rho_n, data.a, data.gamma)
-    if g is None:
-        g = data.g.evaluate(new.time, grid)
+    r_rho = rho_n - rho_k + dt * _flux_div(rho_k, _faces(u_n, grid), grid)
     r_m = (
-        m_n - m_k + dt * conv
-        + dt * np.stack([_grad_c(p, ax, grid.h) for ax in range(grid.d)], axis=-1)
+        rho_n[..., None] * u_n - m_k
+        + dt * _momentum_flux_div(m_k, _faces(u_k, grid), grid)
+        + dt * _grad(pressure(rho_n, data.a, data.gamma), grid)
         - dt * _apply_viscous(u_n, data.mu, data.eta, grid)
-        - dt * rho_n[..., None] * g
+        - dt * rho_n[..., None] * data.g.evaluate(new.time, grid)
     )
-    return r_rho, r_m
-
-
-def scheme_residual(data: DataRecord, states: tuple, dt: float) -> float:
-    """Max-norm defect of the algebraic update for a pair of consecutive states.
-
-    Pairs produced by `step` satisfy residual <= cfg.picard_tol by
-    construction (it is the stopping criterion).
-    """
-    old, new = states
-    if old.grid != new.grid:
-        raise ValueError("states must share one grid")
-    r_rho, r_m = _residual_parts(data, old, new, dt)
     return float(max(np.abs(r_rho).max(), np.abs(r_m).max()))
 
 
@@ -284,7 +273,12 @@ def scheme_residual(data: DataRecord, states: tuple, dt: float) -> float:
 
 
 def step(state: FluidState, data: DataRecord, dt: float, cfg: SchemeConfig) -> FluidState:
-    """Advance one step of size dt; raises VacuumError / NoConvergenceError."""
+    """Advance one step of size dt; raises VacuumError / NoConvergenceError.
+
+    Each Picard sweep solves for u at the current density iterate, then
+    forms the density the next sweep would use; the sweep's defect is the
+    density change and the momentum residual A(rho) u - b.
+    """
     if dt <= 0:
         raise ValueError("dt must be positive")
     grid = state.grid
@@ -293,28 +287,23 @@ def step(state: FluidState, data: DataRecord, dt: float, cfg: SchemeConfig) -> F
     m_k = rho_k[..., None] * u_k
     t_new = state.time + dt
 
-    faces_k = [_face_avg(u_k[..., ax], ax) for ax in range(grid.d)]
-    conv = _momentum_conv_div(m_k, faces_k, grid)
-
+    faces_k = _faces(u_k, grid)
+    conv = _momentum_flux_div(m_k, faces_k, grid)
     g_new = data.g.evaluate(t_new, grid)
     lin_tol = 0.05 * cfg.picard_tol
-    u_s = u_k
+    u = u_k
+    rho = rho_k - dt * _flux_div(rho_k, faces_k, grid)
     for _ in range(cfg.picard_max_iter):
-        faces = [_face_avg(u_s[..., ax], ax) for ax in range(grid.d)]
-        rho_n = rho_k - dt * _mass_div(rho_k, faces, grid)
-        if rho_n.min() <= 0:
+        if rho.min() <= 0:
             raise VacuumError(f"vacuum at t={t_new}")
-        p = pressure(rho_n, data.a, data.gamma)
-        gradp = np.stack([_grad_c(p, ax, grid.h) for ax in range(grid.d)], axis=-1)
-        b = m_k - dt * conv - dt * gradp + dt * rho_n[..., None] * g_new
-        u_n = _solve_momentum_system(rho_n, b, dt, data.mu, data.eta, grid, u_s, lin_tol)
-
-        new = FluidState(ScalarField(grid, rho_n), VectorField(grid, u_n), t_new)
-        r_rho, r_m = _residual_parts(data, state, new, dt, conv=conv, g=g_new)
-        defect = max(np.abs(r_rho).max(), np.abs(r_m).max())
-        u_s = u_n
-        if defect <= cfg.picard_tol:
-            return new
+        b = (m_k - dt * conv - dt * _grad(pressure(rho, data.a, data.gamma), grid)
+             + dt * rho[..., None] * g_new)
+        u = _solve_momentum_system(rho, b, dt, data.mu, data.eta, grid, u, lin_tol)
+        rho_next = rho_k - dt * _flux_div(rho_k, _faces(u, grid), grid)
+        r_m = _momentum_operator(u, rho, dt, data.mu, data.eta, grid) - b
+        if max(np.abs(rho - rho_next).max(), np.abs(r_m).max()) <= cfg.picard_tol:
+            return FluidState(ScalarField(grid, rho), VectorField(grid, u), t_new)
+        rho = rho_next
     raise NoConvergenceError(
         f"Picard iteration did not reach tol {cfg.picard_tol} in {cfg.picard_max_iter} sweeps"
     )

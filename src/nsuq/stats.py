@@ -20,11 +20,12 @@ from .mesh import (
     ScalarField,
     VectorField,
     Trajectory,
+    _transfer,
     neg_sobolev_norm,
-    restrict_or_prolong,
     trajectory_lq_distance,
 )
 from .random_data import Ensemble
+from .solver import COMPLETED
 
 __all__ = [
     "BoundednessReport",
@@ -61,7 +62,7 @@ def _effective_maxes(ensemble: Ensemble) -> np.ndarray:
     # an aborted run has an unknown true sup: count it above every threshold
     return np.array(
         [
-            m.report.max_linf if m.report.status == "completed" else np.inf
+            m.report.max_linf if m.report.status == COMPLETED else np.inf
             for m in ensemble.members
         ]
     )
@@ -110,9 +111,9 @@ def _member_field_values(member, which: str, t: float, grid: GridSpec):
     rho, u = member.report.trajectory.sample(t)
     src = member.report.trajectory.grid
     if which == "density":
-        return restrict_or_prolong(ScalarField(src, rho), grid).values
+        return _transfer(rho, src, grid)
     if which == "momentum":
-        return restrict_or_prolong(VectorField(src, rho[..., None] * u), grid).values
+        return _transfer(rho[..., None] * u, src, grid)
     raise ValueError(f"unknown field selector {which!r}")
 
 
@@ -299,8 +300,8 @@ def pair_by_index(ens_a: Ensemble, ens_b: Ensemble) -> PairedEnsemble:
         ma, mb = ens_a.members[i], ens_b.members[i]
         if not np.array_equal(ma.latent, mb.latent):
             raise ValueError(f"mismatched latent pairing at member {i}")
-        ta = ma.report.trajectory if ma.report.status == "completed" else None
-        tb = mb.report.trajectory if mb.report.status == "completed" else None
+        ta = ma.report.trajectory if ma.report.status == COMPLETED else None
+        tb = mb.report.trajectory if mb.report.status == COMPLETED else None
         samples.append(PairedSample(ma.latent, 1.0 / n, ta, tb))
     return PairedEnsemble(samples)
 

@@ -83,7 +83,9 @@ def test_config_validation(bounds):
     for conv in ({"study": "bogus"}, {"study": "self", "grids": [6], "ref_n": 16},
                  {"study": "self", "grids": [8, 32], "ref_n": 32},
                  {"study": "manufactured", "grids": []},
-                 {"study": "manufactured", "grids": [16.0]}):
+                 {"study": "manufactured", "grids": [16.0]},
+                 {"study": "manufactured", "mu": -1.0},
+                 {"study": "manufactured", "amplitude": 1.5}):
         with pytest.raises(ValueError):
             ExperimentConfig(mode="convergence", ladder=(), scheme=SCHEME,
                              distribution=make_spec(bounds), seed=0, convergence=conv)
@@ -248,6 +250,19 @@ def test_cli_threads_resolution(bounds, tmp_path, monkeypatch):
     assert hash_dir(out1) == hash_dir(out2) == hash_dir(out)
 
 
+def test_workers_capped_at_cores(bounds, monkeypatch):
+    # one core: a threads=3 run solves in-process and never builds a pool
+    import nsuq.experiments as experiments
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("thread pool started on a single core")
+
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(experiments, "ThreadPoolExecutor", no_pool)
+    report = run_weak(weak_config(bounds, threads=3, levels=((2, 8),)))
+    assert report.summary["levels"][0]["num_members"] == 2
+
+
 def test_cli_config_errors(bounds, tmp_path):
     assert main(["run-weak", "--config", str(tmp_path / "missing.json")]) == 2
     bad = tmp_path / "bad.json"
@@ -263,6 +278,8 @@ def test_cli_config_errors(bounds, tmp_path):
         ("bogus.json", "run-convergence", {**conv, "convergence": {"study": "bogus"}}),
         ("coarse.json", "run-convergence",
          {**conv, "convergence": {"study": "self", "grids": [6], "ref_n": 16}}),
+        ("viscosity.json", "run-convergence",
+         {**conv, "convergence": {"study": "manufactured", "mu": -1.0}}),
         ("explicit.json", "run-weak",
          {"scheme": {**SCHEME.to_dict(), "theta_implicit": False}}),
     ):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nsuq.mesh import GridSpec, ScalarField, VectorField, FluidState
+from nsuq.physics import ForcingSpec, ForcingTerm
 from nsuq.solver import (
     ABORTED_LINF,
     COMPLETED,
@@ -82,9 +83,13 @@ def test_mass_conserved_every_step():
     assert np.abs(masses - masses[0]).max() <= 1e-13 * masses[0]
 
 
-def test_scheme_residual_contract():
-    data = make_record(rho_amp=0.1, u_amp=0.1)
-    grid = GridSpec(1, 32)
+@pytest.mark.parametrize("d,n", [(1, 32), (2, 16)])
+def test_scheme_residual_contract(d, n):
+    # eta > 0 and a forcing bring the grad-div term and g into both defects
+    k = (1,) + (0,) * (d - 1)
+    g = ForcingSpec(d, 1.0, (ForcingTerm(k, "sin", (0.5,) * d, omega=2 * math.pi),))
+    data = make_record(d=d, rho_amp=0.1, u_amp=0.1, eta=0.02, g=g)
+    grid = GridSpec(d, n)
     state = data.initial_state(grid)
     dt = cfl_dt(state, data, grid, CFG.cfl)
     new = step(state, data, dt, CFG)
@@ -95,7 +100,7 @@ def test_scheme_residual_contract():
     assert scheme_residual(data, (state, bumped), dt) > CFG.picard_tol
 
     # an equilibrium pair has zero defect for any dt
-    eq = make_record(rho_amp=0.0)
+    eq = make_record(d=d, rho_amp=0.0)
     s0 = eq.initial_state(grid)
     s1 = FluidState(s0.rho, s0.u, 0.37)
     assert scheme_residual(eq, (s0, s1), 0.37) == 0.0
