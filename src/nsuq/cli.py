@@ -14,6 +14,7 @@ from .experiments import (
     run_strong,
     run_weak,
 )
+from .solver import SolverError
 
 _RUNNERS = {
     "run-weak": ("weak", run_weak),
@@ -62,7 +63,11 @@ def main(argv=None) -> int:
         print(f"nsuq: config error: {exc}", file=sys.stderr)
         return 2
 
-    report = runner(config)
+    try:
+        report = runner(config)
+    except SolverError as exc:  # an aborted convergence solve has no report to write
+        print(f"nsuq: solve aborted: {exc}", file=sys.stderr)
+        return 3
     try:
         report.write(args.out)
     except OSError as exc:

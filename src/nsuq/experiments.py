@@ -19,7 +19,9 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import __version__
-from .mesh import GridSpec, _fmt, save_field, trajectory_lq_distance
+# trajectory_lq_distance is not called here; perfbench/tracing.py wraps this module's name
+from .mesh import GridSpec, _fmt, distance_times, save_field, stack_lq_distance, \
+    trajectory_lq_distance  # noqa: F401
 from .random_data import (
     DistributionSpec,
     Ensemble,
@@ -31,10 +33,10 @@ from .random_data import (
 from .solver import COMPLETED, SchemeConfig, TravelingWaveCase, manufactured_convergence, \
     self_convergence, solve
 from .stats import (
-    PairedEnsemble,
-    PairedSample,
+    DiagnosticReport,
     boundedness_in_probability,
     convergence_in_probability_diagnostic,
+    diagnostic_from_distances,
     empirical_field_mean,
     empirical_functional_mean,
     energy_moment_bound,
@@ -252,6 +254,10 @@ def _solve_members(records, grid: GridSpec, scheme: SchemeConfig, threads: int):
         return list(ex.map(run, records))
 
 
+def _completed_trajectory(member):
+    return member.report.trajectory if member.report.status == COMPLETED else None
+
+
 def _provenance(config: ExperimentConfig) -> dict:
     return {
         "config_sha256": config.config_hash(),
@@ -329,10 +335,7 @@ def _level_statistics(ens: Ensemble, config: ExperimentConfig, level_idx: int,
     return doc
 
 
-def _diagnostic_doc(pairs: PairedEnsemble, config: ExperimentConfig, tag: str,
-                    report: ExperimentReport) -> dict:
-    req = config.stats
-    diag = convergence_in_probability_diagnostic(pairs, req.eps_grid, q=req.diagnostic_q)
+def _diagnostic_doc(diag: DiagnosticReport, tag: str, report: ExperimentReport) -> dict:
     finite = diag.distances[np.isfinite(diag.distances)]
     doc = {
         "eps": [float(e) for e in diag.eps_grid],
@@ -370,7 +373,9 @@ def run_weak(config: ExperimentConfig) -> ExperimentReport:
     diagnostics = []
     for idx in range(len(ensembles) - 1):
         pairs = pair_by_index(ensembles[idx], ensembles[idx + 1])
-        doc = _diagnostic_doc(pairs, config, f"{idx}_{idx + 1}", report)
+        diag = convergence_in_probability_diagnostic(pairs, config.stats.eps_grid,
+                                                     q=config.stats.diagnostic_q)
+        doc = _diagnostic_doc(diag, f"{idx}_{idx + 1}", report)
         doc["pair"] = [idx, idx + 1]
         diagnostics.append(doc)
     report.summary["cross_level"] = {"diagnostics": diagnostics}
@@ -429,26 +434,46 @@ def run_strong(config: ExperimentConfig) -> ExperimentReport:
     error_rows = []
     fine_idx = len(ensembles) - 1
     fine_ens, fine_part = ensembles[fine_idx], partitions[fine_idx]
+    fine_traj = [_completed_trajectory(m) for m in fine_ens.members]
+    fine_w = fine_part.weights
     for idx in range(fine_idx):
         ens, part = ensembles[idx], partitions[idx]
-        samples = []
+        # every distance of this pair lives on the coarser level's grid
+        grid = GridSpec(spec.d, config.ladder[idx].n_cells, spec.period)
+        cells = {}  # coarse member -> the fine cells in its partition cell
+        for j, omega in enumerate(fine_part.points):
+            cells.setdefault(part.locate(omega), []).append(j)
+        resolved = np.zeros(fine_part.num_cells, dtype=bool)
+        rho_d, mom_d = np.zeros(fine_part.num_cells), np.zeros(fine_part.num_cells)
+        dists = np.full(fine_part.num_cells, np.inf)
+        # each trajectory is sampled once per pair, one coarse member at a time,
+        # so at most one coarse and one fine stack are alive
+        for k, js in cells.items():
+            ta = _completed_trajectory(ens.members[k])
+            stacks = {}  # end time, which fixes the time vector -> ta's stack
+            for j in js:
+                tb = fine_traj[j]
+                if ta is None or tb is None:
+                    continue
+                times = distance_times(ta, tb)
+                if times[-1] not in stacks:
+                    stacks[times[-1]] = ta.sample_stack(times, grid)
+                sa, sb = stacks[times[-1]], tb.sample_stack(times, grid)
+                resolved[j] = True
+                rho_d[j] = stack_lq_distance(sa, sb, times, grid, q=gamma, which="rho")
+                mom_d[j] = stack_lq_distance(sa, sb, times, grid, q=q_mom, which="momentum")
+                dists[j] = stack_lq_distance(sa, sb, times, grid, q=config.stats.diagnostic_q)
+                del sb  # freed before the next fine stack is built
+        # sums in fine-cell order
         rho_err = mom_err = 0.0
         resolved_mass = 0.0
-        for j in range(fine_part.num_cells):
-            omega = fine_part.points[j]
-            w = float(fine_part.weights[j])
-            coarse_member = ens.members[part.locate(omega)]
-            fine_member = fine_ens.members[j]
-            ta = (coarse_member.report.trajectory
-                  if coarse_member.report.status == COMPLETED else None)
-            tb = (fine_member.report.trajectory
-                  if fine_member.report.status == COMPLETED else None)
-            samples.append(PairedSample(omega, w, ta, tb))
-            if ta is not None and tb is not None:
-                resolved_mass += w
-                rho_err += w * trajectory_lq_distance(ta, tb, q=gamma, which="rho") ** r_exp
-                mom_err += w * trajectory_lq_distance(ta, tb, q=q_mom, which="momentum") ** s_exp
-        doc = _diagnostic_doc(PairedEnsemble(samples), config, f"{idx}_{fine_idx}", report)
+        for j in np.flatnonzero(resolved):
+            w = float(fine_w[j])
+            resolved_mass += w
+            rho_err += w * float(rho_d[j]) ** r_exp
+            mom_err += w * float(mom_d[j]) ** s_exp
+        diag = diagnostic_from_distances(dists, fine_w, config.stats.eps_grid)
+        doc = _diagnostic_doc(diag, f"{idx}_{fine_idx}", report)
         doc["pair"] = [idx, fine_idx]
         diagnostics.append(doc)
         error_rows.append(

@@ -31,6 +31,8 @@ __all__ = [
     "load_field",
     "save_trajectory",
     "load_trajectory",
+    "distance_times",
+    "stack_lq_distance",
     "trajectory_lq_distance",
 ]
 
@@ -204,13 +206,40 @@ class Trajectory:
             raise ValueError(f"t={t} outside stored range [0, {self.final_time}]")
         t = min(t, self.final_time)
         j = int(np.searchsorted(self.times, t, side="right")) - 1
-        j = min(max(j, 0), len(self.times) - 1)
+        return self._state_at(min(max(j, 0), len(self.times) - 1), t)
+
+    def sample_stack(self, times, grid: GridSpec) -> tuple:
+        """(rho, u) at each of `times`, moved onto the nested `grid`.
+
+        Returns arrays of shape (len(times), *grid.shape) and
+        (len(times), *grid.shape, d); slice i holds `sample(times[i])`
+        transferred onto `grid`.  One `searchsorted` locates every time.
+        """
+        times = np.asarray(times, dtype=float)
+        T = self.final_time
+        outside = (times < 0) | (times > T + 1e-12 * max(1.0, T))
+        if outside.any():
+            raise ValueError(f"t={times[outside][0]} outside stored range [0, {T}]")
+        times = np.minimum(times, T)
+        steps = np.searchsorted(self.times, times, side="right") - 1
+        steps = np.clip(steps, 0, len(self.times) - 1)
+        # filled slice by slice, so no stack on a finer grid than `grid` is ever built
+        rho = np.empty(times.shape + grid.shape)
+        u = np.empty(rho.shape + (grid.d,))
+        for i, (j, t) in enumerate(zip(steps, times)):
+            r, v = self._state_at(int(j), t)
+            rho[i], u[i] = _transfer(r, self.grid, grid), _transfer(v, self.grid, grid)
+        return rho, u
+
+    def _state_at(self, j: int, t: float) -> tuple:
+        """(rho, u) at time t in [times[j], times[j + 1]]: a copy of the stored
+        state at an exact hit or the last step, else (1 - w) s0 + w s1."""
+        s0 = self.states[j]
         if j == len(self.times) - 1 or self.times[j] == t:
-            s = self.states[j]
-            return s.rho.values.copy(), s.u.values.copy()
+            return s0.rho.values.copy(), s0.u.values.copy()
         t0, t1 = self.times[j], self.times[j + 1]
         w = (t - t0) / (t1 - t0)
-        s0, s1 = self.states[j], self.states[j + 1]
+        s1 = self.states[j + 1]
         rho = (1 - w) * s0.rho.values + w * s1.rho.values
         u = (1 - w) * s0.u.values + w * s1.u.values
         return rho, u
@@ -318,7 +347,8 @@ def _transfer(values: np.ndarray, src: GridSpec, target: GridSpec) -> np.ndarray
         r = src.n // target.n
         # split each spatial axis into (coarse cell, fine cell within it) and average the latter
         v = values.reshape((target.n, r) * src.d + values.shape[src.d:])
-        return v.mean(axis=tuple(range(1, 2 * src.d, 2)))
+        # np.mean's sum-then-divide, without its per-call overhead
+        return np.add.reduce(v, axis=tuple(range(1, 2 * src.d, 2))) / r**src.d
     if target.n % src.n == 0:
         for ax in range(src.d):
             values = np.repeat(values, target.n // src.n, axis=ax)
@@ -408,45 +438,64 @@ def load_trajectory(path) -> Trajectory:
 # space-time distances between trajectories
 
 
+def distance_times(a: Trajectory, b: Trajectory, n_times: int = 17) -> np.ndarray:
+    """The `n_times` uniform sample times of a distance between `a` and `b`."""
+    if abs(a.final_time - b.final_time) > 1e-9 * max(1.0, a.final_time):
+        raise ValueError("trajectories must share the final time")
+    return np.linspace(0.0, min(a.final_time, b.final_time), n_times)
+
+
+def stack_lq_distance(a: tuple, b: tuple, times: np.ndarray, grid: GridSpec,
+                      q: float = 2.0, which: str = "both") -> float:
+    """L^q((0,T) x torus) distance between two stacked samples on `grid`.
+
+    `a` and `b` are `Trajectory.sample_stack(times, grid)` results.  Each
+    time slice is reduced over its cells, then the time integral uses the
+    trapezoid rule.  `which` selects the compared quantity: "rho",
+    "momentum", or "both" (the stacked (rho, u) vector, Euclidean pointwise
+    magnitude).
+    """
+    # the stacks are large, so temporaries are updated in place
+    (ra, ua), (rb, ub) = a, b
+    if which == "rho":
+        mag = np.subtract(ra, rb)
+        np.abs(mag, out=mag)
+    elif which in ("momentum", "both"):
+        if which == "momentum":
+            diff = ra[..., None] * ua
+            diff -= rb[..., None] * ub
+        else:  # the (rho, u) difference, rho first
+            diff = np.empty(ua.shape[:-1] + (ua.shape[-1] + 1,))
+            np.subtract(ra, rb, out=diff[..., 0])
+            np.subtract(ua, ub, out=diff[..., 1:])
+        mag = np.sum(np.square(diff, out=diff), axis=-1)
+        np.sqrt(mag, out=mag)
+    else:
+        raise ValueError(f"unknown field selector {which!r}")
+    if q == np.inf:
+        return float(mag.max())
+    if q < 1:
+        raise ValueError("q must be >= 1 or inf")
+    # one row per time slice, so each slice sums in the order of a whole-field np.sum
+    mag = mag.reshape(len(times), grid.num_cells)
+    slice_int = np.sum(np.power(mag, q, out=mag), axis=1) * grid.cell_volume
+    return float(np.trapezoid(slice_int, times) ** (1.0 / q))
+
+
 def trajectory_lq_distance(a: Trajectory, b: Trajectory, q: float = 2.0,
                            n_times: int = 17, which: str = "both") -> float:
     """L^q((0,T) x torus) distance between two trajectories.
 
-    The trajectories are sampled at `n_times` uniform times (linear
-    interpolation between stored steps), the finer grid is restricted onto
-    the coarser one, and the time integral uses the trapezoid rule.
+    Both trajectories are sampled once, at `n_times` uniform times (linear
+    interpolation between stored steps); the finer grid is restricted onto
+    the coarser one, and the time integral uses the trapezoid rule.  The
+    strong runner's cross-level distances take the same steps
+    (`distance_times`, `Trajectory.sample_stack`, `stack_lq_distance`) at
+    17 uniform times, sampling each trajectory once per level pair.
     `which` selects the compared quantity: "rho", "momentum", or "both"
     (the stacked (rho, u) vector, Euclidean pointwise magnitude).
     """
-    if abs(a.final_time - b.final_time) > 1e-9 * max(1.0, a.final_time):
-        raise ValueError("trajectories must share the final time")
+    times = distance_times(a, b, n_times)
     coarse = a.grid if a.grid.n <= b.grid.n else b.grid
-    times = np.linspace(0.0, min(a.final_time, b.final_time), n_times)
-
-    def on_coarse(traj, t):
-        rho, u = traj.sample(t)
-        return _transfer(rho, traj.grid, coarse), _transfer(u, traj.grid, coarse)
-
-    vol = coarse.cell_volume
-    slice_int = np.empty(n_times)
-    for i, t in enumerate(times):
-        ra, ua = on_coarse(a, t)
-        rb, ub = on_coarse(b, t)
-        if which == "rho":
-            mag = np.abs(ra - rb)
-        elif which == "momentum":
-            mag = np.sqrt(np.sum((ra[..., None] * ua - rb[..., None] * ub) ** 2, axis=-1))
-        elif which == "both":
-            diff = np.concatenate([(ra - rb)[..., None], ua - ub], axis=-1)
-            mag = np.sqrt(np.sum(diff**2, axis=-1))
-        else:
-            raise ValueError(f"unknown field selector {which!r}")
-        if q == np.inf:
-            slice_int[i] = mag.max()
-        else:
-            slice_int[i] = np.sum(mag**q) * vol
-    if q == np.inf:
-        return float(slice_int.max())
-    if q < 1:
-        raise ValueError("q must be >= 1 or inf")
-    return float(np.trapezoid(slice_int, times) ** (1.0 / q))
+    return stack_lq_distance(a.sample_stack(times, coarse), b.sample_stack(times, coarse),
+                             times, coarse, q=q, which=which)

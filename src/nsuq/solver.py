@@ -198,6 +198,17 @@ def _momentum_operator(u: np.ndarray, rho: np.ndarray, dt: float, mu: float, eta
     return rho[..., None] * u - dt * _apply_viscous(u, mu, eta, grid)
 
 
+def _cg_done(r: np.ndarray, tol: float) -> bool:
+    """True once the residual max is within tol; raises on a non-finite residual,
+    which no further sweep can repair (NaN compares False against any tol)."""
+    err = float(np.abs(r).max())
+    if err <= tol:
+        return True
+    if not math.isfinite(err):
+        raise NoConvergenceError("momentum linear solve hit a non-finite residual")
+    return False
+
+
 def _solve_momentum_system(rho: np.ndarray, b: np.ndarray, dt: float, mu: float,
                            eta: float, grid: GridSpec, guess: np.ndarray,
                            tol: float, max_iter: int = 800) -> np.ndarray:
@@ -210,7 +221,7 @@ def _solve_momentum_system(rho: np.ndarray, b: np.ndarray, dt: float, mu: float,
     """
     x = guess.copy()
     r = b - _momentum_operator(x, rho, dt, mu, eta, grid)
-    if np.abs(r).max() <= tol:
+    if _cg_done(r, tol):
         return x
     p = r.copy()
     rs = float(np.sum(r * r))
@@ -219,7 +230,7 @@ def _solve_momentum_system(rho: np.ndarray, b: np.ndarray, dt: float, mu: float,
         alpha = rs / float(np.sum(p * ap))
         x += alpha * p
         r -= alpha * ap
-        if np.abs(r).max() <= tol:
+        if _cg_done(r, tol):
             return x
         rs_new = float(np.sum(r * r))
         p = r + (rs_new / rs) * p

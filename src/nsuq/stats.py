@@ -38,6 +38,7 @@ __all__ = [
     "PairedEnsemble",
     "pair_by_index",
     "DiagnosticReport",
+    "diagnostic_from_distances",
     "convergence_in_probability_diagnostic",
     "energy_moment_bound",
     "make_functional",
@@ -316,6 +317,18 @@ class DiagnosticReport:
         return [(float(e), float(f)) for e, f in zip(self.eps_grid, self.fractions)]
 
 
+def diagnostic_from_distances(distances, weights, eps_grid) -> DiagnosticReport:
+    """Weighted fraction of paired members with distance above each epsilon.
+
+    An unresolved pair carries distance inf and so exceeds every threshold.
+    """
+    eps_grid = np.asarray(eps_grid, dtype=float)
+    dists = np.asarray(distances, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    fractions = np.array([float(weights[dists > eps].sum()) for eps in eps_grid])
+    return DiagnosticReport(eps_grid=eps_grid, fractions=fractions, distances=dists)
+
+
 def convergence_in_probability_diagnostic(pairs: PairedEnsemble, eps_grid,
                                           q: float = 2.0, n_times: int = 17,
                                           which: str = "both") -> DiagnosticReport:
@@ -324,16 +337,12 @@ def convergence_in_probability_diagnostic(pairs: PairedEnsemble, eps_grid,
     Unresolved pairs (an aborted solve on either level) count as exceeding
     every threshold.
     """
-    eps_grid = np.asarray(eps_grid, dtype=float)
-    dists = np.empty(len(pairs.samples))
-    weights = np.array([s.weight for s in pairs.samples])
-    for i, s in enumerate(pairs.samples):
-        if not s.resolved:
-            dists[i] = np.inf
-            continue
-        dists[i] = trajectory_lq_distance(s.traj_a, s.traj_b, q=q, n_times=n_times, which=which)
-    fractions = np.array([float(weights[dists > eps].sum()) for eps in eps_grid])
-    return DiagnosticReport(eps_grid=eps_grid, fractions=fractions, distances=dists)
+    dists = np.array([
+        trajectory_lq_distance(s.traj_a, s.traj_b, q=q, n_times=n_times, which=which)
+        if s.resolved else np.inf
+        for s in pairs.samples
+    ])
+    return diagnostic_from_distances(dists, [s.weight for s in pairs.samples], eps_grid)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -290,7 +291,7 @@ def test_cli_config_errors(bounds, tmp_path):
     assert not (tmp_path / "never").exists()
 
 
-def test_cli_run_convergence(bounds, tmp_path):
+def test_cli_run_convergence(bounds, tmp_path, capsys):
     spec = make_spec(bounds)
     cfg = ExperimentConfig(mode="convergence", ladder=(), scheme=SCHEME,
                            distribution=spec, seed=0,
@@ -300,6 +301,15 @@ def test_cli_run_convergence(bounds, tmp_path):
     out = tmp_path / "out"
     assert main(["run-convergence", "--config", str(cfg_path), "--out", str(out)]) == 0
     assert (out / "convergence.csv").exists()
+    # a valid config whose manufactured solve crosses the max-norm ceiling exits 3, writing nothing
+    aborted = dataclasses.replace(cfg, convergence={"study": "manufactured", "grids": [8, 16]},
+                                  scheme=SchemeConfig(cfl=0.4, T=0.05, linf_ceiling=0.5))
+    write_config(cfg_path, aborted)
+    capsys.readouterr()
+    assert main(["run-convergence", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "never")]) == 3
+    assert capsys.readouterr().err.startswith("nsuq: solve aborted: ")
+    assert not (tmp_path / "never").exists()
 
 
 def test_cli_entry_point_subprocess(bounds, tmp_path):
@@ -417,3 +427,77 @@ def test_weak_functional_mean_error_decreases_across_levels(bounds):
     errs = [abs(lvl["functional_means"]["mode"] - exact)
             for lvl in report.summary["levels"]]
     assert errs[0] > errs[1] > errs[2]
+
+
+def test_strong_reads_each_trajectory_once_per_level_pair(bounds, monkeypatch):
+    # cross-level distances sample every trajectory once per level pair and
+    # agree exactly with pairwise trajectory_lq_distance calls
+    from nsuq import experiments
+    from nsuq.mesh import Trajectory, trajectory_lq_distance
+    from nsuq.random_data import build_partition
+
+    spec = make_spec(bounds, mu=("uniform", 0.02, 0.08, 0))
+    cfg = ExperimentConfig(mode="strong",
+                           ladder=(LadderLevel(2, 8), LadderLevel(4, 8), LadderLevel(4, 16)),
+                           scheme=SCHEME, distribution=spec, stats=STATS, seed=0)
+    solves, reads, in_level = [], {}, [False]
+    solve_members, level_statistics = experiments._solve_members, experiments._level_statistics
+    sample, sample_stack = Trajectory.sample, getattr(Trajectory, "sample_stack", None)
+
+    def count(traj):
+        if not in_level[0]:  # reads by the per-level statistics are not cross-level reads
+            reads[id(traj)] = reads.get(id(traj), 0) + 1
+
+    def counted_sample(self, *args, **kwargs):
+        count(self)
+        return sample(self, *args, **kwargs)
+
+    def counted_stack(self, *args, **kwargs):
+        count(self)
+        return sample_stack(self, *args, **kwargs)
+
+    def recording_solve_members(*args):
+        solves.append(solve_members(*args))
+        return solves[-1]
+
+    def quiet_level_statistics(*args):
+        in_level[0] = True
+        try:
+            return level_statistics(*args)
+        finally:
+            in_level[0] = False
+
+    monkeypatch.setattr(Trajectory, "sample", counted_sample)
+    monkeypatch.setattr(Trajectory, "sample_stack", counted_stack, raising=False)
+    monkeypatch.setattr(experiments, "_solve_members", recording_solve_members)
+    monkeypatch.setattr(experiments, "_level_statistics", quiet_level_statistics)
+    report = run_strong(cfg)
+    monkeypatch.undo()
+
+    trajs = [[r.trajectory for r in level] for level in solves]
+    assert all(r.status == "completed" for level in solves for r in level)
+    for t in trajs[0] + trajs[1]:
+        assert reads.get(id(t), 0) <= 1  # a coarse member is read once in its one pair
+    for t in trajs[2]:
+        assert reads.get(id(t), 0) <= 2  # a fine member is read once per pair
+
+    gamma = spec.gamma
+    r_exp, q_mom = max(1.0, 0.5 * (1.0 + gamma)), 2.0 * gamma / (gamma + 1.0)
+    s_exp = max(1.0, 0.5 * (1.0 + q_mom))
+    fine = build_partition(spec.K, 4)
+    cross = report.summary["cross_level"]
+    for idx, (row, diag) in enumerate(zip(cross["expectation_errors"], cross["diagnostics"])):
+        coarse = build_partition(spec.K, cfg.ladder[idx].N)
+        rho_err = mom_err = 0.0
+        dists = []
+        for j, tb in enumerate(trajs[2]):
+            ta = trajs[idx][coarse.locate(fine.points[j])]
+            w = float(fine.weights[j])
+            rho_err += w * trajectory_lq_distance(ta, tb, q=gamma, which="rho") ** r_exp
+            mom_err += w * trajectory_lq_distance(ta, tb, q=q_mom, which="momentum") ** s_exp
+            dists.append(trajectory_lq_distance(ta, tb, q=STATS.diagnostic_q))
+        assert row["rho_error"] == rho_err and row["momentum_error"] == mom_err
+        assert diag["mean_distance"] == float(np.mean(dists))
+        assert diag["max_distance"] == max(dists)
+        assert diag["fractions"] == [float(fine.weights[np.array(dists) > e].sum())
+                                     for e in STATS.eps_grid]

@@ -249,6 +249,73 @@ def test_trajectory_distance_mixed_grids():
     assert d == pytest.approx(1.0, rel=1e-12)
 
 
+def _loop_lq_distance(a, b, q=2.0, n_times=17, which="both"):
+    """The per-time reference: sample, restrict onto the coarser grid and reduce one time at a time."""
+    coarse = a.grid if a.grid.n <= b.grid.n else b.grid
+    times = np.linspace(0.0, min(a.final_time, b.final_time), n_times)
+
+    def on_coarse(traj, t):
+        # cell averages over each coarse cell's r^d fine cells, by np.mean
+        r, d = traj.grid.n // coarse.n, coarse.d
+        return tuple(v.reshape((coarse.n, r) * d + v.shape[d:]).mean(axis=tuple(range(1, 2 * d, 2)))
+                     for v in traj.sample(t))
+
+    slice_int = np.empty(n_times)
+    for i, t in enumerate(times):
+        (ra, ua), (rb, ub) = on_coarse(a, t), on_coarse(b, t)
+        if which == "rho":
+            mag = np.abs(ra - rb)
+        elif which == "momentum":
+            mag = np.sqrt(np.sum((ra[..., None] * ua - rb[..., None] * ub) ** 2, axis=-1))
+        else:
+            diff = np.concatenate([(ra - rb)[..., None], ua - ub], axis=-1)
+            mag = np.sqrt(np.sum(diff**2, axis=-1))
+        slice_int[i] = mag.max() if q == np.inf else np.sum(mag**q) * coarse.cell_volume
+    if q == np.inf:
+        return float(slice_int.max())
+    return float(np.trapezoid(slice_int, times) ** (1.0 / q))
+
+
+def _random_trajectory(rng, grid, times):
+    return Trajectory([
+        FluidState(ScalarField(grid, 1.0 + 0.3 * rng.random(grid.shape)),
+                   VectorField(grid, rng.standard_normal(grid.shape + (grid.d,))), t)
+        for t in times
+    ])
+
+
+@pytest.mark.parametrize("d, n_a, n_b", [(1, 8, 8), (1, 4, 16), (1, 16, 4), (2, 4, 4), (2, 4, 8),
+                                         (2, 8, 16)])
+def test_stacked_distance_equals_per_time_loop(d, n_a, n_b):
+    rng = np.random.default_rng(100 * d + n_a + n_b)
+    # stored steps that the 17 uniform sample times mostly fall between
+    a = _random_trajectory(rng, GridSpec(d, n_a), [0.0, 0.013, 0.2, 0.21, 0.55, 0.9, 1.0])
+    b = _random_trajectory(rng, GridSpec(d, n_b), [0.0, 0.31, 0.62, 1.0])
+    for q in (1.0, 4.0 / 3.0, 2.0, np.inf):
+        for which in ("rho", "momentum", "both"):
+            assert trajectory_lq_distance(a, b, q=q, which=which) == \
+                _loop_lq_distance(a, b, q=q, which=which)
+
+
+def test_sample_stack_matches_sample():
+    rng = np.random.default_rng(5)
+    fine, coarse = GridSpec(2, 8), GridSpec(2, 4)
+    traj = _random_trajectory(rng, fine, [0.0, 0.3, 0.7, 1.0])
+    times = [0.0, 0.15, 0.3, 0.99, 1.0 + 1e-13]  # exact hits, between steps, just past T
+    rho, u = traj.sample_stack(times, coarse)
+    assert rho.shape == (5, 4, 4) and u.shape == (5, 4, 4, 2)
+    for i, t in enumerate(times):
+        r, v = traj.sample(t)
+        assert np.array_equal(rho[i], restrict(ScalarField(fine, r), coarse).values)
+        assert np.array_equal(u[i], restrict(VectorField(fine, v), coarse).values)
+    with pytest.raises(ValueError, match="outside stored range"):
+        traj.sample_stack([0.5, 1.5], fine)
+    with pytest.raises(ValueError, match="unknown field selector"):
+        trajectory_lq_distance(traj, traj, which="velocity")
+    with pytest.raises(ValueError, match="q must be"):
+        trajectory_lq_distance(traj, traj, q=0.5)
+
+
 def test_fluid_state_requires_positive_density():
     g = GridSpec(1, 4)
     with pytest.raises(ValueError):

@@ -234,3 +234,24 @@ def test_bounded_graph_proxy_converging_data():
         assert rep.max_linf < 5.0  # uniformly bounded family
         dists.append(trajectory_lq_distance(rep.trajectory, ref.trajectory, q=1.0))
     assert dists[0] > dists[1] > dists[2]
+
+
+def test_cg_stops_at_non_finite_residual(monkeypatch):
+    # NaN compares False against any tolerance: without a finiteness check CG
+    # would apply its operator max_iter + 1 times before giving up
+    from nsuq import solver
+
+    calls = []
+    operator = solver._momentum_operator
+
+    def counting(*args):
+        calls.append(1)
+        return operator(*args)
+
+    monkeypatch.setattr(solver, "_momentum_operator", counting)
+    grid = GridSpec(1, 16)
+    rho = np.ones(grid.shape)
+    b = np.full(grid.shape + (1,), np.nan)
+    with pytest.raises(solver.NoConvergenceError):
+        solver._solve_momentum_system(rho, b, 1e-3, 0.05, 0.0, grid, np.zeros_like(b), 1e-12)
+    assert len(calls) <= 2
