@@ -80,6 +80,21 @@ class StatsRequest:
     n_report_times: int = 3
     diagnostic_q: float = 2.0
 
+    def __post_init__(self):
+        M_grid = np.asarray(self.M_grid, dtype=float)
+        if M_grid.ndim != 1 or len(M_grid) == 0:
+            raise ValueError("M_grid must be a non-empty list of thresholds")
+        for b in self.barycenters:
+            if len(b) != 3 or not (b[0] > 1 and b[1] >= 1 and b[2] in ("density", "momentum")):
+                raise ValueError(f"barycenter {list(b)} needs r > 1, q >= 1 and "
+                                 "which density or momentum")
+        for fdoc in self.functionals:
+            make_functional(fdoc)  # raises on an unknown kind or a missing parameter
+        if type(self.n_report_times) is not int or self.n_report_times < 0:
+            raise ValueError("n_report_times must be a non-negative integer")
+        if not self.diagnostic_q >= 1:
+            raise ValueError("diagnostic_q must be >= 1 or inf")
+
     def to_dict(self) -> dict:
         return {
             "M_grid": list(self.M_grid),
@@ -92,17 +107,14 @@ class StatsRequest:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "StatsRequest":
-        return cls(
-            M_grid=tuple(doc.get("M_grid", (2.0, 5.0, 10.0))),
-            eps_grid=tuple(doc.get("eps_grid", (0.001, 0.01, 0.1))),
-            barycenters=tuple(
-                (float(b[0]), float(b[1]), b[2] if len(b) > 2 else "density")
-                for b in doc.get("barycenters", [[2.0, 2.0, "density"]])
-            ),
-            functionals=tuple(doc.get("functionals", ())),
-            n_report_times=doc.get("n_report_times", 3),
-            diagnostic_q=doc.get("diagnostic_q", 2.0),
-        )
+        doc = dict(doc)  # an unknown key fails in the constructor
+        for key in ("M_grid", "eps_grid", "functionals"):
+            if key in doc:
+                doc[key] = tuple(doc[key])
+        if "barycenters" in doc:
+            doc["barycenters"] = tuple((float(r), float(q), *(which or ["density"]))
+                                       for r, q, *which in doc["barycenters"])
+        return cls(**doc)
 
 
 @dataclass(frozen=True)
@@ -130,6 +142,8 @@ class ExperimentConfig:
                 raise ValueError("ensemble sizes must be nondecreasing along the ladder")
             if any(b < a for a, b in zip(ns, ns[1:])):
                 raise ValueError("grid resolutions must be nondecreasing along the ladder")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if not (0 <= self.failure_budget <= 1):
             raise ValueError("failure budget must lie in [0, 1]")
         if self.point_rule not in ("center", "random"):
@@ -153,18 +167,17 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        return cls(
-            mode=doc["mode"],
-            ladder=tuple(LadderLevel(int(l["N"]), int(l["n_cells"])) for l in doc.get("ladder", ())),
-            scheme=SchemeConfig.from_dict(doc["scheme"]),
-            distribution=DistributionSpec.from_dict(doc["distribution"]),
-            stats=StatsRequest.from_dict(doc.get("stats", {})),
-            seed=int(doc.get("seed", 0)),
-            threads=int(doc.get("threads", 1)),
-            failure_budget=float(doc.get("failure_budget", 0.1)),
-            point_rule=doc.get("point_rule", "center"),
-            convergence=doc.get("convergence"),
-        )
+        doc = dict(doc)  # an unknown key fails in the constructor
+        doc["ladder"] = tuple(LadderLevel(int(l["N"]), int(l["n_cells"]))
+                              for l in doc.get("ladder", ()))
+        doc["scheme"] = SchemeConfig.from_dict(doc["scheme"])
+        doc["distribution"] = DistributionSpec.from_dict(doc["distribution"])
+        if "stats" in doc:
+            doc["stats"] = StatsRequest.from_dict(doc["stats"])
+        for key, kind in (("seed", int), ("threads", int), ("failure_budget", float)):
+            if key in doc:
+                doc[key] = kind(doc[key])
+        return cls(**doc)
 
     def config_hash(self) -> str:
         """sha256 of the config; `threads` is left out, since output does not depend on it."""

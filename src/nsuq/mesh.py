@@ -21,16 +21,9 @@ __all__ = [
     "Trajectory",
     "lq_norm",
     "neg_sobolev_norm",
-    "field_axpy",
-    "field_scale",
-    "field_sub",
-    "restrict",
-    "prolong",
-    "restrict_or_prolong",
+    "transfer",
     "save_field",
     "load_field",
-    "save_trajectory",
-    "load_trajectory",
     "distance_times",
     "stack_lq_distance",
     "trajectory_lq_distance",
@@ -110,10 +103,6 @@ class ScalarField:
     def constant(cls, grid: GridSpec, value: float) -> "ScalarField":
         return cls(grid, np.full(grid.shape, float(value)))
 
-    @classmethod
-    def from_function(cls, grid: GridSpec, fn) -> "ScalarField":
-        return cls(grid, fn(*grid.cell_centers()))
-
     def integral(self) -> float:
         """Midpoint-rule integral over the torus."""
         return float(self.values.sum() * self.grid.cell_volume)
@@ -136,14 +125,10 @@ class VectorField:
 
     def magnitude(self) -> np.ndarray:
         """Pointwise Euclidean magnitude."""
-        return np.sqrt(np.sum(self.values**2, axis=-1))
+        return _mag(self.values, vector=True)
 
 
 Field = ScalarField | VectorField
-
-
-def _pointwise_abs(f: Field) -> np.ndarray:
-    return f.magnitude() if isinstance(f, VectorField) else np.abs(f.values)
 
 
 @dataclass(frozen=True)
@@ -165,9 +150,6 @@ class FluidState:
     @property
     def grid(self) -> GridSpec:
         return self.rho.grid
-
-    def momentum(self) -> np.ndarray:
-        return self.rho.values[..., None] * self.u.values
 
     def linf(self) -> float:
         """Max over cells and components of (|rho|, |u|)."""
@@ -228,7 +210,7 @@ class Trajectory:
         u = np.empty(rho.shape + (grid.d,))
         for i, (j, t) in enumerate(zip(steps, times)):
             r, v = self._state_at(int(j), t)
-            rho[i], u[i] = _transfer(r, self.grid, grid), _transfer(v, self.grid, grid)
+            rho[i], u[i] = transfer(r, self.grid, grid), transfer(v, self.grid, grid)
         return rho, u
 
     def _state_at(self, j: int, t: float) -> tuple:
@@ -249,17 +231,27 @@ class Trajectory:
 # norms
 
 
+def _mag(values: np.ndarray, vector: bool) -> np.ndarray:
+    """Pointwise Euclidean magnitude of vector values (last axis), or |values|."""
+    return np.sqrt(np.sum(values**2, axis=-1)) if vector else np.abs(values)
+
+
+def _lq(mag: np.ndarray, q: float, vol: float) -> float:
+    """Midpoint-quadrature L^q norm (finite q) of pointwise magnitudes on cells of volume `vol`."""
+    return float((np.sum(mag**q) * vol) ** (1.0 / q))
+
+
 def lq_norm(f: Field, q: float) -> float:
     """Midpoint-quadrature L^q norm on the torus; q = inf gives the max norm.
 
     Vector fields are reduced to their pointwise Euclidean magnitude first.
     """
-    a = _pointwise_abs(f)
+    a = _mag(f.values, isinstance(f, VectorField))
     if q == np.inf:
         return float(a.max())
     if q < 1:
         raise ValueError(f"q must be >= 1 or inf, got {q}")
-    return float((np.sum(a**q) * f.grid.cell_volume) ** (1.0 / q))
+    return _lq(a, q, f.grid.cell_volume)
 
 
 def _spatial_neg_sobolev_sq(values: np.ndarray, grid: GridSpec, m: int) -> float:
@@ -304,36 +296,10 @@ def neg_sobolev_norm(obj, m: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# field arithmetic
-
-
-def _same_kind(x: Field, y: Field):
-    if x.grid != y.grid:
-        raise ValueError("grid mismatch")
-    if type(x) is not type(y):
-        raise ValueError("cannot combine scalar and vector fields")
-
-
-def field_axpy(alpha: float, x: Field, y: Field) -> Field:
-    """alpha * x + y, pointwise."""
-    _same_kind(x, y)
-    return type(x)(x.grid, alpha * x.values + y.values)
-
-
-def field_scale(alpha: float, x: Field) -> Field:
-    return type(x)(x.grid, alpha * x.values)
-
-
-def field_sub(x: Field, y: Field) -> Field:
-    _same_kind(x, y)
-    return type(x)(x.grid, x.values - y.values)
-
-
-# ---------------------------------------------------------------------------
 # grid transfer (nested uniform grids only)
 
 
-def _transfer(values: np.ndarray, src: GridSpec, target: GridSpec) -> np.ndarray:
+def transfer(values: np.ndarray, src: GridSpec, target: GridSpec) -> np.ndarray:
     """Cell values moved from `src` onto a nested `target` grid.
 
     Cell averages onto a coarser grid, copies onto a finer one, and the
@@ -354,26 +320,6 @@ def _transfer(values: np.ndarray, src: GridSpec, target: GridSpec) -> np.ndarray
             values = np.repeat(values, target.n // src.n, axis=ax)
         return values
     raise ValueError(f"grids not nested: {src.n} vs {target.n}")
-
-
-def restrict(f: Field, target: GridSpec) -> Field:
-    """Cell-averaging restriction onto a coarser nested grid."""
-    if f.grid.n % target.n != 0:
-        raise ValueError(f"grids not nested: {f.grid.n} -> {target.n}")
-    return type(f)(target, _transfer(f.values, f.grid, target))
-
-
-def prolong(f: Field, target: GridSpec) -> Field:
-    """Piecewise-constant prolongation onto a finer nested grid."""
-    if target.n % f.grid.n != 0:
-        raise ValueError(f"grids not nested: {f.grid.n} -> {target.n}")
-    return type(f)(target, _transfer(f.values, f.grid, target))
-
-
-def restrict_or_prolong(f: Field, target: GridSpec) -> Field:
-    if target == f.grid:
-        return f
-    return type(f)(target, _transfer(f.values, f.grid, target))
 
 
 # ---------------------------------------------------------------------------
@@ -406,32 +352,6 @@ def load_field(path) -> Field:
     if ncomp == 1:
         return ScalarField(grid, vals.reshape(grid.shape))
     return VectorField(grid, vals.reshape(grid.shape + (ncomp,)))
-
-
-def save_trajectory(traj: Trajectory, path) -> None:
-    """One CSV row per stored time: t, rho cells (row-major), u cells (component-fastest)."""
-    g = traj.grid
-    with open(path, "w") as fh:
-        fh.write(f"{g.d},{g.n},{_fmt(g.period)},{g.d + 1},{len(traj)}\n")
-        for s in traj.states:
-            row = [s.time, *s.rho.values.ravel(order="C"), *s.u.values.ravel(order="C")]
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
-
-
-def load_trajectory(path) -> Trajectory:
-    with open(path) as fh:
-        d, n, period, _, ntimes = fh.readline().strip().split(",")
-        d, n, ntimes = int(d), int(n), int(ntimes)
-        grid = GridSpec(d, n, float(period))
-        nc = grid.num_cells
-        states = []
-        for _ in range(ntimes):
-            row = np.array([float(x) for x in fh.readline().strip().split(",")])
-            t = row[0]
-            rho = ScalarField(grid, row[1 : 1 + nc].reshape(grid.shape))
-            u = VectorField(grid, row[1 + nc :].reshape(grid.shape + (d,)))
-            states.append(FluidState(rho, u, t))
-    return Trajectory(states)
 
 
 # ---------------------------------------------------------------------------

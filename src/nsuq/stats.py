@@ -20,9 +20,11 @@ from .mesh import (
     ScalarField,
     VectorField,
     Trajectory,
-    _transfer,
+    _lq,
+    _mag,
     neg_sobolev_norm,
     trajectory_lq_distance,
+    transfer,
 )
 from .random_data import Ensemble
 from .solver import COMPLETED
@@ -112,9 +114,9 @@ def _member_field_values(member, which: str, t: float, grid: GridSpec):
     rho, u = member.report.trajectory.sample(t)
     src = member.report.trajectory.grid
     if which == "density":
-        return _transfer(rho, src, grid)
+        return transfer(rho, src, grid)
     if which == "momentum":
-        return _transfer(rho[..., None] * u, src, grid)
+        return transfer(rho[..., None] * u, src, grid)
     raise ValueError(f"unknown field selector {which!r}")
 
 
@@ -159,14 +161,6 @@ class BarycenterResult:
     iterations: int
     first_order_residual: float
     converged: bool
-
-
-def _mag(D: np.ndarray, vector: bool) -> np.ndarray:
-    return np.sqrt(np.sum(D**2, axis=-1)) if vector else np.abs(D)
-
-
-def _lq(mag: np.ndarray, q: float, vol: float) -> float:
-    return float((np.sum(mag**q) * vol) ** (1.0 / q))
 
 
 def _bary_objective(Z, Ys, w, r, q, vol, vector):

@@ -69,6 +69,18 @@ def test_config_roundtrip(bounds):
     assert ExperimentConfig.from_dict(doc).config_hash() == cfg.config_hash()
 
 
+BAD_STATS = (
+    {"barycenters": [[1.0, 2.0, "density"]]},
+    {"barycenters": [[2.0, 0.5, "density"]]},
+    {"barycenters": [[2.0, 2.0, "vorticity"]]},
+    {"functionals": [{"kind": "bogus"}]},
+    {"n_report_times": -1},
+    {"n_report_times": 2.0},
+    {"M_grid": []},
+    {"diagnostic_q": 0.5},
+)
+
+
 def test_config_validation(bounds):
     with pytest.raises(ValueError):
         weak_config(bounds, levels=((8, 16), (4, 32)))  # N must not decrease
@@ -90,6 +102,19 @@ def test_config_validation(bounds):
         with pytest.raises(ValueError):
             ExperimentConfig(mode="convergence", ladder=(), scheme=SCHEME,
                              distribution=make_spec(bounds), seed=0, convergence=conv)
+    # statistics requests the runners would reject only after every solve
+    for patch in BAD_STATS:
+        with pytest.raises(ValueError):
+            StatsRequest.from_dict({**STATS.to_dict(), **patch})
+    with pytest.raises(ValueError):
+        dataclasses.replace(weak_config(bounds), seed=-1)
+    # an unknown key is an error, not a default
+    with pytest.raises(TypeError):
+        StatsRequest.from_dict({"n_report_time": 5})
+    with pytest.raises(TypeError):
+        ExperimentConfig.from_dict({**weak_config(bounds).to_dict(), "sed": 1})
+    assert StatsRequest.from_dict({}) == StatsRequest()
+    assert StatsRequest.from_dict({"n_report_times": 0}).n_report_times == 0
 
 
 def test_mode_mismatch(bounds):
@@ -264,7 +289,7 @@ def test_workers_capped_at_cores(bounds, monkeypatch):
     assert report.summary["levels"][0]["num_members"] == 2
 
 
-def test_cli_config_errors(bounds, tmp_path):
+def test_cli_config_errors(bounds, tmp_path, capsys):
     assert main(["run-weak", "--config", str(tmp_path / "missing.json")]) == 2
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -288,6 +313,19 @@ def test_cli_config_errors(bounds, tmp_path):
         (tmp_path / path).write_text(json.dumps(doc))
         assert main([command, "--config", str(tmp_path / path),
                      "--out", str(tmp_path / "never")]) == 2
+    # bad statistics requests, a typo'd key and a negative seed also exit 2 before any solve
+    two_levels = weak_config(bounds, levels=((2, 8), (2, 16))).to_dict()
+    docs = [{**two_levels, "stats": {**STATS.to_dict(), **patch}} for patch in BAD_STATS]
+    docs.append({**two_levels, "stats": {**STATS.to_dict(), "n_report_time": 5}})
+    for i, doc in enumerate(docs):
+        (tmp_path / f"stats{i}.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["run-weak", "--config", str(tmp_path / f"stats{i}.json"),
+                     "--out", str(tmp_path / "never")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("nsuq: config error: ") and err.count("\n") == 1, err
+    assert main(["run-weak", "--config", str(cfg_path), "--seed", "-1",
+                 "--out", str(tmp_path / "never")]) == 2
     assert not (tmp_path / "never").exists()
 
 

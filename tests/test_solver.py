@@ -221,7 +221,7 @@ def test_traveling_wave_satisfies_momentum_balance():
 def test_bounded_graph_proxy_converging_data():
     # data converging in the surrogate distance + grids refining: the
     # solutions approach the limit solve monotonically in L1
-    from nsuq.mesh import trajectory_lq_distance, restrict_or_prolong
+    from nsuq.mesh import trajectory_lq_distance
 
     cfg = SchemeConfig(cfl=0.4, T=0.05)
     limit = make_record(rho_amp=0.1, u_amp=0.1, mu=0.05)
