@@ -85,8 +85,9 @@ class StatsRequest:
         if M_grid.ndim != 1 or len(M_grid) == 0:
             raise ValueError("M_grid must be a non-empty list of thresholds")
         for b in self.barycenters:
-            if len(b) != 3 or not (b[0] > 1 and b[1] >= 1 and b[2] in ("density", "momentum")):
-                raise ValueError(f"barycenter {list(b)} needs r > 1, q >= 1 and "
+            if len(b) != 3 or not (b[0] > 1 and 1 <= b[1] < math.inf
+                                   and b[2] in ("density", "momentum")):
+                raise ValueError(f"barycenter {list(b)} needs r > 1, finite q >= 1 and "
                                  "which density or momentum")
         for fdoc in self.functionals:
             make_functional(fdoc)  # raises on an unknown kind or a missing parameter
@@ -168,7 +169,7 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         doc = dict(doc)  # an unknown key fails in the constructor
-        doc["ladder"] = tuple(LadderLevel(int(l["N"]), int(l["n_cells"]))
+        doc["ladder"] = tuple(LadderLevel(**{k: int(v) for k, v in l.items()})
                               for l in doc.get("ladder", ()))
         doc["scheme"] = SchemeConfig.from_dict(doc["scheme"])
         doc["distribution"] = DistributionSpec.from_dict(doc["distribution"])

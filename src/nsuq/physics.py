@@ -308,14 +308,13 @@ class ForcingSpec:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ForcingSpec":
+        # an unknown key fails in the constructors
         terms = tuple(
-            ForcingTerm(
-                tuple(t["wavevec"]), t["kind"], tuple(t["amplitude"]),
-                t.get("omega", 0.0), t.get("phase", 0.0), tuple(t.get("poly", [1.0])),
-            )
-            for t in doc.get("terms", [])
+            ForcingTerm(**{**t, **{k: tuple(t[k]) for k in ("wavevec", "amplitude", "poly")
+                                   if k in t}})
+            for t in doc.get("terms", ())
         )
-        return cls(doc["d"], doc["period"], terms, doc.get("horizon", 1.0))
+        return cls(**{**doc, "terms": terms})
 
 
 # ---------------------------------------------------------------------------

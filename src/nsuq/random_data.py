@@ -196,14 +196,10 @@ class RandomFieldSpec:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RandomFieldSpec":
-        modes = tuple(
-            RandomMode(
-                tuple(m["wavevec"]), m["kind"], m["coef_const"],
-                m.get("coef_slope", 0.0), m.get("latent_index"),
-            )
-            for m in doc.get("modes", [])
-        )
-        return cls(doc["base"], modes)
+        # an unknown key fails in the constructors
+        modes = tuple(RandomMode(**{**m, "wavevec": tuple(m["wavevec"])})
+                      for m in doc.get("modes", ()))
+        return cls(**{**doc, "modes": modes})
 
 
 # ---------------------------------------------------------------------------
@@ -315,21 +311,14 @@ class DistributionSpec:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "DistributionSpec":
-        return cls(
-            K=doc["K"],
-            d=doc["d"],
-            period=doc["period"],
-            gamma=doc["gamma"],
-            bounds=AdmissibleBounds.from_dict(doc["bounds"]),
-            mu=ScalarTransform.from_dict(doc["mu"]),
-            eta=ScalarTransform.from_dict(doc["eta"]),
-            a=ScalarTransform.from_dict(doc["a"]),
-            rho0=RandomFieldSpec.from_dict(doc["rho0"]),
-            u0=tuple(RandomFieldSpec.from_dict(u) for u in doc["u0"]),
-            g_base=ForcingSpec.from_dict(doc["g_base"]),
-            g_scale=ScalarTransform.from_dict(doc["g_scale"]),
-            field_order=doc.get("field_order", 1.0),
-        )
+        doc = dict(doc)  # an unknown key fails in the constructor
+        doc["bounds"] = AdmissibleBounds.from_dict(doc["bounds"])
+        for key in ("mu", "eta", "a", "g_scale"):
+            doc[key] = ScalarTransform.from_dict(doc[key])
+        doc["rho0"] = RandomFieldSpec.from_dict(doc["rho0"])
+        doc["u0"] = tuple(RandomFieldSpec.from_dict(u) for u in doc["u0"])
+        doc["g_base"] = ForcingSpec.from_dict(doc["g_base"])
+        return cls(**doc)
 
 
 # ---------------------------------------------------------------------------

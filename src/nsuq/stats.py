@@ -196,8 +196,9 @@ def r_barycenter(ensemble: Ensemble, which: str = "density", r: float = 2.0,
     """
     if r <= 1:
         raise ValueError("barycenter order r must exceed 1")
-    if q < 1:
-        raise ValueError("ambient exponent q must be >= 1")
+    if not 1 <= q < math.inf:
+        # the L^q kernel is the finite-q formula; at q = inf it reads 1 for any data
+        raise ValueError("ambient exponent q must be finite and >= 1")
     if method not in ("auto", "iterative"):
         raise ValueError("method must be auto or iterative")
     members, w = _resolved(ensemble)

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -72,6 +73,7 @@ def test_config_roundtrip(bounds):
 BAD_STATS = (
     {"barycenters": [[1.0, 2.0, "density"]]},
     {"barycenters": [[2.0, 0.5, "density"]]},
+    {"barycenters": [[2.0, math.inf, "momentum"]]},
     {"barycenters": [[2.0, 2.0, "vorticity"]]},
     {"functionals": [{"kind": "bogus"}]},
     {"n_report_times": -1},
@@ -79,6 +81,34 @@ BAD_STATS = (
     {"M_grid": []},
     {"diagnostic_q": 0.5},
 )
+
+
+# (path to an entry below the top level, a key it reads, that key misspelt)
+KEY_TYPOS = (
+    (("distribution",), "field_order", "field_ordr"),
+    (("distribution", "u0", 0, "modes", 0), "coef_slope", "coef_slop"),
+    (("distribution", "g_base", "terms", 0), "omega", "omga"),
+    (("ladder", 0), "n_cells", "n_cell"),
+)
+
+
+def typo_base_doc(bounds):
+    """A weak config document with a mode and a forcing term, so each KEY_TYPOS path exists."""
+    doc = weak_config(bounds, levels=((2, 8), (2, 16))).to_dict()
+    doc["distribution"]["g_base"]["terms"] = [
+        {"wavevec": [1], "kind": "sin", "amplitude": [0.0], "omega": 1.0, "phase": 0.0,
+         "poly": [1.0]}]
+    return doc
+
+
+def misspelt(doc, path, key, typo):
+    """A copy of doc whose entry at path carries `typo` next to `key`, with key's value."""
+    doc = json.loads(json.dumps(doc))
+    entry = doc
+    for step in path:
+        entry = entry[step]
+    entry[typo] = entry[key]
+    return doc
 
 
 def test_config_validation(bounds):
@@ -115,6 +145,14 @@ def test_config_validation(bounds):
         ExperimentConfig.from_dict({**weak_config(bounds).to_dict(), "sed": 1})
     assert StatsRequest.from_dict({}) == StatsRequest()
     assert StatsRequest.from_dict({"n_report_times": 0}).n_report_times == 0
+    # the level diagnostic has its own max-norm path, so q = inf stays valid there
+    assert StatsRequest.from_dict({"diagnostic_q": math.inf}).diagnostic_q == math.inf
+    # an unknown key below the top level is an error too
+    base = typo_base_doc(bounds)
+    assert ExperimentConfig.from_dict(base).distribution.g_base.terms[0].omega == 1.0
+    for typo in KEY_TYPOS:
+        with pytest.raises(TypeError):
+            ExperimentConfig.from_dict(misspelt(base, *typo))
 
 
 def test_mode_mismatch(bounds):
@@ -313,10 +351,11 @@ def test_cli_config_errors(bounds, tmp_path, capsys):
         (tmp_path / path).write_text(json.dumps(doc))
         assert main([command, "--config", str(tmp_path / path),
                      "--out", str(tmp_path / "never")]) == 2
-    # bad statistics requests, a typo'd key and a negative seed also exit 2 before any solve
+    # bad statistics requests, typo'd keys and a negative seed also exit 2 before any solve
     two_levels = weak_config(bounds, levels=((2, 8), (2, 16))).to_dict()
     docs = [{**two_levels, "stats": {**STATS.to_dict(), **patch}} for patch in BAD_STATS]
     docs.append({**two_levels, "stats": {**STATS.to_dict(), "n_report_time": 5}})
+    docs += [misspelt(typo_base_doc(bounds), *typo) for typo in KEY_TYPOS]
     for i, doc in enumerate(docs):
         (tmp_path / f"stats{i}.json").write_text(json.dumps(doc))
         capsys.readouterr()

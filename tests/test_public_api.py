@@ -1,5 +1,6 @@
 import ast
 import importlib
+import json
 import os
 import pathlib
 import subprocess
@@ -43,3 +44,19 @@ def test_benchmark_tracer_installs():
         cwd=ROOT / "perfbench", env=env, capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_benchmark_configs_load():
+    # every config the benchmark generates passes the strict (unknown-key) readers
+    from nsuq.experiments import ExperimentConfig
+
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    for name in workloads.WORKLOADS:
+        for seed in range(workloads.VARIANTS):
+            for shrink in (False, True):
+                doc = json.loads(json.dumps(workloads.build_config(name, seed, shrink)))
+                assert ExperimentConfig.from_dict(doc).to_dict()["ladder"] == doc["ladder"]

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nsuq import solver
 from nsuq.mesh import GridSpec, ScalarField, VectorField, FluidState
 from nsuq.physics import ForcingSpec, ForcingTerm
 from nsuq.solver import (
@@ -239,8 +242,6 @@ def test_bounded_graph_proxy_converging_data():
 def test_cg_stops_at_non_finite_residual(monkeypatch):
     # NaN compares False against any tolerance: without a finiteness check CG
     # would apply its operator max_iter + 1 times before giving up
-    from nsuq import solver
-
     calls = []
     operator = solver._momentum_operator
 
@@ -255,3 +256,92 @@ def test_cg_stops_at_non_finite_residual(monkeypatch):
     with pytest.raises(solver.NoConvergenceError):
         solver._solve_momentum_system(rho, b, 1e-3, 0.05, 0.0, grid, np.zeros_like(b), 1e-12)
     assert len(calls) <= 2
+
+
+def _roll_reference_kernels():
+    # the stencils as written with np.roll, kept here only as the reference
+    def face_avg(v, ax):
+        return 0.5 * (v + np.roll(v, -1, axis=ax))
+
+    def upwind(c, w, ax):
+        right = np.roll(c, -1, axis=ax)
+        up = np.where(w > 0, c, right)
+        return np.where(w == 0, 0.5 * (c + right), up)
+
+    def div_faces(flux, ax, h):
+        return (flux - np.roll(flux, 1, axis=ax)) / h
+
+    def grad_c(v, ax, h):
+        return (np.roll(v, -1, axis=ax) - np.roll(v, 1, axis=ax)) / (2 * h)
+
+    def lap(v, h, d):
+        out = np.zeros_like(v)
+        for ax in range(d):
+            out += (np.roll(v, -1, axis=ax) - 2 * v + np.roll(v, 1, axis=ax)) / h**2
+        return out
+
+    return face_avg, upwind, div_faces, grad_c, lap
+
+
+@pytest.mark.parametrize("n", [2, 3, 16])
+@pytest.mark.parametrize("tail", [(), (1,), (None,), (None, 2)],
+                         ids=["(n,)", "(n,1)", "(n,n)", "(n,n,2)"])
+def test_stencils_match_roll_reference(n, tail):
+    face_avg, upwind, div_faces, grad_c, lap = _roll_reference_kernels()
+    shape = (n,) + tuple(n if t is None else t for t in tail)
+    rng = np.random.default_rng(n * 10 + len(shape))
+    v = rng.standard_normal(shape)
+    w = rng.standard_normal(shape)
+    w[rng.random(shape) < 0.25] = 0.0  # ties take the central average
+    h = 1.0 / n
+    for ax in range(len(shape)):
+        for k in (1, -1):
+            assert np.array_equal(solver._shift(v, k, ax), np.roll(v, k, axis=ax))
+        assert np.array_equal(solver._face_avg(v, ax), face_avg(v, ax))
+        assert np.array_equal(solver._upwind(v, w, ax), upwind(v, w, ax))
+        assert np.array_equal(solver._div_faces(v, ax, h), div_faces(v, ax, h))
+        assert np.array_equal(solver._grad_c(v, ax, h), grad_c(v, ax, h))
+        # strided input, as the stencils see a velocity component u[..., c]
+        col = np.stack([v, w], axis=-1)[..., 1]
+        assert np.array_equal(solver._grad_c(col, ax, h), grad_c(col, ax, h))
+    for d in range(1, len(shape) + 1):
+        assert np.array_equal(solver._lap(v, h, d), lap(v, h, d))
+
+
+def _random_state(seed, d, n):
+    rng = np.random.default_rng(seed)
+    shape = (n,) * d
+    rho = rng.uniform(0.1, 2.0, shape)
+    u = rng.standard_normal(shape + (d,))
+    return rng, rho, u
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2]), st.integers(2, 12))
+def test_flux_div_telescopes(seed, d, n):
+    # the upwind flux divergence sums to zero: the discrete mass conservation
+    _, rho, u = _random_state(seed, d, n)
+    grid = GridSpec(d, n)
+    div = solver._flux_div(rho, solver._faces(u, grid), grid)
+    assert abs(div.sum()) <= 1e-13 * max(1.0, np.abs(div).sum())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2]), st.integers(2, 12),
+       st.floats(1e-4, 1e-1), st.floats(1e-3, 1.0), st.floats(1e-3, 1.0))
+def test_momentum_operator_symmetric_positive(seed, d, n, dt, mu, eta):
+    # CG needs A(rho) = diag(rho) - dt div S symmetric positive definite for rho > 0
+    rng, rho, v = _random_state(seed, d, n)
+    w = rng.standard_normal(v.shape)
+    grid = GridSpec(d, n)
+
+    def apply(x):
+        return solver._momentum_operator(x, rho, dt, mu, eta, grid)
+
+    av, aw = apply(v), apply(w)
+    scale = np.linalg.norm(v) * np.linalg.norm(aw) + np.linalg.norm(av) * np.linalg.norm(w)
+    assert abs(np.sum(v * aw) - np.sum(av * w)) <= 1e-13 * scale
+    vav = np.sum(v * av)
+    assert vav > 0
+    # -dt div S is positive semidefinite: A(rho) only adds to the mass form
+    assert vav >= (1 - 1e-10) * np.sum(rho[..., None] * v * v)

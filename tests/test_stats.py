@@ -221,6 +221,9 @@ def test_barycenter_domain_errors():
         r_barycenter(ens, r=1.0)
     with pytest.raises(ValueError):
         r_barycenter(ens, q=0.5)
+    for q in (np.inf, np.nan):  # the L^q kernel is the finite-q formula
+        with pytest.raises(ValueError):
+            r_barycenter(ens, q=q)
     with pytest.raises(ValueError):
         r_barycenter(ens, method="newton")
 
