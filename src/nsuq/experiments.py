@@ -23,6 +23,7 @@ from . import __version__
 from .mesh import GridSpec, _fmt, distance_times, save_field, stack_lq_distance, \
     trajectory_lq_distance  # noqa: F401
 from .random_data import (
+    MAX_PARTITION_CELLS,
     DistributionSpec,
     Ensemble,
     EnsembleMember,
@@ -81,9 +82,10 @@ class StatsRequest:
     diagnostic_q: float = 2.0
 
     def __post_init__(self):
-        M_grid = np.asarray(self.M_grid, dtype=float)
-        if M_grid.ndim != 1 or len(M_grid) == 0:
-            raise ValueError("M_grid must be a non-empty list of thresholds")
+        for name in ("M_grid", "eps_grid"):
+            grid = np.asarray(getattr(self, name), dtype=float)
+            if grid.ndim != 1 or len(grid) == 0:
+                raise ValueError(f"{name} must be a non-empty list of thresholds")
         for b in self.barycenters:
             if len(b) != 3 or not (b[0] > 1 and 1 <= b[1] < math.inf
                                    and b[2] in ("density", "momentum")):
@@ -139,10 +141,17 @@ class ExperimentConfig:
                 raise ValueError("ladder must not be empty")
             Ns = [lvl.N for lvl in self.ladder]
             ns = [lvl.n_cells for lvl in self.ladder]
+            if min(Ns) < 1 or min(ns) < 2:
+                raise ValueError("every level needs N >= 1 and n_cells >= 2")
             if any(b < a for a, b in zip(Ns, Ns[1:])):
                 raise ValueError("ensemble sizes must be nondecreasing along the ladder")
-            if any(b < a for a, b in zip(ns, ns[1:])):
-                raise ValueError("grid resolutions must be nondecreasing along the ladder")
+            # cross-level distances transfer onto the coarser grid
+            if any(b % a for a, b in zip(ns, ns[1:])):
+                raise ValueError("each level's n_cells must divide the next level's")
+            K = self.distribution.K
+            if self.mode == "strong" and (K < 1 or Ns[-1] ** K > MAX_PARTITION_CELLS):
+                raise ValueError(f"strong mode needs K >= 1 and at most "
+                                 f"{MAX_PARTITION_CELLS} partition cells per level")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if not (0 <= self.failure_budget <= 1):

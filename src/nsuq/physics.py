@@ -188,25 +188,6 @@ class FourierField:
         modes = self.modes + tuple(replace(m, coef=-m.coef) for m in other.modes)
         return FourierField(self.d, self.period, self.mean - other.mean, modes)
 
-    def scaled(self, factor: float) -> "FourierField":
-        return FourierField(
-            self.d, self.period, factor * self.mean,
-            tuple(replace(m, coef=factor * m.coef) for m in self.modes),
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "period": self.period,
-            "mean": self.mean,
-            "modes": [[list(m.wavevec), m.kind, m.coef] for m in self.modes],
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "FourierField":
-        modes = tuple(FourierMode(tuple(wv), kind, coef) for wv, kind, coef in doc.get("modes", []))
-        return cls(doc["d"], doc["period"], doc["mean"], modes)
-
 
 # ---------------------------------------------------------------------------
 # forcing: finite spatial Fourier sum, smooth time modulation
@@ -250,8 +231,10 @@ class ForcingSpec:
                 raise ValueError("amplitude must have one entry per velocity component")
             if len(t.wavevec) != self.d:
                 raise ValueError("wavevector dimension mismatch")
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
+            if not all(math.isfinite(x) for x in (*t.amplitude, t.omega, t.phase, *t.poly)):
+                raise ValueError("forcing term numbers must be finite")
+        if not 0 < self.horizon < math.inf:
+            raise ValueError("horizon must be positive and finite")
 
     @classmethod
     def zero(cls, d: int, period: float = 1.0) -> "ForcingSpec":
@@ -384,7 +367,7 @@ class AdmissibleBounds:
     def __post_init__(self):
         if not (0 < self.a_lower <= self.a_upper):
             raise ValueError("need 0 < a_lower <= a_upper")
-        if self.rho_lower <= 0 or self.mu_lower <= 0 or self.g_sup <= 0:
+        if not (self.rho_lower > 0 and self.mu_lower > 0 and self.g_sup > 0):
             raise ValueError("rho_lower, mu_lower, g_sup must be positive")
 
     def to_dict(self) -> dict:

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.stats import truncnorm
 
 from .physics import (
     AdmissibleBounds,
@@ -52,6 +52,18 @@ class SpecValidationError(ValueError):
     """A distribution spec whose image would leave the admissible set."""
 
 
+_STD_NORMAL = NormalDist()
+
+
+def _ncdf(z: float) -> float:
+    """Standard normal CDF through erfc, so the lower tail keeps its relative accuracy."""
+    return 0.5 * math.erfc(-z / math.sqrt(2.0))
+
+
+def _npdf(z: float) -> float:
+    return math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+
+
 # ---------------------------------------------------------------------------
 # scalar coefficients
 
@@ -77,19 +89,28 @@ class ScalarTransform:
                 raise ValueError("constant transforms consume no latent coordinate")
             object.__setattr__(self, "hi", self.lo)
         elif self.dist in ("uniform", "trunc_normal"):
-            if self.hi is None or self.hi < self.lo:
+            if self.hi is None or not self.lo <= self.hi:
                 raise ValueError("need lo <= hi")
             if self.latent_index is None or self.latent_index < 0:
                 raise ValueError(f"{self.dist} transform needs a latent_index")
-            if self.dist == "trunc_normal" and (self.mean is None or not self.sd or self.sd <= 0):
+            if self.dist == "trunc_normal" and (self.mean is None or self.sd is None
+                                                or not self.sd > 0):
                 raise ValueError("trunc_normal needs mean and positive sd")
         else:
             raise ValueError(f"unknown transform {self.dist!r}")
+        if not all(math.isfinite(v) for v in (self.lo, self.hi, self.mean, self.sd)
+                   if v is not None):
+            raise ValueError("transform parameters must be finite")
+        if self.dist == "trunc_normal" and self.lo < self.hi and not self._mass() > 0:
+            raise ValueError("trunc_normal interval carries no probability in double precision")
 
-    def _tn(self):
-        a = (self.lo - self.mean) / self.sd
-        b = (self.hi - self.mean) / self.sd
-        return truncnorm(a, b, loc=self.mean, scale=self.sd)
+    def _std_bounds(self) -> tuple:
+        return (self.lo - self.mean) / self.sd, (self.hi - self.mean) / self.sd
+
+    def _mass(self) -> float:
+        """Phi(b) - Phi(a), reflected into the lower tail when a > 0."""
+        a, b = self._std_bounds()
+        return _ncdf(b) - _ncdf(a) if a <= 0 else _ncdf(-a) - _ncdf(-b)
 
     def realize(self, coords: np.ndarray) -> float:
         if self.dist == "const":
@@ -97,7 +118,20 @@ class ScalarTransform:
         w = float(coords[self.latent_index])
         if self.dist == "uniform":
             return self.lo + (self.hi - self.lo) * w
-        return float(self._tn().ppf(w))
+        if w == 0.0 or self.lo == self.hi:
+            return self.lo
+        if w == 1.0:
+            return self.hi
+        # inverse CDF mean + sd Phi^-1(Phi(a) + w (Phi(b) - Phi(a))), evaluated
+        # in the tail the quantile lies in, where Phi keeps its relative accuracy
+        a, b = self._std_bounds()
+        p = _ncdf(a) + w * (_ncdf(b) - _ncdf(a))
+        if p <= 0.5:
+            z = _STD_NORMAL.inv_cdf(p)
+        else:
+            z = -_STD_NORMAL.inv_cdf(_ncdf(-b) + (1.0 - w) * (_ncdf(-a) - _ncdf(-b)))
+        # rounding must not leave [lo, hi], on which admissibility was certified
+        return min(max(self.mean + self.sd * z, self.lo), self.hi)
 
     def lipschitz(self) -> float:
         """Sup of the inverse-CDF derivative on [0, 1]."""
@@ -107,10 +141,9 @@ class ScalarTransform:
             return self.hi - self.lo
         if self.hi == self.lo:
             return 0.0
-        tn = self._tn()
         # unimodal density: the minimum over [lo, hi] sits at an endpoint
-        dmin = min(float(tn.pdf(self.lo)), float(tn.pdf(self.hi)))
-        return 1.0 / dmin
+        a, b = self._std_bounds()
+        return self.sd * self._mass() / min(_npdf(a), _npdf(b))
 
     @property
     def min_value(self) -> float:
@@ -150,6 +183,8 @@ class RandomMode:
     def __post_init__(self):
         if self.latent_index is None and self.coef_slope != 0.0:
             raise ValueError("a sloped mode needs a latent_index")
+        if not (math.isfinite(self.coef_const) and math.isfinite(self.coef_slope)):
+            raise ValueError("mode coefficients must be finite")
 
     def coef(self, coords: np.ndarray) -> float:
         if self.latent_index is None:
@@ -227,6 +262,8 @@ class DistributionSpec:
     def __post_init__(self):
         if self.K < 0:
             raise SpecValidationError("latent dimension must be nonnegative")
+        if not 0 < self.period < math.inf:
+            raise SpecValidationError("period must be positive and finite")
         if len(self.u0) != self.d:
             raise SpecValidationError("u0 needs one field spec per component")
         for tr in (self.mu, self.eta, self.a, self.g_scale):
@@ -238,20 +275,21 @@ class DistributionSpec:
                     raise SpecValidationError("latent index out of range")
                 if len(m.wavevec) != self.d:
                     raise SpecValidationError("mode wavevector dimension mismatch")
+        # written so that NaN fails every comparison
         b = self.bounds
-        if self.mu.min_value < b.mu_lower:
+        if not self.mu.min_value >= b.mu_lower:
             raise SpecValidationError("viscosity transform leaves the admissible set")
-        if self.eta.min_value < 0:
+        if not self.eta.min_value >= 0:
             raise SpecValidationError("bulk viscosity transform goes negative")
-        if self.a.min_value < b.a_lower or self.a.max_value > b.a_upper:
+        if not b.a_lower <= self.a.min_value <= self.a.max_value <= b.a_upper:
             raise SpecValidationError("pressure coefficient transform leaves [a_lower, a_upper]")
-        if self.rho0.worst_inf() < b.rho_lower:
+        if not self.rho0.worst_inf() >= b.rho_lower:
             raise SpecValidationError("initial density can fall below rho_lower")
-        if self.g_scale.min_value < 0:
+        if not self.g_scale.min_value >= 0:
             raise SpecValidationError("forcing scale must be nonnegative")
-        if self.g_scale.max_value * self.g_base.sup_bound() > b.g_sup:
+        if not self.g_scale.max_value * self.g_base.sup_bound() <= b.g_sup:
             raise SpecValidationError("forcing sup bound can exceed g_sup")
-        if self.gamma <= 1:
+        if not self.gamma > 1:
             raise SpecValidationError("gamma must exceed 1")
 
     def realize(self, omega: np.ndarray) -> DataRecord:

@@ -83,13 +83,14 @@ class SchemeConfig:
     def __post_init__(self):
         if not (0 < self.cfl <= 1):
             raise ValueError("cfl must lie in (0, 1]")
-        if self.T <= 0:
-            raise ValueError("final time must be positive")
-        if self.picard_tol <= 0:
-            raise ValueError("picard_tol must be positive")
-        if self.picard_max_iter < 1:
-            raise ValueError("picard_max_iter must be at least 1")
-        if self.linf_ceiling <= 0:
+        # written so that NaN fails every comparison
+        if not 0 < self.T < math.inf:
+            raise ValueError("final time must be positive and finite")
+        if not 0 < self.picard_tol < math.inf:
+            raise ValueError("picard_tol must be positive and finite")
+        if type(self.picard_max_iter) is not int or self.picard_max_iter < 1:
+            raise ValueError("picard_max_iter must be an integer >= 1")
+        if not self.linf_ceiling > 0:
             raise ValueError("linf_ceiling must be positive")
 
     def to_dict(self) -> dict:

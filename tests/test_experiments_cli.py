@@ -79,6 +79,8 @@ BAD_STATS = (
     {"n_report_times": -1},
     {"n_report_times": 2.0},
     {"M_grid": []},
+    {"eps_grid": []},
+    {"eps_grid": "abc"},
     {"diagnostic_q": 0.5},
 )
 
@@ -92,9 +94,13 @@ KEY_TYPOS = (
 )
 
 
+def weak_doc(bounds):
+    return weak_config(bounds, levels=((2, 8), (2, 16))).to_dict()
+
+
 def typo_base_doc(bounds):
     """A weak config document with a mode and a forcing term, so each KEY_TYPOS path exists."""
-    doc = weak_config(bounds, levels=((2, 8), (2, 16))).to_dict()
+    doc = weak_doc(bounds)
     doc["distribution"]["g_base"]["terms"] = [
         {"wavevec": [1], "kind": "sin", "amplitude": [0.0], "omega": 1.0, "phase": 0.0,
          "poly": [1.0]}]
@@ -108,6 +114,56 @@ def misspelt(doc, path, key, typo):
     for step in path:
         entry = entry[step]
     entry[typo] = entry[key]
+    return doc
+
+
+def strong_doc(bounds):
+    """A two-level strong config document with K = 2."""
+    spec = make_spec(bounds, K=2, mu=("uniform", 0.02, 0.08, 0), a=("uniform", 0.8, 1.2, 1))
+    return ExperimentConfig(mode="strong", ladder=(LadderLevel(2, 8), LadderLevel(2, 16)),
+                            scheme=SCHEME, distribution=spec, stats=STATS).to_dict()
+
+
+def constant_strong_doc(bounds):
+    return constant_config(bounds, mode="strong").to_dict()
+
+
+# (base document, path to an entry, value put there): ladders the runners could
+# not finish and numbers that would run without meaning
+BAD_ENTRIES = (
+    (weak_doc, ("ladder", 1, "n_cells"), 12),  # 8 does not divide 12
+    (strong_doc, ("ladder", 1, "n_cells"), 12),
+    (weak_doc, ("ladder", 0, "N"), 0),
+    (weak_doc, ("ladder", 0, "n_cells"), 1),
+    (strong_doc, ("ladder", 1, "N"), 5000),  # 5000**2 partition cells
+    (constant_strong_doc, ("distribution", "K"), 0),  # no latent axis to partition
+    (weak_doc, ("scheme", "T"), math.nan),
+    (weak_doc, ("scheme", "T"), math.inf),
+    (weak_doc, ("scheme", "picard_tol"), math.nan),
+    (weak_doc, ("scheme", "picard_tol"), math.inf),
+    (weak_doc, ("scheme", "linf_ceiling"), math.nan),
+    (weak_doc, ("scheme", "picard_max_iter"), 2.5),
+    (weak_doc, ("distribution", "mu", "lo"), math.nan),
+    (weak_doc, ("distribution", "mu", "hi"), math.inf),
+    (weak_doc, ("distribution", "mu"),
+     {"dist": "trunc_normal", "lo": 0.02, "hi": 0.08, "mean": math.nan, "sd": 0.01,
+      "latent_index": 0}),
+    (weak_doc, ("distribution", "bounds", "rho_lower"), math.nan),
+    (weak_doc, ("distribution", "gamma"), math.nan),
+    (weak_doc, ("distribution", "period"), math.nan),
+    (weak_doc, ("distribution", "u0", 0, "modes", 0, "coef_const"), math.nan),
+    (typo_base_doc, ("distribution", "g_base", "terms", 0, "phase"), math.inf),
+    (typo_base_doc, ("distribution", "g_base", "horizon"), math.nan),
+)
+
+
+def patched(doc, path, value):
+    """A copy of doc with `value` at path."""
+    doc = json.loads(json.dumps(doc))
+    entry = doc
+    for step in path[:-1]:
+        entry = entry[step]
+    entry[path[-1]] = value
     return doc
 
 
@@ -153,6 +209,15 @@ def test_config_validation(bounds):
     for typo in KEY_TYPOS:
         with pytest.raises(TypeError):
             ExperimentConfig.from_dict(misspelt(base, *typo))
+    # ladders the runners could not finish, and NaN or infinite numbers
+    for make_doc in (weak_doc, strong_doc, constant_strong_doc):
+        ExperimentConfig.from_dict(make_doc(bounds))
+    for make_doc, path, value in BAD_ENTRIES:
+        with pytest.raises(ValueError):
+            ExperimentConfig.from_dict(patched(make_doc(bounds), path, value))
+    # equal resolutions divide, and a strong ladder may sit at the partition limit
+    ExperimentConfig.from_dict(patched(weak_doc(bounds), ("ladder", 1, "n_cells"), 8))
+    ExperimentConfig.from_dict(patched(strong_doc(bounds), ("ladder", 1, "N"), 1024))
 
 
 def test_mode_mismatch(bounds):
@@ -352,14 +417,16 @@ def test_cli_config_errors(bounds, tmp_path, capsys):
         assert main([command, "--config", str(tmp_path / path),
                      "--out", str(tmp_path / "never")]) == 2
     # bad statistics requests, typo'd keys and a negative seed also exit 2 before any solve
-    two_levels = weak_config(bounds, levels=((2, 8), (2, 16))).to_dict()
+    two_levels = weak_doc(bounds)
     docs = [{**two_levels, "stats": {**STATS.to_dict(), **patch}} for patch in BAD_STATS]
     docs.append({**two_levels, "stats": {**STATS.to_dict(), "n_report_time": 5}})
     docs += [misspelt(typo_base_doc(bounds), *typo) for typo in KEY_TYPOS]
+    # bad ladders and non-finite numbers too
+    docs += [patched(make_doc(bounds), path, value) for make_doc, path, value in BAD_ENTRIES]
     for i, doc in enumerate(docs):
         (tmp_path / f"stats{i}.json").write_text(json.dumps(doc))
         capsys.readouterr()
-        assert main(["run-weak", "--config", str(tmp_path / f"stats{i}.json"),
+        assert main([f"run-{doc['mode']}", "--config", str(tmp_path / f"stats{i}.json"),
                      "--out", str(tmp_path / "never")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("nsuq: config error: ") and err.count("\n") == 1, err

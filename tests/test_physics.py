@@ -172,18 +172,12 @@ def test_fourier_field_norms_match_quadrature():
     assert d2.l2_norm() == pytest.approx(lq_norm(ScalarField(g2, d2.evaluate(g2)), 2.0), rel=1e-12)
 
 
-def test_fourier_field_sub_scale():
+def test_fourier_field_sub():
     f = FourierField(1, 1.0, 1.0, (FourierMode((1,), "cos", 0.5),))
     h = FourierField(1, 1.0, 0.4, (FourierMode((1,), "cos", 0.2),))
     diff = f - h
     assert diff.mean == pytest.approx(0.6)
     assert diff.modes[0].coef == pytest.approx(0.3)
-    assert f.scaled(2.0).sup_bound() == pytest.approx(3.0)
-
-
-def test_fourier_field_dict_roundtrip():
-    f = FourierField(2, 1.5, 0.7, (FourierMode((1, 0), "sin", 0.2),))
-    assert FourierField.from_dict(f.to_dict()) == f
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,7 @@
+import math
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -41,6 +45,70 @@ def test_truncnormal_transform():
     assert tr.lipschitz() > 0
 
 
+# Truncated-normal quantiles at TN_WS and Lipschitz constants sd (Phi(b) - Phi(a))
+# / min(phi(a), phi(b)), from a 50-digit mpmath evaluation with the same float
+# inputs; name -> ((lo, hi, mean, sd), quantiles, lipschitz).  (a, b) are the
+# standardised bounds.
+TN_WS = (1e-9, 0.1, 0.5, 0.9, 1 - 1e-9)
+TN_GOLDEN = {
+    "symmetric": (  # (a, b) = (-2.5, 2.5)
+        (0.5, 1.5, 1.0, 0.2),
+        (0.5000000112684124, 0.7492514172659638, 1.0, 1.2507485827340363,
+         1.4999999887315878),
+        11.268413269281975),
+    "upper_tail": (  # (7/3, 5): Phi(a) and Phi(b) round near 1
+        (1.2, 2.0, 0.5, 0.3),
+        (1.2000000001122921, 1.2117532258881658, 1.274677423483124, 1.4287058031473838,
+         1.9999980194892957),
+        1980.5434474627696),
+    "lower_tail": (  # (-4.5, -1)
+        (0.035, 0.07, 0.08, 0.01),
+        (0.03500009925605784, 0.05852294605974431, 0.06590402790998544,
+         0.06932132172069035, 0.06999999999344335),
+        99.25827451608917),
+    "deep_lower_tail": (  # (-7.5, -4): an erf-based Phi loses Phi(a) here
+        (0.25, 0.6, 1.0, 0.1),
+        (0.25909009584463716, 0.5485086062745942, 0.5838895721632174, 0.5975135931361177,
+         0.5999999999763347),
+        13010300.562926518),
+    "narrow": (  # (-2, -1.99)
+        (1.0, 1.001, 1.2, 0.1),
+        (1.00000000000101, 1.0001009031424741, 1.000502493693061, 1.0009008923904543,
+         1.0009999999990098),
+        0.0010100500829140521),
+    "long_upper_side": (  # (-0.5, 6): the top quantile lies where Phi rounds to 1
+        (0.0, 3.25, 0.25, 0.5),
+        (9.820087457956835e-10, 0.09421515322434289, 0.44843558687586216,
+         0.9910898358825063, 3.2065789858783775),
+        56902221.23913534),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TN_GOLDEN))
+def test_truncnormal_matches_oracle(name):
+    (lo, hi, mean, sd), quantiles, lip = TN_GOLDEN[name]
+    tr = ScalarTransform("trunc_normal", lo, hi, mean=mean, sd=sd, latent_index=0)
+    for w, q in zip(TN_WS, quantiles):
+        assert abs(tr.realize(np.array([w])) - q) <= 1e-11 * (hi - lo), w
+    assert tr.lipschitz() == pytest.approx(lip, rel=1e-11)
+    # the endpoints of the cube map exactly onto the endpoints of the interval
+    assert tr.realize(np.array([0.0])) == lo
+    assert tr.realize(np.array([1.0])) == hi
+
+
+def test_truncnormal_degenerate_interval():
+    tr = ScalarTransform("trunc_normal", 0.3, 0.3, mean=1.0, sd=0.1, latent_index=0)
+    assert tr.realize(np.array([0.4])) == 0.3
+    assert tr.lipschitz() == 0.0
+
+
+def test_import_leaves_scipy_unloaded():
+    code = "import sys, nsuq.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_transform_validation():
     with pytest.raises(ValueError):
         ScalarTransform("uniform", 1.0, 0.5, latent_index=0)
@@ -50,6 +118,21 @@ def test_transform_validation():
         ScalarTransform("trunc_normal", 0.0, 1.0, latent_index=0)  # missing moments
     with pytest.raises(ValueError):
         ScalarTransform("lognormal", 0.0, 1.0, latent_index=0)
+    # a non-finite parameter would pass the ordering checks or realize NaN
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            ScalarTransform("const", bad)
+        with pytest.raises(ValueError):
+            ScalarTransform("uniform", bad, 1.0, latent_index=0)
+        with pytest.raises(ValueError):
+            ScalarTransform("uniform", 0.0, bad, latent_index=0)
+        with pytest.raises(ValueError):
+            ScalarTransform("trunc_normal", 0.0, 1.0, mean=bad, sd=0.1, latent_index=0)
+        with pytest.raises(ValueError):
+            ScalarTransform("trunc_normal", 0.0, 1.0, mean=0.5, sd=bad, latent_index=0)
+    # an interval 60 sd above the mean has no mass at double precision
+    with pytest.raises(ValueError):
+        ScalarTransform("trunc_normal", 6.0, 7.0, mean=0.0, sd=0.1, latent_index=0)
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from nsuq import solver
 from nsuq.mesh import GridSpec, ScalarField, VectorField, FluidState
-from nsuq.physics import ForcingSpec, ForcingTerm
+from nsuq.physics import AdmissibleBounds, ForcingSpec, ForcingTerm
+from nsuq.random_data import DistributionSpec, RandomFieldSpec, RandomMode, ScalarTransform
 from nsuq.solver import (
     ABORTED_LINF,
+    ABORTED_VACUUM,
     COMPLETED,
     NO_CONVERGENCE,
     SchemeConfig,
@@ -345,3 +347,68 @@ def test_momentum_operator_symmetric_positive(seed, d, n, dt, mu, eta):
     assert vav > 0
     # -dt div S is positive semidefinite: A(rho) only adds to the mass form
     assert vav >= (1 - 1e-10) * np.sum(rho[..., None] * v * v)
+
+
+# ---------------------------------------------------------------------------
+# the solver contract on random admissible data
+
+
+@st.composite
+def admissible_problems(draw):
+    """(spec, latent point, grid, scheme, forced) with a uniform or trunc_normal mu and a,
+    latent density, velocity and forcing amplitudes, d in {1, 2} and a short horizon."""
+    d = draw(st.sampled_from([1, 2]))
+    k = (1,) + (0,) * (d - 1)
+    amp = st.floats(-0.2, 0.2)
+
+    def transform(lo_min, lo_max, max_width, index):
+        lo = draw(st.floats(lo_min, lo_max))
+        hi = lo + draw(st.floats(0.0, max_width))
+        if draw(st.booleans()):
+            return ScalarTransform("uniform", lo, hi, latent_index=index)
+        mean = draw(st.floats(lo - max_width, hi + max_width))
+        sd = draw(st.floats(0.1 * max_width, 2.0 * max_width))
+        return ScalarTransform("trunc_normal", lo, hi, mean=mean, sd=sd, latent_index=index)
+
+    forced = draw(st.booleans())
+    g_base = ForcingSpec.zero(d)
+    g_scale = ScalarTransform("const", 0.0)
+    if forced:
+        term = ForcingTerm(k, "sin", (0.5,) + (0.0,) * (d - 1), omega=2 * math.pi)
+        g_base = ForcingSpec(d, 1.0, (term,))
+        g_scale = ScalarTransform("uniform", 0.0, 1.0, latent_index=2)
+    spec = DistributionSpec(
+        K=3, d=d, period=1.0, gamma=draw(st.sampled_from([1.4, 2.0])),
+        bounds=AdmissibleBounds(rho_lower=0.5, mu_lower=0.01, a_lower=0.5, a_upper=1.5,
+                                g_sup=1.0),
+        mu=transform(0.01, 0.08, 0.05, 0),
+        eta=ScalarTransform("const", draw(st.sampled_from([0.0, 0.01]))),
+        a=transform(0.5, 1.2, 0.3, 1),
+        rho0=RandomFieldSpec(1.0, (RandomMode(k, "sin", draw(amp), draw(amp), 2),)),
+        u0=tuple(RandomFieldSpec(0.0, (RandomMode(k, "cos", draw(amp), draw(amp), 2),))
+                 for _ in range(d)),
+        g_base=g_base, g_scale=g_scale,
+    )
+    omega = np.array(draw(st.tuples(*[st.floats(0.0, 1.0)] * 3)))
+    grid = GridSpec(d, draw(st.sampled_from([16, 32] if d == 1 else [8, 16])))
+    scheme = SchemeConfig(cfl=0.4, T=draw(st.floats(0.02, 0.2)))
+    return spec, omega, grid, scheme, forced
+
+
+@settings(max_examples=25, deadline=None)
+@given(admissible_problems())
+def test_solver_contract_on_random_admissible_data(problem):
+    spec, omega, grid, scheme, forced = problem
+    data = spec.realize(omega)
+    report = solve(data, grid, scheme)
+    assert report.status in (COMPLETED, ABORTED_LINF, ABORTED_VACUUM, NO_CONVERGENCE)
+    states = report.trajectory.states
+    for old, new in zip(states, states[1:]):
+        assert scheme_residual(data, (old, new), new.time - old.time) <= scheme.picard_tol
+    if report.status == COMPLETED:
+        masses = np.array([s.rho.integral() for s in states])
+        assert np.abs(masses - masses[0]).max() <= 1e-12 * masses[0]
+        assert all(s.rho.values.min() > 0 for s in states)
+    if not forced:
+        e = report.energy_history
+        assert np.all(np.diff(e) <= 1e-10 * e[0])
