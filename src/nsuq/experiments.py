@@ -14,7 +14,7 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field, fields
 
 import numpy as np
 
@@ -68,9 +68,6 @@ class LadderLevel:
     N: int
     n_cells: int
 
-    def to_dict(self) -> dict:
-        return {"N": self.N, "n_cells": self.n_cells}
-
 
 @dataclass(frozen=True)
 class StatsRequest:
@@ -91,22 +88,17 @@ class StatsRequest:
                                    and b[2] in ("density", "momentum")):
                 raise ValueError(f"barycenter {list(b)} needs r > 1, finite q >= 1 and "
                                  "which density or momentum")
-        for fdoc in self.functionals:
-            make_functional(fdoc)  # raises on an unknown kind or a missing parameter
+        # make_functional raises on an unknown kind or key and on a bad parameter
+        names = [make_functional(fdoc)[0] for fdoc in self.functionals]
+        if len(set(names)) != len(names):
+            raise ValueError(f"functional names must be unique, got {names}")
         if type(self.n_report_times) is not int or self.n_report_times < 0:
             raise ValueError("n_report_times must be a non-negative integer")
         if not self.diagnostic_q >= 1:
             raise ValueError("diagnostic_q must be >= 1 or inf")
 
     def to_dict(self) -> dict:
-        return {
-            "M_grid": list(self.M_grid),
-            "eps_grid": list(self.eps_grid),
-            "barycenters": [list(b) for b in self.barycenters],
-            "functionals": [dict(f) for f in self.functionals],
-            "n_report_times": self.n_report_times,
-            "diagnostic_q": self.diagnostic_q,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "StatsRequest":
@@ -141,6 +133,8 @@ class ExperimentConfig:
                 raise ValueError("ladder must not be empty")
             Ns = [lvl.N for lvl in self.ladder]
             ns = [lvl.n_cells for lvl in self.ladder]
+            if not all(type(v) is int for v in Ns + ns):
+                raise ValueError("ladder N and n_cells must be integers")
             if min(Ns) < 1 or min(ns) < 2:
                 raise ValueError("every level needs N >= 1 and n_cells >= 2")
             if any(b < a for a, b in zip(Ns, Ns[1:])):
@@ -152,41 +146,40 @@ class ExperimentConfig:
             if self.mode == "strong" and (K < 1 or Ns[-1] ** K > MAX_PARTITION_CELLS):
                 raise ValueError(f"strong mode needs K >= 1 and at most "
                                  f"{MAX_PARTITION_CELLS} partition cells per level")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+        if type(self.seed) is not int or self.seed < 0:
+            raise ValueError("seed must be a non-negative integer")
+        if type(self.threads) is not int or self.threads < 1:
+            raise ValueError("threads must be an integer >= 1")
         if not (0 <= self.failure_budget <= 1):
             raise ValueError("failure budget must lie in [0, 1]")
         if self.point_rule not in ("center", "random"):
             raise ValueError("point_rule must be center or random")
+        d, T = self.distribution.d, self.scheme.T
+        for fdoc in self.stats.functionals:
+            if len(fdoc.get("wavevec", [0] * d)) != d:
+                raise ValueError(f"functional wavevector {fdoc['wavevec']} "
+                                 f"must have d = {d} entries")
+            at = fdoc.get("time", "final")
+            if not isinstance(at, str) and at > T:
+                raise ValueError(f"functional time {at} lies after the final time {T}")
+            if fdoc.get("m") is not None and not fdoc["m"] > d + 1:
+                raise ValueError(f"tanh_neg_sobolev needs m > d + 1 = {d + 1}")
         if self.mode == "convergence":
             _convergence_plan(self)
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "ladder": [lvl.to_dict() for lvl in self.ladder],
-            "scheme": self.scheme.to_dict(),
-            "distribution": self.distribution.to_dict(),
-            "stats": self.stats.to_dict(),
-            "seed": self.seed,
-            "threads": self.threads,
-            "failure_budget": self.failure_budget,
-            "point_rule": self.point_rule,
-            "convergence": self.convergence,
-        }
+        return {**asdict(self), "distribution": self.distribution.to_dict()}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         doc = dict(doc)  # an unknown key fails in the constructor
-        doc["ladder"] = tuple(LadderLevel(**{k: int(v) for k, v in l.items()})
-                              for l in doc.get("ladder", ()))
+        doc["ladder"] = tuple(LadderLevel(**level) for level in doc.get("ladder", ()))
         doc["scheme"] = SchemeConfig.from_dict(doc["scheme"])
         doc["distribution"] = DistributionSpec.from_dict(doc["distribution"])
         if "stats" in doc:
             doc["stats"] = StatsRequest.from_dict(doc["stats"])
-        for key, kind in (("seed", int), ("threads", int), ("failure_budget", float)):
-            if key in doc:
-                doc[key] = kind(doc[key])
+        if "failure_budget" in doc:
+            doc["failure_budget"] = float(doc["failure_budget"])
         return cls(**doc)
 
     def config_hash(self) -> str:
@@ -198,6 +191,8 @@ class ExperimentConfig:
 
 # study kind -> default study grids
 _STUDY_GRIDS = {"manufactured": [32, 64, 128], "self": [8, 16, 32]}
+# the wave parameters a manufactured study reads; period and horizon come from the config
+_WAVE_KEYS = tuple(f.name for f in fields(TravelingWaveCase) if f.name not in ("period", "horizon"))
 
 
 def _convergence_plan(config: ExperimentConfig) -> tuple:
@@ -212,6 +207,9 @@ def _convergence_plan(config: ExperimentConfig) -> tuple:
     study = doc.get("study", "manufactured")
     if study not in _STUDY_GRIDS:
         raise ValueError(f"unknown convergence study {study!r}")
+    stray = set(doc) - {"study", "grids", *(("ref_n",) if study == "self" else _WAVE_KEYS)}
+    if stray:
+        raise ValueError(f"a {study} convergence study takes no keys {sorted(stray)}")
     grids = list(doc.get("grids", _STUDY_GRIDS[study]))
     ref_n = doc.get("ref_n", 64)
     if not grids or not all(type(n) is int and n >= 2 for n in grids):
@@ -221,15 +219,9 @@ def _convergence_plan(config: ExperimentConfig) -> tuple:
         raise ValueError("study grids must be strictly coarser divisors of an integer ref_n")
     case = None
     if study == "manufactured":
-        case = TravelingWaveCase(
-            amplitude=doc.get("amplitude", 0.1),
-            speed=doc.get("speed", 0.5),
-            a_coef=doc.get("a_coef", 1.0),
-            mu=doc.get("mu", 0.05),
-            eta=doc.get("eta", 0.0),
-            period=config.distribution.period,
-            horizon=max(1.0, config.scheme.T),
-        )
+        case = TravelingWaveCase(**{k: doc[k] for k in _WAVE_KEYS if k in doc},
+                                 period=config.distribution.period,
+                                 horizon=max(1.0, config.scheme.T))
         case.data_record()  # raises on inadmissible wave parameters
     return study, grids, ref_n, case
 

@@ -11,7 +11,7 @@ common random data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -215,6 +215,15 @@ class ForcingTerm:
     phase: float = 0.0
     poly: tuple = (1.0,)
 
+    def __post_init__(self):
+        # a non-integer wavevector would not be periodic on the torus
+        if not all(type(k) is int for k in self.wavevec):
+            raise ValueError("wavevector entries must be integers")
+        if self.kind not in ("cos", "sin"):
+            raise ValueError(f"forcing kind must be cos or sin, got {self.kind!r}")
+        if not all(math.isfinite(x) for x in (*self.amplitude, self.omega, self.phase, *self.poly)):
+            raise ValueError("forcing term numbers must be finite")
+
 
 @dataclass(frozen=True)
 class ForcingSpec:
@@ -231,8 +240,6 @@ class ForcingSpec:
                 raise ValueError("amplitude must have one entry per velocity component")
             if len(t.wavevec) != self.d:
                 raise ValueError("wavevector dimension mismatch")
-            if not all(math.isfinite(x) for x in (*t.amplitude, t.omega, t.phase, *t.poly)):
-                raise ValueError("forcing term numbers must be finite")
         if not 0 < self.horizon < math.inf:
             raise ValueError("horizon must be positive and finite")
 
@@ -272,22 +279,7 @@ class ForcingSpec:
         return ForcingSpec(self.d, self.period, terms, self.horizon)
 
     def to_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "period": self.period,
-            "horizon": self.horizon,
-            "terms": [
-                {
-                    "wavevec": list(t.wavevec),
-                    "kind": t.kind,
-                    "amplitude": list(t.amplitude),
-                    "omega": t.omega,
-                    "phase": t.phase,
-                    "poly": list(t.poly),
-                }
-                for t in self.terms
-            ],
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ForcingSpec":
@@ -369,19 +361,6 @@ class AdmissibleBounds:
             raise ValueError("need 0 < a_lower <= a_upper")
         if not (self.rho_lower > 0 and self.mu_lower > 0 and self.g_sup > 0):
             raise ValueError("rho_lower, mu_lower, g_sup must be positive")
-
-    def to_dict(self) -> dict:
-        return {
-            "rho_lower": self.rho_lower,
-            "mu_lower": self.mu_lower,
-            "a_lower": self.a_lower,
-            "a_upper": self.a_upper,
-            "g_sup": self.g_sup,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "AdmissibleBounds":
-        return cls(**doc)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ share common random numbers member by member.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from statistics import NormalDist
 
 import numpy as np
@@ -91,8 +91,8 @@ class ScalarTransform:
         elif self.dist in ("uniform", "trunc_normal"):
             if self.hi is None or not self.lo <= self.hi:
                 raise ValueError("need lo <= hi")
-            if self.latent_index is None or self.latent_index < 0:
-                raise ValueError(f"{self.dist} transform needs a latent_index")
+            if type(self.latent_index) is not int or self.latent_index < 0:
+                raise ValueError(f"{self.dist} transform needs an integer latent_index >= 0")
             if self.dist == "trunc_normal" and (self.mean is None or self.sd is None
                                                 or not self.sd > 0):
                 raise ValueError("trunc_normal needs mean and positive sd")
@@ -161,10 +161,6 @@ class ScalarTransform:
             doc.update({"mean": self.mean, "sd": self.sd})
         return doc
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ScalarTransform":
-        return cls(**doc)
-
 
 # ---------------------------------------------------------------------------
 # random band-limited fields
@@ -183,6 +179,14 @@ class RandomMode:
     def __post_init__(self):
         if self.latent_index is None and self.coef_slope != 0.0:
             raise ValueError("a sloped mode needs a latent_index")
+        if self.latent_index is not None and (type(self.latent_index) is not int
+                                              or self.latent_index < 0):
+            raise ValueError("a mode's latent_index must be an integer >= 0")
+        # a non-integer wavevector would not be periodic on the torus
+        if not all(type(k) is int for k in self.wavevec):
+            raise ValueError("wavevector entries must be integers")
+        if self.kind not in ("cos", "sin"):
+            raise ValueError(f"mode kind must be cos or sin, got {self.kind!r}")
         if not (math.isfinite(self.coef_const) and math.isfinite(self.coef_slope)):
             raise ValueError("mode coefficients must be finite")
 
@@ -203,6 +207,10 @@ class RandomFieldSpec:
     base: float
     modes: tuple = ()
 
+    def __post_init__(self):
+        if not math.isfinite(self.base):
+            raise ValueError("field base must be finite")
+
     def realize(self, coords: np.ndarray, d: int, period: float) -> FourierField:
         fmodes = tuple(FourierMode(m.wavevec, m.kind, m.coef(coords)) for m in self.modes)
         return FourierField(d, period, self.base, fmodes)
@@ -214,21 +222,6 @@ class RandomFieldSpec:
         ksq = sum((2 * math.pi * k / period) ** 2 for k in m.wavevec)
         return math.sqrt(period**d * 0.5 * (1.0 + ksq) ** order)
 
-    def to_dict(self) -> dict:
-        return {
-            "base": self.base,
-            "modes": [
-                {
-                    "wavevec": list(m.wavevec),
-                    "kind": m.kind,
-                    "coef_const": m.coef_const,
-                    "coef_slope": m.coef_slope,
-                    "latent_index": m.latent_index,
-                }
-                for m in self.modes
-            ],
-        }
-
     @classmethod
     def from_dict(cls, doc: dict) -> "RandomFieldSpec":
         # an unknown key fails in the constructors
@@ -239,6 +232,8 @@ class RandomFieldSpec:
 
 # ---------------------------------------------------------------------------
 # the distribution spec
+
+_TRANSFORMS = ("mu", "eta", "a", "g_scale")  # the DistributionSpec fields holding ScalarTransforms
 
 
 @dataclass(frozen=True)
@@ -260,8 +255,10 @@ class DistributionSpec:
     field_order: float = 1.0  # Sobolev weight used in the data-distance surrogate
 
     def __post_init__(self):
-        if self.K < 0:
-            raise SpecValidationError("latent dimension must be nonnegative")
+        if type(self.K) is not int or self.K < 0:
+            raise SpecValidationError("latent dimension must be a nonnegative integer")
+        if type(self.d) is not int or self.d not in (1, 2):
+            raise SpecValidationError("dimension d must be the integer 1 or 2")
         if not 0 < self.period < math.inf:
             raise SpecValidationError("period must be positive and finite")
         if len(self.u0) != self.d:
@@ -331,28 +328,15 @@ class DistributionSpec:
         return float(per_coord.sum())
 
     def to_dict(self) -> dict:
-        return {
-            "K": self.K,
-            "d": self.d,
-            "period": self.period,
-            "gamma": self.gamma,
-            "bounds": self.bounds.to_dict(),
-            "mu": self.mu.to_dict(),
-            "eta": self.eta.to_dict(),
-            "a": self.a.to_dict(),
-            "rho0": self.rho0.to_dict(),
-            "u0": [fs.to_dict() for fs in self.u0],
-            "g_base": self.g_base.to_dict(),
-            "g_scale": self.g_scale.to_dict(),
-            "field_order": self.field_order,
-        }
+        # each transform lists only the parameters its distribution reads
+        return {**asdict(self), **{key: getattr(self, key).to_dict() for key in _TRANSFORMS}}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "DistributionSpec":
         doc = dict(doc)  # an unknown key fails in the constructor
-        doc["bounds"] = AdmissibleBounds.from_dict(doc["bounds"])
-        for key in ("mu", "eta", "a", "g_scale"):
-            doc[key] = ScalarTransform.from_dict(doc[key])
+        doc["bounds"] = AdmissibleBounds(**doc["bounds"])
+        for key in _TRANSFORMS:
+            doc[key] = ScalarTransform(**doc[key])
         doc["rho0"] = RandomFieldSpec.from_dict(doc["rho0"])
         doc["u0"] = tuple(RandomFieldSpec.from_dict(u) for u in doc["u0"])
         doc["g_base"] = ForcingSpec.from_dict(doc["g_base"])

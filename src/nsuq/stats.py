@@ -367,17 +367,41 @@ def _fourier_coef(values: np.ndarray, grid: GridSpec, wavevec, part: str) -> flo
     return float(scale * np.mean(values * basis))
 
 
+# kind -> the parameters it reads besides kind and name, with their defaults
+_FUNCTIONAL_PARAMS = {
+    "tanh_mean_density": {"scale": 1.0, "center": 0.0},
+    "clamp_fourier": {"wavevec": None, "part": "cos", "field": "rho", "lo": -1.0, "hi": 1.0,
+                      "scale": 1.0, "time": "final"},
+    "tanh_neg_sobolev": {"m": None, "scale": 1.0},
+}
+
+
+def _is_real(x) -> bool:
+    return type(x) in (int, float) and math.isfinite(x)
+
+
 def make_functional(doc: dict):
     """Build a named bounded functional of a trajectory from a config document.
 
     Kinds: tanh_mean_density, clamp_fourier (cos/sin coefficient of rho or
-    the momentum magnitude at a chosen time), tanh_neg_sobolev.
+    the momentum magnitude at a chosen time), tanh_neg_sobolev.  An unknown
+    key or a bad parameter raises ValueError; the checks against the
+    dimension and the final time are left to the experiment config.
     """
-    kind = doc["kind"]
-    name = doc.get("name", kind)
+    kind = doc.get("kind") if isinstance(doc, dict) else None
+    if kind not in _FUNCTIONAL_PARAMS:
+        raise ValueError(f"unknown functional kind {kind!r}")
+    stray = set(doc) - {"kind", "name", *_FUNCTIONAL_PARAMS[kind]}
+    if stray:
+        raise ValueError(f"functional {kind} takes no keys {sorted(stray)}")
+    p = {"name": kind, **_FUNCTIONAL_PARAMS[kind], **doc}
+    name = p["name"]
+    if not isinstance(name, str):
+        raise ValueError("functional name must be a string")
+    if not all(_is_real(p[k]) for k in ("scale", "center", "lo", "hi") if k in p):
+        raise ValueError(f"functional {name}: scale, center, lo and hi must be finite numbers")
     if kind == "tanh_mean_density":
-        scale = doc.get("scale", 1.0)
-        center = doc.get("center", 0.0)
+        scale, center = p["scale"], p["center"]
 
         def F(traj: Trajectory) -> float:
             rho, _ = traj.sample(traj.final_time)
@@ -385,12 +409,19 @@ def make_functional(doc: dict):
 
         return name, F
     if kind == "clamp_fourier":
-        wavevec = tuple(doc["wavevec"])
-        part = doc.get("part", "cos")
-        field = doc.get("field", "rho")
-        lo, hi = doc.get("lo", -1.0), doc.get("hi", 1.0)
-        scale = doc.get("scale", 1.0)
-        at = doc.get("time", "final")
+        if not (isinstance(p["wavevec"], (list, tuple))
+                and all(type(k) is int for k in p["wavevec"])):
+            raise ValueError(f"functional {name}: wavevec must be a list of integers")
+        if p["part"] not in ("cos", "sin") or p["field"] not in ("rho", "momentum"):
+            raise ValueError(f"functional {name}: part must be cos or sin, "
+                             "field rho or momentum")
+        if not p["lo"] <= p["hi"]:
+            raise ValueError(f"functional {name}: need lo <= hi")
+        at = p["time"]
+        if at not in ("final", "initial") and not (_is_real(at) and at >= 0):
+            raise ValueError(f"functional {name}: time must be final, initial or a number >= 0")
+        wavevec, part, field, lo, hi, scale = (tuple(p["wavevec"]), p["part"], p["field"],
+                                               p["lo"], p["hi"], p["scale"])
 
         def F(traj: Trajectory) -> float:
             t = traj.final_time if at == "final" else (0.0 if at == "initial" else float(at))
@@ -400,13 +431,12 @@ def make_functional(doc: dict):
             return float(np.clip(scale * c, lo, hi))
 
         return name, F
-    if kind == "tanh_neg_sobolev":
-        m = doc.get("m")
-        scale = doc.get("scale", 1.0)
+    m, scale = p["m"], p["scale"]
+    if m is not None and not _is_real(m):
+        raise ValueError(f"functional {name}: m must be a number")
 
-        def F(traj: Trajectory) -> float:
-            order = m if m is not None else traj.grid.d + 2
-            return math.tanh(scale * neg_sobolev_norm(traj, order))
+    def F(traj: Trajectory) -> float:
+        order = m if m is not None else traj.grid.d + 2
+        return math.tanh(scale * neg_sobolev_norm(traj, order))
 
-        return name, F
-    raise ValueError(f"unknown functional kind {kind!r}")
+    return name, F

@@ -70,6 +70,22 @@ def test_config_roundtrip(bounds):
     assert ExperimentConfig.from_dict(doc).config_hash() == cfg.config_hash()
 
 
+def test_config_hash_pinned(bounds):
+    # config_sha256 traces every report to its config, so a change to how
+    # configs are written out must leave it where it was
+    spec = make_spec(bounds, K=2, mu=("trunc_normal", 0.02, 0.08, 0),
+                     a=("uniform", 0.8, 1.2, 1), rho_slope=0.1, rho_latent=1)
+    strong = ExperimentConfig(
+        mode="strong", ladder=(LadderLevel(2, 8), LadderLevel(2, 16)), scheme=SCHEME,
+        distribution=spec, stats=STATS, seed=4,
+        convergence={"study": "manufactured", "grids": [16, 32], "amplitude": 0.2},
+    )
+    assert weak_config(bounds).config_hash() == \
+        "b601660196bf5b5ecf860aae1eeebff5e5e448dd77df577dc7847a1095438f1a"
+    assert strong.config_hash() == \
+        "ecc0edf82755d47c5710e74b65b6ad71058afc600e3cdcf4b5287f6498f6a975"
+
+
 BAD_STATS = (
     {"barycenters": [[1.0, 2.0, "density"]]},
     {"barycenters": [[2.0, 0.5, "density"]]},
@@ -128,6 +144,21 @@ def constant_strong_doc(bounds):
     return constant_config(bounds, mode="strong").to_dict()
 
 
+def convergence_doc(bounds, study=None):
+    study = study or {"study": "manufactured", "grids": [8, 16]}
+    return ExperimentConfig(mode="convergence", ladder=(), scheme=SCHEME,
+                            distribution=make_spec(bounds), convergence=study).to_dict()
+
+
+def self_convergence_doc(bounds):
+    return convergence_doc(bounds, {"study": "self", "grids": [8], "ref_n": 16})
+
+
+def functionals(*docs):
+    """(path, value) putting `docs` in place of the weak config's functionals."""
+    return ("stats", "functionals"), list(docs)
+
+
 # (base document, path to an entry, value put there): ladders the runners could
 # not finish and numbers that would run without meaning
 BAD_ENTRIES = (
@@ -152,8 +183,41 @@ BAD_ENTRIES = (
     (weak_doc, ("distribution", "gamma"), math.nan),
     (weak_doc, ("distribution", "period"), math.nan),
     (weak_doc, ("distribution", "u0", 0, "modes", 0, "coef_const"), math.nan),
+    (weak_doc, ("distribution", "u0", 0, "base"), math.nan),
+    (weak_doc, ("distribution", "rho0", "base"), math.inf),
     (typo_base_doc, ("distribution", "g_base", "terms", 0, "phase"), math.inf),
     (typo_base_doc, ("distribution", "g_base", "horizon"), math.nan),
+    # integers that were truncated, or crashed a run
+    (weak_doc, ("ladder", 0, "N"), 2.5),
+    (weak_doc, ("ladder", 1, "n_cells"), 16.7),
+    (weak_doc, ("ladder", 0, "N"), "2"),
+    (weak_doc, ("ladder", 0, "N"), True),
+    (weak_doc, ("seed",), 1.9),
+    (weak_doc, ("threads",), -3),
+    (weak_doc, ("distribution", "u0", 0, "modes", 0, "wavevec"), [1.5]),
+    (typo_base_doc, ("distribution", "g_base", "terms", 0, "wavevec"), [0.5]),
+    (weak_doc, ("distribution", "d"), 1.0),
+    (strong_doc, ("distribution", "K"), 2.0),
+    (strong_doc, ("distribution", "a", "latent_index"), 1.0),
+    (strong_doc, ("distribution", "u0", 0, "modes", 0, "latent_index"), 1.0),
+    # functional documents that ran with a default in place of a bad value, or crashed a run
+    (weak_doc, *functionals({"kind": "tanh_mean_density", "scal": 2.0})),
+    (weak_doc, *functionals({"kind": "clamp_fourier", "wavevec": [1], "part": "tan"})),
+    (weak_doc, *functionals({"kind": "clamp_fourier", "wavevec": [1], "field": "rhoo"})),
+    (weak_doc, *functionals({"kind": "clamp_fourier", "wavevec": [1], "lo": 1.0, "hi": -1.0})),
+    (weak_doc, *functionals({"kind": "clamp_fourier", "wavevec": [1, 2]})),
+    (weak_doc, *functionals({"kind": "tanh_mean_density"},
+                            {"kind": "tanh_mean_density", "center": 1.0})),
+    (weak_doc, *functionals({"kind": "clamp_fourier", "wavevec": [1], "time": "middle"})),
+    (weak_doc, *functionals({"kind": "clamp_fourier", "wavevec": [1], "time": -1.0})),
+    (weak_doc, *functionals({"kind": "clamp_fourier", "wavevec": [1], "time": 0.5})),
+    (weak_doc, *functionals({"kind": "tanh_neg_sobolev", "m": 2})),
+    # mode kinds and convergence keys nothing reads
+    (weak_doc, ("distribution", "u0", 0, "modes", 0, "kind"), "tan"),
+    (typo_base_doc, ("distribution", "g_base", "terms", 0, "kind"), "tan"),
+    (convergence_doc, ("convergence", "amplitud"), 0.1),
+    (convergence_doc, ("convergence", "ref_n"), 64),
+    (self_convergence_doc, ("convergence", "mu"), 0.05),
 )
 
 
@@ -210,7 +274,8 @@ def test_config_validation(bounds):
         with pytest.raises(TypeError):
             ExperimentConfig.from_dict(misspelt(base, *typo))
     # ladders the runners could not finish, and NaN or infinite numbers
-    for make_doc in (weak_doc, strong_doc, constant_strong_doc):
+    for make_doc in (weak_doc, strong_doc, constant_strong_doc, typo_base_doc,
+                     convergence_doc, self_convergence_doc):
         ExperimentConfig.from_dict(make_doc(bounds))
     for make_doc, path, value in BAD_ENTRIES:
         with pytest.raises(ValueError):
@@ -218,6 +283,10 @@ def test_config_validation(bounds):
     # equal resolutions divide, and a strong ladder may sit at the partition limit
     ExperimentConfig.from_dict(patched(weak_doc(bounds), ("ladder", 1, "n_cells"), 8))
     ExperimentConfig.from_dict(patched(strong_doc(bounds), ("ladder", 1, "N"), 1024))
+    # a functional may read any time up to T, and a neg-Sobolev order above d + 1
+    ExperimentConfig.from_dict(patched(weak_doc(bounds), *functionals(
+        {"kind": "clamp_fourier", "wavevec": [1], "time": SCHEME.T},
+        {"kind": "tanh_neg_sobolev", "m": 2.5})))
 
 
 def test_mode_mismatch(bounds):
@@ -392,7 +461,8 @@ def test_workers_capped_at_cores(bounds, monkeypatch):
     assert report.summary["levels"][0]["num_members"] == 2
 
 
-def test_cli_config_errors(bounds, tmp_path, capsys):
+def test_cli_config_errors(bounds, tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("NSUQ_THREADS", raising=False)  # the config's threads must be read
     assert main(["run-weak", "--config", str(tmp_path / "missing.json")]) == 2
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -59,4 +59,5 @@ def test_benchmark_configs_load():
         for seed in range(workloads.VARIANTS):
             for shrink in (False, True):
                 doc = json.loads(json.dumps(workloads.build_config(name, seed, shrink)))
-                assert ExperimentConfig.from_dict(doc).to_dict()["ladder"] == doc["ladder"]
+                cfg = ExperimentConfig.from_dict(doc)
+                assert json.loads(json.dumps(cfg.to_dict()))["ladder"] == doc["ladder"]
