@@ -20,8 +20,8 @@ import numpy as np
 
 from . import __version__
 # trajectory_lq_distance is not called here; perfbench/tracing.py wraps this module's name
-from .mesh import GridSpec, _fmt, distance_times, save_field, stack_lq_distance, \
-    trajectory_lq_distance  # noqa: F401
+from .mesh import GridSpec, _fmt, check_number, distance_times, save_field, \
+    stack_lq_distance, trajectory_lq_distance  # noqa: F401
 from .random_data import (
     MAX_PARTITION_CELLS,
     DistributionSpec,
@@ -68,6 +68,10 @@ class LadderLevel:
     N: int
     n_cells: int
 
+    def __post_init__(self):
+        check_number(self.N, "ladder N", integer=True, ge=1)
+        check_number(self.n_cells, "ladder n_cells", integer=True, ge=2)
+
 
 @dataclass(frozen=True)
 class StatsRequest:
@@ -80,22 +84,22 @@ class StatsRequest:
 
     def __post_init__(self):
         for name in ("M_grid", "eps_grid"):
-            grid = np.asarray(getattr(self, name), dtype=float)
-            if grid.ndim != 1 or len(grid) == 0:
+            grid = getattr(self, name)
+            if not isinstance(grid, (list, tuple)) or not grid:
                 raise ValueError(f"{name} must be a non-empty list of thresholds")
+            for x in grid:
+                check_number(x, f"{name} entry")
         for b in self.barycenters:
-            if len(b) != 3 or not (b[0] > 1 and 1 <= b[1] < math.inf
-                                   and b[2] in ("density", "momentum")):
-                raise ValueError(f"barycenter {list(b)} needs r > 1, finite q >= 1 and "
-                                 "which density or momentum")
+            if len(b) != 3 or b[2] not in ("density", "momentum"):
+                raise ValueError(f"barycenter {list(b)} needs [r, q, density or momentum]")
+            check_number(b[0], "barycenter r", gt=1)
+            check_number(b[1], "barycenter q", ge=1)
         # make_functional raises on an unknown kind or key and on a bad parameter
         names = [make_functional(fdoc)[0] for fdoc in self.functionals]
         if len(set(names)) != len(names):
             raise ValueError(f"functional names must be unique, got {names}")
-        if type(self.n_report_times) is not int or self.n_report_times < 0:
-            raise ValueError("n_report_times must be a non-negative integer")
-        if not self.diagnostic_q >= 1:
-            raise ValueError("diagnostic_q must be >= 1 or inf")
+        check_number(self.n_report_times, "n_report_times", integer=True, ge=0)
+        check_number(self.diagnostic_q, "diagnostic_q", ge=1, inf=True)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -107,8 +111,10 @@ class StatsRequest:
             if key in doc:
                 doc[key] = tuple(doc[key])
         if "barycenters" in doc:
-            doc["barycenters"] = tuple((float(r), float(q), *(which or ["density"]))
-                                       for r, q, *which in doc["barycenters"])
+            doc["barycenters"] = tuple(
+                (float(check_number(r, "barycenter r")), float(check_number(q, "barycenter q")),
+                 *(which or ["density"]))
+                for r, q, *which in doc["barycenters"])
         return cls(**doc)
 
 
@@ -133,10 +139,6 @@ class ExperimentConfig:
                 raise ValueError("ladder must not be empty")
             Ns = [lvl.N for lvl in self.ladder]
             ns = [lvl.n_cells for lvl in self.ladder]
-            if not all(type(v) is int for v in Ns + ns):
-                raise ValueError("ladder N and n_cells must be integers")
-            if min(Ns) < 1 or min(ns) < 2:
-                raise ValueError("every level needs N >= 1 and n_cells >= 2")
             if any(b < a for a, b in zip(Ns, Ns[1:])):
                 raise ValueError("ensemble sizes must be nondecreasing along the ladder")
             # cross-level distances transfer onto the coarser grid
@@ -146,12 +148,9 @@ class ExperimentConfig:
             if self.mode == "strong" and (K < 1 or Ns[-1] ** K > MAX_PARTITION_CELLS):
                 raise ValueError(f"strong mode needs K >= 1 and at most "
                                  f"{MAX_PARTITION_CELLS} partition cells per level")
-        if type(self.seed) is not int or self.seed < 0:
-            raise ValueError("seed must be a non-negative integer")
-        if type(self.threads) is not int or self.threads < 1:
-            raise ValueError("threads must be an integer >= 1")
-        if not (0 <= self.failure_budget <= 1):
-            raise ValueError("failure budget must lie in [0, 1]")
+        check_number(self.seed, "seed", integer=True, ge=0)
+        check_number(self.threads, "threads", integer=True, ge=1)
+        check_number(self.failure_budget, "failure_budget", ge=0, le=1)
         if self.point_rule not in ("center", "random"):
             raise ValueError("point_rule must be center or random")
         d, T = self.distribution.d, self.scheme.T
@@ -179,7 +178,7 @@ class ExperimentConfig:
         if "stats" in doc:
             doc["stats"] = StatsRequest.from_dict(doc["stats"])
         if "failure_budget" in doc:
-            doc["failure_budget"] = float(doc["failure_budget"])
+            doc["failure_budget"] = float(check_number(doc["failure_budget"], "failure_budget"))
         return cls(**doc)
 
     def config_hash(self) -> str:
@@ -212,11 +211,14 @@ def _convergence_plan(config: ExperimentConfig) -> tuple:
         raise ValueError(f"a {study} convergence study takes no keys {sorted(stray)}")
     grids = list(doc.get("grids", _STUDY_GRIDS[study]))
     ref_n = doc.get("ref_n", 64)
-    if not grids or not all(type(n) is int and n >= 2 for n in grids):
-        raise ValueError("convergence grids must be a non-empty list of integers >= 2")
-    if study == "self" and (type(ref_n) is not int
-                            or any(ref_n % n != 0 or n >= ref_n for n in grids)):
-        raise ValueError("study grids must be strictly coarser divisors of an integer ref_n")
+    if not grids:
+        raise ValueError("convergence grids must not be empty")
+    for n in grids:
+        check_number(n, "convergence grid", integer=True, ge=2)
+    if study == "self":
+        check_number(ref_n, "ref_n", integer=True)
+        if any(ref_n % n != 0 or n >= ref_n for n in grids):
+            raise ValueError("study grids must be strictly coarser divisors of ref_n")
     case = None
     if study == "manufactured":
         case = TravelingWaveCase(**{k: doc[k] for k in _WAVE_KEYS if k in doc},

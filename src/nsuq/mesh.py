@@ -9,6 +9,7 @@ solution ensembles.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +31,23 @@ __all__ = [
 ]
 
 
+def check_number(x, name: str, *, integer=False, gt=None, ge=None, le=None, inf=False):
+    """x, if it is a number in range; else ValueError.  Every config number passes here.
+
+    A bool is never a number.  An integer field takes only an int; a real
+    field an int or a float, numpy floating scalars included.  NaN never
+    passes, and +-inf only where `inf` is set.
+    """
+    ok = type(x) is int or (not integer and isinstance(x, (float, np.floating)))
+    ok = ok and not math.isnan(x) and (inf or not math.isinf(x))
+    ok = ok and (gt is None or x > gt) and (ge is None or x >= ge) and (le is None or x <= le)
+    if not ok:
+        kind = "an integer" if integer else "a number" if inf else "a finite number"
+        limits = [f"{op} {v}" for op, v in ((">", gt), (">=", ge), ("<=", le)) if v is not None]
+        raise ValueError(f"{name} must be {' and '.join([kind, *limits])}, got {x!r}")
+    return x
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform grid of n^d cells on the d-torus of side `period`."""
@@ -39,12 +57,9 @@ class GridSpec:
     period: float = 1.0
 
     def __post_init__(self):
-        if self.d not in (1, 2):
-            raise ValueError(f"dimension must be 1 or 2, got {self.d}")
-        if self.n < 2:
-            raise ValueError(f"need at least 2 cells per axis, got {self.n}")
-        if not self.period > 0:
-            raise ValueError("period must be positive")
+        check_number(self.d, "dimension", integer=True, ge=1, le=2)
+        check_number(self.n, "cells per axis", integer=True, ge=2)
+        check_number(self.period, "period", gt=0)
 
     @property
     def h(self) -> float:

@@ -11,11 +11,11 @@ common random data.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .mesh import GridSpec, ScalarField, VectorField, FluidState
+from .mesh import GridSpec, ScalarField, VectorField, FluidState, check_number
 
 __all__ = [
     "pressure",
@@ -217,12 +217,12 @@ class ForcingTerm:
 
     def __post_init__(self):
         # a non-integer wavevector would not be periodic on the torus
-        if not all(type(k) is int for k in self.wavevec):
-            raise ValueError("wavevector entries must be integers")
+        for k in self.wavevec:
+            check_number(k, "forcing wavevector entry", integer=True)
         if self.kind not in ("cos", "sin"):
             raise ValueError(f"forcing kind must be cos or sin, got {self.kind!r}")
-        if not all(math.isfinite(x) for x in (*self.amplitude, self.omega, self.phase, *self.poly)):
-            raise ValueError("forcing term numbers must be finite")
+        for x in (*self.amplitude, self.omega, self.phase, *self.poly):
+            check_number(x, "forcing term number")
 
 
 @dataclass(frozen=True)
@@ -235,13 +235,14 @@ class ForcingSpec:
     horizon: float = 1.0  # time interval on which sup bounds are certified
 
     def __post_init__(self):
+        check_number(self.d, "forcing dimension d", integer=True, ge=1, le=2)
+        check_number(self.period, "forcing period", gt=0)
+        check_number(self.horizon, "forcing horizon", gt=0)
         for t in self.terms:
             if len(t.amplitude) != self.d:
                 raise ValueError("amplitude must have one entry per velocity component")
             if len(t.wavevec) != self.d:
                 raise ValueError("wavevector dimension mismatch")
-        if not 0 < self.horizon < math.inf:
-            raise ValueError("horizon must be positive and finite")
 
     @classmethod
     def zero(cls, d: int, period: float = 1.0) -> "ForcingSpec":
@@ -357,10 +358,10 @@ class AdmissibleBounds:
     g_sup: float
 
     def __post_init__(self):
-        if not (0 < self.a_lower <= self.a_upper):
-            raise ValueError("need 0 < a_lower <= a_upper")
-        if not (self.rho_lower > 0 and self.mu_lower > 0 and self.g_sup > 0):
-            raise ValueError("rho_lower, mu_lower, g_sup must be positive")
+        for f in fields(self):
+            check_number(getattr(self, f.name), f.name, gt=0)
+        if not self.a_lower <= self.a_upper:
+            raise ValueError("need a_lower <= a_upper")
 
 
 @dataclass(frozen=True)

@@ -21,14 +21,8 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .physics import (
-    AdmissibleBounds,
-    DataRecord,
-    ForcingSpec,
-    FourierField,
-    FourierMode,
-    _poly_abs_max,
-)
+from .mesh import check_number
+from .physics import AdmissibleBounds, DataRecord, ForcingSpec, FourierField, FourierMode
 from .solver import COMPLETED
 
 __all__ = [
@@ -84,6 +78,10 @@ class ScalarTransform:
     latent_index: int | None = None
 
     def __post_init__(self):
+        check_number(self.lo, "transform lo")
+        for key in ("hi", "mean", "sd"):
+            if getattr(self, key) is not None:
+                check_number(getattr(self, key), f"transform {key}")
         if self.dist == "const":
             if self.latent_index is not None:
                 raise ValueError("constant transforms consume no latent coordinate")
@@ -91,18 +89,15 @@ class ScalarTransform:
         elif self.dist in ("uniform", "trunc_normal"):
             if self.hi is None or not self.lo <= self.hi:
                 raise ValueError("need lo <= hi")
-            if type(self.latent_index) is not int or self.latent_index < 0:
-                raise ValueError(f"{self.dist} transform needs an integer latent_index >= 0")
-            if self.dist == "trunc_normal" and (self.mean is None or self.sd is None
-                                                or not self.sd > 0):
-                raise ValueError("trunc_normal needs mean and positive sd")
+            check_number(self.latent_index, f"{self.dist} latent_index", integer=True, ge=0)
         else:
             raise ValueError(f"unknown transform {self.dist!r}")
-        if not all(math.isfinite(v) for v in (self.lo, self.hi, self.mean, self.sd)
-                   if v is not None):
-            raise ValueError("transform parameters must be finite")
-        if self.dist == "trunc_normal" and self.lo < self.hi and not self._mass() > 0:
-            raise ValueError("trunc_normal interval carries no probability in double precision")
+        if self.dist == "trunc_normal":
+            if self.mean is None:
+                raise ValueError("trunc_normal needs a mean")
+            check_number(self.sd, "trunc_normal sd", gt=0)
+            if self.lo < self.hi and not self._mass() > 0:
+                raise ValueError("trunc_normal interval carries no probability in double precision")
 
     def _std_bounds(self) -> tuple:
         return (self.lo - self.mean) / self.sd, (self.hi - self.mean) / self.sd
@@ -145,14 +140,6 @@ class ScalarTransform:
         a, b = self._std_bounds()
         return self.sd * self._mass() / min(_npdf(a), _npdf(b))
 
-    @property
-    def min_value(self) -> float:
-        return self.lo
-
-    @property
-    def max_value(self) -> float:
-        return self.hi
-
     def to_dict(self) -> dict:
         doc = {"dist": self.dist, "lo": self.lo}
         if self.dist != "const":
@@ -177,18 +164,17 @@ class RandomMode:
     latent_index: int | None = None
 
     def __post_init__(self):
+        check_number(self.coef_const, "mode coef_const")
+        check_number(self.coef_slope, "mode coef_slope")
         if self.latent_index is None and self.coef_slope != 0.0:
             raise ValueError("a sloped mode needs a latent_index")
-        if self.latent_index is not None and (type(self.latent_index) is not int
-                                              or self.latent_index < 0):
-            raise ValueError("a mode's latent_index must be an integer >= 0")
+        if self.latent_index is not None:
+            check_number(self.latent_index, "mode latent_index", integer=True, ge=0)
         # a non-integer wavevector would not be periodic on the torus
-        if not all(type(k) is int for k in self.wavevec):
-            raise ValueError("wavevector entries must be integers")
+        for k in self.wavevec:
+            check_number(k, "mode wavevector entry", integer=True)
         if self.kind not in ("cos", "sin"):
             raise ValueError(f"mode kind must be cos or sin, got {self.kind!r}")
-        if not (math.isfinite(self.coef_const) and math.isfinite(self.coef_slope)):
-            raise ValueError("mode coefficients must be finite")
 
     def coef(self, coords: np.ndarray) -> float:
         if self.latent_index is None:
@@ -208,8 +194,7 @@ class RandomFieldSpec:
     modes: tuple = ()
 
     def __post_init__(self):
-        if not math.isfinite(self.base):
-            raise ValueError("field base must be finite")
+        check_number(self.base, "field base")
 
     def realize(self, coords: np.ndarray, d: int, period: float) -> FourierField:
         fmodes = tuple(FourierMode(m.wavevec, m.kind, m.coef(coords)) for m in self.modes)
@@ -255,12 +240,13 @@ class DistributionSpec:
     field_order: float = 1.0  # Sobolev weight used in the data-distance surrogate
 
     def __post_init__(self):
-        if type(self.K) is not int or self.K < 0:
-            raise SpecValidationError("latent dimension must be a nonnegative integer")
-        if type(self.d) is not int or self.d not in (1, 2):
-            raise SpecValidationError("dimension d must be the integer 1 or 2")
-        if not 0 < self.period < math.inf:
-            raise SpecValidationError("period must be positive and finite")
+        check_number(self.K, "latent dimension K", integer=True, ge=0)
+        check_number(self.d, "dimension d", integer=True, ge=1, le=2)
+        check_number(self.period, "period", gt=0)
+        check_number(self.gamma, "gamma", gt=1)
+        check_number(self.field_order, "field_order")
+        if (self.g_base.d, self.g_base.period) != (self.d, self.period):
+            raise SpecValidationError("g_base must share the spec's dimension and period")
         if len(self.u0) != self.d:
             raise SpecValidationError("u0 needs one field spec per component")
         for tr in (self.mu, self.eta, self.a, self.g_scale):
@@ -272,22 +258,20 @@ class DistributionSpec:
                     raise SpecValidationError("latent index out of range")
                 if len(m.wavevec) != self.d:
                     raise SpecValidationError("mode wavevector dimension mismatch")
-        # written so that NaN fails every comparison
+        # written so that NaN fails every comparison (the sums can overflow)
         b = self.bounds
-        if not self.mu.min_value >= b.mu_lower:
+        if not self.mu.lo >= b.mu_lower:
             raise SpecValidationError("viscosity transform leaves the admissible set")
-        if not self.eta.min_value >= 0:
+        if not self.eta.lo >= 0:
             raise SpecValidationError("bulk viscosity transform goes negative")
-        if not b.a_lower <= self.a.min_value <= self.a.max_value <= b.a_upper:
+        if not b.a_lower <= self.a.lo <= self.a.hi <= b.a_upper:
             raise SpecValidationError("pressure coefficient transform leaves [a_lower, a_upper]")
         if not self.rho0.worst_inf() >= b.rho_lower:
             raise SpecValidationError("initial density can fall below rho_lower")
-        if not self.g_scale.min_value >= 0:
+        if not self.g_scale.lo >= 0:
             raise SpecValidationError("forcing scale must be nonnegative")
-        if not self.g_scale.max_value * self.g_base.sup_bound() <= b.g_sup:
+        if not self.g_scale.hi * self.g_base.sup_bound() <= b.g_sup:
             raise SpecValidationError("forcing sup bound can exceed g_sup")
-        if not self.gamma > 1:
-            raise SpecValidationError("gamma must exceed 1")
 
     def realize(self, omega: np.ndarray) -> DataRecord:
         omega = np.asarray(omega, dtype=float)
@@ -313,12 +297,8 @@ class DistributionSpec:
             if tr.latent_index is not None:
                 per_coord[tr.latent_index] += tr.lipschitz()
         if self.g_scale.latent_index is not None:
-            base_unit = sum(
-                math.sqrt(sum(a * a for a in t.amplitude))
-                * _poly_abs_max(t.poly, self.g_base.horizon)
-                for t in self.g_base.terms
-            )
-            per_coord[self.g_scale.latent_index] += self.g_scale.lipschitz() * base_unit
+            per_coord[self.g_scale.latent_index] += (self.g_scale.lipschitz()
+                                                     * self.g_base.sup_bound())
         for fs in (self.rho0, *self.u0):
             for m in fs.modes:
                 if m.latent_index is not None:

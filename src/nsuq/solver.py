@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .mesh import (
     VectorField,
     FluidState,
     Trajectory,
+    check_number,
     trajectory_lq_distance,
 )
 from .physics import DataRecord, FourierField, FourierMode, ForcingSpec, ForcingTerm, \
@@ -81,17 +82,11 @@ class SchemeConfig:
     picard_max_iter: int = 100
 
     def __post_init__(self):
-        if not (0 < self.cfl <= 1):
-            raise ValueError("cfl must lie in (0, 1]")
-        # written so that NaN fails every comparison
-        if not 0 < self.T < math.inf:
-            raise ValueError("final time must be positive and finite")
-        if not 0 < self.picard_tol < math.inf:
-            raise ValueError("picard_tol must be positive and finite")
-        if type(self.picard_max_iter) is not int or self.picard_max_iter < 1:
-            raise ValueError("picard_max_iter must be an integer >= 1")
-        if not self.linf_ceiling > 0:
-            raise ValueError("linf_ceiling must be positive")
+        check_number(self.cfl, "cfl", gt=0, le=1)
+        check_number(self.T, "final time T", gt=0)
+        check_number(self.linf_ceiling, "linf_ceiling", gt=0, inf=True)
+        check_number(self.picard_tol, "picard_tol", gt=0)
+        check_number(self.picard_max_iter, "picard_max_iter", integer=True, ge=1)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -433,6 +428,11 @@ class TravelingWaveCase:
     eta: float = 0.0
     period: float = 1.0
     horizon: float = 1.0
+
+    def __post_init__(self):
+        # ranges are checked by the data record this case builds
+        for f in fields(self):
+            check_number(getattr(self, f.name), f.name)
 
     @property
     def gamma(self) -> float:

@@ -22,6 +22,7 @@ from .mesh import (
     Trajectory,
     _lq,
     _mag,
+    check_number,
     neg_sobolev_norm,
     trajectory_lq_distance,
     transfer,
@@ -376,10 +377,6 @@ _FUNCTIONAL_PARAMS = {
 }
 
 
-def _is_real(x) -> bool:
-    return type(x) in (int, float) and math.isfinite(x)
-
-
 def make_functional(doc: dict):
     """Build a named bounded functional of a trajectory from a config document.
 
@@ -398,8 +395,9 @@ def make_functional(doc: dict):
     name = p["name"]
     if not isinstance(name, str):
         raise ValueError("functional name must be a string")
-    if not all(_is_real(p[k]) for k in ("scale", "center", "lo", "hi") if k in p):
-        raise ValueError(f"functional {name}: scale, center, lo and hi must be finite numbers")
+    for k in ("scale", "center", "lo", "hi"):
+        if k in p:
+            check_number(p[k], f"functional {name}: {k}")
     if kind == "tanh_mean_density":
         scale, center = p["scale"], p["center"]
 
@@ -409,17 +407,18 @@ def make_functional(doc: dict):
 
         return name, F
     if kind == "clamp_fourier":
-        if not (isinstance(p["wavevec"], (list, tuple))
-                and all(type(k) is int for k in p["wavevec"])):
+        if not isinstance(p["wavevec"], (list, tuple)):
             raise ValueError(f"functional {name}: wavevec must be a list of integers")
+        for k in p["wavevec"]:
+            check_number(k, f"functional {name}: wavevec entry", integer=True)
         if p["part"] not in ("cos", "sin") or p["field"] not in ("rho", "momentum"):
             raise ValueError(f"functional {name}: part must be cos or sin, "
                              "field rho or momentum")
         if not p["lo"] <= p["hi"]:
             raise ValueError(f"functional {name}: need lo <= hi")
         at = p["time"]
-        if at not in ("final", "initial") and not (_is_real(at) and at >= 0):
-            raise ValueError(f"functional {name}: time must be final, initial or a number >= 0")
+        if at not in ("final", "initial"):
+            check_number(at, f"functional {name}: time (final, initial or a number)", ge=0)
         wavevec, part, field, lo, hi, scale = (tuple(p["wavevec"]), p["part"], p["field"],
                                                p["lo"], p["hi"], p["scale"])
 
@@ -432,8 +431,8 @@ def make_functional(doc: dict):
 
         return name, F
     m, scale = p["m"], p["scale"]
-    if m is not None and not _is_real(m):
-        raise ValueError(f"functional {name}: m must be a number")
+    if m is not None:
+        check_number(m, f"functional {name}: m")
 
     def F(traj: Trajectory) -> float:
         order = m if m is not None else traj.grid.d + 2

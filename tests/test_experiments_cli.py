@@ -98,6 +98,10 @@ BAD_STATS = (
     {"eps_grid": []},
     {"eps_grid": "abc"},
     {"diagnostic_q": 0.5},
+    # booleans are not numbers, and NaN is no threshold
+    {"M_grid": [True, 2.0]},
+    {"diagnostic_q": True},
+    {"eps_grid": [math.nan]},
 )
 
 
@@ -218,6 +222,22 @@ BAD_ENTRIES = (
     (convergence_doc, ("convergence", "amplitud"), 0.1),
     (convergence_doc, ("convergence", "ref_n"), 64),
     (self_convergence_doc, ("convergence", "mu"), 0.05),
+    # booleans read as 1, a NaN nothing a run reads, and an infinite gamma
+    (weak_doc, ("scheme", "cfl"), True),
+    (weak_doc, ("failure_budget",), True),
+    (weak_doc, ("distribution", "bounds", "g_sup"), True),
+    (weak_doc, ("distribution", "rho0", "base"), True),
+    (weak_doc, ("distribution", "period"), True),
+    (weak_doc, ("distribution", "g_base", "period"), True),
+    (weak_doc, ("distribution", "g_base", "d"), True),
+    (convergence_doc, ("convergence", "mu"), True),
+    (weak_doc, ("distribution", "field_order"), math.nan),
+    (weak_doc, ("distribution", "gamma"), math.inf),
+    # a forcing on another torus than the spec's
+    (weak_doc, ("distribution", "g_base", "period"), 2.0),
+    (weak_doc, ("distribution", "g_base"),
+     {"d": 2, "period": 1.0, "horizon": 1.0,
+      "terms": [{"wavevec": [1, 0], "kind": "sin", "amplitude": [0.1, 0.0]}]}),
 )
 
 
@@ -258,6 +278,11 @@ def test_config_validation(bounds):
             StatsRequest.from_dict({**STATS.to_dict(), **patch})
     with pytest.raises(ValueError):
         dataclasses.replace(weak_config(bounds), seed=-1)
+    # numpy floats are real numbers; a bool is neither a real nor an integer
+    assert SchemeConfig(cfl=np.float64(0.4), T=np.float64(0.05)) == SCHEME
+    for bad in ({"cfl": True}, {"picard_max_iter": True}):
+        with pytest.raises(ValueError):
+            SchemeConfig(**bad)
     # an unknown key is an error, not a default
     with pytest.raises(TypeError):
         StatsRequest.from_dict({"n_report_time": 5})

@@ -33,7 +33,7 @@ def test_const_transform():
     tr = ScalarTransform("const", 0.7)
     assert tr.realize(np.zeros(0)) == 0.7
     assert tr.lipschitz() == 0.0
-    assert tr.min_value == tr.max_value == 0.7
+    assert tr.lo == tr.hi == 0.7
 
 
 def test_truncnormal_transform():
