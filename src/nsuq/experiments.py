@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 # trajectory_lq_distance is not called here; perfbench/tracing.py wraps this module's name
-from .mesh import GridSpec, _fmt, check_number, distance_times, save_field, \
+from .mesh import N_DISTANCE_TIMES, GridSpec, _fmt, check_number, distance_times, save_field, \
     stack_lq_distance, trajectory_lq_distance  # noqa: F401
 from .random_data import (
     MAX_PARTITION_CELLS,
@@ -260,11 +260,35 @@ class ExperimentReport:
 # shared machinery
 
 
-def _solve_members(records, grid: GridSpec, scheme: SchemeConfig, threads: int):
-    def run(rec):
-        return solve(rec, grid, scheme)
+def _observation_windows(config: ExperimentConfig):
+    """[lo, hi] windows around every time the statistics sample a member;
+    None when a statistic reads every step (`tanh_neg_sobolev`).
 
-    workers = min(threads, os.cpu_count() or 1, len(records))
+    Only completed members are sampled, and they end within 1e-12 T of T,
+    so a relative half-width of 1e-9 around the fractions c of T holds the
+    distance times, the report times, the final time and t = 0.
+    """
+    req, T = config.stats, config.scheme.T
+    fracs = [k / (N_DISTANCE_TIMES - 1) for k in range(N_DISTANCE_TIMES)] + [0.0, 1.0]
+    if req.n_report_times > 1:
+        fracs += [k / (req.n_report_times - 1) for k in range(req.n_report_times)]
+    windows = [(c * T - 1e-9 * T, c * T + 1e-9 * T) for c in fracs]
+    for fdoc in req.functionals:
+        if fdoc["kind"] == "tanh_neg_sobolev":
+            return None
+        at = fdoc.get("time", "final")
+        if not isinstance(at, str):
+            windows.append((at, at))
+    return np.array(windows, dtype=float)
+
+
+def _solve_members(records, grid: GridSpec, config: ExperimentConfig):
+    keep = _observation_windows(config)
+
+    def run(rec):
+        return solve(rec, grid, config.scheme, keep)
+
+    workers = min(config.threads, os.cpu_count() or 1, len(records))
     if workers <= 1:
         return [run(r) for r in records]
     with ThreadPoolExecutor(max_workers=workers) as ex:
@@ -380,7 +404,7 @@ def run_weak(config: ExperimentConfig) -> ExperimentReport:
         latents = sample_latent(config.seed, level.N, spec.K)
         records = [spec.realize(om) for om in latents]
         grid = GridSpec(spec.d, level.n_cells, spec.period)
-        solves = _solve_members(records, grid, config.scheme, config.threads)
+        solves = _solve_members(records, grid, config)
         members = [EnsembleMember(latents[i], records[i], solves[i]) for i in range(level.N)]
         ens = Ensemble(members, np.full(level.N, 1.0 / level.N), "weak")
         ensembles.append(ens)
@@ -432,7 +456,7 @@ def run_strong(config: ExperimentConfig) -> ExperimentReport:
                                seed=config.seed if config.point_rule == "random" else None)
         records = collocate_data(spec, part)
         grid = GridSpec(spec.d, level.n_cells, spec.period)
-        solves = _solve_members(records, grid, config.scheme, config.threads)
+        solves = _solve_members(records, grid, config)
         members = [
             EnsembleMember(part.points[i], records[i], solves[i])
             for i in range(part.num_cells)

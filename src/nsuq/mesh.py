@@ -25,6 +25,7 @@ __all__ = [
     "transfer",
     "save_field",
     "load_field",
+    "N_DISTANCE_TIMES",
     "distance_times",
     "stack_lq_distance",
     "trajectory_lq_distance",
@@ -172,13 +173,19 @@ class FluidState:
 
 
 class Trajectory:
-    """Time history of fluid states on a fixed grid, t0 = 0."""
+    """Time history of fluid states on a fixed grid, t0 = 0.
 
-    def __init__(self, states: list):
+    `times` holds every step time; `states` holds the kept states, a subset
+    of the steps that includes the first and the last (all of them when
+    `times` is None).  Sampling between two steps needs both states.
+    """
+
+    def __init__(self, states: list, times=None):
         if not states:
             raise ValueError("trajectory needs at least one state")
         grid = states[0].grid
-        times = np.array([s.time for s in states], dtype=float)
+        kept = np.array([s.time for s in states], dtype=float)
+        times = kept if times is None else np.asarray(times, dtype=float)
         if times[0] != 0.0:
             raise ValueError("trajectories start at t = 0")
         if len(times) > 1 and not np.all(np.diff(times) > 0):
@@ -186,6 +193,15 @@ class Trajectory:
         for s in states:
             if s.grid != grid:
                 raise ValueError("all states must share one grid")
+        self._slot = None  # step -> index into states, -1 where dropped; None keeps all
+        if not np.array_equal(kept, times):
+            steps = np.minimum(np.searchsorted(times, kept), len(times) - 1)
+            if not np.array_equal(times[steps], kept) or np.any(np.diff(steps) <= 0):
+                raise ValueError("kept states must sit at distinct steps, in order")
+            if steps[0] != 0 or steps[-1] != len(times) - 1:
+                raise ValueError("kept states must include the first and the last step")
+            self._slot = np.full(len(times), -1)
+            self._slot[steps] = np.arange(len(steps))
         self.grid = grid
         self.times = times
         self.states = list(states)
@@ -195,7 +211,12 @@ class Trajectory:
         return float(self.times[-1])
 
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self.times)
+
+    @property
+    def thinned(self) -> bool:
+        """True when some step's state was dropped."""
+        return self._slot is not None
 
     def sample(self, t: float) -> tuple:
         """(rho values, u values) at time t by linear interpolation between stored steps."""
@@ -228,15 +249,24 @@ class Trajectory:
             rho[i], u[i] = transfer(r, self.grid, grid), transfer(v, self.grid, grid)
         return rho, u
 
+    def _state(self, j: int, t: float) -> FluidState:
+        if self._slot is None:
+            return self.states[j]
+        k = self._slot[j]
+        if k < 0:
+            raise ValueError(f"sampling t={t} needs step {j} (t={self.times[j]}), "
+                             "whose state was not kept")
+        return self.states[k]
+
     def _state_at(self, j: int, t: float) -> tuple:
         """(rho, u) at time t in [times[j], times[j + 1]]: a copy of the stored
         state at an exact hit or the last step, else (1 - w) s0 + w s1."""
-        s0 = self.states[j]
+        s0 = self._state(j, t)
         if j == len(self.times) - 1 or self.times[j] == t:
             return s0.rho.values.copy(), s0.u.values.copy()
         t0, t1 = self.times[j], self.times[j + 1]
         w = (t - t0) / (t1 - t0)
-        s1 = self.states[j + 1]
+        s1 = self._state(j + 1, t)
         rho = (1 - w) * s0.rho.values + w * s1.rho.values
         u = (1 - w) * s0.u.values + w * s1.u.values
         return rho, u
@@ -297,6 +327,8 @@ def neg_sobolev_norm(obj, m: int) -> float:
     if m <= grid.d + 1:
         raise ValueError(f"need m > d+1 = {grid.d + 1}, got {m}")
     if isinstance(obj, Trajectory):
+        if obj.thinned:
+            raise ValueError("the negative Sobolev norm of a trajectory needs every step's state")
         sq = np.array(
             [
                 _spatial_neg_sobolev_sq(s.rho.values, grid, m)
@@ -373,7 +405,12 @@ def load_field(path) -> Field:
 # space-time distances between trajectories
 
 
-def distance_times(a: Trajectory, b: Trajectory, n_times: int = 17) -> np.ndarray:
+# uniform sample times of every space-time distance; the runners keep the
+# states around them (experiments._observation_windows)
+N_DISTANCE_TIMES = 17
+
+
+def distance_times(a: Trajectory, b: Trajectory, n_times: int = N_DISTANCE_TIMES) -> np.ndarray:
     """The `n_times` uniform sample times of a distance between `a` and `b`."""
     if abs(a.final_time - b.final_time) > 1e-9 * max(1.0, a.final_time):
         raise ValueError("trajectories must share the final time")
@@ -418,7 +455,7 @@ def stack_lq_distance(a: tuple, b: tuple, times: np.ndarray, grid: GridSpec,
 
 
 def trajectory_lq_distance(a: Trajectory, b: Trajectory, q: float = 2.0,
-                           n_times: int = 17, which: str = "both") -> float:
+                           n_times: int = N_DISTANCE_TIMES, which: str = "both") -> float:
     """L^q((0,T) x torus) distance between two trajectories.
 
     Both trajectories are sampled once, at `n_times` uniform times (linear
@@ -426,7 +463,7 @@ def trajectory_lq_distance(a: Trajectory, b: Trajectory, q: float = 2.0,
     the coarser one, and the time integral uses the trapezoid rule.  The
     strong runner's cross-level distances take the same steps
     (`distance_times`, `Trajectory.sample_stack`, `stack_lq_distance`) at
-    17 uniform times, sampling each trajectory once per level pair.
+    `N_DISTANCE_TIMES` uniform times, sampling each trajectory once per level pair.
     `which` selects the compared quantity: "rho", "momentum", or "both"
     (the stacked (rho, u) vector, Euclidean pointwise magnitude).
     """

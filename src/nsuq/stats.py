@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import (
+    N_DISTANCE_TIMES,
     GridSpec,
     ScalarField,
     VectorField,
@@ -326,7 +327,7 @@ def diagnostic_from_distances(distances, weights, eps_grid) -> DiagnosticReport:
 
 
 def convergence_in_probability_diagnostic(pairs: PairedEnsemble, eps_grid,
-                                          q: float = 2.0, n_times: int = 17,
+                                          q: float = 2.0, n_times: int = N_DISTANCE_TIMES,
                                           which: str = "both") -> DiagnosticReport:
     """Weighted fraction of paired members with L^q distance above each epsilon.
 

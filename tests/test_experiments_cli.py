@@ -740,3 +740,104 @@ def test_strong_reads_each_trajectory_once_per_level_pair(bounds, monkeypatch):
         assert diag["max_distance"] == max(dists)
         assert diag["fractions"] == [float(fine.weights[np.array(dists) > e].sum())
                                      for e in STATS.eps_grid]
+
+
+# ---------------------------------------------------------------------------
+# observation windows: members keep only the states the statistics read
+
+
+def recorded_solves(monkeypatch):
+    """Solve reports and keep windows of every member solve a runner makes."""
+    from nsuq import experiments
+
+    reports, windows = [], []
+
+    def recording(data, grid, cfg, keep=None):
+        windows.append(keep)
+        reports.append(solve(data, grid, cfg, keep))
+        return reports[-1]
+
+    monkeypatch.setattr(experiments, "solve", recording)
+    return reports, windows
+
+
+def windowed_config(bounds, mode, d):
+    stats = dataclasses.replace(STATS, n_report_times=4, functionals=(
+        {"kind": "tanh_mean_density", "name": "f"},
+        {"kind": "clamp_fourier", "name": "c", "wavevec": [1] + [0] * (d - 1),
+         "time": 0.0123},
+    ))
+    spec = make_spec(bounds, d=d, mu=("uniform", 0.02, 0.08, 0), rho_slope=0.02,
+                     rho_latent=0)
+    # T long enough that most steps lie between the windows; fewer 2-D members, for time
+    fine_N = 4 if d == 1 else 2
+    return ExperimentConfig(mode=mode, ladder=(LadderLevel(2, 8), LadderLevel(fine_N, 16)),
+                            scheme=SchemeConfig(cfl=0.4, T=0.25), distribution=spec,
+                            stats=stats, seed=3)
+
+
+@pytest.mark.parametrize("mode, d", [("weak", 1), ("strong", 1), ("weak", 2), ("strong", 2)])
+def test_observation_windows_leave_reports_unchanged(bounds, tmp_path, monkeypatch, mode, d):
+    from nsuq import experiments
+
+    cfg = windowed_config(bounds, mode, d)
+    run = run_weak if mode == "weak" else run_strong
+    with monkeypatch.context() as m:
+        reports, windows = recorded_solves(m)
+        thin = run(cfg)
+    with monkeypatch.context() as m:
+        m.setattr(experiments, "_observation_windows", lambda config: None)
+        full = run(cfg)
+    thin.write(str(tmp_path / "thin"))
+    full.write(str(tmp_path / "full"))
+    assert thin.summary == full.summary
+    assert hash_dir(tmp_path / "thin") == hash_dir(tmp_path / "full")
+
+    # 17 distance times, 4 report times, t = 0, t = T and the functional's time
+    [keep] = {w.tobytes(): w for w in windows}.values()
+    assert len(keep) == 17 + 4 + 2 + 1
+    assert all(r.status == "completed" for r in reports)
+    assert any(r.trajectory.thinned for r in reports)
+    for r in reports:
+        times, traj = r.trajectory.times, r.trajectory
+        meets = (times[:-1, None] <= keep[:, 1]) & (times[1:, None] >= keep[:, 0])
+        per_window = [{*np.flatnonzero(col), *(np.flatnonzero(col) + 1)} for col in meets.T]
+        assert max(map(len, per_window)) <= 2  # at most two states per window
+        kept = sorted({0, len(times) - 1}.union(*per_window))
+        assert [s.time for s in traj.states] == [times[j] for j in kept]
+
+
+def test_neg_sobolev_functional_keeps_every_step(bounds, monkeypatch):
+    from nsuq.experiments import _observation_windows
+
+    cfg = windowed_config(bounds, "weak", 1)
+    cfg = dataclasses.replace(cfg, stats=dataclasses.replace(
+        cfg.stats, functionals=cfg.stats.functionals + ({"kind": "tanh_neg_sobolev"},)))
+    assert _observation_windows(cfg) is None
+    reports, windows = recorded_solves(monkeypatch)
+    run_weak(cfg)
+    assert windows and all(w is None for w in windows)
+    for r in reports:
+        assert not r.trajectory.thinned and len(r.trajectory.states) == len(r.trajectory)
+
+
+def test_cli_huge_gamma_runs_with_tainted_levels(tmp_path):
+    # the sound speed of the benchmark's shrunk weak config overflows at gamma = 1e4:
+    # every member ends as no_convergence, and the run exits 0 with tainted levels
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    sys.path.insert(0, os.path.join(root, "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    doc = workloads.build_config("weak-1d-mc", 1, True)
+    doc["distribution"]["gamma"] = 1e4
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    with np.errstate(over="ignore"):
+        code = main(["run-weak", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert code == 0
+    with open(tmp_path / "out" / "report.json") as fh:
+        levels = json.load(fh)["levels"]
+    assert levels and all(lvl["tainted"] for lvl in levels)
+    assert {m["status"] for lvl in levels for m in lvl["member_summaries"]} == {"no_convergence"}

@@ -179,6 +179,36 @@ def test_trajectory_validation_and_sampling():
         traj.sample(2.0)
 
 
+def test_thinned_trajectory_samples_kept_intervals_only():
+    # every step time is recorded; only some steps keep their state
+    g = GridSpec(1, 4)
+    times = [0.0, 0.1, 0.2, 0.3, 0.4]
+    s = [FluidState(ScalarField.constant(g, 1.0 + t), VectorField.constant(g, [t]), t)
+         for t in times]
+    full, thin = Trajectory(s), Trajectory([s[0], s[2], s[3], s[4]], times)
+    assert not full.thinned and thin.thinned
+    assert len(thin) == len(full) == 5 and thin.final_time == 0.4
+    assert np.array_equal(thin.times, full.times)
+    for t in (0.0, 0.2, 0.25, 0.3, 0.35, 0.4):
+        for a, b in zip(thin.sample(t), full.sample(t)):
+            assert np.array_equal(a, b)
+    # an interval or a step whose state was dropped fails loudly
+    for t in (0.05, 0.1, 0.15):
+        with pytest.raises(ValueError, match="needs step 1"):
+            thin.sample(t)
+    with pytest.raises(ValueError, match="needs step 1"):
+        thin.sample_stack([0.25, 0.15], g)
+    with pytest.raises(ValueError, match="every step"):
+        neg_sobolev_norm(thin, 3)
+    # kept states sit at distinct steps, in order, and include the first and the last
+    off_step = FluidState(s[2].rho, s[2].u, 0.21)
+    past_end = FluidState(s[2].rho, s[2].u, 0.5)
+    for kept in ([s[0], off_step, s[4]], [s[0], s[2], past_end], [s[1], s[2], s[4]],
+                 [s[0], s[2], s[3]], [s[0], s[3], s[2], s[4]], [s[0], s[2], s[2], s[4]]):
+        with pytest.raises(ValueError):
+            Trajectory(kept, times)
+
+
 def test_trajectory_distance_constant_offset():
     g = GridSpec(1, 8)
 

@@ -159,6 +159,53 @@ def test_no_convergence_status():
     assert report.status == NO_CONVERGENCE
 
 
+def test_unsizable_step_ends_as_no_convergence(monkeypatch):
+    # gamma = 1e4 over a density above 1: the sound speed overflows a float
+    with np.errstate(over="ignore"):
+        report = solve(make_record(rho_amp=0.1, gamma=1e4), GridSpec(1, 16), CFG)
+    assert report.status == NO_CONVERGENCE and report.steps == 0
+    # a dt that is not positive and finite never reaches step
+    def no_step(*args):
+        raise AssertionError("step called with an unusable dt")
+
+    monkeypatch.setattr(solver, "step", no_step)
+    for dt in (0.0, -1e-3, math.nan, math.inf):
+        monkeypatch.setattr(solver, "cfl_dt", lambda *args, dt=dt: dt)
+        report = solve(make_record(), GridSpec(1, 16), CFG)
+        assert report.status == NO_CONVERGENCE and report.steps == 0
+
+
+def test_solve_keeps_only_states_around_windows():
+    data = make_record(rho_amp=0.1, u_amp=0.05, mu=0.03)
+    grid = GridSpec(1, 32)
+    full = solve(data, grid, CFG)
+    windows = np.array([[0.0314, 0.0314], [0.05, 0.06]])
+    thin = solve(data, grid, CFG, keep=windows)
+    # every step is taken and recorded, whatever is kept
+    times = full.trajectory.times
+    assert np.array_equal(thin.trajectory.times, times)
+    assert np.array_equal(thin.linf_history, full.linf_history)
+    assert np.array_equal(thin.energy_history, full.energy_history)
+    assert thin.to_summary() == full.to_summary()
+    assert len(full.trajectory.states) == len(times)
+    # states j and j + 1 where [t_j, t_j+1] meets a window, and the first and the last
+    meets = ((times[:-1, None] <= windows[:, 1]) & (times[1:, None] >= windows[:, 0])).any(1)
+    expected = np.zeros(len(times), dtype=bool)
+    expected[[0, -1]] = True
+    expected[:-1] |= meets
+    expected[1:] |= meets
+    kept = [s.time for s in thin.trajectory.states]
+    assert kept == list(times[expected]) and len(kept) < len(times)
+    by_time = {s.time: s for s in full.trajectory.states}
+    for s in thin.trajectory.states:
+        assert np.array_equal(s.rho.values, by_time[s.time].rho.values)
+    for t in (0.0, 0.0314, 0.05, 0.057, 0.06, CFG.T):
+        for a, b in zip(thin.trajectory.sample(t), full.trajectory.sample(t)):
+            assert np.array_equal(a, b)
+    with pytest.raises(ValueError, match="not kept"):
+        thin.trajectory.sample(0.02)
+
+
 def test_vacuum_error_on_oversized_step():
     grid = GridSpec(1, 16)
     data = make_record(rho_amp=0.0, mu=0.05)
