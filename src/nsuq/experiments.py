@@ -228,6 +228,17 @@ def _convergence_plan(config: ExperimentConfig) -> tuple:
     return study, grids, ref_n, case
 
 
+def _finite_or_null(x):
+    """x with every non-finite float, at any depth, replaced by None (JSON null)."""
+    if isinstance(x, float):
+        return x if math.isfinite(x) else None
+    if isinstance(x, dict):
+        return {k: _finite_or_null(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_finite_or_null(v) for v in x]
+    return x
+
+
 @dataclass
 class ExperimentReport:
     """Structured summary plus the tables and field snapshots to persist."""
@@ -239,7 +250,9 @@ class ExperimentReport:
     def write(self, out_dir: str) -> None:
         os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, "report.json"), "w") as fh:
-            json.dump(self.summary, fh, sort_keys=True, indent=1)
+            # standard JSON: an overflowed energy, say, is written as null
+            json.dump(_finite_or_null(self.summary), fh, sort_keys=True, indent=1,
+                      allow_nan=False)
             fh.write("\n")
         for rel in sorted(self.tables):
             header, rows = self.tables[rel]

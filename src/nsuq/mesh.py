@@ -139,10 +139,6 @@ class VectorField:
         vals = np.broadcast_to(vec, grid.shape + (grid.d,))
         return cls(grid, np.array(vals))
 
-    def magnitude(self) -> np.ndarray:
-        """Pointwise Euclidean magnitude."""
-        return _mag(self.values, vector=True)
-
 
 Field = ScalarField | VectorField
 
@@ -166,10 +162,6 @@ class FluidState:
     @property
     def grid(self) -> GridSpec:
         return self.rho.grid
-
-    def linf(self) -> float:
-        """Max over cells and components of (|rho|, |u|)."""
-        return float(max(np.abs(self.rho.values).max(), np.abs(self.u.values).max()))
 
 
 class Trajectory:
@@ -410,11 +402,11 @@ def load_field(path) -> Field:
 N_DISTANCE_TIMES = 17
 
 
-def distance_times(a: Trajectory, b: Trajectory, n_times: int = N_DISTANCE_TIMES) -> np.ndarray:
-    """The `n_times` uniform sample times of a distance between `a` and `b`."""
+def distance_times(a: Trajectory, b: Trajectory) -> np.ndarray:
+    """The `N_DISTANCE_TIMES` uniform sample times of a distance between `a` and `b`."""
     if abs(a.final_time - b.final_time) > 1e-9 * max(1.0, a.final_time):
         raise ValueError("trajectories must share the final time")
-    return np.linspace(0.0, min(a.final_time, b.final_time), n_times)
+    return np.linspace(0.0, min(a.final_time, b.final_time), N_DISTANCE_TIMES)
 
 
 def stack_lq_distance(a: tuple, b: tuple, times: np.ndarray, grid: GridSpec,
@@ -455,19 +447,19 @@ def stack_lq_distance(a: tuple, b: tuple, times: np.ndarray, grid: GridSpec,
 
 
 def trajectory_lq_distance(a: Trajectory, b: Trajectory, q: float = 2.0,
-                           n_times: int = N_DISTANCE_TIMES, which: str = "both") -> float:
+                           which: str = "both") -> float:
     """L^q((0,T) x torus) distance between two trajectories.
 
-    Both trajectories are sampled once, at `n_times` uniform times (linear
-    interpolation between stored steps); the finer grid is restricted onto
-    the coarser one, and the time integral uses the trapezoid rule.  The
-    strong runner's cross-level distances take the same steps
-    (`distance_times`, `Trajectory.sample_stack`, `stack_lq_distance`) at
-    `N_DISTANCE_TIMES` uniform times, sampling each trajectory once per level pair.
+    Both trajectories are sampled once, at the `N_DISTANCE_TIMES` uniform
+    times of `distance_times` (linear interpolation between stored steps);
+    the finer grid is restricted onto the coarser one, and the time integral
+    uses the trapezoid rule.  The strong runner's cross-level distances take
+    the same steps (`Trajectory.sample_stack`, `stack_lq_distance`), sampling
+    each trajectory once per level pair.
     `which` selects the compared quantity: "rho", "momentum", or "both"
     (the stacked (rho, u) vector, Euclidean pointwise magnitude).
     """
-    times = distance_times(a, b, n_times)
+    times = distance_times(a, b)
     coarse = a.grid if a.grid.n <= b.grid.n else b.grid
     return stack_lq_distance(a.sample_stack(times, coarse), b.sample_stack(times, coarse),
                              times, coarse, q=q, which=which)

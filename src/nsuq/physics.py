@@ -84,14 +84,14 @@ def viscous_stress(grad_u: np.ndarray, mu: float, eta: float, d: int) -> np.ndar
     return mu * (sym - (2.0 / d) * div[..., None, None] * eye) + eta * div[..., None, None] * eye
 
 
-def total_energy(state: FluidState, a: float, gamma: float) -> float:
-    """Total energy integral [ rho |u|^2 / 2 + P(rho) ] dx by the midpoint rule."""
-    rho = state.rho.values
+def total_energy(rho: np.ndarray, u: np.ndarray, grid: GridSpec, a: float,
+                 gamma: float) -> float:
+    """Total energy integral [ rho |u|^2 / 2 + P(rho) ] dx of arrays on `grid`, midpoint rule."""
     if rho.min() <= 0:
         raise ValueError("total energy needs strictly positive density")
-    kinetic = 0.5 * rho * np.sum(state.u.values**2, axis=-1)
+    kinetic = 0.5 * rho * np.sum(u**2, axis=-1)
     dens = kinetic + pressure_potential(rho, a, gamma)
-    return float(dens.sum() * state.grid.cell_volume)
+    return float(dens.sum() * grid.cell_volume)
 
 
 # ---------------------------------------------------------------------------

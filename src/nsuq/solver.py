@@ -23,12 +23,12 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .mesh import (
-    N_DISTANCE_TIMES,
     GridSpec,
     ScalarField,
     VectorField,
     FluidState,
     Trajectory,
+    _mag,
     check_number,
     trajectory_lq_distance,
 )
@@ -189,15 +189,14 @@ def _grad(p: np.ndarray, grid: GridSpec) -> np.ndarray:
 
 
 def _flux_div(c: np.ndarray, faces: list, grid: GridSpec) -> np.ndarray:
-    """Divergence of the upwind flux of c for given face velocities (telescoping)."""
-    out = np.zeros(grid.shape)
+    """Divergence of the upwind flux of c for given face velocities (telescoping);
+    each face velocity is broadcast over c's trailing component axes, if any."""
+    out = np.zeros(c.shape)
+    tail = (1,) * (c.ndim - grid.d)
     for ax, w in enumerate(faces):
+        w = w.reshape(w.shape + tail)
         out += _div_faces(w * _upwind(c, w, ax), ax, grid.h)
     return out
-
-
-def _momentum_flux_div(m: np.ndarray, faces: list, grid: GridSpec) -> np.ndarray:
-    return np.stack([_flux_div(m[..., c], faces, grid) for c in range(grid.d)], axis=-1)
 
 
 def _apply_viscous(u: np.ndarray, mu: float, eta: float, grid: GridSpec) -> np.ndarray:
@@ -206,10 +205,7 @@ def _apply_viscous(u: np.ndarray, mu: float, eta: float, grid: GridSpec) -> np.n
     if d == 1:
         return (mu + eta) * _lap(u, h, 1)
     div = sum(_grad_c(u[..., ax], ax, h) for ax in range(d))
-    out = np.empty_like(u)
-    for c in range(d):
-        out[..., c] = mu * _lap(u[..., c], h, d) + eta * _grad_c(div, c, h)
-    return out
+    return mu * _lap(u, h, d) + eta * _grad(div, grid)
 
 
 def _momentum_operator(u: np.ndarray, rho: np.ndarray, dt: float, mu: float, eta: float,
@@ -270,13 +266,12 @@ def _solve_momentum_system(rho: np.ndarray, b: np.ndarray, dt: float, mu: float,
 # CFL and the residual of the algebraic update
 
 
-def cfl_dt(state: FluidState, data: DataRecord, grid: GridSpec | None = None,
+def cfl_dt(rho: np.ndarray, u: np.ndarray, data: DataRecord, grid: GridSpec,
            cfl: float = 1.0) -> float:
-    """Stable step: cfl * min( dx/(|u|max + cmax), dx^2 rho_min / (2 d (2 mu + eta)) )."""
-    grid = grid or state.grid
+    """Stable step at density rho and velocity u (arrays on `grid`):
+    cfl * min( dx/(|u|max + cmax), dx^2 rho_min / (2 d (2 mu + eta)) )."""
     h = grid.h
-    umax = float(state.u.magnitude().max())
-    rho = state.rho.values
+    umax = float(_mag(u, vector=True).max())
     cmax = math.sqrt(data.a * data.gamma * float(rho.max()) ** (data.gamma - 1.0))
     advective = h / (umax + cmax)
     viscous = h**2 * float(rho.min()) / (2 * grid.d * (2 * data.mu + data.eta))
@@ -299,7 +294,7 @@ def scheme_residual(data: DataRecord, states: tuple, dt: float) -> float:
     r_rho = rho_n - rho_k + dt * _flux_div(rho_k, _faces(u_n, grid), grid)
     r_m = (
         rho_n[..., None] * u_n - m_k
-        + dt * _momentum_flux_div(m_k, _faces(u_k, grid), grid)
+        + dt * _flux_div(m_k, _faces(u_k, grid), grid)
         + dt * _grad(pressure(rho_n, data.a, data.gamma), grid)
         - dt * _apply_viscous(u_n, data.mu, data.eta, grid)
         - dt * rho_n[..., None] * data.g.evaluate(new.time, grid)
@@ -311,23 +306,24 @@ def scheme_residual(data: DataRecord, states: tuple, dt: float) -> float:
 # the time step
 
 
-def step(state: FluidState, data: DataRecord, dt: float, cfg: SchemeConfig) -> FluidState:
-    """Advance one step of size dt; raises VacuumError / NoConvergenceError.
+def step(rho_k: np.ndarray, u_k: np.ndarray, t: float, data: DataRecord, dt: float,
+         grid: GridSpec, cfg: SchemeConfig) -> tuple:
+    """Advance the arrays (rho, u) at time t by dt; returns the new (rho, u) arrays.
 
-    Each Picard sweep solves for u at the current density iterate, then
-    forms the density the next sweep would use; the sweep's defect is the
-    density change and the momentum residual A(rho) u - b.
+    Raises VacuumError / NoConvergenceError.  Each Picard sweep solves for u
+    at the current density iterate, then forms the density the next sweep
+    would use; the sweep's defect is the density change and the momentum
+    residual A(rho) u - b.  A sweep passes the vacuum check first and is
+    accepted only with both defects finite and within picard_tol, so an
+    accepted step is finite and positive.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    grid = state.grid
-    rho_k = state.rho.values
-    u_k = state.u.values
     m_k = rho_k[..., None] * u_k
-    t_new = state.time + dt
+    t_new = t + dt
 
     faces_k = _faces(u_k, grid)
-    conv = _momentum_flux_div(m_k, faces_k, grid)
+    conv = _flux_div(m_k, faces_k, grid)
     g_new = data.g.evaluate(t_new, grid)
     lin_tol = 0.05 * cfg.picard_tol
     u = u_k
@@ -340,16 +336,26 @@ def step(state: FluidState, data: DataRecord, dt: float, cfg: SchemeConfig) -> F
         u = _solve_momentum_system(rho, b, dt, data.mu, data.eta, grid, u, lin_tol)
         rho_next = rho_k - dt * _flux_div(rho_k, _faces(u, grid), grid)
         r_m = _momentum_operator(u, rho, dt, data.mu, data.eta, grid) - b
-        if max(np.abs(rho - rho_next).max(), np.abs(r_m).max()) <= cfg.picard_tol:
-            return FluidState(ScalarField(grid, rho), VectorField(grid, u), t_new)
+        # NaN fails both comparisons, so a non-finite sweep is never accepted
+        if np.abs(rho - rho_next).max() <= cfg.picard_tol and np.abs(r_m).max() <= cfg.picard_tol:
+            return rho, u
         rho = rho_next
     raise NoConvergenceError(
         f"Picard iteration did not reach tol {cfg.picard_tol} in {cfg.picard_max_iter} sweeps"
     )
 
 
+def _linf(rho: np.ndarray, u: np.ndarray) -> float:
+    """Max over cells and components of (|rho|, |u|)."""
+    return float(max(np.abs(rho).max(), np.abs(u).max()))
+
+
 def solve(data: DataRecord, grid: GridSpec, cfg: SchemeConfig, keep=None) -> SolveReport:
     """Integrate from the record's initial data to cfg.T, or until an abort.
+
+    The loop passes plain (rho, u) arrays to `cfl_dt`, `step` and
+    `total_energy`; only the kept states become `FluidState`s, the first one
+    from `DataRecord.initial_state`, which checks the initial data.
 
     Aborts are reported as data, not failures: the linf ceiling feeds the
     boundedness-in-probability statistics downstream.  A step that cannot
@@ -362,11 +368,14 @@ def solve(data: DataRecord, grid: GridSpec, cfg: SchemeConfig, keep=None) -> Sol
     Every step's time, linf and energy are recorded either way.  None keeps
     every state.
     """
-    state = data.initial_state(grid)
-    states = [state]
-    times = [state.time]
-    linf = [state.linf()]
-    energy = [total_energy(state, data.a, data.gamma)]
+    def wrap(rho, u, t):  # a kept state: FluidState copies and checks the arrays
+        return FluidState(ScalarField(grid, rho), VectorField(grid, u), t)
+
+    states = [data.initial_state(grid)]
+    rho, u, t = states[0].rho.values, states[0].u.values, states[0].time
+    times = [t]
+    linf = [_linf(rho, u)]
+    energy = [total_energy(rho, u, grid, data.a, data.gamma)]
     status = COMPLETED
     if keep is not None:
         lo, hi = np.asarray(keep, dtype=float).reshape(-1, 2).T
@@ -374,10 +383,9 @@ def solve(data: DataRecord, grid: GridSpec, cfg: SchemeConfig, keep=None) -> Sol
     if linf[0] > cfg.linf_ceiling:
         status = ABORTED_LINF
     else:
-        t = 0.0
         while cfg.T - t > 1e-12 * cfg.T:
             try:
-                dt = cfl_dt(state, data, grid, cfg.cfl)
+                dt = cfl_dt(rho, u, data, grid, cfg.cfl)
             except OverflowError:  # a float power of the sound speed, at large gamma
                 dt = math.nan
             if not 0 < dt < math.inf:
@@ -385,28 +393,28 @@ def solve(data: DataRecord, grid: GridSpec, cfg: SchemeConfig, keep=None) -> Sol
                 break
             if t + dt >= cfg.T * (1 - 1e-12):
                 dt = cfg.T - t
-            prev = state
+            prev = rho, u, t
             try:
-                state = step(state, data, dt, cfg)
+                rho, u = step(rho, u, t, data, dt, grid, cfg)
             except VacuumError:
                 status = ABORTED_VACUUM
                 break
             except NoConvergenceError:
                 status = NO_CONVERGENCE
                 break
-            if keep is None or np.any((lo <= state.time) & (hi >= t)):
-                if states[-1] is not prev:
-                    states.append(prev)
-                states.append(state)
-            times.append(state.time)
-            linf.append(state.linf())
-            energy.append(total_energy(state, data.a, data.gamma))
-            t = state.time
+            t += dt
+            if keep is None or np.any((lo <= t) & (hi >= times[-1])):
+                if states[-1].time != times[-1]:
+                    states.append(wrap(*prev))
+                states.append(wrap(rho, u, t))
+            times.append(t)
+            linf.append(_linf(rho, u))
+            energy.append(total_energy(rho, u, grid, data.a, data.gamma))
             if linf[-1] > cfg.linf_ceiling:
                 status = ABORTED_LINF
                 break
-    if states[-1] is not state:
-        states.append(state)
+    if states[-1].time != t:
+        states.append(wrap(rho, u, t))
 
     return SolveReport(
         trajectory=Trajectory(states, times),
@@ -536,8 +544,7 @@ def _observed_order(prev: float | None, err: float) -> float | None:
     return math.log2(prev / err)
 
 
-def self_convergence(data: DataRecord, grid_sizes: list, ref_n: int,
-                     cfg: SchemeConfig, n_times: int = N_DISTANCE_TIMES) -> list:
+def self_convergence(data: DataRecord, grid_sizes: list, ref_n: int, cfg: SchemeConfig) -> list:
     """Errors against a fine-grid reference solve of the same data (L1 space-time)."""
     if any(ref_n % n != 0 or n >= ref_n for n in grid_sizes):
         raise ValueError("study grids must be strictly coarser divisors of the reference")
@@ -552,8 +559,7 @@ def self_convergence(data: DataRecord, grid_sizes: list, ref_n: int,
         report = solve(data, grid, cfg)
         if report.status != COMPLETED:
             raise SolverError(f"study run aborted with status {report.status}")
-        err = trajectory_lq_distance(report.trajectory, ref.trajectory, q=1.0,
-                                     n_times=n_times, which="both")
+        err = trajectory_lq_distance(report.trajectory, ref.trajectory, q=1.0, which="both")
         rows.append(ConvergenceRow(n=n, h=grid.h, error_l1=err, order=_observed_order(prev, err)))
         prev = err
     return rows

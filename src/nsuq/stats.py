@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import (
-    N_DISTANCE_TIMES,
     GridSpec,
     ScalarField,
     VectorField,
@@ -326,8 +325,7 @@ def diagnostic_from_distances(distances, weights, eps_grid) -> DiagnosticReport:
     return DiagnosticReport(eps_grid=eps_grid, fractions=fractions, distances=dists)
 
 
-def convergence_in_probability_diagnostic(pairs: PairedEnsemble, eps_grid,
-                                          q: float = 2.0, n_times: int = N_DISTANCE_TIMES,
+def convergence_in_probability_diagnostic(pairs: PairedEnsemble, eps_grid, q: float = 2.0,
                                           which: str = "both") -> DiagnosticReport:
     """Weighted fraction of paired members with L^q distance above each epsilon.
 
@@ -335,7 +333,7 @@ def convergence_in_probability_diagnostic(pairs: PairedEnsemble, eps_grid,
     every threshold.
     """
     dists = np.array([
-        trajectory_lq_distance(s.traj_a, s.traj_b, q=q, n_times=n_times, which=which)
+        trajectory_lq_distance(s.traj_a, s.traj_b, q=q, which=which)
         if s.resolved else np.inf
         for s in pairs.samples
     ])
@@ -346,12 +344,16 @@ def convergence_in_probability_diagnostic(pairs: PairedEnsemble, eps_grid,
 # energy moments
 
 
-def energy_moment_bound(ensemble: Ensemble, n_times: int = 33) -> float:
+# uniform times at which energy_moment_bound reads the energy histories
+N_ENERGY_TIMES = 33
+
+
+def energy_moment_bound(ensemble: Ensemble) -> float:
     """sup over time of the weighted mean total energy (completed members)."""
     members, w = _resolved(ensemble)
     T = min(m.report.trajectory.final_time for m in members)
-    times = np.linspace(0.0, T, n_times)
-    acc = np.zeros(n_times)
+    times = np.linspace(0.0, T, N_ENERGY_TIMES)
+    acc = np.zeros(N_ENERGY_TIMES)
     for wi, m in zip(w, members):
         acc += wi * np.interp(times, m.report.trajectory.times, m.report.energy_history)
     return float(acc.max())

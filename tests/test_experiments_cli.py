@@ -837,7 +837,13 @@ def test_cli_huge_gamma_runs_with_tainted_levels(tmp_path):
     with np.errstate(over="ignore"):
         code = main(["run-weak", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
     assert code == 0
+
+    def reject(name):
+        raise ValueError(f"report.json holds {name}, which is not JSON")
+
     with open(tmp_path / "out" / "report.json") as fh:
-        levels = json.load(fh)["levels"]
+        levels = json.load(fh, parse_constant=reject)["levels"]
     assert levels and all(lvl["tainted"] for lvl in levels)
+    # the overflowed energies are written as null
+    assert {m["final_energy"] for lvl in levels for m in lvl["member_summaries"]} == {None}
     assert {m["status"] for lvl in levels for m in lvl["member_summaries"]} == {"no_convergence"}

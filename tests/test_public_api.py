@@ -36,14 +36,44 @@ def test_demo_imports_resolve():
     assert not missing, missing
 
 
+# one thinned 1-D solve through the names the benchmark's tracer wraps
+TRACED_SOLVE = """
+import json, tracing
+from nsuq import experiments
+from nsuq.mesh import GridSpec
+from nsuq.physics import DataRecord, ForcingSpec, FourierField, FourierMode
+from nsuq.solver import SchemeConfig
+
+tracer = tracing.Tracer("t")
+tracing.install(tracer)
+data = DataRecord(rho0=FourierField(1, 1.0, 1.0, (FourierMode((1,), "sin", 0.1),)),
+                  u0=(FourierField(1, 1.0, 0.0, (FourierMode((1,), "cos", 0.05),)),),
+                  mu=0.03, eta=0.0, a=1.0, gamma=2.0, g=ForcingSpec.zero(1))
+report = experiments.solve(data, GridSpec(1, 16), SchemeConfig(T=0.1), keep=[[0.05, 0.05]])
+print(json.dumps({"spans": [[sp[1], sp[5]] for sp in tracer.spans], "steps": report.steps,
+                  "energies": len(report.energy_history),
+                  "states": len(report.trajectory.states)}))
+"""
+
+
 def test_benchmark_tracer_installs():
     # the tracer wraps names by getattr; in a subprocess, so no wrapper leaks into this one
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run(
-        [sys.executable, "-c", "import tracing; tracing.install(tracing.Tracer('t'))"],
+        [sys.executable, "-c", TRACED_SOLVE],
         cwd=ROOT / "perfbench", env=env, capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
+    # the spans the per-layer metrics count, read off the names and attributes they wrap
+    out = json.loads(proc.stdout)
+    names = [name for name, _ in out["spans"]]
+    assert names.count("solver.step") == names.count("solver.cfl_dt") == out["steps"] > 0
+    assert names.count("physics.total_energy") == out["energies"] == out["steps"] + 1
+    (attrs,) = [attrs for name, attrs in out["spans"] if name == "solver.solve"]
+    assert 2 <= out["states"] < out["steps"] + 1  # a thinned trajectory
+    # a kept state holds 16 densities and 16 velocities in float64
+    assert attrs == {"status": "completed", "states": out["states"],
+                     "bytes": out["states"] * 2 * 16 * 8}
 
 
 def test_benchmark_configs_load():

@@ -52,23 +52,25 @@ def test_cfl_dt_formula():
     # dt = cfl * min( dx / sqrt(2), dx^2 / (2 * 0.03) )
     data = make_record(rho_amp=0.0, mu=0.01, eta=0.01)
     grid = GridSpec(1, 16)
-    state = data.initial_state(grid)
+    s = data.initial_state(grid)
+    rho, u = s.rho.values, s.u.values
     dx = 1.0 / 16
     expected = min(dx / math.sqrt(2.0), dx**2 / (2 * 0.03))
-    assert cfl_dt(state, data, grid, cfl=1.0) == pytest.approx(expected, rel=1e-14)
-    assert cfl_dt(state, data, grid, cfl=0.25) == pytest.approx(0.25 * expected, rel=1e-14)
+    assert cfl_dt(rho, u, data, grid, cfl=1.0) == pytest.approx(expected, rel=1e-14)
+    assert cfl_dt(rho, u, data, grid, cfl=0.25) == pytest.approx(0.25 * expected, rel=1e-14)
     # refining the grid at least halves the step
     fine = data.initial_state(GridSpec(1, 32))
-    assert cfl_dt(fine, data, GridSpec(1, 32)) <= 0.5 * cfl_dt(state, data, grid) + 1e-15
+    assert cfl_dt(fine.rho.values, fine.u.values, data, GridSpec(1, 32)) \
+        <= 0.5 * cfl_dt(rho, u, data, grid) + 1e-15
 
 
 def test_equilibrium_is_fixed_point():
     data = make_record(rho_amp=0.0)
     grid = GridSpec(1, 32)
     state = data.initial_state(grid)
-    new = step(state, data, 1e-3, CFG)
-    assert np.array_equal(new.rho.values, state.rho.values)
-    assert np.array_equal(new.u.values, state.u.values)
+    rho, u = step(state.rho.values, state.u.values, 0.0, data, 1e-3, grid, CFG)
+    assert np.array_equal(rho, state.rho.values)
+    assert np.array_equal(u, state.u.values)
 
 
 def test_uniform_translation_preserved():
@@ -96,8 +98,10 @@ def test_scheme_residual_contract(d, n):
     data = make_record(d=d, rho_amp=0.1, u_amp=0.1, eta=0.02, g=g)
     grid = GridSpec(d, n)
     state = data.initial_state(grid)
-    dt = cfl_dt(state, data, grid, CFG.cfl)
-    new = step(state, data, dt, CFG)
+    rho, u = state.rho.values, state.u.values
+    dt = cfl_dt(rho, u, data, grid, CFG.cfl)
+    rho1, u1 = step(rho, u, 0.0, data, dt, grid, CFG)
+    new = FluidState(ScalarField(grid, rho1), VectorField(grid, u1), dt)
     assert scheme_residual(data, (state, new), dt) <= CFG.picard_tol
 
     # perturbing the new density breaks the algebraic system
@@ -150,6 +154,7 @@ def test_linf_ceiling_abort_is_immediate():
     assert report.status == ABORTED_LINF
     assert report.steps == 0
     assert report.max_linf == 1.0
+    assert solver._linf(np.full(4, 2.0), np.full((4, 1), -3.0)) == 3.0
 
 
 def test_no_convergence_status():
@@ -175,12 +180,28 @@ def test_unsizable_step_ends_as_no_convergence(monkeypatch):
         assert report.status == NO_CONVERGENCE and report.steps == 0
 
 
-def test_solve_keeps_only_states_around_windows():
+def test_solve_keeps_only_states_around_windows(monkeypatch):
     data = make_record(rho_amp=0.1, u_amp=0.05, mu=0.03)
     grid = GridSpec(1, 32)
     full = solve(data, grid, CFG)
     windows = np.array([[0.0314, 0.0314], [0.05, 0.06]])
+    # the step loop runs on plain arrays: a FluidState is built, wherever it is
+    # built, only for a kept state
+    built = []
+    post_init = FluidState.__post_init__
+
+    def counting(self):
+        built.append(self.time)
+        post_init(self)
+
+    monkeypatch.setattr(FluidState, "__post_init__", counting)
     thin = solve(data, grid, CFG, keep=windows)
+    monkeypatch.undo()
+    assert built == [s.time for s in thin.trajectory.states]
+    s0 = thin.trajectory.states[0]
+    out = step(s0.rho.values, s0.u.values, 0.0, data, 1e-3, grid, CFG)
+    assert isinstance(out, tuple) and len(out) == 2
+    assert all(type(a) is np.ndarray for a in out)
     # every step is taken and recorded, whatever is kept
     times = full.trajectory.times
     assert np.array_equal(thin.trajectory.times, times)
@@ -210,11 +231,10 @@ def test_vacuum_error_on_oversized_step():
     grid = GridSpec(1, 16)
     data = make_record(rho_amp=0.0, mu=0.05)
     x = grid.cell_centers()[0]
-    rho = ScalarField.constant(grid, 0.05)
-    u = VectorField(grid, (2.0 * np.sin(2 * np.pi * x))[:, None])
-    state = FluidState(rho, u, 0.0)
+    rho = np.full(grid.shape, 0.05)
+    u = (2.0 * np.sin(2 * np.pi * x))[:, None]
     with pytest.raises(VacuumError):
-        step(state, data, 0.5, SchemeConfig(cfl=1.0, T=1.0))
+        step(rho, u, 0.0, data, 0.5, grid, SchemeConfig(cfl=1.0, T=1.0))
 
 
 def test_solve_determinism_bitwise():
@@ -377,6 +397,27 @@ def test_flux_div_telescopes(seed, d, n):
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2]), st.integers(2, 12),
+       st.floats(1e-3, 1.0), st.floats(0.0, 1.0))
+def test_vector_stencils_match_component_loop(seed, d, n, mu, eta):
+    # the stencils act on whole vector fields; the per-component loops they
+    # replaced are the reference, and must agree bit for bit
+    _, rho, u = _random_state(seed, d, n)
+    m = rho[..., None] * u
+    grid = GridSpec(d, n)
+    h = grid.h
+    faces = solver._faces(u, grid)
+    loop = np.stack([solver._flux_div(m[..., c], faces, grid) for c in range(d)], axis=-1)
+    assert np.array_equal(solver._flux_div(m, faces, grid), loop)
+    if d == 2:
+        div = sum(solver._grad_c(u[..., ax], ax, h) for ax in range(d))
+        loop = np.empty_like(u)
+        for c in range(d):
+            loop[..., c] = mu * solver._lap(u[..., c], h, d) + eta * solver._grad_c(div, c, h)
+        assert np.array_equal(solver._apply_viscous(u, mu, eta, grid), loop)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2]), st.integers(2, 12),
        st.floats(1e-4, 1e-1), st.floats(1e-3, 1.0), st.floats(1e-3, 1.0))
 def test_momentum_operator_symmetric_positive(seed, d, n, dt, mu, eta):
     # CG needs A(rho) = diag(rho) - dt div S symmetric positive definite for rho > 0
@@ -442,7 +483,12 @@ def admissible_problems(draw):
     return spec, omega, grid, scheme, forced
 
 
-@settings(max_examples=25, deadline=None)
+# 25 examples in tier-1; CI also runs this test alone under the "deep" profile (conftest.py)
+CONTRACT_SETTINGS = settings.get_profile("deep") if settings.get_current_profile_name() == "deep" \
+    else settings(max_examples=25)
+
+
+@settings(CONTRACT_SETTINGS, deadline=None)
 @given(admissible_problems())
 def test_solver_contract_on_random_admissible_data(problem):
     spec, omega, grid, scheme, forced = problem
