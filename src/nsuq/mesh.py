@@ -211,19 +211,16 @@ class Trajectory:
         return self._slot is not None
 
     def sample(self, t: float) -> tuple:
-        """(rho values, u values) at time t by linear interpolation between stored steps."""
-        if t < 0 or t > self.final_time + 1e-12 * max(1.0, self.final_time):
-            raise ValueError(f"t={t} outside stored range [0, {self.final_time}]")
-        t = min(t, self.final_time)
-        j = int(np.searchsorted(self.times, t, side="right")) - 1
-        return self._state_at(min(max(j, 0), len(self.times) - 1), t)
+        """(rho values, u values) at time t: `sample_stack([t], self.grid)` at index 0."""
+        rho, u = self.sample_stack([t], self.grid)
+        return rho[0], u[0]
 
     def sample_stack(self, times, grid: GridSpec) -> tuple:
         """(rho, u) at each of `times`, moved onto the nested `grid`.
 
-        Returns arrays of shape (len(times), *grid.shape) and
-        (len(times), *grid.shape, d); slice i holds `sample(times[i])`
-        transferred onto `grid`.  One `searchsorted` locates every time.
+        Returns new arrays of shape (len(times), *grid.shape) and
+        (len(times), *grid.shape, d); slice i interpolates linearly between the
+        stored steps around times[i].  One `searchsorted` locates every time.
         """
         times = np.asarray(times, dtype=float)
         T = self.final_time
@@ -251,11 +248,11 @@ class Trajectory:
         return self.states[k]
 
     def _state_at(self, j: int, t: float) -> tuple:
-        """(rho, u) at time t in [times[j], times[j + 1]]: a copy of the stored
+        """(rho, u) at time t in [times[j], times[j + 1]]: the stored (read-only)
         state at an exact hit or the last step, else (1 - w) s0 + w s1."""
         s0 = self._state(j, t)
         if j == len(self.times) - 1 or self.times[j] == t:
-            return s0.rho.values.copy(), s0.u.values.copy()
+            return s0.rho.values, s0.u.values
         t0, t1 = self.times[j], self.times[j + 1]
         w = (t - t0) / (t1 - t0)
         s1 = self._state(j + 1, t)

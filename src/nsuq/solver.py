@@ -350,6 +350,9 @@ def _linf(rho: np.ndarray, u: np.ndarray) -> float:
     return float(max(np.abs(rho).max(), np.abs(u).max()))
 
 
+# every non-finite outcome (an energy or sound speed that overflows at large gamma)
+# becomes a member status, or a null energy in the report, rather than a warning
+@np.errstate(over="ignore", invalid="ignore")
 def solve(data: DataRecord, grid: GridSpec, cfg: SchemeConfig, keep=None) -> SolveReport:
     """Integrate from the record's initial data to cfg.T, or until an abort.
 

@@ -20,12 +20,10 @@ from .mesh import (
     ScalarField,
     VectorField,
     Trajectory,
-    _lq,
     _mag,
     check_number,
     neg_sobolev_norm,
     trajectory_lq_distance,
-    transfer,
 )
 from .random_data import Ensemble
 from .solver import COMPLETED
@@ -111,41 +109,52 @@ def empirical_functional_mean(ensemble: Ensemble, F) -> float:
     return float(sum(wi * F(m.report.trajectory) for wi, m in zip(w, members)))
 
 
-def _member_field_values(member, which: str, t: float, grid: GridSpec):
-    rho, u = member.report.trajectory.sample(t)
-    src = member.report.trajectory.grid
-    if which == "density":
-        return transfer(rho, src, grid)
-    if which == "momentum":
-        return transfer(rho[..., None] * u, src, grid)
-    raise ValueError(f"unknown field selector {which!r}")
+def _member_stack(ensemble: Ensemble, which: str, times) -> tuple:
+    """(grid, w, times, Y) of the completed members, with their renormalized
+    weights w and Y[i] member i's density or momentum at each of `times`
+    (None: the earliest final time), read by one `Trajectory.sample_stack`.
+
+    Y has shape (members, len(times), *grid.shape[, d]).  The members must
+    share one grid; a mixed-grid ensemble raises ValueError.
+    """
+    if which not in ("density", "momentum"):
+        raise ValueError(f"unknown field selector {which!r}")
+    members, w = _resolved(ensemble)
+    trajs = [m.report.trajectory for m in members]
+    grid = trajs[0].grid
+    if any(tr.grid != grid for tr in trajs):
+        raise ValueError("ensemble members must share one grid")
+    if times is None:
+        times = [min(tr.final_time for tr in trajs)]
+    times = np.asarray(times, dtype=float)
+    shape = (len(trajs), len(times)) + grid.shape
+    Y = np.empty(shape if which == "density" else shape + (grid.d,))
+    for tr, y in zip(trajs, Y):
+        rho, u = tr.sample_stack(times, grid)
+        y[...] = rho if which == "density" else rho[..., None] * u
+    return grid, w, times, Y
 
 
-def _common_grid(members) -> GridSpec:
-    grids = {m.report.trajectory.grid for m in members}
-    return min(grids, key=lambda g: g.n)
+def _weighted_sum(w, Y) -> np.ndarray:
+    """sum_i w[i] * Y[i] over the leading member axis of an array of two or more
+    dimensions: numpy adds the members in order, starting from +0.0, like a
+    Python sum.  (Over a 1-D array it sums pairwise, so sums of per-member
+    scalars stay Python sums.)
+    """
+    w = np.asarray(w, dtype=float).reshape((-1,) + (1,) * (Y.ndim - 1))
+    return np.add.reduce(w * Y, axis=0)
 
 
 def empirical_field_mean(ensemble: Ensemble, which: str = "density",
                          times=None) -> list:
     """Weighted pointwise mean of density or momentum fields per time level.
 
-    Members on finer grids are restricted onto the coarsest member grid.
-    Returns a list of (time, field) pairs.
+    The completed members must share one grid (ValueError otherwise); `times`
+    defaults to the earliest final time.  Returns a list of (time, field) pairs.
     """
-    members, w = _resolved(ensemble)
-    grid = _common_grid(members)
-    if times is None:
-        times = [min(m.report.trajectory.final_time for m in members)]
-    out = []
-    for t in times:
-        acc = None
-        for wi, m in zip(w, members):
-            vals = wi * _member_field_values(m, which, t, grid)
-            acc = vals if acc is None else acc + vals
-        cls = ScalarField if which == "density" else VectorField
-        out.append((float(t), cls(grid, acc)))
-    return out
+    grid, w, times, Y = _member_stack(ensemble, which, times)
+    cls = ScalarField if which == "density" else VectorField
+    return [(float(t), cls(grid, mean)) for t, mean in zip(times, _weighted_sum(w, Y))]
 
 
 # ---------------------------------------------------------------------------
@@ -164,24 +173,22 @@ class BarycenterResult:
     converged: bool
 
 
-def _bary_objective(Z, Ys, w, r, q, vol, vector):
-    return float(sum(wi * _lq(_mag(Z - Y, vector), q, vol) ** r for wi, Y in zip(w, Ys)))
+def _bary_pass(Z, Y, w, r, q, vol, vector) -> tuple:
+    """(objective, gradient density, member norms) of sum_i w_i ||Z - Y_i||_q^r.
 
-
-def _bary_grad(Z, Ys, w, r, q, vol, vector):
-    """Functional gradient density of the weighted sum of ||Z - Y||_q^r."""
-    g = np.zeros_like(Z)
-    for wi, Y in zip(w, Ys):
-        D = Z - Y
-        mag = _mag(D, vector)
-        norm = _lq(mag, q, vol)
-        if norm == 0.0:
-            continue  # r > 1: the term's gradient vanishes at coincidence
-        safe = np.where(mag > 0, mag, 1.0)
-        fac = np.where(mag > 0, safe ** (q - 2.0), 0.0)
-        term = fac[..., None] * D if vector else fac * D
-        g += wi * r * norm ** (r - q) * term
-    return g
+    One pass over the member stack Y computes Z - Y, its magnitude and the
+    norms; the norms and their powers are Python floats, as in a loop.
+    """
+    D = Z - Y
+    mag = _mag(D, vector)
+    sums = np.sum((mag**q).reshape(len(Y), -1), axis=1) * vol  # rows sum like whole fields
+    norms = [float(s ** (1.0 / q)) for s in sums]
+    obj = float(sum(wi * n**r for wi, n in zip(w, norms)))
+    # r > 1: a term's gradient vanishes at coincidence (norm 0)
+    coef = [wi * r * n ** (r - q) if n > 0.0 else 0.0 for wi, n in zip(w, norms)]
+    safe = np.where(mag > 0, mag, 1.0)
+    fac = np.where(mag > 0, safe ** (q - 2.0), 0.0)
+    return obj, _weighted_sum(coef, fac[..., None] * D if vector else fac * D), norms
 
 
 def r_barycenter(ensemble: Ensemble, which: str = "density", r: float = 2.0,
@@ -193,7 +200,9 @@ def r_barycenter(ensemble: Ensemble, which: str = "density", r: float = 2.0,
     objective is minimized by gradient descent (Barzilai-Borwein steps with
     an Armijo backtracking safeguard) initialized at the pointwise mean, so
     the returned objective never exceeds the mean's.  method="iterative"
-    forces the descent path even when the closed form applies.
+    forces the descent path even when the closed form applies.  The completed
+    members must share one grid; each objective and gradient is one pass over
+    their (members, *shape[, d]) stack.
     """
     if r <= 1:
         raise ValueError("barycenter order r must exceed 1")
@@ -202,30 +211,22 @@ def r_barycenter(ensemble: Ensemble, which: str = "density", r: float = 2.0,
         raise ValueError("ambient exponent q must be finite and >= 1")
     if method not in ("auto", "iterative"):
         raise ValueError("method must be auto or iterative")
-    members, w = _resolved(ensemble)
-    grid = _common_grid(members)
-    if time is None:
-        time = min(m.report.trajectory.final_time for m in members)
+    grid, w, (time,), Y = _member_stack(ensemble, which, None if time is None else [time])
+    Y = Y[:, 0]
     vector = which == "momentum"
-    Ys = [_member_field_values(m, which, time, grid) for m in members]
     vol = grid.cell_volume
     cls = VectorField if vector else ScalarField
 
-    mean = sum(wi * Y for wi, Y in zip(w, Ys))
+    Z = _weighted_sum(w, Y)  # the pointwise mean: the answer at r = q = 2, else the start
+    obj, g, norms = _bary_pass(Z, Y, w, r, q, vol, vector)
+    res = float(np.abs(g).max())
     if r == 2.0 and q == 2.0 and method == "auto":
-        res = float(np.abs(_bary_grad(mean, Ys, w, r, q, vol, vector)).max())
         return BarycenterResult(
-            minimizer=cls(grid, mean), r=r, q=q, time=float(time),
-            objective=_bary_objective(mean, Ys, w, r, q, vol, vector),
+            minimizer=cls(grid, Z), r=r, q=q, time=float(time), objective=obj,
             iterations=0, first_order_residual=res, converged=res <= tol,
         )
 
-    Z = mean.copy()
-    obj = _bary_objective(Z, Ys, w, r, q, vol, vector)
-    g = _bary_grad(Z, Ys, w, r, q, vol, vector)
-    res = float(np.abs(g).max())
-    spread = max((_lq(_mag(Z - Y, vector), q, vol) for Y in Ys), default=0.0)
-    t_step = 0.5 * spread / res if res > 0 else 0.0
+    t_step = 0.5 * max(norms) / res if res > 0 else 0.0  # half the spread over the slope
     iterations = 0
     while res > tol and iterations < max_iter:
         gnorm2 = float(np.sum(g**2) * vol)
@@ -233,7 +234,7 @@ def r_barycenter(ensemble: Ensemble, which: str = "density", r: float = 2.0,
         accepted = False
         for _ in range(60):
             Z_new = Z - t_try * g
-            obj_new = _bary_objective(Z_new, Ys, w, r, q, vol, vector)
+            obj_new, g_new, _ = _bary_pass(Z_new, Y, w, r, q, vol, vector)
             if obj_new <= obj - 1e-4 * t_try * gnorm2:
                 accepted = True
                 break
@@ -241,7 +242,6 @@ def r_barycenter(ensemble: Ensemble, which: str = "density", r: float = 2.0,
         if not accepted:
             break  # stalled at the current iterate
         iterations += 1
-        g_new = _bary_grad(Z_new, Ys, w, r, q, vol, vector)
         dz = Z_new - Z
         dg = g_new - g
         denom = float(np.sum(dz * dg) * vol)
@@ -353,10 +353,9 @@ def energy_moment_bound(ensemble: Ensemble) -> float:
     members, w = _resolved(ensemble)
     T = min(m.report.trajectory.final_time for m in members)
     times = np.linspace(0.0, T, N_ENERGY_TIMES)
-    acc = np.zeros(N_ENERGY_TIMES)
-    for wi, m in zip(w, members):
-        acc += wi * np.interp(times, m.report.trajectory.times, m.report.energy_history)
-    return float(acc.max())
+    E = np.array([np.interp(times, m.report.trajectory.times, m.report.energy_history)
+                  for m in members])
+    return float(_weighted_sum(w, E).max())
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from nsuq.mesh import GridSpec
+from nsuq.mesh import FluidState, GridSpec, ScalarField, Trajectory, VectorField
+from nsuq.random_data import Ensemble, EnsembleMember
+from nsuq.solver import SolveReport
 from nsuq.stats import (
     boundedness_in_probability,
     convergence_in_probability_diagnostic,
@@ -116,15 +118,14 @@ def test_field_mean_excludes_aborted():
     assert np.allclose(fld.values, 2.0)
 
 
-def test_field_mean_mixed_grids_restricts():
-    e1 = fake_ensemble([{"rho": 1.0}], n=8)
-    e2 = fake_ensemble([{"rho": 3.0}], n=16)
+def test_mixed_grid_ensemble_is_rejected():
     ens = fake_ensemble([{"rho": 1.0}], n=8)
-    ens.members.append(e2.members[0])
+    ens.members.append(fake_ensemble([{"rho": 3.0}], n=16).members[0])
     ens.weights = np.array([0.5, 0.5])
-    [(t, fld)] = empirical_field_mean(ens, "density")
-    assert fld.grid.n == 8
-    assert np.allclose(fld.values, 2.0)
+    with pytest.raises(ValueError, match="one grid"):
+        empirical_field_mean(ens, "density")
+    with pytest.raises(ValueError, match="one grid"):
+        r_barycenter(ens, "density")
 
 
 def test_field_mean_selector_validation():
@@ -320,3 +321,113 @@ def test_barycenter_local_optimality_against_perturbations():
         for _ in range(20):
             bump = z + 1e-3 * scale * rng.standard_normal(z.shape)
             assert res.objective <= objective(bump, r, q) + 1e-8
+
+
+# ---------------------------------------------------------------------------
+# the stacked statistics equal a per-member Python loop exactly
+
+
+def _three_state_ensemble(d):
+    """12 members with distinct states at t = 0, 0.4, 1 on one grid, random weights."""
+    rng = np.random.default_rng(5 + d)
+    g = GridSpec(d, 8)
+    out = []
+    for i in range(12):
+        states = [FluidState(ScalarField(g, 0.5 + rng.random(g.shape)),
+                             VectorField(g, rng.standard_normal(g.shape + (d,))), t)
+                  for t in (0.0, 0.4, 1.0)]
+        rep = SolveReport(Trajectory(states), np.ones(3), 1.0 + rng.random(3))
+        out.append(EnsembleMember(np.array([i / 12]), None, rep))
+    w = rng.random(12)
+    return Ensemble(out, w / w.sum(), "strong")
+
+
+def _loop_fields(ens, which, t):
+    fields = []
+    for m in ens.members:
+        rho, u = m.report.trajectory.sample(t)
+        fields.append(rho if which == "density" else rho[..., None] * u)
+    return fields
+
+
+def _loop_barycenter(Ys, w, r, q, vol, vector, tol=1e-8, max_iter=500):
+    """r_barycenter's descent with one Python loop over the members per evaluation."""
+    def evaluate(Z):
+        obj, g, norms = 0, np.zeros_like(Z), []
+        for wi, Y in zip(w, Ys):
+            D = Z - Y
+            mag = np.sqrt(np.sum(D**2, axis=-1)) if vector else np.abs(D)
+            norm = float((np.sum(mag**q) * vol) ** (1.0 / q))
+            norms.append(norm)
+            obj += wi * norm**r
+            if norm > 0:
+                safe = np.where(mag > 0, mag, 1.0)
+                fac = np.where(mag > 0, safe ** (q - 2.0), 0.0)
+                g += wi * r * norm ** (r - q) * (fac[..., None] * D if vector else fac * D)
+        return float(obj), g, norms
+
+    Z = sum(wi * Y for wi, Y in zip(w, Ys))
+    obj, g, norms = evaluate(Z)
+    res = float(np.abs(g).max())
+    if r == q == 2.0:
+        return Z, obj
+    t_step = 0.5 * max(norms) / res if res > 0 else 0.0
+    iterations = 0
+    while res > tol and iterations < max_iter:
+        gnorm2 = float(np.sum(g**2) * vol)
+        t_try = t_step
+        for _ in range(60):
+            Z_new = Z - t_try * g
+            obj_new, g_new, _ = evaluate(Z_new)
+            if obj_new <= obj - 1e-4 * t_try * gnorm2:
+                break
+            t_try *= 0.5
+        else:
+            break
+        iterations += 1
+        dz, dg = Z_new - Z, g_new - g
+        denom = float(np.sum(dz * dg) * vol)
+        t_step = float(np.sum(dz * dz) * vol) / denom if denom > 0 else 2.0 * t_try
+        Z, obj, g = Z_new, obj_new, g_new
+        res = float(np.abs(g).max())
+    return Z, obj
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("which", ["density", "momentum"])
+@pytest.mark.parametrize("r,q", [(2.0, 2.0), (1.5, 2.0), (3.0, 1.5), (2.0, 3.0)])
+def test_stacked_barycenter_equals_member_loop(d, which, r, q):
+    ens = _three_state_ensemble(d)
+    w = ens.weights / ens.weights.sum()
+    Ys = _loop_fields(ens, which, 0.7)
+    Z, obj = _loop_barycenter(Ys, w, r, q, GridSpec(d, 8).cell_volume, which == "momentum")
+    res = r_barycenter(ens, which, r=r, q=q, time=0.7)
+    assert res.objective == obj
+    assert np.array_equal(res.minimizer.values, Z)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_stacked_means_equal_member_loop(d):
+    ens = _three_state_ensemble(d)
+    w = ens.weights / ens.weights.sum()
+    times = [0.0, 0.25, 0.4, 1.0]
+    for which in ("density", "momentum"):
+        for (t, fld), ref_t in zip(empirical_field_mean(ens, which, times=times), times):
+            acc = None
+            for wi, Y in zip(w, _loop_fields(ens, which, ref_t)):
+                acc = wi * Y if acc is None else acc + wi * Y
+            assert t == ref_t and np.array_equal(fld.values, acc)
+    grid_t = np.linspace(0.0, 1.0, 33)
+    acc = np.zeros(33)
+    for wi, m in zip(w, ens.members):
+        acc += wi * np.interp(grid_t, m.report.trajectory.times, m.report.energy_history)
+    assert energy_moment_bound(ens) == float(acc.max())
+
+
+def test_weighted_sums_write_no_negative_zero():
+    # every weighted sum starts from +0.0, like a Python sum: a cell where every
+    # member holds -0.0 is written as 0, not -0
+    ens = fake_ensemble([{"u": -0.0}, {"u": -0.0}])
+    [(_, mean)] = empirical_field_mean(ens, "momentum")
+    for fld in (mean, r_barycenter(ens, "momentum").minimizer):
+        assert np.all(fld.values == 0.0) and not np.signbit(fld.values).any()
