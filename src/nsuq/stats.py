@@ -173,22 +173,28 @@ class BarycenterResult:
     converged: bool
 
 
-def _bary_pass(Z, Y, w, r, q, vol, vector) -> tuple:
-    """(objective, gradient density, member norms) of sum_i w_i ||Z - Y_i||_q^r.
+def _bary_objective(Z, Y, w, r, q, vol, vector) -> tuple:
+    """(objective, member norms, Z - Y, its magnitude) of sum_i w_i ||Z - Y_i||_q^r.
 
-    One pass over the member stack Y computes Z - Y, its magnitude and the
-    norms; the norms and their powers are Python floats, as in a loop.
+    One pass over the member stack Y; the norms and their powers are Python
+    floats, as in a loop.  `_bary_grad` turns the last three into the
+    gradient, so a rejected line-search trial costs the objective only.
     """
     D = Z - Y
     mag = _mag(D, vector)
     sums = np.sum((mag**q).reshape(len(Y), -1), axis=1) * vol  # rows sum like whole fields
     norms = [float(s ** (1.0 / q)) for s in sums]
     obj = float(sum(wi * n**r for wi, n in zip(w, norms)))
+    return obj, norms, D, mag
+
+
+def _bary_grad(w, r, q, vector, norms, D, mag) -> np.ndarray:
+    """Gradient density of the objective from `_bary_objective`'s norms, D and mag."""
     # r > 1: a term's gradient vanishes at coincidence (norm 0)
     coef = [wi * r * n ** (r - q) if n > 0.0 else 0.0 for wi, n in zip(w, norms)]
     safe = np.where(mag > 0, mag, 1.0)
     fac = np.where(mag > 0, safe ** (q - 2.0), 0.0)
-    return obj, _weighted_sum(coef, fac[..., None] * D if vector else fac * D), norms
+    return _weighted_sum(coef, fac[..., None] * D if vector else fac * D)
 
 
 def r_barycenter(ensemble: Ensemble, which: str = "density", r: float = 2.0,
@@ -201,8 +207,9 @@ def r_barycenter(ensemble: Ensemble, which: str = "density", r: float = 2.0,
     an Armijo backtracking safeguard) initialized at the pointwise mean, so
     the returned objective never exceeds the mean's.  method="iterative"
     forces the descent path even when the closed form applies.  The completed
-    members must share one grid; each objective and gradient is one pass over
-    their (members, *shape[, d]) stack.
+    members must share one grid; each objective is one pass over their
+    (members, *shape[, d]) stack, and the gradient is formed only at
+    accepted points, from that pass's differences.
     """
     if r <= 1:
         raise ValueError("barycenter order r must exceed 1")
@@ -218,7 +225,8 @@ def r_barycenter(ensemble: Ensemble, which: str = "density", r: float = 2.0,
     cls = VectorField if vector else ScalarField
 
     Z = _weighted_sum(w, Y)  # the pointwise mean: the answer at r = q = 2, else the start
-    obj, g, norms = _bary_pass(Z, Y, w, r, q, vol, vector)
+    obj, norms, D, mag = _bary_objective(Z, Y, w, r, q, vol, vector)
+    g = _bary_grad(w, r, q, vector, norms, D, mag)
     res = float(np.abs(g).max())
     if r == 2.0 and q == 2.0 and method == "auto":
         return BarycenterResult(
@@ -234,7 +242,7 @@ def r_barycenter(ensemble: Ensemble, which: str = "density", r: float = 2.0,
         accepted = False
         for _ in range(60):
             Z_new = Z - t_try * g
-            obj_new, g_new, _ = _bary_pass(Z_new, Y, w, r, q, vol, vector)
+            obj_new, norms, D, mag = _bary_objective(Z_new, Y, w, r, q, vol, vector)
             if obj_new <= obj - 1e-4 * t_try * gnorm2:
                 accepted = True
                 break
@@ -242,6 +250,7 @@ def r_barycenter(ensemble: Ensemble, which: str = "density", r: float = 2.0,
         if not accepted:
             break  # stalled at the current iterate
         iterations += 1
+        g_new = _bary_grad(w, r, q, vector, norms, D, mag)
         dz = Z_new - Z
         dg = g_new - g
         denom = float(np.sum(dz * dg) * vol)
