@@ -10,6 +10,7 @@ common random data.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass, fields, replace
 
@@ -204,6 +205,25 @@ def _poly_abs_max(coeffs: tuple, horizon: float) -> float:
     return float(max(abs(p(t)) for t in crit))
 
 
+def _polyval(coeffs: tuple, t: float) -> float:
+    """coeffs[0] + coeffs[1] t + ... by Horner's rule, in the order numpy's polyval
+    adds, so the value is np.polynomial.Polynomial(coeffs)(t) bit for bit."""
+    acc = float(coeffs[-1]) + t * 0
+    for c in coeffs[-2::-1]:
+        acc = float(c) + acc * t
+    return acc
+
+
+@functools.lru_cache(maxsize=128)
+def _spatial_profile(wavevec: tuple, kind: str, period: float, grid: GridSpec) -> np.ndarray:
+    """trig(2 pi k.x / period) on the grid's cells, read-only.  It does not depend on
+    a term's amplitude or envelope, so the members of an ensemble share it."""
+    phase = sum((2 * np.pi * k / period) * x for k, x in zip(wavevec, grid.cell_centers()))
+    out = np.cos(phase) if kind == "cos" else np.sin(phase)
+    out.setflags(write=False)
+    return out
+
+
 @dataclass(frozen=True)
 class ForcingTerm:
     """amplitude * trig(2 pi k.x / period) * cos(omega t + phase) * poly(t)."""
@@ -252,14 +272,10 @@ class ForcingSpec:
         """Force per unit mass at time t, shape grid.shape + (d,)."""
         if grid.d != self.d or grid.period != self.period:
             raise ValueError("grid does not match forcing geometry")
-        xs = grid.cell_centers()
         out = np.zeros(grid.shape + (self.d,))
         for term in self.terms:
-            phase = sum((2 * np.pi * k / self.period) * x for k, x in zip(term.wavevec, xs))
-            spatial = np.cos(phase) if term.kind == "cos" else np.sin(phase)
-            envelope = math.cos(term.omega * t + term.phase) * float(
-                np.polynomial.Polynomial(list(term.poly))(t)
-            )
+            spatial = _spatial_profile(term.wavevec, term.kind, self.period, grid)
+            envelope = math.cos(term.omega * t + term.phase) * _polyval(term.poly, t)
             for c, amp in enumerate(term.amplitude):
                 if amp != 0.0:
                     out[..., c] += amp * envelope * spatial

@@ -5,12 +5,14 @@ momentum fluxes, while the mass-flux velocity, the pressure gradient, the
 viscous terms, and the forcing are taken at the new time level.  The
 coupled step is solved by Picard iteration, with one matrix-free,
 Jacobi-preconditioned conjugate gradient solve for the velocity per sweep.
-Each solve starts from the previous sweep's velocity, the first one from
-the velocity extrapolated in time, and the viscous term of each sweep's
-velocity serves both its momentum defect and the next solve's initial
-residual.  The iteration stops when the algebraic defect of the full
-update drops below `picard_tol`, so a produced state pair always satisfies
-the published residual contract.
+The first sweep starts from a second-order prediction of the step: the
+velocity extrapolated through the last three states, and the density its
+face velocities carry.  Each later solve starts from the previous sweep's
+velocity, and the viscous term of each sweep's velocity serves both its
+momentum defect and the next solve's initial residual.  The iteration
+stops when the algebraic defect of the full update drops below
+`picard_tol`, so a produced state pair always satisfies the published
+residual contract; the prediction changes where it starts, not that test.
 
 Treating the acoustic part implicitly keeps the discrete total energy
 non-increasing for unforced runs, on top of the upwind and viscous
@@ -255,11 +257,10 @@ def _solve_momentum_system(rho: np.ndarray, b: np.ndarray, dt: float, mu: float,
     symmetric positive definite (the viscous stencils are negative
     semidefinite), and the preconditioner divides by its diagonal
     (`_momentum_diagonal`): one division per iteration, no FFT.  With the
-    warm starts `step` and `solve` give it, this takes 2.9 iterations per
+    warm starts `step` and `solve` give it, this takes 2.6 iterations per
     solve on average on the 1-D n=64 level of the weak-1d-mc benchmark and
-    2.8 on the 2-D n=64 level of strong-2d-colloc, against 4.3 and 6.0 for
-    plain CG started from the previous step's velocity.  The stop is the
-    residual's max norm within tol.
+    2.4 on the 2-D n=64 level of strong-2d-colloc (seed 1), at 1.6 and 1.2
+    solves per step.  The stop is the residual's max norm within tol.
     """
     x = guess.copy()
     r = b - (rho[..., None] * x - visc)
@@ -333,9 +334,12 @@ def step(rho_k: np.ndarray, u_k: np.ndarray, t: float, data: DataRecord, dt: flo
          grid: GridSpec, cfg: SchemeConfig, guess: np.ndarray | None = None) -> tuple:
     """Advance the arrays (rho, u) at time t by dt; returns the new (rho, u) arrays.
 
-    `guess` is where the first sweep's CG starts (default u_k); `solve`
-    passes u_k extrapolated linearly from the previous step.  It moves the
-    result only within the CG tolerance; acceptance tests the true defects.
+    `guess` (default u_k) is the predicted new velocity: the first sweep's
+    density is rho_k carried by its face velocities, and its CG starts from
+    it.  `solve` passes the velocity extrapolated through the last three
+    states, which is within O(dt^3) of the step's fixed point, so most steps
+    are accepted after one sweep.  The guess moves the result only within
+    the tolerances; acceptance tests the true defects.
     Raises VacuumError / NoConvergenceError.  Each Picard sweep solves for u
     at the current density iterate, then forms the density the next sweep
     would use; the sweep's defect is the density change and the momentum
@@ -348,13 +352,12 @@ def step(rho_k: np.ndarray, u_k: np.ndarray, t: float, data: DataRecord, dt: flo
     m_k = rho_k[..., None] * u_k
     t_new = t + dt
 
-    faces_k = _faces(u_k, grid)
-    conv = _flux_div(m_k, faces_k, grid)
+    conv = _flux_div(m_k, _faces(u_k, grid), grid)
     g_new = data.g.evaluate(t_new, grid)
     lin_tol = 0.05 * cfg.picard_tol
     u = u_k if guess is None else guess
     visc = dt * _apply_viscous(u, data.mu, data.eta, grid)
-    rho = rho_k - dt * _flux_div(rho_k, faces_k, grid)
+    rho = rho_k - dt * _flux_div(rho_k, _faces(u, grid), grid)
     for _ in range(cfg.picard_max_iter):
         if rho.min() <= 0:
             raise VacuumError(f"vacuum at t={t_new}")
@@ -373,6 +376,18 @@ def step(rho_k: np.ndarray, u_k: np.ndarray, t: float, data: DataRecord, dt: flo
     )
 
 
+def _extrapolate(past: list, t_new: float) -> np.ndarray:
+    """Value at t_new of the polynomial through the (t, u) pairs of `past`.
+
+    Lagrange weights, so the times may be unequally spaced: one pair gives
+    u itself, two the linear extrapolation, three the quadratic one.
+    """
+    return sum(
+        math.prod((t_new - tm) / (tj - tm) for m, (tm, _) in enumerate(past) if m != j) * uj
+        for j, (tj, uj) in enumerate(past)
+    )
+
+
 def _linf(rho: np.ndarray, u: np.ndarray) -> float:
     """Max over cells and components of (|rho|, |u|)."""
     return float(max(np.abs(rho).max(), np.abs(u).max()))
@@ -386,7 +401,10 @@ def solve(data: DataRecord, grid: GridSpec, cfg: SchemeConfig, keep=None) -> Sol
 
     The loop passes plain (rho, u) arrays to `cfl_dt`, `step` and
     `total_energy`; only the kept states become `FluidState`s, the first one
-    from `DataRecord.initial_state`, which checks the initial data.
+    from `DataRecord.initial_state`, which checks the initial data.  Each
+    step's guess is the velocity extrapolated through the last three
+    accepted states (`_extrapolate`): u_k on the first step, linear on the
+    second.
 
     Aborts are reported as data, not failures: the linf ceiling feeds the
     boundedness-in-probability statistics downstream.  A step that cannot
@@ -410,7 +428,7 @@ def solve(data: DataRecord, grid: GridSpec, cfg: SchemeConfig, keep=None) -> Sol
     status = COMPLETED
     if keep is not None:
         lo, hi = np.asarray(keep, dtype=float).reshape(-1, 2).T
-    prev = None
+    past = []  # (t, u) of the last three accepted states, newest first
 
     if linf[0] > cfg.linf_ceiling:
         status = ABORTED_LINF
@@ -425,8 +443,8 @@ def solve(data: DataRecord, grid: GridSpec, cfg: SchemeConfig, keep=None) -> Sol
                 break
             if t + dt >= cfg.T * (1 - 1e-12):
                 dt = cfg.T - t
-            # the first sweep's CG starts from u extrapolated linearly in time
-            guess = u if prev is None else u + (dt / (t - prev[2])) * (u - prev[1])
+            past = [(t, u)] + past[:2]
+            guess = _extrapolate(past, t + dt)
             prev = rho, u, t
             try:
                 rho, u = step(rho, u, t, data, dt, grid, cfg, guess)

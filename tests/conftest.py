@@ -23,8 +23,9 @@ from nsuq.random_data import (
 from nsuq.solver import SolveReport
 
 
-# `pytest --hypothesis-profile deep` runs the solver-contract and preconditioned-solve
-# property tests (test_solver.py) with 400 examples instead of their tier-1 25
+# `pytest --hypothesis-profile deep` runs the solver-contract, extrapolated-guess and
+# preconditioned-solve property tests (test_solver.py) with 400 examples instead of
+# their tier-1 25
 settings.register_profile("deep", max_examples=400)
 
 

@@ -190,6 +190,40 @@ def test_forcing_evaluate():
     assert np.allclose(out[..., 0], 2.0 * np.cos(2 * np.pi * x) * math.cos(np.pi * 0.5))
 
 
+def _direct_forcing(spec, t, grid):
+    """The force built term by term from its definition, with numpy's Polynomial."""
+    xs = grid.cell_centers()
+    out = np.zeros(grid.shape + (spec.d,))
+    for term in spec.terms:
+        phase = sum((2 * np.pi * k / spec.period) * x for k, x in zip(term.wavevec, xs))
+        spatial = np.cos(phase) if term.kind == "cos" else np.sin(phase)
+        envelope = math.cos(term.omega * t + term.phase) * float(
+            np.polynomial.Polynomial(list(term.poly))(t)
+        )
+        for c, amp in enumerate(term.amplitude):
+            if amp != 0.0:
+                out[..., c] += amp * envelope * spatial
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_forcing_evaluate_equals_direct_formula(d):
+    # cached spatial profiles and a Horner envelope leave every value bit-identical
+    grid = GridSpec(d, 16, 2.0)
+    polys = [(0.7,), (0.3, -1.2), (1.0, 0.5, -2.0), (0.2, -0.4, 1.5, 3.0)]
+    for kind, other in (("cos", "sin"), ("sin", "cos")):
+        for deg, poly in enumerate(polys):
+            terms = (
+                ForcingTerm((1,) + (2,) * (d - 1), kind, (0.8,) + (-0.3,) * (d - 1),
+                            omega=2.3, phase=0.4, poly=poly),
+                ForcingTerm((0,) * (d - 1) + (3,), other, (0.0,) * (d - 1) + (1.1,),
+                            omega=-0.7, poly=polys[-1 - deg]),
+            )
+            spec = ForcingSpec(d, 2.0, terms)
+            for t in (0.0, 0.013, 0.25, 0.7, 1.9, 3.3):
+                assert np.array_equal(spec.evaluate(t, grid), _direct_forcing(spec, t, grid))
+
+
 def test_forcing_sup_bound():
     spec = ForcingSpec(1, 1.0, (ForcingTerm((1,), "cos", (0.7,)),), horizon=2.0)
     assert spec.sup_bound() == pytest.approx(0.7)

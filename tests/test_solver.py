@@ -1,8 +1,9 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nsuq import solver
@@ -361,8 +362,10 @@ def test_momentum_diagonal_matches_probed_operator(d, n):
 def test_viscous_applications_per_step(monkeypatch):
     # each sweep applies the viscous operator once per CG iteration plus once for
     # its momentum defect, whose result also starts the next sweep's CG; the warm
-    # start and the preconditioner keep CG short.  Without them this member took
-    # 19.7 applications per step, with the same 26 steps.
+    # start and the preconditioner keep CG short, and the extrapolated first sweep
+    # makes most steps one sweep.  With plain CG this member took 19.7
+    # applications per step, with a first sweep from u_k's faces 11.9, in the
+    # same 26 steps.
     calls = []
     viscous = solver._apply_viscous
 
@@ -376,7 +379,58 @@ def test_viscous_applications_per_step(monkeypatch):
     report = solve(data, GridSpec(2, 32), SchemeConfig(cfl=0.4, T=0.02))
     assert report.status == COMPLETED
     assert report.steps == 26
-    assert len(calls) <= 14 * report.steps
+    assert len(calls) <= 9 * report.steps
+
+
+def test_picard_sweeps_per_step(monkeypatch):
+    # one CG solve per sweep; the first sweep starts from the velocity extrapolated
+    # through the last three states and the density it carries, so most steps are
+    # accepted after one sweep.  Starting from u_k's faces this member took 2.99.
+    calls = []
+    momentum = solver._solve_momentum_system
+
+    def counting(*args):
+        calls.append(1)
+        return momentum(*args)
+
+    monkeypatch.setattr(solver, "_solve_momentum_system", counting)
+    g = ForcingSpec(1, 1.0, (ForcingTerm((1,), "sin", (0.5,), omega=2 * math.pi),))
+    data = make_record(d=1, rho_amp=0.1, u_amp=0.08, mu=0.05, g=g)
+    report = solve(data, GridSpec(1, 64), SchemeConfig(cfl=0.4, T=0.05))
+    assert report.status == COMPLETED
+    assert report.steps == 115
+    assert len(calls) <= 2.0 * report.steps
+
+
+def test_solve_hands_step_the_extrapolated_velocity(monkeypatch):
+    # with a velocity quadratic in time and unequal steps, the guess is exact from
+    # the third step on; before that it is u_k, then the linear extrapolation
+    data = make_record(d=1, u_amp=0.08)
+    grid = GridSpec(1, 16)
+    u0 = data.initial_state(grid).u.values
+    c1, c2 = np.random.default_rng(5).standard_normal((2,) + u0.shape)
+
+    def velocity(t):
+        return u0 + c1 * t + c2 * t**2
+
+    dts = [0.003, 0.0051, 0.0022, 0.0043, 0.0017]
+    calls = []
+
+    def fake_step(rho_k, u_k, t, data, dt, grid, cfg, guess=None):
+        calls.append((u_k, t, dt, guess))
+        return rho_k, velocity(t + dt)
+
+    monkeypatch.setattr(solver, "cfl_dt", lambda *args: dts[len(calls)])
+    monkeypatch.setattr(solver, "step", fake_step)
+    report = solve(data, grid, SchemeConfig(T=sum(dts)))
+    assert report.status == COMPLETED and len(calls) == len(dts)
+    assert np.array_equal(calls[0][3], u0)
+    (u_a, t_a, _, _), (u_b, t_b, dt, guess) = calls[:2]
+    linear = u_b + (dt / (t_b - t_a)) * (u_b - u_a)
+    assert np.allclose(guess, linear, rtol=1e-14, atol=0.0)
+    for _, t, dt, guess in calls[2:]:
+        exact = velocity(t + dt)
+        assert np.abs(guess - exact).max() <= 1e-14 * np.abs(exact).max()
 
 
 def _roll_reference_kernels():
@@ -535,7 +589,7 @@ def admissible_problems(draw):
     return spec, omega, grid, scheme, forced
 
 
-# 25 examples in tier-1; CI also runs the two tests below alone under the "deep"
+# 25 examples in tier-1; CI also runs the three tests below alone under the "deep"
 # profile (conftest.py)
 CONTRACT_SETTINGS = settings.get_profile("deep") if settings.get_current_profile_name() == "deep" \
     else settings(max_examples=25)
@@ -558,6 +612,36 @@ def test_solver_contract_on_random_admissible_data(problem):
     if not forced:
         e = report.energy_history
         assert np.all(np.diff(e) <= 1e-10 * e[0])
+
+
+@settings(CONTRACT_SETTINGS, deadline=None)
+@given(admissible_problems(), st.floats(0.0, 1.0))
+def test_extrapolated_guess_moves_no_accepted_step(problem, where):
+    # the guess sets where the Picard iteration starts, not what it accepts: a step
+    # of the solve, retaken from its extrapolated guess and from u_k, meets the
+    # residual contract both times, and the two states agree
+    spec, omega, grid, scheme, _ = problem
+    data = spec.realize(omega)
+    calls = []
+
+    def recording(*args):
+        out = step(*args)
+        calls.append(args)
+        return out
+
+    with mock.patch.object(solver, "step", recording):
+        solve(data, grid, scheme)
+    assume(calls)
+    rho_k, u_k, t, _, dt, _, _, guess = calls[int(where * (len(calls) - 1))]
+    old = FluidState(ScalarField(grid, rho_k), VectorField(grid, u_k), t)
+    new = []
+    for g in (guess, None):
+        rho, u = step(rho_k, u_k, t, data, dt, grid, scheme, g)
+        new.append((rho, u))
+        state = FluidState(ScalarField(grid, rho), VectorField(grid, u), t + dt)
+        assert scheme_residual(data, (old, state), dt) <= scheme.picard_tol
+    (rho_a, u_a), (rho_b, u_b) = new
+    assert max(np.abs(rho_a - rho_b).max(), np.abs(u_a - u_b).max()) <= 1e-8
 
 
 @settings(CONTRACT_SETTINGS, deadline=None)
