@@ -32,17 +32,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default="nsuq-out", help="output directory")
         p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (flag > NSUQ_THREADS > config)")
+                       help="worker count (flag > NSUQ_THREADS > config)")
     return parser
-
-
-def _resolve_threads(args, config: ExperimentConfig) -> int:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("NSUQ_THREADS")
-    if env is not None:
-        return int(env)
-    return config.threads
 
 
 def main(argv=None) -> int:
@@ -55,7 +46,8 @@ def main(argv=None) -> int:
         config = dataclasses.replace(
             config,
             seed=config.seed if args.seed is None else args.seed,
-            threads=_resolve_threads(args, config),
+            threads=args.threads if args.threads is not None
+            else int(os.environ.get("NSUQ_THREADS", config.threads)),
         )
         if config.mode != mode:
             raise ValueError(f"config mode {config.mode!r} does not match {args.command}")

@@ -115,6 +115,9 @@ class ScalarField:
     def __post_init__(self):
         object.__setattr__(self, "values", _check_values(self.grid, self.values, self.grid.shape))
 
+    def __reduce__(self):  # numpy unpickles arrays writeable; the constructor freezes a copy
+        return type(self), (self.grid, self.values)
+
     @classmethod
     def constant(cls, grid: GridSpec, value: float) -> "ScalarField":
         return cls(grid, np.full(grid.shape, float(value)))
@@ -132,6 +135,9 @@ class VectorField:
     def __post_init__(self):
         expected = self.grid.shape + (self.grid.d,)
         object.__setattr__(self, "values", _check_values(self.grid, self.values, expected))
+
+    def __reduce__(self):  # as ScalarField's
+        return type(self), (self.grid, self.values)
 
     @classmethod
     def constant(cls, grid: GridSpec, vec) -> "VectorField":

@@ -157,11 +157,9 @@ class FourierField:
     def evaluate(self, grid: GridSpec) -> np.ndarray:
         if grid.d != self.d or grid.period != self.period:
             raise ValueError("grid does not match field geometry")
-        xs = grid.cell_centers()
         out = np.full(grid.shape, self.mean)
         for m in self.modes:
-            phase = sum((2 * np.pi * k / self.period) * x for k, x in zip(m.wavevec, xs))
-            out = out + m.coef * (np.cos(phase) if m.kind == "cos" else np.sin(phase))
+            out = out + m.coef * _spatial_profile(m.wavevec, m.kind, self.period, grid)
         return out
 
     def inf_bound(self) -> float:
@@ -216,8 +214,9 @@ def _polyval(coeffs: tuple, t: float) -> float:
 
 @functools.lru_cache(maxsize=128)
 def _spatial_profile(wavevec: tuple, kind: str, period: float, grid: GridSpec) -> np.ndarray:
-    """trig(2 pi k.x / period) on the grid's cells, read-only.  It does not depend on
-    a term's amplitude or envelope, so the members of an ensemble share it."""
+    """trig(2 pi k.x / period) on the grid's cells, read-only.  Forcing terms, Fourier
+    fields and Fourier functionals all read it; it does not depend on a coefficient,
+    amplitude or envelope, so the members of an ensemble share it."""
     phase = sum((2 * np.pi * k / period) * x for k, x in zip(wavevec, grid.cell_centers()))
     out = np.cos(phase) if kind == "cos" else np.sin(phase)
     out.setflags(write=False)

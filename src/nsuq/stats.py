@@ -25,6 +25,7 @@ from .mesh import (
     neg_sobolev_norm,
     trajectory_lq_distance,
 )
+from .physics import _spatial_profile
 from .random_data import Ensemble
 from .solver import COMPLETED
 
@@ -372,11 +373,8 @@ def energy_moment_bound(ensemble: Ensemble) -> float:
 
 
 def _fourier_coef(values: np.ndarray, grid: GridSpec, wavevec, part: str) -> float:
-    xs = grid.cell_centers()
-    phase = sum((2 * np.pi * k / grid.period) * x for k, x in zip(wavevec, xs))
-    basis = np.cos(phase) if part == "cos" else np.sin(phase)
     scale = 1.0 if all(k == 0 for k in wavevec) else 2.0
-    return float(scale * np.mean(values * basis))
+    return float(scale * np.mean(values * _spatial_profile(wavevec, part, grid.period, grid)))
 
 
 # kind -> the parameters it reads besides kind and name, with their defaults

@@ -21,7 +21,7 @@ from nsuq.experiments import (
 from nsuq.mesh import load_field
 from nsuq.solver import SchemeConfig, solve
 from nsuq.mesh import GridSpec
-from conftest import make_spec
+from conftest import make_record, make_spec
 
 
 SCHEME = SchemeConfig(cfl=0.4, T=0.05)
@@ -457,33 +457,79 @@ def test_cli_seed_override(bounds, tmp_path):
 
 
 def test_cli_threads_resolution(bounds, tmp_path, monkeypatch):
-    cfg_path = tmp_path / "cfg.json"
-    write_config(cfg_path, weak_config(bounds, levels=((2, 8),), threads=1))
-    monkeypatch.setenv("NSUQ_THREADS", "3")
-    out = tmp_path / "env"
-    assert main(["run-weak", "--config", str(cfg_path), "--out", str(out)]) == 0
-    # the flag wins over the environment variable
-    out2 = tmp_path / "flag"
-    assert main(["run-weak", "--config", str(cfg_path), "--threads", "2",
-                 "--out", str(out2)]) == 0
-    # output, config hash included, does not depend on the thread count
-    out1 = tmp_path / "one"
-    assert main(["run-weak", "--config", str(cfg_path), "--threads", "1",
-                 "--out", str(out1)]) == 0
-    assert hash_dir(out1) == hash_dir(out2) == hash_dir(out)
+    # the worker count resolves as flag > NSUQ_THREADS > config, and output, config hash
+    # included, is the same at 1, 2 and 3 workers; four cores are reported, so that the
+    # 4-member level really runs on 3 processes
+    import concurrent.futures
+    import nsuq.experiments as experiments
+
+    pool, pools = concurrent.futures.ProcessPoolExecutor, []
+
+    def recording_pool(workers, **kwargs):
+        pools.append(workers)
+        return pool(workers, **kwargs)
+
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool)
+    for mode in ("weak", "strong"):
+        cfg = weak_config(bounds, levels=((2, 8), (4, 16)), threads=2)
+        cfg_path = tmp_path / f"{mode}.json"
+        write_config(cfg_path, dataclasses.replace(cfg, mode=mode))
+        outs = []
+        for env, flag, workers in (("3", [], [2, 3]), ("3", ["--threads", "1"], []),
+                                   (None, [], [2, 2])):
+            if env is None:
+                monkeypatch.delenv("NSUQ_THREADS")
+            else:
+                monkeypatch.setenv("NSUQ_THREADS", env)
+            outs.append(tmp_path / f"{mode}{len(outs)}")
+            pools.clear()
+            assert main([f"run-{mode}", "--config", str(cfg_path), *flag,
+                         "--out", str(outs[-1])]) == 0
+            assert pools == workers
+        assert hash_dir(outs[0]) == hash_dir(outs[1]) == hash_dir(outs[2])
 
 
 def test_workers_capped_at_cores(bounds, monkeypatch):
     # one core: a threads=3 run solves in-process and never builds a pool
+    import concurrent.futures
     import nsuq.experiments as experiments
 
     def no_pool(*args, **kwargs):
-        raise AssertionError("thread pool started on a single core")
+        raise AssertionError("process pool started on a single core")
 
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: 1)
-    monkeypatch.setattr(experiments, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     report = run_weak(weak_config(bounds, threads=3, levels=((2, 8),)))
     assert report.summary["levels"][0]["num_members"] == 2
+
+
+def test_pooled_members_keep_read_only_fields(bounds, monkeypatch):
+    # kept states cross the process boundary as pickles, and come back frozen
+    import nsuq.experiments as experiments
+
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
+    records = [make_record(rho_amp=a, u_amp=0.05) for a in (0.05, 0.1, 0.15)]
+    reports = experiments._solve_members(records, GridSpec(1, 8),
+                                         weak_config(bounds, threads=2))
+    states = [s for r in reports for s in r.trajectory.states]
+    assert len(states) > len(records)
+    for s in states:
+        assert not s.rho.values.flags.writeable and not s.u.values.flags.writeable
+
+
+def test_one_worker_run_never_imports_multiprocessing(bounds, tmp_path):
+    # the pool's modules cost about 1.6 MiB, which a one-worker run must not pay
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, weak_config(bounds, levels=((2, 8),), threads=2))
+    argv = ["run-weak", "--config", str(cfg_path), "--out", str(tmp_path / "out"),
+            "--threads", "1"]
+    code = f"import sys; from nsuq.cli import main; main({argv!r}); " \
+           "print('multiprocessing' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False", proc.stdout
 
 
 def test_cli_config_errors(bounds, tmp_path, capsys, monkeypatch):
@@ -527,6 +573,14 @@ def test_cli_config_errors(bounds, tmp_path, capsys, monkeypatch):
         assert err.startswith("nsuq: config error: ") and err.count("\n") == 1, err
     assert main(["run-weak", "--config", str(cfg_path), "--seed", "-1",
                  "--out", str(tmp_path / "never")]) == 2
+    # worker counts from the environment that are not integers >= 1
+    for env in ("abc", "0"):
+        monkeypatch.setenv("NSUQ_THREADS", env)
+        capsys.readouterr()
+        assert main(["run-weak", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "never")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("nsuq: config error: ") and err.count("\n") == 1, err
     assert not (tmp_path / "never").exists()
 
 

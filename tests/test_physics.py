@@ -160,6 +160,35 @@ def test_fourier_field_evaluate_and_bounds():
     assert f.sup_bound() == pytest.approx(2.5)
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_trig_kernel_equals_inline_formula(d):
+    # Fourier fields and Fourier functionals read the cached trig profile of forcing
+    # terms; every value equals the phase formula written out here
+    from nsuq.stats import _fourier_coef
+
+    grid = GridSpec(d, 16, 2.0)
+    xs = grid.cell_centers()
+
+    def inline(wavevec, kind):
+        phase = sum((2 * np.pi * k / grid.period) * x for k, x in zip(wavevec, xs))
+        return np.cos(phase) if kind == "cos" else np.sin(phase)
+
+    wavevecs = [(1,), (-2,), (0,), (3,)] if d == 1 else [(1, -2), (0, 3), (-1, 0), (0, 0)]
+    modes = tuple(FourierMode(wv, kind, 0.3 - 0.1 * i)
+                  for i, wv in enumerate(wavevecs) for kind in ("cos", "sin"))
+    field = FourierField(d, 2.0, 1.2, modes)
+    expected = np.full(grid.shape, field.mean)
+    for m in field.modes:
+        expected = expected + m.coef * inline(m.wavevec, m.kind)
+    assert np.array_equal(field.evaluate(grid), expected)
+    values = field.evaluate(grid) ** 2
+    for wv in wavevecs:
+        for kind in ("cos", "sin"):
+            scale = 1.0 if all(k == 0 for k in wv) else 2.0
+            assert _fourier_coef(values, grid, wv, kind) == \
+                float(scale * np.mean(values * inline(wv, kind)))
+
+
 def test_fourier_field_norms_match_quadrature():
     f = FourierField(1, 1.0, 0.5, (FourierMode((2,), "cos", 0.3),))
     g = GridSpec(1, 256)
