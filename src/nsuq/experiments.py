@@ -36,13 +36,12 @@ from .solver import COMPLETED, SchemeConfig, TravelingWaveCase, manufactured_con
 from .stats import (
     DiagnosticReport,
     boundedness_in_probability,
-    convergence_in_probability_diagnostic,
+    convergence_in_probability_diagnostic,  # noqa: F401 -- wrapped by perfbench/tracing.py
     diagnostic_from_distances,
     empirical_field_mean,
     empirical_functional_mean,
     energy_moment_bound,
     make_functional,
-    pair_by_index,
     r_barycenter,
 )
 
@@ -407,34 +406,98 @@ def _diagnostic_doc(diag: DiagnosticReport, tag: str, report: ExperimentReport) 
 # runners
 
 
-def run_weak(config: ExperimentConfig) -> ExperimentReport:
-    """Monte-Carlo ladder: sample, solve, and post-process level by level."""
-    if config.mode != "weak":
-        raise ValueError("config mode must be 'weak'")
-    spec = config.distribution
+def _pair_distances(ens_a: Ensemble, ens_b: Ensemble, partner, grid: GridSpec,
+                    norms) -> np.ndarray:
+    """(len(partner), len(norms)) space-time distances on `grid` between member
+    j of `ens_b` and member partner[j] of `ens_a`, one column per (q, which)
+    of `norms`; inf where either solve did not complete.
+
+    Each trajectory is sampled once (`Trajectory.sample_stack`) and every norm
+    reduces the same stacks.  The members that share a partner are visited
+    together, so a partner is sampled once and at most one partner's and one
+    member's stacks are alive.
+    """
+    out = np.full((len(partner), len(norms)), np.inf)
+    k = None
+    for j in np.argsort(partner, kind="stable"):
+        if partner[j] != k:
+            k, stacks = partner[j], {}  # end time, which fixes the time vector -> ta's stack
+            ta = _completed_trajectory(ens_a.members[k])
+        tb = _completed_trajectory(ens_b.members[j])
+        if ta is None or tb is None:
+            continue
+        times = distance_times(ta, tb)
+        if times[-1] not in stacks:
+            stacks[times[-1]] = ta.sample_stack(times, grid)
+        sa, sb = stacks[times[-1]], tb.sample_stack(times, grid)
+        out[j] = [stack_lq_distance(sa, sb, times, grid, q=q, which=which) for q, which in norms]
+        del sb  # freed before the next stack of ens_b is built
+    return out
+
+
+def _expectation_error_row(level: int, dist: np.ndarray, both: np.ndarray, w,
+                           norms: list) -> dict:
+    """Weighted r-th and s-th moments of the density and momentum distances
+    (columns 1 and 2 of `dist`) of one strong pair, summed over its
+    both-completed members in fine-cell order."""
+    # expectation-norm exponents below the integrability ceilings, the norms' q
+    r_exp, s_exp = (max(1.0, 0.5 * (1.0 + q)) for q, _ in norms[1:])
+    rho_err = mom_err = resolved_mass = 0.0
+    for j in np.flatnonzero(both):
+        wj = float(w[j])
+        resolved_mass += wj
+        rho_err += wj * float(dist[j, 1]) ** r_exp
+        mom_err += wj * float(dist[j, 2]) ** s_exp
+    return {"level": level, "rho_error": rho_err, "momentum_error": mom_err,
+            "r": r_exp, "s": s_exp, "resolved_mass": resolved_mass}
+
+
+def _run_ladder(config: ExperimentConfig, draws: list, pairs: list) -> ExperimentReport:
+    """Solve and post-process a ladder level by level, then compare level pairs.
+
+    `draws[i]` is level i's (latent points, weights, data records).  Each of
+    `pairs` is (a, b, partner, w): member j of level b is compared with member
+    partner[j] of level a, at weight w[j], on level a's (coarser) grid.  A
+    strong ladder adds the density and momentum expectation errors.
+    """
+    spec, req = config.distribution, config.stats
     report = ExperimentReport(summary={"provenance": _provenance(config)})
-    ensembles = []
-    levels = []
-    for idx, level in enumerate(config.ladder):
-        latents = sample_latent(config.seed, level.N, spec.K)
-        records = [spec.realize(om) for om in latents]
+    ensembles, levels = [], []
+    for idx, (level, (latents, weights, records)) in enumerate(zip(config.ladder, draws)):
         grid = GridSpec(spec.d, level.n_cells, spec.period)
         solves = _solve_members(records, grid, config)
-        members = [EnsembleMember(latents[i], records[i], solves[i]) for i in range(level.N)]
-        ens = Ensemble(members, np.full(level.N, 1.0 / level.N), "weak")
+        ens = Ensemble([EnsembleMember(*m) for m in zip(latents, records, solves)], weights,
+                       config.mode)
         ensembles.append(ens)
         levels.append(_level_statistics(ens, config, idx, level, report))
     report.summary["levels"] = levels
 
-    diagnostics = []
-    for idx in range(len(ensembles) - 1):
-        pairs = pair_by_index(ensembles[idx], ensembles[idx + 1])
-        diag = convergence_in_probability_diagnostic(pairs, config.stats.eps_grid,
-                                                     q=config.stats.diagnostic_q)
-        doc = _diagnostic_doc(diag, f"{idx}_{idx + 1}", report)
-        doc["pair"] = [idx, idx + 1]
+    strong = config.mode == "strong"
+    gamma = spec.gamma
+    norms = [(req.diagnostic_q, "both")]
+    if strong:  # the integrability ceilings of density and momentum
+        norms += [(gamma, "rho"), (2.0 * gamma / (gamma + 1.0), "momentum")]
+    diagnostics, error_rows = [], []
+    for a, b, partner, w in pairs:
+        ens_a, ens_b = ensembles[a], ensembles[b]
+        grid = GridSpec(spec.d, config.ladder[a].n_cells, spec.period)
+        dist = _pair_distances(ens_a, ens_b, partner, grid, norms)
+        diag = diagnostic_from_distances(dist[:, 0], w, req.eps_grid)
+        doc = _diagnostic_doc(diag, f"{a}_{b}", report)
+        doc["pair"] = [a, b]
         diagnostics.append(doc)
+        if strong:
+            both = ens_a.completed_mask[partner] & ens_b.completed_mask[:len(partner)]
+            error_rows.append(_expectation_error_row(a, dist, both, w, norms))
     report.summary["cross_level"] = {"diagnostics": diagnostics}
+    if strong:
+        report.summary["cross_level"]["expectation_errors"] = error_rows
+    if error_rows:
+        report.tables["cross_level/expectation_errors.csv"] = (
+            ("level", "rho_error", "momentum_error"),
+            [(row["level"], float(row["rho_error"]), float(row["momentum_error"]))
+             for row in error_rows],
+        )
     _means_by_level_table(levels, report)
     return report
 
@@ -455,105 +518,37 @@ def _means_by_level_table(levels: list, report: ExperimentReport) -> None:
     )
 
 
+def run_weak(config: ExperimentConfig) -> ExperimentReport:
+    """Monte-Carlo ladder at weights 1/N: neighbouring levels are compared
+    member n with member n, which share their latent point (common random numbers)."""
+    if config.mode != "weak":
+        raise ValueError("config mode must be 'weak'")
+    spec = config.distribution
+    latents = [sample_latent(config.seed, level.N, spec.K) for level in config.ladder]
+    for a in range(len(latents) - 1):
+        if not np.array_equal(latents[a], latents[a + 1][:len(latents[a])]):
+            raise ValueError(f"level {a} does not share its latent points with level {a + 1}")
+    draws = [(om, np.full(len(om), 1.0 / len(om)), [spec.realize(x) for x in om])
+             for om in latents]
+    pairs = [(a, a + 1, np.arange(len(om)), w) for a, (om, w, _) in enumerate(draws[:-1])]
+    return _run_ladder(config, draws, pairs)
+
+
 def run_strong(config: ExperimentConfig) -> ExperimentReport:
-    """Collocation ladder; cross-level errors are evaluated at the finest
-    level's collocation points through each level's piecewise-constant map."""
+    """Collocation ladder at partition-cell weights: each level is compared
+    with the finest at the finest level's collocation points, through the
+    level's piecewise-constant map (the member whose cell holds the point)."""
     if config.mode != "strong":
         raise ValueError("config mode must be 'strong'")
     spec = config.distribution
-    gamma = spec.gamma
-    report = ExperimentReport(summary={"provenance": _provenance(config)})
-    ensembles = []
-    partitions = []
-    levels = []
-    for idx, level in enumerate(config.ladder):
-        part = build_partition(spec.K, level.N, rule=config.point_rule,
-                               seed=config.seed if config.point_rule == "random" else None)
-        records = collocate_data(spec, part)
-        grid = GridSpec(spec.d, level.n_cells, spec.period)
-        solves = _solve_members(records, grid, config)
-        members = [
-            EnsembleMember(part.points[i], records[i], solves[i])
-            for i in range(part.num_cells)
-        ]
-        ens = Ensemble(members, part.weights, "strong")
-        ensembles.append(ens)
-        partitions.append(part)
-        levels.append(_level_statistics(ens, config, idx, level, report))
-    report.summary["levels"] = levels
-
-    # expectation-norm exponents below the integrability ceilings gamma and 2 gamma/(gamma+1)
-    r_exp = max(1.0, 0.5 * (1.0 + gamma))
-    q_mom = 2.0 * gamma / (gamma + 1.0)
-    s_exp = max(1.0, 0.5 * (1.0 + q_mom))
-    diagnostics = []
-    error_rows = []
-    fine_idx = len(ensembles) - 1
-    fine_ens, fine_part = ensembles[fine_idx], partitions[fine_idx]
-    fine_traj = [_completed_trajectory(m) for m in fine_ens.members]
-    fine_w = fine_part.weights
-    for idx in range(fine_idx):
-        ens, part = ensembles[idx], partitions[idx]
-        # every distance of this pair lives on the coarser level's grid
-        grid = GridSpec(spec.d, config.ladder[idx].n_cells, spec.period)
-        cells = {}  # coarse member -> the fine cells in its partition cell
-        for j, omega in enumerate(fine_part.points):
-            cells.setdefault(part.locate(omega), []).append(j)
-        resolved = np.zeros(fine_part.num_cells, dtype=bool)
-        rho_d, mom_d = np.zeros(fine_part.num_cells), np.zeros(fine_part.num_cells)
-        dists = np.full(fine_part.num_cells, np.inf)
-        # each trajectory is sampled once per pair, one coarse member at a time,
-        # so at most one coarse and one fine stack are alive
-        for k, js in cells.items():
-            ta = _completed_trajectory(ens.members[k])
-            stacks = {}  # end time, which fixes the time vector -> ta's stack
-            for j in js:
-                tb = fine_traj[j]
-                if ta is None or tb is None:
-                    continue
-                times = distance_times(ta, tb)
-                if times[-1] not in stacks:
-                    stacks[times[-1]] = ta.sample_stack(times, grid)
-                sa, sb = stacks[times[-1]], tb.sample_stack(times, grid)
-                resolved[j] = True
-                rho_d[j] = stack_lq_distance(sa, sb, times, grid, q=gamma, which="rho")
-                mom_d[j] = stack_lq_distance(sa, sb, times, grid, q=q_mom, which="momentum")
-                dists[j] = stack_lq_distance(sa, sb, times, grid, q=config.stats.diagnostic_q)
-                del sb  # freed before the next fine stack is built
-        # sums in fine-cell order
-        rho_err = mom_err = 0.0
-        resolved_mass = 0.0
-        for j in np.flatnonzero(resolved):
-            w = float(fine_w[j])
-            resolved_mass += w
-            rho_err += w * float(rho_d[j]) ** r_exp
-            mom_err += w * float(mom_d[j]) ** s_exp
-        diag = diagnostic_from_distances(dists, fine_w, config.stats.eps_grid)
-        doc = _diagnostic_doc(diag, f"{idx}_{fine_idx}", report)
-        doc["pair"] = [idx, fine_idx]
-        diagnostics.append(doc)
-        error_rows.append(
-            {
-                "level": idx,
-                "rho_error": rho_err,
-                "momentum_error": mom_err,
-                "r": r_exp,
-                "s": s_exp,
-                "resolved_mass": resolved_mass,
-            }
-        )
-    report.summary["cross_level"] = {
-        "diagnostics": diagnostics,
-        "expectation_errors": error_rows,
-    }
-    if error_rows:
-        report.tables["cross_level/expectation_errors.csv"] = (
-            ("level", "rho_error", "momentum_error"),
-            [(row["level"], float(row["rho_error"]), float(row["momentum_error"]))
-             for row in error_rows],
-        )
-    _means_by_level_table(levels, report)
-    return report
+    parts = [build_partition(spec.K, level.N, rule=config.point_rule,
+                             seed=config.seed if config.point_rule == "random" else None)
+             for level in config.ladder]
+    draws = [(part.points, part.weights, collocate_data(spec, part)) for part in parts]
+    fine = len(parts) - 1
+    pairs = [(a, fine, np.array([parts[a].locate(om) for om in parts[fine].points]),
+              parts[fine].weights) for a in range(fine)]
+    return _run_ladder(config, draws, pairs)
 
 
 def run_deterministic_convergence(config: ExperimentConfig) -> ExperimentReport:

@@ -456,9 +456,9 @@ def trajectory_lq_distance(a: Trajectory, b: Trajectory, q: float = 2.0,
     Both trajectories are sampled once, at the `N_DISTANCE_TIMES` uniform
     times of `distance_times` (linear interpolation between stored steps);
     the finer grid is restricted onto the coarser one, and the time integral
-    uses the trapezoid rule.  The strong runner's cross-level distances take
-    the same steps (`Trajectory.sample_stack`, `stack_lq_distance`), sampling
-    each trajectory once per level pair.
+    uses the trapezoid rule.  Both runners' cross-level distances take the
+    same steps (`Trajectory.sample_stack`, `stack_lq_distance`) in one loop,
+    sampling each trajectory once per level pair.
     `which` selects the compared quantity: "rho", "momentum", or "both"
     (the stacked (rho, u) vector, Euclidean pointwise magnitude).
     """

@@ -21,7 +21,6 @@ from .mesh import GridSpec, ScalarField, VectorField, FluidState, check_number
 __all__ = [
     "pressure",
     "pressure_potential",
-    "viscous_stress",
     "total_energy",
     "FourierMode",
     "FourierField",
@@ -64,25 +63,6 @@ def pressure_potential(rho, a: float, gamma: float):
     if gamma <= 1:
         raise ValueError("pressure potential is singular for gamma <= 1")
     return pressure(rho, a, gamma) / (gamma - 1.0)
-
-
-def viscous_stress(grad_u: np.ndarray, mu: float, eta: float, d: int) -> np.ndarray:
-    """Newtonian stress mu (G + G^T - (2/d) tr G I) + eta tr G I from the velocity gradient.
-
-    grad_u has shape (..., d, d) with G[i, j] = du_i/dx_j.  For d = 1 the
-    deviatoric part cancels identically, so the 1-D stress uses the reduced
-    effective coefficient (mu + eta) * du/dx (test-reduction convention,
-    matching the 1-D momentum equation used by the solver).
-    """
-    grad_u = np.asarray(grad_u, dtype=float)
-    if grad_u.shape[-2:] != (d, d):
-        raise ValueError(f"grad_u must have trailing shape ({d}, {d})")
-    if d == 1:
-        return (mu + eta) * grad_u
-    div = np.trace(grad_u, axis1=-2, axis2=-1)
-    eye = np.eye(d)
-    sym = grad_u + np.swapaxes(grad_u, -2, -1)
-    return mu * (sym - (2.0 / d) * div[..., None, None] * eye) + eta * div[..., None, None] * eye
 
 
 def total_energy(rho: np.ndarray, u: np.ndarray, grid: GridSpec, a: float,
@@ -177,9 +157,6 @@ class FourierField:
             ksq = sum((2 * np.pi * k / self.period) ** 2 for k in m.wavevec)
             acc += 0.5 * m.coef**2 * (1.0 + ksq) ** order
         return math.sqrt(vol * acc)
-
-    def l2_norm(self) -> float:
-        return self.sobolev_norm(0.0)
 
     def __sub__(self, other: "FourierField") -> "FourierField":
         if (self.d, self.period) != (other.d, other.period):

@@ -722,20 +722,15 @@ def test_weak_functional_mean_error_decreases_across_levels(bounds):
     assert errs[0] > errs[1] > errs[2]
 
 
-def test_strong_reads_each_trajectory_once_per_level_pair(bounds, monkeypatch):
-    # cross-level distances sample every trajectory once per level pair and
-    # agree exactly with pairwise trajectory_lq_distance calls
+def cross_level_reads(run, cfg, monkeypatch):
+    """(report, solve reports per level, trajectory id -> reads) of one run,
+    counting the trajectory reads made outside the per-level statistics."""
     from nsuq import experiments
-    from nsuq.mesh import Trajectory, trajectory_lq_distance
-    from nsuq.random_data import build_partition
+    from nsuq.mesh import Trajectory
 
-    spec = make_spec(bounds, mu=("uniform", 0.02, 0.08, 0))
-    cfg = ExperimentConfig(mode="strong",
-                           ladder=(LadderLevel(2, 8), LadderLevel(4, 8), LadderLevel(4, 16)),
-                           scheme=SCHEME, distribution=spec, stats=STATS, seed=0)
     solves, reads, in_level = [], {}, [False]
     solve_members, level_statistics = experiments._solve_members, experiments._level_statistics
-    sample, sample_stack = Trajectory.sample, getattr(Trajectory, "sample_stack", None)
+    sample, sample_stack = Trajectory.sample, Trajectory.sample_stack
 
     def count(traj):
         if not in_level[0]:  # reads by the per-level statistics are not cross-level reads
@@ -760,40 +755,95 @@ def test_strong_reads_each_trajectory_once_per_level_pair(bounds, monkeypatch):
         finally:
             in_level[0] = False
 
-    monkeypatch.setattr(Trajectory, "sample", counted_sample)
-    monkeypatch.setattr(Trajectory, "sample_stack", counted_stack, raising=False)
-    monkeypatch.setattr(experiments, "_solve_members", recording_solve_members)
-    monkeypatch.setattr(experiments, "_level_statistics", quiet_level_statistics)
-    report = run_strong(cfg)
-    monkeypatch.undo()
+    with monkeypatch.context() as m:
+        m.setattr(Trajectory, "sample", counted_sample)
+        m.setattr(Trajectory, "sample_stack", counted_stack)
+        m.setattr(experiments, "_solve_members", recording_solve_members)
+        m.setattr(experiments, "_level_statistics", quiet_level_statistics)
+        report = run(cfg)
+    return report, solves, reads
 
-    trajs = [[r.trajectory for r in level] for level in solves]
-    assert all(r.status == "completed" for level in solves for r in level)
-    for t in trajs[0] + trajs[1]:
-        assert reads.get(id(t), 0) <= 1  # a coarse member is read once in its one pair
-    for t in trajs[2]:
-        assert reads.get(id(t), 0) <= 2  # a fine member is read once per pair
 
-    gamma = spec.gamma
-    r_exp, q_mom = max(1.0, 0.5 * (1.0 + gamma)), 2.0 * gamma / (gamma + 1.0)
-    s_exp = max(1.0, 0.5 * (1.0 + q_mom))
-    fine = build_partition(spec.K, 4)
-    cross = report.summary["cross_level"]
-    for idx, (row, diag) in enumerate(zip(cross["expectation_errors"], cross["diagnostics"])):
-        coarse = build_partition(spec.K, cfg.ladder[idx].N)
-        rho_err = mom_err = 0.0
-        dists = []
-        for j, tb in enumerate(trajs[2]):
-            ta = trajs[idx][coarse.locate(fine.points[j])]
-            w = float(fine.weights[j])
-            rho_err += w * trajectory_lq_distance(ta, tb, q=gamma, which="rho") ** r_exp
-            mom_err += w * trajectory_lq_distance(ta, tb, q=q_mom, which="momentum") ** s_exp
-            dists.append(trajectory_lq_distance(ta, tb, q=STATS.diagnostic_q))
-        assert row["rho_error"] == rho_err and row["momentum_error"] == mom_err
-        assert diag["mean_distance"] == float(np.mean(dists))
-        assert diag["max_distance"] == max(dists)
-        assert diag["fractions"] == [float(fine.weights[np.array(dists) > e].sum())
-                                     for e in STATS.eps_grid]
+def test_strong_reads_each_trajectory_once_per_level_pair(bounds, monkeypatch):
+    # cross-level distances sample every trajectory once per level pair and
+    # agree exactly with pairwise trajectory_lq_distance calls.  Three ladders
+    # run the one pair loop: strong with K = 1; strong with K = 2, where the
+    # coarse partners of the fine cells are not in increasing order, so a loop
+    # in fine-cell order would sample a coarse member again; and weak, whose
+    # diagnostics must equal convergence_in_probability_diagnostic's
+    from nsuq.mesh import trajectory_lq_distance
+    from nsuq.random_data import Ensemble, EnsembleMember, build_partition, sample_latent
+    from nsuq.stats import convergence_in_probability_diagnostic, pair_by_index
+
+    mu = ("uniform", 0.02, 0.08, 0)
+    cases = [
+        (run_strong, make_spec(bounds, mu=mu), ((2, 8), (4, 8), (4, 16))),
+        (run_strong, make_spec(bounds, K=2, mu=mu, a=("uniform", 0.8, 1.2, 1)),
+         ((1, 8), (2, 8), (4, 16))),
+        (run_weak, make_spec(bounds, mu=mu), ((2, 8), (4, 8), (4, 16))),
+    ]
+    for run, spec, ladder in cases:
+        mode = "weak" if run is run_weak else "strong"
+        cfg = ExperimentConfig(mode=mode, ladder=tuple(LadderLevel(N, n) for N, n in ladder),
+                               scheme=SCHEME, distribution=spec, stats=STATS, seed=0)
+        report, solves, reads = cross_level_reads(run, cfg, monkeypatch)
+        cross = report.summary["cross_level"]
+        trajs = [[r.trajectory for r in level] for level in solves]
+        assert all(r.status == "completed" for level in solves for r in level)
+        for idx, level in enumerate(trajs):
+            n_pairs = sum(idx in doc["pair"] for doc in cross["diagnostics"])
+            for t in level:
+                assert reads.get(id(t), 0) <= n_pairs, (mode, spec.K, idx)
+
+        if mode == "weak":
+            for idx, doc in enumerate(cross["diagnostics"]):
+                ens_a, ens_b = (
+                    Ensemble([EnsembleMember(om, None, r) for om, r in
+                              zip(sample_latent(cfg.seed, len(level), spec.K), level)],
+                             np.full(len(level), 1.0 / len(level)), "weak")
+                    for level in solves[idx:idx + 2])
+                diag = convergence_in_probability_diagnostic(
+                    pair_by_index(ens_a, ens_b), STATS.eps_grid, q=STATS.diagnostic_q)
+                assert doc["fractions"] == [float(f) for f in diag.fractions]
+                assert doc["mean_distance"] == float(diag.distances.mean())
+                assert doc["max_distance"] == float(diag.distances.max())
+            continue
+
+        gamma = spec.gamma
+        r_exp, q_mom = max(1.0, 0.5 * (1.0 + gamma)), 2.0 * gamma / (gamma + 1.0)
+        s_exp = max(1.0, 0.5 * (1.0 + q_mom))
+        fine = build_partition(spec.K, cfg.ladder[-1].N)
+        for idx, (row, diag) in enumerate(zip(cross["expectation_errors"],
+                                              cross["diagnostics"])):
+            coarse = build_partition(spec.K, cfg.ladder[idx].N)
+            rho_err = mom_err = 0.0
+            dists = []
+            for j, tb in enumerate(trajs[-1]):
+                ta = trajs[idx][coarse.locate(fine.points[j])]
+                w = float(fine.weights[j])
+                rho_err += w * trajectory_lq_distance(ta, tb, q=gamma, which="rho") ** r_exp
+                mom_err += w * trajectory_lq_distance(ta, tb, q=q_mom, which="momentum") ** s_exp
+                dists.append(trajectory_lq_distance(ta, tb, q=STATS.diagnostic_q))
+            assert row["rho_error"] == rho_err and row["momentum_error"] == mom_err
+            assert diag["mean_distance"] == float(np.mean(dists))
+            assert diag["max_distance"] == max(dists)
+            assert diag["fractions"] == [float(fine.weights[np.array(dists) > e].sum())
+                                         for e in STATS.eps_grid]
+
+
+def test_weak_checks_common_random_numbers_before_solving(bounds, monkeypatch):
+    # level a's latent points must be the first N_a of level a+1's, or member n
+    # of one level is no partner of member n of the next; a stream that breaks
+    # this is refused before any member is solved
+    from nsuq import experiments
+
+    sample_latent, solves = experiments.sample_latent, []
+    monkeypatch.setattr(experiments, "sample_latent",
+                        lambda seed, N, K: sample_latent(seed + N, N, K))
+    monkeypatch.setattr(experiments, "solve", lambda *args, **kwargs: solves.append(args))
+    with pytest.raises(ValueError, match="latent points"):
+        run_weak(weak_config(bounds, levels=((2, 8), (4, 16))))
+    assert solves == []
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from nsuq.physics import (
     pressure_potential,
     total_energy,
     validate_admissible,
-    viscous_stress,
 )
 from conftest import make_record
 
@@ -78,42 +77,6 @@ def test_eos_identity_finite_difference():
                 p = pressure(r, a, gamma)
                 resid = abs(deriv * r - pressure_potential(r, a, gamma) - p)
                 assert resid <= 1e-10 * (1 + p)
-
-
-# ---------------------------------------------------------------------------
-# viscous stress
-
-
-def test_stress_zero_gradient():
-    assert np.all(viscous_stress(np.zeros((2, 2)), 1.0, 0.5, 2) == 0.0)
-
-
-def test_stress_identity_gradient_d2():
-    eye = np.eye(2)
-    assert np.allclose(viscous_stress(eye, 1.0, 0.0, 2), 0.0)
-    assert np.allclose(viscous_stress(eye, 0.0, 1.0, 2), 2.0 * eye)
-
-
-def test_stress_trace_free_part():
-    g = np.array([[1.0, 2.0], [2.0, -1.0]])  # trace-free symmetric
-    assert np.allclose(viscous_stress(g, 0.7, 0.0, 2), 1.4 * g)
-
-
-def test_stress_d1_effective_coefficient():
-    g = np.array([[2.0]])
-    assert viscous_stress(g, 0.3, 0.1, 1)[0, 0] == pytest.approx(0.8)
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 2**32 - 1))
-def test_stress_symmetric_and_trace(seed):
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((5, 2, 2))
-    mu, eta = rng.uniform(0.1, 2.0, size=2)
-    s = viscous_stress(g, mu, eta, 2)
-    assert np.allclose(s, np.swapaxes(s, -2, -1), atol=1e-12)
-    div = np.trace(g, axis1=-2, axis2=-1)
-    assert np.allclose(np.trace(s, axis1=-2, axis2=-1), 2 * eta * div, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -193,10 +156,10 @@ def test_fourier_field_norms_match_quadrature():
     f = FourierField(1, 1.0, 0.5, (FourierMode((2,), "cos", 0.3),))
     g = GridSpec(1, 256)
     quad = lq_norm(ScalarField(g, f.evaluate(g)), 2.0)
-    assert f.l2_norm() == pytest.approx(quad, rel=1e-12)
+    assert f.sobolev_norm(0.0) == pytest.approx(quad, rel=1e-12)
     d2 = FourierField(2, 2.0, 0.0, (FourierMode((1, 1), "sin", 1.0),))
     g2 = GridSpec(2, 64, period=2.0)
-    assert d2.l2_norm() == pytest.approx(lq_norm(ScalarField(g2, d2.evaluate(g2)), 2.0), rel=1e-12)
+    assert d2.sobolev_norm(0.0) == pytest.approx(lq_norm(ScalarField(g2, d2.evaluate(g2)), 2.0), rel=1e-12)
 
 
 def test_fourier_field_sub():

@@ -91,3 +91,41 @@ def test_benchmark_configs_load():
                 doc = json.loads(json.dumps(workloads.build_config(name, seed, shrink)))
                 cfg = ExperimentConfig.from_dict(doc)
                 assert json.loads(json.dumps(cfg.to_dict()))["ladder"] == doc["ladder"]
+
+
+def _tracer_wrapped_names() -> set:
+    """(module, name) pairs that perfbench/tracing.py's `install` wraps on an nsuq module."""
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
+    (install,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "install"]
+    modules = {a.asname or a.name for n in ast.walk(install)
+               if isinstance(n, ast.ImportFrom) and n.module == "nsuq" for a in n.names}
+    return {(call.args[0].id, call.args[1].value) for call in ast.walk(install)
+            if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "wrap"
+            and isinstance(call.args[0], ast.Name) and call.args[0].id in modules}
+
+
+def test_module_imports_are_read():
+    # a module-level import is read in its module, re-exported through __all__,
+    # or a name the benchmark's tracer wraps on that module; anything else is dead
+    wrapped = _tracer_wrapped_names()
+    unread = []
+    for path in sorted((ROOT / "src" / "nsuq").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        loaded = {n.id for n in ast.walk(tree)
+                  if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        exported = set()
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                    for t in node.targets):
+                exported = set(ast.literal_eval(node.value))
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in loaded | exported and (path.stem, name) not in wrapped:
+                        unread.append(f"{path.name}: {name}")
+    assert not unread, unread
