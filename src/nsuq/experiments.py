@@ -20,8 +20,9 @@ import numpy as np
 
 from . import __version__
 # trajectory_lq_distance is not called here; perfbench/tracing.py wraps this module's name
-from .mesh import N_DISTANCE_TIMES, GridSpec, _fmt, check_number, distance_times, save_field, \
-    stack_lq_distance, trajectory_lq_distance  # noqa: F401
+from .mesh import N_DISTANCE_TIMES, SAMPLE_CHUNK_BYTES, GridSpec, _fmt, check_number, \
+    distance_times, sample_members, save_field, stack_lq_distance, \
+    trajectory_lq_distance  # noqa: F401
 from .random_data import (
     MAX_PARTITION_CELLS,
     DistributionSpec,
@@ -35,6 +36,7 @@ from .solver import COMPLETED, SchemeConfig, TravelingWaveCase, manufactured_con
     self_convergence, solve
 from .stats import (
     DiagnosticReport,
+    SampledEnsemble,
     boundedness_in_probability,
     convergence_in_probability_diagnostic,  # noqa: F401 -- wrapped by perfbench/tracing.py
     diagnostic_from_distances,
@@ -349,10 +351,13 @@ def _level_statistics(ens: Ensemble, config: ExperimentConfig, level_idx: int,
                     "field_mean_times": [], "barycenters": []})
         return doc
 
-    means = {}
-    for fdoc in req.functionals:
-        name, F = make_functional(fdoc)
-        means[name] = empirical_functional_mean(ens, F)
+    # one sampling pass: the report times, the final time and the functionals' times
+    functionals = [make_functional(fdoc) for fdoc in req.functionals]
+    T = min(m.report.trajectory.final_time
+            for m, ok in zip(ens.members, ens.completed_mask) if ok)
+    times = np.linspace(0.0, T, req.n_report_times)
+    sampled = SampledEnsemble(ens, times, [F for _, F in functionals])
+    means = {name: empirical_functional_mean(sampled, F) for name, F in functionals}
     doc["functional_means"] = means
     if means:
         report.tables[f"{prefix}/functional_means.csv"] = (
@@ -362,17 +367,14 @@ def _level_statistics(ens: Ensemble, config: ExperimentConfig, level_idx: int,
 
     doc["energy_moment_bound"] = energy_moment_bound(ens)
 
-    T = min(m.report.trajectory.final_time
-            for m, ok in zip(ens.members, ens.completed_mask) if ok)
-    times = np.linspace(0.0, T, req.n_report_times)
     for which in ("density", "momentum"):
-        for j, (t, fld) in enumerate(empirical_field_mean(ens, which, times=times)):
+        for j, (t, fld) in enumerate(empirical_field_mean(sampled, which, times=times)):
             report.fields[f"{prefix}/mean_{which}_t{j}.csv"] = fld
     doc["field_mean_times"] = [float(t) for t in times]
 
     bary_rows = []
     for r, q, which in req.barycenters:
-        res = r_barycenter(ens, which=which, r=r, q=q)
+        res = r_barycenter(sampled, which=which, r=r, q=q)
         report.fields[f"{prefix}/barycenter_{which}_r{_fmt(r)}_q{_fmt(q)}.csv"] = res.minimizer
         bary_rows.append(
             {
@@ -412,26 +414,35 @@ def _pair_distances(ens_a: Ensemble, ens_b: Ensemble, partner, grid: GridSpec,
     j of `ens_b` and member partner[j] of `ens_a`, one column per (q, which)
     of `norms`; inf where either solve did not complete.
 
-    Each trajectory is sampled once (`Trajectory.sample_stack`) and every norm
-    reduces the same stacks.  The members that share a partner are visited
-    together, so a partner is sampled once and at most one partner's and one
-    member's stacks are alive.
+    Each level is sampled once per pair by `sample_members`: the partners on
+    their own grid, each at the distance times of its pairs (once per
+    distinct end time, which only unequal final times make more than one),
+    and the members of `ens_b` onto that grid.  Each norm then reduces the
+    members with one `stack_lq_distance` call over the member axis.  The
+    members go in partner order, in chunks of SAMPLE_CHUNK_BYTES of samples,
+    so a fine 2-D pair holds one chunk's stacks at a time.
     """
     out = np.full((len(partner), len(norms)), np.inf)
-    k = None
-    for j in np.argsort(partner, kind="stable"):
-        if partner[j] != k:
-            k, stacks = partner[j], {}  # end time, which fixes the time vector -> ta's stack
-            ta = _completed_trajectory(ens_a.members[k])
-        tb = _completed_trajectory(ens_b.members[j])
-        if ta is None or tb is None:
-            continue
-        times = distance_times(ta, tb)
-        if times[-1] not in stacks:
-            stacks[times[-1]] = ta.sample_stack(times, grid)
-        sa, sb = stacks[times[-1]], tb.sample_stack(times, grid)
-        out[j] = [stack_lq_distance(sa, sb, times, grid, q=q, which=which) for q, which in norms]
-        del sb  # freed before the next stack of ens_b is built
+    ta = [_completed_trajectory(m) for m in ens_a.members]
+    tb = [_completed_trajectory(m) for m in ens_b.members[:len(partner)]]
+    both = [j for j in np.argsort(partner, kind="stable")
+            if ta[partner[j]] is not None and tb[j] is not None]
+    if not both:
+        return out
+    times = np.array([distance_times(ta[partner[j]], tb[j]) for j in both])
+    # one partner sample per (partner, end time): its row and the times it is taken at
+    keys = {}
+    for j, t in zip(both, times):
+        keys.setdefault((partner[j], t[-1]), (len(keys), t))
+    row = [keys[partner[j], t[-1]][0] for j, t in zip(both, times)]
+    sa = sample_members([ta[k] for k, _ in keys], [t for _, t in keys.values()], grid)
+    chunk = max(1, SAMPLE_CHUNK_BYTES // sa[0][0].nbytes // (1 + grid.d))  # members per chunk
+    for lo in range(0, len(both), chunk):
+        js, t = both[lo:lo + chunk], times[lo:lo + chunk]
+        a = tuple(s[row[lo:lo + chunk]] for s in sa)
+        b = sample_members([tb[j] for j in js], t, grid)
+        out[js] = np.transpose([stack_lq_distance(a, b, t, grid, q=q, which=which)
+                                for q, which in norms])
     return out
 
 

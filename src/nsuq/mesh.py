@@ -23,6 +23,7 @@ __all__ = [
     "lq_norm",
     "neg_sobolev_norm",
     "transfer",
+    "sample_members",
     "save_field",
     "load_field",
     "N_DISTANCE_TIMES",
@@ -96,15 +97,24 @@ def _cached_centers(grid: GridSpec) -> tuple:
     return out
 
 
-def _check_values(grid: GridSpec, values: np.ndarray, expected: tuple) -> np.ndarray:
-    values = np.asarray(values, dtype=float)
-    if values.shape != expected:
-        raise ValueError(f"values shape {values.shape} does not match grid {expected}")
+def _frozen(values, shape: tuple, positive: bool = False, copy: bool = False) -> np.ndarray:
+    """`values` checked (shape, finite, and positive where asked) and made read-only.
+
+    Without `copy`, an array that owns its float data is frozen in place, so
+    its holder hands it over; anything else is copied first.
+    """
+    owned = isinstance(values, np.ndarray) and values.dtype == float \
+        and values.base is None and values.flags.c_contiguous
+    if copy or not owned:
+        values = np.array(values, dtype=float, order="C")
+    if values.shape != shape:
+        raise ValueError(f"values shape {values.shape} does not match grid {shape}")
     if not np.all(np.isfinite(values)):
         raise ValueError("field values must be finite")
-    out = values.copy()
-    out.setflags(write=False)  # fields are immutable after construction
-    return out
+    if positive and values.min() <= 0:
+        raise ValueError("density must be strictly positive")
+    values.setflags(write=False)
+    return values
 
 
 @dataclass(frozen=True)
@@ -113,7 +123,8 @@ class ScalarField:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _check_values(self.grid, self.values, self.grid.shape))
+        # fields are immutable after construction: they freeze a copy of the values
+        object.__setattr__(self, "values", _frozen(self.values, self.grid.shape, copy=True))
 
     def __reduce__(self):  # numpy unpickles arrays writeable; the constructor freezes a copy
         return type(self), (self.grid, self.values)
@@ -134,7 +145,7 @@ class VectorField:
 
     def __post_init__(self):
         expected = self.grid.shape + (self.grid.d,)
-        object.__setattr__(self, "values", _check_values(self.grid, self.values, expected))
+        object.__setattr__(self, "values", _frozen(self.values, expected, copy=True))
 
     def __reduce__(self):  # as ScalarField's
         return type(self), (self.grid, self.values)
@@ -170,39 +181,80 @@ class FluidState:
         return self.rho.grid
 
 
+def _view(cls, grid: GridSpec, values: np.ndarray):
+    """A field around values that are already checked and read-only: no copy, no second check."""
+    f = object.__new__(cls)
+    object.__setattr__(f, "grid", grid)
+    object.__setattr__(f, "values", values)
+    return f
+
+
+# bytes of source-grid states a sampling pass gathers at once; a finer source
+# grid or a long time vector is sampled in chunks of rows, so the pass never
+# holds a whole fine-grid stack
+SAMPLE_CHUNK_BYTES = 1 << 16
+
+
 class Trajectory:
     """Time history of fluid states on a fixed grid, t0 = 0.
 
-    `times` holds every step time; `states` holds the kept states, a subset
-    of the steps that includes the first and the last (all of them when
-    `times` is None).  Sampling between two steps needs both states.
+    `times` holds every step time and `steps` the indices of the kept steps,
+    a subset that includes the first and the last (every step unless the
+    solve thinned them).  The kept states are stored as read-only arrays:
+    `rho[k]` of shape grid.shape and `u[k]` of shape grid.shape + (d,) at
+    time `times[steps[k]]`, each checked once, for finite values and positive
+    density, when the trajectory takes it.  Sampling between two steps needs
+    both states.  `Trajectory(states, times)` builds one from `FluidState`s,
+    `from_arrays` from arrays.
     """
 
     def __init__(self, states: list, times=None):
         if not states:
             raise ValueError("trajectory needs at least one state")
         grid = states[0].grid
+        if any(s.grid != grid for s in states):
+            raise ValueError("all states must share one grid")
         kept = np.array([s.time for s in states], dtype=float)
         times = kept if times is None else np.asarray(times, dtype=float)
+        steps = np.minimum(np.searchsorted(times, kept), len(times) - 1)
+        if not np.array_equal(times[steps], kept):
+            raise ValueError("kept states must sit at steps")
+        self._take(grid, [s.rho.values for s in states], [s.u.values for s in states],
+                   times, steps)
+
+    @classmethod
+    def from_arrays(cls, grid: GridSpec, rho: list, u: list, times, steps) -> "Trajectory":
+        """The trajectory keeping states rho[k], u[k] at step steps[k] of `times`.
+
+        Arrays that own their float data are frozen in place and kept, not
+        copied: the caller hands them over.
+        """
+        traj = cls.__new__(cls)
+        traj._take(grid, rho, u, times, steps)
+        return traj
+
+    def _take(self, grid: GridSpec, rho: list, u: list, times, steps) -> None:
+        times = np.asarray(times, dtype=float)
+        steps = np.asarray(steps, dtype=np.intp)
+        if not len(steps):
+            raise ValueError("trajectory needs at least one state")
         if times[0] != 0.0:
             raise ValueError("trajectories start at t = 0")
         if len(times) > 1 and not np.all(np.diff(times) > 0):
             raise ValueError("times must be strictly increasing")
-        for s in states:
-            if s.grid != grid:
-                raise ValueError("all states must share one grid")
-        self._slot = None  # step -> index into states, -1 where dropped; None keeps all
-        if not np.array_equal(kept, times):
-            steps = np.minimum(np.searchsorted(times, kept), len(times) - 1)
-            if not np.array_equal(times[steps], kept) or np.any(np.diff(steps) <= 0):
-                raise ValueError("kept states must sit at distinct steps, in order")
-            if steps[0] != 0 or steps[-1] != len(times) - 1:
-                raise ValueError("kept states must include the first and the last step")
-            self._slot = np.full(len(times), -1)
-            self._slot[steps] = np.arange(len(steps))
-        self.grid = grid
-        self.times = times
-        self.states = list(states)
+        if not len(rho) == len(u) == len(steps):
+            raise ValueError("need one density and one velocity per kept step")
+        if np.any(np.diff(steps) <= 0):
+            raise ValueError("kept states must sit at distinct steps, in order")
+        if steps[0] != 0 or steps[-1] != len(times) - 1:
+            raise ValueError("kept states must include the first and the last step")
+        self.grid, self.times, self.steps = grid, times, steps
+        self.rho = tuple(_frozen(r, grid.shape, positive=True) for r in rho)
+        self.u = tuple(_frozen(v, grid.shape + (grid.d,)) for v in u)
+
+    def __reduce__(self):  # pickles as its arrays; unpickling checks and freezes them again
+        return Trajectory.from_arrays, (self.grid, list(self.rho), list(self.u), self.times,
+                                        self.steps)
 
     @property
     def final_time(self) -> float:
@@ -212,9 +264,11 @@ class Trajectory:
         return len(self.times)
 
     @property
-    def thinned(self) -> bool:
-        """True when some step's state was dropped."""
-        return self._slot is not None
+    def states(self) -> list:
+        """The kept states as `FluidState`s around the stored arrays, built on each access."""
+        return [FluidState(_view(ScalarField, self.grid, r), _view(VectorField, self.grid, v),
+                           float(t))
+                for r, v, t in zip(self.rho, self.u, self.times[self.steps])]
 
     def sample(self, t: float) -> tuple:
         """(rho values, u values) at time t: `sample_stack([t], self.grid)` at index 0."""
@@ -222,49 +276,81 @@ class Trajectory:
         return rho[0], u[0]
 
     def sample_stack(self, times, grid: GridSpec) -> tuple:
-        """(rho, u) at each of `times`, moved onto the nested `grid`.
+        """(rho, u) at each of `times`, moved onto the nested `grid`: the one-member
+        `sample_members`, shapes (len(times), *grid.shape) and (..., d)."""
+        rho, u = sample_members([self], times, grid)
+        return rho[0], u[0]
 
-        Returns new arrays of shape (len(times), *grid.shape) and
-        (len(times), *grid.shape, d); slice i interpolates linearly between the
-        stored steps around times[i].  One `searchsorted` locates every time.
-        """
-        times = np.asarray(times, dtype=float)
+    def _locate(self, times: np.ndarray) -> tuple:
+        """(k, w) of each sample time t: t lies in [t_k, t_k+1] of the kept states k
+        and k + 1, at weight w of state k + 1 (0 at an exact hit, where state k
+        alone is read; otherwise state k + 1 must be the next step's)."""
         T = self.final_time
-        outside = (times < 0) | (times > T + 1e-12 * max(1.0, T))
-        if outside.any():
-            raise ValueError(f"t={times[outside][0]} outside stored range [0, {T}]")
+        end = T + 1e-12 * max(1.0, T)
+        if len(times) and not 0 <= times.min() <= times.max() <= end:  # NaN fails too
+            outside = times[~((times >= 0) & (times <= end))]
+            raise ValueError(f"t={outside[0]} outside stored range [0, {T}]")
         times = np.minimum(times, T)
-        steps = np.searchsorted(self.times, times, side="right") - 1
-        steps = np.clip(steps, 0, len(self.times) - 1)
-        # filled slice by slice, so no stack on a finer grid than `grid` is ever built
-        rho = np.empty(times.shape + grid.shape)
-        u = np.empty(rho.shape + (grid.d,))
-        for i, (j, t) in enumerate(zip(steps, times)):
-            r, v = self._state_at(int(j), t)
-            rho[i], u[i] = transfer(r, self.grid, grid), transfer(v, self.grid, grid)
-        return rho, u
+        kept = self.times[self.steps]
+        k = np.searchsorted(kept, times, side="right") - 1
+        t0, t1 = kept[k], kept[np.minimum(k + 1, len(kept) - 1)]
+        between = times != t0  # never at the last state, since t <= T
+        if len(kept) < len(self.times):  # thinned: the next step's state may be missing
+            gap = between & (self.steps[np.minimum(k + 1, len(kept) - 1)] != self.steps[k] + 1)
+            if gap.any():
+                j = self.steps[k[gap][0]] + 1
+                raise ValueError(f"sampling t={times[gap][0]} needs step {j} "
+                                 f"(t={self.times[j]}), whose state was not kept")
+        return k, np.divide(times - t0, t1 - t0, out=np.zeros(len(times)), where=between)
 
-    def _state(self, j: int, t: float) -> FluidState:
-        if self._slot is None:
-            return self.states[j]
-        k = self._slot[j]
-        if k < 0:
-            raise ValueError(f"sampling t={t} needs step {j} (t={self.times[j]}), "
-                             "whose state was not kept")
-        return self.states[k]
 
-    def _state_at(self, j: int, t: float) -> tuple:
-        """(rho, u) at time t in [times[j], times[j + 1]]: the stored (read-only)
-        state at an exact hit or the last step, else (1 - w) s0 + w s1."""
-        s0 = self._state(j, t)
-        if j == len(self.times) - 1 or self.times[j] == t:
-            return s0.rho.values, s0.u.values
-        t0, t1 = self.times[j], self.times[j + 1]
-        w = (t - t0) / (t1 - t0)
-        s1 = self._state(j + 1, t)
-        rho = (1 - w) * s0.rho.values + w * s1.rho.values
-        u = (1 - w) * s0.u.values + w * s1.u.values
-        return rho, u
+def _interpolate(states: list, k: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Rows (1 - w) states[k] + w states[k + 1], gathered into one new stack;
+    a row at weight 0 is states[k] itself."""
+    s = np.array([states[i] for i in k])
+    mid = np.flatnonzero(w)
+    if len(mid):
+        wm = w[mid].reshape((-1,) + (1,) * (s.ndim - 1))
+        s1 = np.array([states[i + 1] for i in k[mid]])
+        s1 *= wm  # in place, rounded as (1 - w) * s0 + w * s1
+        s0 = s[mid]
+        s0 *= 1 - wm
+        s0 += s1
+        s[mid] = s0
+    return s
+
+
+def sample_members(trajs: list, times, grid: GridSpec) -> tuple:
+    """(rho, u) of each trajectory at its sample times, moved onto the nested `grid`.
+
+    `times` is one vector for every member, or one row per member.  Returns
+    new arrays of shape (len(trajs), n_times, *grid.shape) and (..., d):
+    entry (i, j) interpolates member i linearly between its kept steps
+    around its j-th time.  One `searchsorted` per member locates its times;
+    then one gather, one vectorised (1 - w) s0 + w s1 and one `transfer`
+    over the leading axis serve every (member, time) row at once, in chunks
+    of at most SAMPLE_CHUNK_BYTES of source-grid states.  The members must
+    share one grid.
+    """
+    src = trajs[0].grid
+    if any(tr.grid != src for tr in trajs):
+        raise ValueError("sampled members must share one grid")
+    times = np.asarray(times, dtype=float)
+    times = np.broadcast_to(times, (len(trajs), times.shape[-1]))
+    located = [tr._locate(t) for tr, t in zip(trajs, times)]
+    # row (i, j) reads state k of member i: entry offset[i] + k of the level's state list
+    offset = np.cumsum([0] + [len(tr.steps) for tr in trajs[:-1]])
+    g = np.concatenate([off + k for off, (k, _) in zip(offset, located)])
+    w = np.concatenate([w for _, w in located])
+    rho = np.empty((len(g),) + grid.shape)
+    u = np.empty(rho.shape + (grid.d,))
+    chunk = max(1, SAMPLE_CHUNK_BYTES // (src.num_cells * (1 + src.d) * rho.itemsize))
+    for field, out in (("rho", rho), ("u", u)):
+        states = [a for tr in trajs for a in getattr(tr, field)]
+        for lo in range(0, len(g), chunk):
+            rows = slice(lo, lo + chunk)
+            out[rows] = transfer(_interpolate(states, g[rows], w[rows]), src, grid, lead=1)
+    return rho.reshape(times.shape + grid.shape), u.reshape(times.shape + u.shape[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -294,10 +380,9 @@ def lq_norm(f: Field, q: float) -> float:
     return _lq(a, q, f.grid.cell_volume)
 
 
-def _spatial_neg_sobolev_sq(values: np.ndarray, grid: GridSpec, m: int) -> float:
-    # forward DFT normalized by cell count so the k=0 coefficient is the mean
-    axes = tuple(range(grid.d))
-    fhat = np.fft.fftn(values, axes=axes) / grid.num_cells
+@functools.lru_cache(maxsize=128)
+def _sobolev_weight(grid: GridSpec, m: int) -> np.ndarray:
+    """(1 + |2 pi k / period|^2)^(-m) over the grid's integer modes k, in FFT order."""
     kint = np.fft.fftfreq(grid.n) * grid.n  # integer mode numbers
     if grid.d == 1:
         ksq = (2 * np.pi * kint / grid.period) ** 2
@@ -305,9 +390,24 @@ def _spatial_neg_sobolev_sq(values: np.ndarray, grid: GridSpec, m: int) -> float
         kx, ky = np.meshgrid(kint, kint, indexing="ij")
         ksq = (2 * np.pi / grid.period) ** 2 * (kx**2 + ky**2)
     weight = (1.0 + ksq) ** (-float(m))
-    if values.ndim == grid.d:  # scalar
-        return float(np.sum(np.abs(fhat) ** 2 * weight))
-    return float(sum(np.sum(np.abs(fhat[..., c]) ** 2 * weight) for c in range(values.shape[-1])))
+    weight.setflags(write=False)
+    return weight
+
+
+def _neg_sobolev_sq(values: np.ndarray, grid: GridSpec, m: int, lead: int = 0):
+    """sum_k |fhat_k|^2 (1 + |2 pi k / period|^2)^(-m) of a field, or an array of
+    them for a stack of fields along `lead` leading axes (one batched FFT)."""
+    # forward DFT normalized by cell count so the k=0 coefficient is the mean
+    fhat = np.fft.fftn(values, axes=tuple(range(lead, lead + grid.d))) / grid.num_cells
+    weight = _sobolev_weight(grid, m)
+    rows = values.shape[:lead] + (-1,)  # each field sums like a whole-field np.sum
+
+    def total(f):
+        return np.sum((np.abs(f) ** 2 * weight).reshape(rows), axis=-1)
+
+    if values.ndim == lead + grid.d:  # scalar
+        return total(fhat)
+    return sum(total(fhat[..., c]) for c in range(values.shape[-1]))
 
 
 def neg_sobolev_norm(obj, m: int) -> float:
@@ -315,37 +415,35 @@ def neg_sobolev_norm(obj, m: int) -> float:
 
     For a field: ||f||^2 = sum_k |fhat_k|^2 (1 + |2 pi k / period|^2)^(-m).
     For a trajectory: L^2-in-time of the spatial norms by the trapezoid rule
-    over the stored steps, applied to the (rho, u) pair jointly.
+    over the stored steps, applied to the (rho, u) pair jointly, with one
+    FFT over the stack of its kept states per field.
     Requires m > d + 1 so that bounded fields embed compactly.
     """
     grid = obj.grid
     if m <= grid.d + 1:
         raise ValueError(f"need m > d+1 = {grid.d + 1}, got {m}")
     if isinstance(obj, Trajectory):
-        if obj.thinned:
+        if len(obj.steps) < len(obj.times):
             raise ValueError("the negative Sobolev norm of a trajectory needs every step's state")
-        sq = np.array(
-            [
-                _spatial_neg_sobolev_sq(s.rho.values, grid, m)
-                + _spatial_neg_sobolev_sq(s.u.values, grid, m)
-                for s in obj.states
-            ]
-        )
+        sq = (_neg_sobolev_sq(np.array(obj.rho), grid, m, lead=1)
+              + _neg_sobolev_sq(np.array(obj.u), grid, m, lead=1))
         if len(obj) == 1:
             return float(np.sqrt(sq[0]))
         return float(np.sqrt(np.trapezoid(sq, obj.times)))
-    return float(np.sqrt(_spatial_neg_sobolev_sq(obj.values, grid, m)))
+    return float(np.sqrt(_neg_sobolev_sq(obj.values, grid, m)))
 
 
 # ---------------------------------------------------------------------------
 # grid transfer (nested uniform grids only)
 
 
-def transfer(values: np.ndarray, src: GridSpec, target: GridSpec) -> np.ndarray:
+def transfer(values: np.ndarray, src: GridSpec, target: GridSpec, lead: int = 0) -> np.ndarray:
     """Cell values moved from `src` onto a nested `target` grid.
 
     Cell averages onto a coarser grid, copies onto a finer one, and the
-    values themselves (not a copy) on the same grid.
+    values themselves (not a copy) on the same grid.  The spatial axes
+    follow `lead` leading axes (a stack of fields) and precede any trailing
+    component axis.
     """
     if target.d != src.d or target.period != src.period:
         raise ValueError("grids must share dimension and period")
@@ -354,12 +452,13 @@ def transfer(values: np.ndarray, src: GridSpec, target: GridSpec) -> np.ndarray:
     if src.n % target.n == 0:
         r = src.n // target.n
         # split each spatial axis into (coarse cell, fine cell within it) and average the latter
-        v = values.reshape((target.n, r) * src.d + values.shape[src.d:])
+        v = values.reshape(values.shape[:lead] + (target.n, r) * src.d
+                           + values.shape[lead + src.d:])
         # np.mean's sum-then-divide, without its per-call overhead
-        return np.add.reduce(v, axis=tuple(range(1, 2 * src.d, 2))) / r**src.d
+        return np.add.reduce(v, axis=tuple(range(lead + 1, lead + 2 * src.d, 2))) / r**src.d
     if target.n % src.n == 0:
         for ax in range(src.d):
-            values = np.repeat(values, target.n // src.n, axis=ax)
+            values = np.repeat(values, target.n // src.n, axis=lead + ax)
         return values
     raise ValueError(f"grids not nested: {src.n} vs {target.n}")
 
@@ -412,15 +511,17 @@ def distance_times(a: Trajectory, b: Trajectory) -> np.ndarray:
     return np.linspace(0.0, min(a.final_time, b.final_time), N_DISTANCE_TIMES)
 
 
-def stack_lq_distance(a: tuple, b: tuple, times: np.ndarray, grid: GridSpec,
-                      q: float = 2.0, which: str = "both") -> float:
+def stack_lq_distance(a: tuple, b: tuple, times, grid: GridSpec,
+                      q: float = 2.0, which: str = "both"):
     """L^q((0,T) x torus) distance between two stacked samples on `grid`.
 
-    `a` and `b` are `Trajectory.sample_stack(times, grid)` results.  Each
-    time slice is reduced over its cells, then the time integral uses the
-    trapezoid rule.  `which` selects the compared quantity: "rho",
-    "momentum", or "both" (the stacked (rho, u) vector, Euclidean pointwise
-    magnitude).
+    `a` and `b` are `Trajectory.sample_stack(times, grid)` results; or, with
+    `times` one row per member, `sample_members` results, and then the
+    result is an array of one distance per member.  Each time slice is
+    reduced over its cells, then the time integral uses the trapezoid rule,
+    and each distance's root is taken as a scalar.  `which` selects the
+    compared quantity: "rho", "momentum", or "both" (the stacked (rho, u)
+    vector, Euclidean pointwise magnitude).
     """
     # the stacks are large, so temporaries are updated in place
     (ra, ua), (rb, ub) = a, b
@@ -439,14 +540,21 @@ def stack_lq_distance(a: tuple, b: tuple, times: np.ndarray, grid: GridSpec,
         np.sqrt(mag, out=mag)
     else:
         raise ValueError(f"unknown field selector {which!r}")
-    if q == np.inf:
-        return float(mag.max())
     if q < 1:
         raise ValueError("q must be >= 1 or inf")
-    # one row per time slice, so each slice sums in the order of a whole-field np.sum
-    mag = mag.reshape(len(times), grid.num_cells)
-    slice_int = np.sum(np.power(mag, q, out=mag), axis=1) * grid.cell_volume
-    return float(np.trapezoid(slice_int, times) ** (1.0 / q))
+    times = np.asarray(times, dtype=float)
+    if q == np.inf:
+        dist = mag.reshape(times.shape[:-1] + (-1,)).max(axis=-1)
+    else:
+        # one row per time slice, so each slice sums in the order of a whole-field np.sum
+        mag = mag.reshape(times.shape + (grid.num_cells,))
+        slice_int = np.sum(np.power(mag, q, out=mag), axis=-1) * grid.cell_volume
+        dist = np.trapezoid(slice_int, times, axis=-1)
+
+    def root(x) -> float:  # a scalar power: numpy's array power rounds differently
+        return float(x if q == np.inf else x ** (1.0 / q))
+
+    return root(dist) if times.ndim == 1 else np.array([root(x) for x in dist])
 
 
 def trajectory_lq_distance(a: Trajectory, b: Trajectory, q: float = 2.0,
@@ -457,8 +565,8 @@ def trajectory_lq_distance(a: Trajectory, b: Trajectory, q: float = 2.0,
     times of `distance_times` (linear interpolation between stored steps);
     the finer grid is restricted onto the coarser one, and the time integral
     uses the trapezoid rule.  Both runners' cross-level distances take the
-    same steps (`Trajectory.sample_stack`, `stack_lq_distance`) in one loop,
-    sampling each trajectory once per level pair.
+    same steps for a whole level pair at once (`sample_members`, then
+    `stack_lq_distance` over the member axis).
     `which` selects the compared quantity: "rho", "momentum", or "both"
     (the stacked (rho, u) vector, Euclidean pointwise magnitude).
     """

@@ -276,7 +276,7 @@ class ForcingSpec:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ForcingSpec":
-        # an unknown key fails in the constructors
+        doc = dict(doc)  # an unknown key fails in the constructors
         terms = tuple(
             ForcingTerm(**{**t, **{k: tuple(t[k]) for k in ("wavevec", "amplitude", "poly")
                                    if k in t}})

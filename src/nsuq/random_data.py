@@ -209,7 +209,7 @@ class RandomFieldSpec:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RandomFieldSpec":
-        # an unknown key fails in the constructors
+        doc = dict(doc)  # an unknown key fails in the constructors
         modes = tuple(RandomMode(**{**m, "wavevec": tuple(m["wavevec"])})
                       for m in doc.get("modes", ()))
         return cls(**{**doc, "modes": modes})

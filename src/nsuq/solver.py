@@ -30,9 +30,6 @@ import numpy as np
 
 from .mesh import (
     GridSpec,
-    ScalarField,
-    VectorField,
-    FluidState,
     Trajectory,
     _mag,
     check_number,
@@ -400,8 +397,10 @@ def solve(data: DataRecord, grid: GridSpec, cfg: SchemeConfig, keep=None) -> Sol
     """Integrate from the record's initial data to cfg.T, or until an abort.
 
     The loop passes plain (rho, u) arrays to `cfl_dt`, `step` and
-    `total_energy`; only the kept states become `FluidState`s, the first one
-    from `DataRecord.initial_state`, which checks the initial data.  Each
+    `total_energy`, and the trajectory keeps the kept states' arrays as they
+    are: `Trajectory.from_arrays` checks and freezes each one, with no copy
+    and no `FluidState`.  The initial state comes from
+    `DataRecord.initial_state`, which checks the initial data.  Each
     step's guess is the velocity extrapolated through the last three
     accepted states (`_extrapolate`): u_k on the first step, linear on the
     second.
@@ -417,11 +416,10 @@ def solve(data: DataRecord, grid: GridSpec, cfg: SchemeConfig, keep=None) -> Sol
     Every step's time, linf and energy are recorded either way.  None keeps
     every state.
     """
-    def wrap(rho, u, t):  # a kept state: FluidState copies and checks the arrays
-        return FluidState(ScalarField(grid, rho), VectorField(grid, u), t)
-
-    states = [data.initial_state(grid)]
-    rho, u, t = states[0].rho.values, states[0].u.values, states[0].time
+    s0 = data.initial_state(grid)
+    rho, u, t = s0.rho.values, s0.u.values, s0.time
+    kept = [(rho, u)]  # the kept states, at steps `steps`
+    steps = [0]
     times = [t]
     linf = [_linf(rho, u)]
     energy = [total_energy(rho, u, grid, data.a, data.gamma)]
@@ -445,7 +443,7 @@ def solve(data: DataRecord, grid: GridSpec, cfg: SchemeConfig, keep=None) -> Sol
                 dt = cfg.T - t
             past = [(t, u)] + past[:2]
             guess = _extrapolate(past, t + dt)
-            prev = rho, u, t
+            prev = rho, u
             try:
                 rho, u = step(rho, u, t, data, dt, grid, cfg, guess)
             except VacuumError:
@@ -456,20 +454,24 @@ def solve(data: DataRecord, grid: GridSpec, cfg: SchemeConfig, keep=None) -> Sol
                 break
             t += dt
             if keep is None or np.any((lo <= t) & (hi >= times[-1])):
-                if states[-1].time != times[-1]:
-                    states.append(wrap(*prev))
-                states.append(wrap(rho, u, t))
+                if steps[-1] != len(times) - 1:
+                    kept.append(prev)
+                    steps.append(len(times) - 1)
+                kept.append((rho, u))
+                steps.append(len(times))
             times.append(t)
             linf.append(_linf(rho, u))
             energy.append(total_energy(rho, u, grid, data.a, data.gamma))
             if linf[-1] > cfg.linf_ceiling:
                 status = ABORTED_LINF
                 break
-    if states[-1].time != t:
-        states.append(wrap(rho, u, t))
+    if steps[-1] != len(times) - 1:
+        kept.append((rho, u))
+        steps.append(len(times) - 1)
 
     return SolveReport(
-        trajectory=Trajectory(states, times),
+        trajectory=Trajectory.from_arrays(grid, [r for r, _ in kept], [v for _, v in kept],
+                                          times, steps),
         linf_history=np.array(linf),
         energy_history=np.array(energy),
         status=status,
@@ -566,10 +568,10 @@ def _l1_error_vs_exact(traj: Trajectory, case: TravelingWaveCase) -> float:
     grid = traj.grid
     x = grid.cell_centers()[0]
     vol = grid.cell_volume
-    per_t = np.empty(len(traj.states))  # a thinned trajectory fails in np.trapezoid
-    for i, s in enumerate(traj.states):
-        drho = np.abs(s.rho.values - case.exact_rho(s.time, x))
-        du = np.abs(s.u.values[..., 0] - case.exact_u())
+    per_t = np.empty(len(traj.steps))  # a thinned trajectory fails in np.trapezoid
+    for i, (rho, u, t) in enumerate(zip(traj.rho, traj.u, traj.times[traj.steps])):
+        drho = np.abs(rho - case.exact_rho(t, x))
+        du = np.abs(u[..., 0] - case.exact_u())
         per_t[i] = np.sum(drho + du) * vol
     return float(np.trapezoid(per_t, traj.times))
 

@@ -23,6 +23,7 @@ from .mesh import (
     _mag,
     check_number,
     neg_sobolev_norm,
+    sample_members,
     trajectory_lq_distance,
 )
 from .physics import _spatial_profile
@@ -34,6 +35,7 @@ __all__ = [
     "boundedness_in_probability",
     "empirical_functional_mean",
     "empirical_field_mean",
+    "SampledEnsemble",
     "BarycenterResult",
     "r_barycenter",
     "PairedSample",
@@ -104,36 +106,86 @@ def _resolved(ensemble: Ensemble):
     return members, w / w.sum()
 
 
+def _shared_grid(members: list):
+    """(trajectories, grid) of completed members; a mixed-grid ensemble raises ValueError."""
+    trajs = [m.report.trajectory for m in members]
+    grid = trajs[0].grid
+    if any(tr.grid != grid for tr in trajs):
+        raise ValueError("ensemble members must share one grid")
+    return trajs, grid
+
+
+class SampledEnsemble(Ensemble):
+    """An ensemble whose completed members are sampled once, by one `sample_members`
+    pass, at `times`, at the earliest final time (the barycenters' default) and
+    at every time a state functional of `functionals` reads that all members reach.
+
+    `rho` and `u` are the (members, len(self.times), *grid.shape[, d]) stacks of
+    the completed members, in order.  The statistics below read a time from
+    these stacks when it was sampled, and sample any other time afresh.
+    """
+
+    def __init__(self, ensemble: Ensemble, times=(), functionals=()):
+        super().__init__(ensemble.members, ensemble.weights, ensemble.mode)
+        trajs, self.grid = _shared_grid(_resolved(self)[0])
+        T = min(tr.final_time for tr in trajs)
+        reads = [*times, T, *(F.time_of(tr) for F in functionals
+                              if isinstance(F, _StateFunctional) for tr in trajs)]
+        self.times = np.array([t for t in dict.fromkeys(map(float, reads)) if t <= T])
+        self._column = {t: c for c, t in enumerate(self.times)}
+        self.rho, self.u = sample_members(trajs, self.times, self.grid)
+
+    def _columns(self, times):
+        """Index of `times` along the stacks' time axis (a slice when they are
+        consecutive columns), or None when one of them was not sampled."""
+        cols = [self._column.get(float(t)) for t in times]
+        if None in cols:
+            return None
+        if cols and cols == list(range(cols[0], cols[0] + len(cols))):
+            return slice(cols[0], cols[0] + len(cols))
+        return cols
+
+    def _state_value(self, F: "_StateFunctional", i: int, traj: Trajectory) -> float:
+        """F of completed member i (trajectory `traj`), read from the stacks when
+        its time was sampled."""
+        c = self._column.get(float(F.time_of(traj)))
+        return F(traj) if c is None else F.value(self.rho[i, c], self.u[i, c], self.grid)
+
+
 def empirical_functional_mean(ensemble: Ensemble, F) -> float:
     """Weighted mean of F over completed members (weights renormalized)."""
     members, w = _resolved(ensemble)
-    return float(sum(wi * F(m.report.trajectory) for wi, m in zip(w, members)))
+    trajs = [m.report.trajectory for m in members]
+    if isinstance(ensemble, SampledEnsemble) and isinstance(F, _StateFunctional):
+        values = [ensemble._state_value(F, i, tr) for i, tr in enumerate(trajs)]
+    else:
+        values = [F(tr) for tr in trajs]
+    return float(sum(wi * v for wi, v in zip(w, values)))
 
 
 def _member_stack(ensemble: Ensemble, which: str, times) -> tuple:
     """(grid, w, times, Y) of the completed members, with their renormalized
     weights w and Y[i] member i's density or momentum at each of `times`
-    (None: the earliest final time), read by one `Trajectory.sample_stack`.
+    (None: the earliest final time).
 
-    Y has shape (members, len(times), *grid.shape[, d]).  The members must
-    share one grid; a mixed-grid ensemble raises ValueError.
+    A `SampledEnsemble` gives Y from its stacks when it sampled `times`;
+    otherwise one `sample_members` pass samples them.  Y has shape
+    (members, len(times), *grid.shape[, d]).  The members must share one
+    grid; a mixed-grid ensemble raises ValueError.
     """
     if which not in ("density", "momentum"):
         raise ValueError(f"unknown field selector {which!r}")
     members, w = _resolved(ensemble)
-    trajs = [m.report.trajectory for m in members]
-    grid = trajs[0].grid
-    if any(tr.grid != grid for tr in trajs):
-        raise ValueError("ensemble members must share one grid")
+    trajs, grid = _shared_grid(members)
     if times is None:
         times = [min(tr.final_time for tr in trajs)]
     times = np.asarray(times, dtype=float)
-    shape = (len(trajs), len(times)) + grid.shape
-    Y = np.empty(shape if which == "density" else shape + (grid.d,))
-    for tr, y in zip(trajs, Y):
-        rho, u = tr.sample_stack(times, grid)
-        y[...] = rho if which == "density" else rho[..., None] * u
-    return grid, w, times, Y
+    cols = ensemble._columns(times) if isinstance(ensemble, SampledEnsemble) else None
+    if cols is None:
+        rho, u = sample_members(trajs, times, grid)
+    else:
+        rho, u = ensemble.rho[:, cols], ensemble.u[:, cols]
+    return grid, w, times, rho if which == "density" else rho[..., None] * u
 
 
 def _weighted_sum(w, Y) -> np.ndarray:
@@ -386,6 +438,20 @@ _FUNCTIONAL_PARAMS = {
 }
 
 
+@dataclass(frozen=True)
+class _StateFunctional:
+    """A functional of the state a trajectory reaches at one time: `value(rho,
+    u, grid)` of its state at `time_of(traj)`, so that a `SampledEnsemble`
+    can serve that state from its stacks."""
+
+    time_of: object
+    value: object
+
+    def __call__(self, traj: Trajectory) -> float:
+        rho, u = traj.sample(self.time_of(traj))
+        return self.value(rho, u, traj.grid)
+
+
 def make_functional(doc: dict):
     """Build a named bounded functional of a trajectory from a config document.
 
@@ -410,11 +476,10 @@ def make_functional(doc: dict):
     if kind == "tanh_mean_density":
         scale, center = p["scale"], p["center"]
 
-        def F(traj: Trajectory) -> float:
-            rho, _ = traj.sample(traj.final_time)
+        def mean_density(rho, u, grid) -> float:
             return math.tanh(scale * (float(rho.mean()) - center))
 
-        return name, F
+        return name, _StateFunctional(lambda traj: traj.final_time, mean_density)
     if kind == "clamp_fourier":
         if not isinstance(p["wavevec"], (list, tuple)):
             raise ValueError(f"functional {name}: wavevec must be a list of integers")
@@ -431,14 +496,15 @@ def make_functional(doc: dict):
         wavevec, part, field, lo, hi, scale = (tuple(p["wavevec"]), p["part"], p["field"],
                                                p["lo"], p["hi"], p["scale"])
 
-        def F(traj: Trajectory) -> float:
-            t = traj.final_time if at == "final" else (0.0 if at == "initial" else float(at))
-            rho, u = traj.sample(t)
+        def time_of(traj: Trajectory) -> float:
+            return traj.final_time if at == "final" else (0.0 if at == "initial" else float(at))
+
+        def clamped_coef(rho, u, grid) -> float:
             vals = rho if field == "rho" else np.sqrt(np.sum((rho[..., None] * u) ** 2, axis=-1))
-            c = _fourier_coef(vals, traj.grid, wavevec, part)
+            c = _fourier_coef(vals, grid, wavevec, part)
             return float(np.clip(scale * c, lo, hi))
 
-        return name, F
+        return name, _StateFunctional(time_of, clamped_coef)
     m, scale = p["m"], p["scale"]
     if m is not None:
         check_number(m, f"functional {name}: m")

@@ -23,10 +23,17 @@ from nsuq.random_data import (
 from nsuq.solver import SolveReport
 
 
-# `pytest --hypothesis-profile deep` runs the solver-contract, extrapolated-guess and
-# preconditioned-solve property tests (test_solver.py) with 400 examples instead of
-# their tier-1 25
+# `pytest --hypothesis-profile deep` runs the property tests that take `deep_or(n)`
+# settings (the solver contract, the batched sampling and distance paths, the CLI
+# config fuzz) with 400 examples instead of their tier-1 n
 settings.register_profile("deep", max_examples=400)
+
+
+def deep_or(n: int):
+    """The deep profile's settings when it is loaded, else n examples; no deadline."""
+    if settings.get_current_profile_name() == "deep":
+        return settings(settings.get_profile("deep"), deadline=None)
+    return settings(max_examples=n, deadline=None)
 
 
 @pytest.fixture
@@ -117,3 +124,21 @@ def fake_ensemble(entries, mode="weak", weights=None, grid=None, d=1, n=8):
     if weights is None:
         weights = np.full(len(entries), 1.0 / len(entries))
     return Ensemble(members=members, weights=np.asarray(weights, dtype=float), mode=mode)
+
+
+def random_member(rng, grid, T, thin=False):
+    """(trajectory, sample times) on `grid` ending at T: random steps, a random
+    subset of them kept when `thin`, and 5 times the kept states can serve,
+    exact hits, points between kept neighbours and the final time among them."""
+    times = np.unique(np.concatenate([[0.0, T], rng.uniform(0.0, T, rng.integers(1, 7))]))
+    keep = np.ones(len(times), dtype=bool)
+    if thin:
+        keep[1:-1] = rng.random(len(times) - 2) < 0.6
+    steps = np.flatnonzero(keep)
+    rho = [1.0 + 0.5 * rng.random(grid.shape) for _ in steps]
+    u = [rng.standard_normal(grid.shape + (grid.d,)) for _ in steps]
+    traj = Trajectory.from_arrays(grid, rho, u, times, steps)
+    pairs = [(times[j], times[j + 1]) for j in steps[:-1] if keep[j + 1]]
+    candidates = [*times[steps], T, T + 1e-13 * T]
+    candidates += [a + (b - a) * rng.random() for a, b in pairs]
+    return traj, rng.choice(candidates, 5)

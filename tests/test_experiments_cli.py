@@ -6,8 +6,12 @@ import os
 import subprocess
 import sys
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from nsuq.cli import main
 from nsuq.experiments import (
@@ -21,7 +25,7 @@ from nsuq.experiments import (
 from nsuq.mesh import load_field
 from nsuq.solver import SchemeConfig, solve
 from nsuq.mesh import GridSpec
-from conftest import make_record, make_spec
+from conftest import deep_or, make_record, make_spec, random_member
 
 
 SCHEME = SchemeConfig(cfl=0.4, T=0.05)
@@ -512,10 +516,11 @@ def test_pooled_members_keep_read_only_fields(bounds, monkeypatch):
     records = [make_record(rho_amp=a, u_amp=0.05) for a in (0.05, 0.1, 0.15)]
     reports = experiments._solve_members(records, GridSpec(1, 8),
                                          weak_config(bounds, threads=2))
-    states = [s for r in reports for s in r.trajectory.states]
-    assert len(states) > len(records)
-    for s in states:
-        assert not s.rho.values.flags.writeable and not s.u.values.flags.writeable
+    # the arrays the trajectories store, not the FluidStates built around them on access
+    kept = [a for r in reports for a in r.trajectory.rho + r.trajectory.u]
+    assert len(kept) > 2 * len(records)
+    for a in kept:
+        assert not a.flags.writeable
 
 
 def test_one_worker_run_never_imports_multiprocessing(bounds, tmp_path):
@@ -530,6 +535,83 @@ def test_one_worker_run_never_imports_multiprocessing(bounds, tmp_path):
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "False", proc.stdout
+
+
+def _fuzz_bases():
+    """Small weak, strong and convergence documents for the config fuzz."""
+    from nsuq.physics import AdmissibleBounds
+
+    bounds = AdmissibleBounds(rho_lower=0.5, mu_lower=0.01, a_lower=0.5, a_upper=1.5, g_sup=1.0)
+    scheme = dataclasses.replace(SCHEME, T=0.01)
+    spec = make_spec(bounds, mu=("uniform", 0.02, 0.08, 0), rho_slope=0.02, rho_latent=0)
+    stats = dataclasses.replace(STATS, functionals=STATS.functionals + (
+        {"kind": "clamp_fourier", "name": "c", "wavevec": [1], "time": 0.005},))
+    weak = ExperimentConfig(mode="weak", ladder=(LadderLevel(2, 8), LadderLevel(2, 16)),
+                            scheme=scheme, distribution=spec, stats=stats, seed=1).to_dict()
+    strong = {**weak, "mode": "strong"}
+    conv = [{**weak, "mode": "convergence", "ladder": [], "convergence": c}
+            for c in ({"study": "self", "grids": [4], "ref_n": 8},
+                      {"study": "manufactured", "grids": [8, 16], "mu": 0.05})]
+    return {"run-weak": [weak], "run-strong": [strong], "run-convergence": conv}
+
+
+FUZZ_BASES = _fuzz_bases()
+
+
+def _paths(doc, prefix=()):
+    """Every (path, value) in a JSON document, containers included, the root excluded."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        yield prefix + (key,), value
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, prefix + (key,))
+
+
+# mutations change a value's type, sign or structure, never the size of a number
+FUZZ_VALUES = [None, True, False, "1", [], {}, -0.0, float("nan")]
+
+
+@deep_or(20)
+@given(st.sampled_from(sorted(FUZZ_BASES)), st.data())
+def test_cli_config_fuzz(command, data):
+    # every config either runs (0), has its solve aborted (3), or is refused with one
+    # config error line and no output (2); none crashes with a traceback
+    import contextlib
+    import copy
+    import io
+    import tempfile
+
+    doc = copy.deepcopy(data.draw(st.sampled_from(FUZZ_BASES[command])))
+    for _ in range(data.draw(st.integers(1, 2))):
+        path, value = data.draw(st.sampled_from(list(_paths(doc))))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        kind = data.draw(st.sampled_from(["type", "sign", "wrap", "delete", "extra"]))
+        if kind == "sign" and type(value) in (int, float):
+            parent[path[-1]] = -value
+        elif kind == "wrap":
+            parent[path[-1]] = [value]
+        elif kind == "delete":
+            del parent[path[-1]]
+        elif kind == "extra" and isinstance(value, dict):
+            value["unknown_key"] = 1
+        else:
+            parent[path[-1]] = data.draw(st.sampled_from(FUZZ_VALUES))
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path, out = os.path.join(tmp, "cfg.json"), os.path.join(tmp, "out")
+        with open(cfg_path, "w") as fh:
+            json.dump(doc, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main([command, "--config", cfg_path, "--out", out, "--threads", "1"])
+        assert code in (0, 2, 3), (code, doc)
+        if code == 2:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("nsuq: config error:"), lines
+            assert not os.path.exists(out)
+        else:
+            assert "Traceback" not in err.getvalue()
 
 
 def test_cli_config_errors(bounds, tmp_path, capsys, monkeypatch):
@@ -724,13 +806,15 @@ def test_weak_functional_mean_error_decreases_across_levels(bounds):
 
 def cross_level_reads(run, cfg, monkeypatch):
     """(report, solve reports per level, trajectory id -> reads) of one run,
-    counting the trajectory reads made outside the per-level statistics."""
+    counting the trajectory reads made outside the per-level statistics: each
+    trajectory passed to the level sampler, and each one-member read."""
     from nsuq import experiments
     from nsuq.mesh import Trajectory
 
     solves, reads, in_level = [], {}, [False]
     solve_members, level_statistics = experiments._solve_members, experiments._level_statistics
     sample, sample_stack = Trajectory.sample, Trajectory.sample_stack
+    sample_members = experiments.sample_members
 
     def count(traj):
         if not in_level[0]:  # reads by the per-level statistics are not cross-level reads
@@ -743,6 +827,11 @@ def cross_level_reads(run, cfg, monkeypatch):
     def counted_stack(self, *args, **kwargs):
         count(self)
         return sample_stack(self, *args, **kwargs)
+
+    def counted_members(trajs, *args, **kwargs):
+        for traj in trajs:
+            count(traj)
+        return sample_members(trajs, *args, **kwargs)
 
     def recording_solve_members(*args):
         solves.append(solve_members(*args))
@@ -758,6 +847,7 @@ def cross_level_reads(run, cfg, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(Trajectory, "sample", counted_sample)
         m.setattr(Trajectory, "sample_stack", counted_stack)
+        m.setattr(experiments, "sample_members", counted_members)
         m.setattr(experiments, "_solve_members", recording_solve_members)
         m.setattr(experiments, "_level_statistics", quiet_level_statistics)
         report = run(cfg)
@@ -794,6 +884,8 @@ def test_strong_reads_each_trajectory_once_per_level_pair(bounds, monkeypatch):
             n_pairs = sum(idx in doc["pair"] for doc in cross["diagnostics"])
             for t in level:
                 assert reads.get(id(t), 0) <= n_pairs, (mode, spec.K, idx)
+        # the reads are counted where the pairs make them: every finest member is read
+        assert all(reads.get(id(t), 0) >= 1 for t in trajs[-1]), mode
 
         if mode == "weak":
             for idx, doc in enumerate(cross["diagnostics"]):
@@ -829,6 +921,48 @@ def test_strong_reads_each_trajectory_once_per_level_pair(bounds, monkeypatch):
             assert diag["max_distance"] == max(dists)
             assert diag["fractions"] == [float(fine.weights[np.array(dists) > e].sum())
                                          for e in STATS.eps_grid]
+
+
+@deep_or(25)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([(1, 4, 8), (1, 8, 8), (2, 4, 8)]),
+       st.sampled_from([1, 1000, 1 << 16]))
+def test_pair_distances_equal_per_pair_calls(seed, grids, chunk_bytes):
+    # the pair loop's member-axis distances equal one trajectory_lq_distance call per
+    # pair.  Final times differ by ulps, so each pair has its own distance times and
+    # a partner may be sampled at two time vectors; partners come in no order, some
+    # solves abort, and the members go one, a few or all at a time
+    from nsuq import experiments, mesh
+    from nsuq.mesh import trajectory_lq_distance
+    from nsuq.random_data import Ensemble, EnsembleMember
+    from nsuq.solver import SolveReport
+
+    rng = np.random.default_rng(seed)
+    d, n_a, n_b = grids
+
+    def ensemble(N, n):
+        members = []
+        for i in range(N):
+            traj, _ = random_member(rng, GridSpec(d, n), 1.0 + int(rng.integers(-2, 3)) * 2.0**-52)
+            status = "completed" if rng.random() < 0.85 else "aborted_vacuum"
+            rep = SolveReport(traj, np.ones(len(traj)), np.ones(len(traj)), status)
+            members.append(EnsembleMember(np.array([i / N]), None, rep))
+        return Ensemble(members, np.full(N, 1.0 / N), "strong")
+
+    ens_a, ens_b = ensemble(int(rng.integers(1, 4)), n_a), ensemble(int(rng.integers(1, 7)), n_b)
+    partner = rng.integers(0, len(ens_a), int(rng.integers(1, len(ens_b) + 1)))
+    norms = [(2.0, "both"), (2.0, "rho"), (4.0 / 3.0, "momentum"), (np.inf, "both")]
+    with mock.patch.object(experiments, "SAMPLE_CHUNK_BYTES", chunk_bytes), \
+            mock.patch.object(mesh, "SAMPLE_CHUNK_BYTES", chunk_bytes):
+        dist = experiments._pair_distances(ens_a, ens_b, partner, GridSpec(d, n_a), norms)
+    assert dist.shape == (len(partner), len(norms))
+    for j, k in enumerate(partner):
+        ma, mb = ens_a.members[k], ens_b.members[j]
+        for col, (q, which) in enumerate(norms):
+            if ma.report.status != "completed" or mb.report.status != "completed":
+                assert dist[j, col] == np.inf
+            else:
+                assert dist[j, col] == trajectory_lq_distance(
+                    ma.report.trajectory, mb.report.trajectory, q=q, which=which)
 
 
 def test_weak_checks_common_random_numbers_before_solving(bounds, monkeypatch):
@@ -901,7 +1035,7 @@ def test_observation_windows_leave_reports_unchanged(bounds, tmp_path, monkeypat
     [keep] = {w.tobytes(): w for w in windows}.values()
     assert len(keep) == 17 + 4 + 2 + 1
     assert all(r.status == "completed" for r in reports)
-    assert any(r.trajectory.thinned for r in reports)
+    assert any(len(r.trajectory.states) < len(r.trajectory) for r in reports)
     for r in reports:
         times, traj = r.trajectory.times, r.trajectory
         meets = (times[:-1, None] <= keep[:, 1]) & (times[1:, None] >= keep[:, 0])
@@ -922,7 +1056,7 @@ def test_neg_sobolev_functional_keeps_every_step(bounds, monkeypatch):
     run_weak(cfg)
     assert windows and all(w is None for w in windows)
     for r in reports:
-        assert not r.trajectory.thinned and len(r.trajectory.states) == len(r.trajectory)
+        assert len(r.trajectory.states) == len(r.trajectory)
 
 
 def test_cli_huge_gamma_runs_with_tainted_levels(tmp_path):

@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nsuq import mesh
 from nsuq.mesh import (
     GridSpec,
     ScalarField,
@@ -12,10 +15,13 @@ from nsuq.mesh import (
     lq_norm,
     neg_sobolev_norm,
     load_field,
+    sample_members,
     save_field,
+    stack_lq_distance,
     trajectory_lq_distance,
     transfer,
 )
+from conftest import deep_or, random_member
 
 
 def test_grid_validation():
@@ -186,7 +192,7 @@ def test_thinned_trajectory_samples_kept_intervals_only():
     s = [FluidState(ScalarField.constant(g, 1.0 + t), VectorField.constant(g, [t]), t)
          for t in times]
     full, thin = Trajectory(s), Trajectory([s[0], s[2], s[3], s[4]], times)
-    assert not full.thinned and thin.thinned
+    assert len(full.states) == len(full) and len(thin.states) == 4 < len(thin)
     assert len(thin) == len(full) == 5 and thin.final_time == 0.4
     assert np.array_equal(thin.times, full.times)
     for t in (0.0, 0.2, 0.25, 0.3, 0.35, 0.4):
@@ -322,3 +328,151 @@ def test_neg_sobolev_of_trajectory():
     assert neg_sobolev_norm(single, 3) == pytest.approx(1.5, rel=1e-12)
     with pytest.raises(ValueError):
         neg_sobolev_norm(traj, 2)
+
+
+# ---------------------------------------------------------------------------
+# the batched sampling and reduction paths, against the per-member, per-time
+# loops they replace (==, not approx)
+
+
+def _loop_sample(traj, times, grid):
+    """The state at each time, one time at a time: the kept state at an exact hit
+    or the last step, else (1 - w) s0 + w s1 between the steps around t, then
+    moved onto `grid` slice by slice."""
+    kept = {float(t): (r, v) for r, v, t in zip(traj.rho, traj.u, traj.times[traj.steps])}
+    rho, u = [], []
+    for t in np.minimum(times, traj.final_time):
+        j = min(int(np.searchsorted(traj.times, t, side="right")) - 1, len(traj) - 1)
+        r0, v0 = kept[traj.times[j]]
+        if j < len(traj) - 1 and traj.times[j] != t:
+            r1, v1 = kept[traj.times[j + 1]]
+            w = (t - traj.times[j]) / (traj.times[j + 1] - traj.times[j])
+            r0, v0 = (1 - w) * r0 + w * r1, (1 - w) * v0 + w * v1
+        rho.append(transfer(r0, traj.grid, grid))
+        u.append(transfer(v0, traj.grid, grid))
+    return np.array(rho), np.array(u)
+
+
+GRID_PAIRS = [(1, 8, 8), (1, 8, 4), (1, 4, 8), (1, 16, 4), (2, 4, 4), (2, 8, 4), (2, 4, 8)]
+
+
+@deep_or(25)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(GRID_PAIRS), st.booleans(),
+       st.sampled_from([1, 1000, mesh.SAMPLE_CHUNK_BYTES]))
+def test_level_sampler_equals_per_time_loop(seed, grids, thin, chunk_bytes):
+    # one (members, times, ...) stack: the same grid, a coarser one and a finer one;
+    # thinned members, each at its own times and with a final time some ulps off T;
+    # gathered one row, a few rows or every row at a time
+    rng = np.random.default_rng(seed)
+    d, n_src, n_dst = grids
+    src, dst = GridSpec(d, n_src), GridSpec(d, n_dst)
+    members = [random_member(rng, src, 1.0 + int(rng.integers(-3, 4)) * 2.0**-52, thin)
+               for _ in range(rng.integers(1, 5))]
+    trajs = [tr for tr, _ in members]
+    times = np.array([t for _, t in members])
+    with mock.patch.object(mesh, "SAMPLE_CHUNK_BYTES", chunk_bytes):
+        rho, u = sample_members(trajs, times, dst)
+    assert rho.shape == times.shape + dst.shape and u.shape == rho.shape + (d,)
+    for tr, t, r, v in zip(trajs, times, rho, u):
+        r_loop, v_loop = _loop_sample(tr, t, dst)
+        assert np.array_equal(r, r_loop) and np.array_equal(v, v_loop)
+        r_one, v_one = tr.sample_stack(t, dst)  # the one-member call
+        assert np.array_equal(r, r_one) and np.array_equal(v, v_one)
+    # one time vector for every member: the uniform distance times, which fall
+    # between steps, hit t = 0 and end at the earliest final time
+    full = [random_member(rng, src, 1.0, False)[0] for _ in range(3)]
+    shared = np.linspace(0.0, 1.0, 17)
+    rho, u = sample_members(full, shared, dst)
+    for tr, r, v in zip(full, rho, u):
+        r_loop, v_loop = _loop_sample(tr, shared, dst)
+        assert np.array_equal(r, r_loop) and np.array_equal(v, v_loop)
+
+
+@deep_or(25)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(GRID_PAIRS))
+def test_member_axis_distance_equals_per_member_calls(seed, grids):
+    # one stack_lq_distance call over a leading member axis, with a time vector per
+    # member, equals one call per member
+    rng = np.random.default_rng(seed)
+    d, n_a, n_b = grids
+    coarse = GridSpec(d, min(n_a, n_b))
+    M = int(rng.integers(1, 5))
+    ends = 1.0 + rng.integers(-3, 4, M) * 2.0**-52
+    a = [random_member(rng, GridSpec(d, n_a), T, False)[0] for T in ends]
+    b = [random_member(rng, GridSpec(d, n_b), T, False)[0] for T in ends[::-1]]
+    times = np.array([np.linspace(0.0, min(ta.final_time, tb.final_time), 17)
+                      for ta, tb in zip(a, b)])
+    sa, sb = sample_members(a, times, coarse), sample_members(b, times, coarse)
+    for q in (1.0, 4.0 / 3.0, 2.0, 3.0, np.inf):
+        for which in ("rho", "momentum", "both"):
+            dist = stack_lq_distance(sa, sb, times, coarse, q=q, which=which)
+            assert dist.shape == (M,)
+            for i in range(M):
+                one = stack_lq_distance((sa[0][i], sa[1][i]), (sb[0][i], sb[1][i]), times[i],
+                                        coarse, q=q, which=which)
+                assert dist[i] == one
+                assert one == trajectory_lq_distance(a[i], b[i], q=q, which=which)
+
+
+def _loop_neg_sobolev(traj, m):
+    """The trajectory norm one kept state at a time, one FFT per field and state."""
+    grid = traj.grid
+    kint = np.fft.fftfreq(grid.n) * grid.n
+    if grid.d == 1:
+        ksq = (2 * np.pi * kint / grid.period) ** 2
+    else:
+        kx, ky = np.meshgrid(kint, kint, indexing="ij")
+        ksq = (2 * np.pi / grid.period) ** 2 * (kx**2 + ky**2)
+    weight = (1.0 + ksq) ** (-float(m))
+
+    def sq(values):
+        fhat = np.fft.fftn(values, axes=tuple(range(grid.d))) / grid.num_cells
+        if values.ndim == grid.d:
+            return float(np.sum(np.abs(fhat) ** 2 * weight))
+        return float(sum(np.sum(np.abs(fhat[..., c]) ** 2 * weight)
+                         for c in range(values.shape[-1])))
+
+    per_state = np.array([sq(r) + sq(v) for r, v in zip(traj.rho, traj.u)])
+    if len(traj) == 1:
+        return float(np.sqrt(per_state[0])), sq
+    return float(np.sqrt(np.trapezoid(per_state, traj.times))), sq
+
+
+@deep_or(25)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([(1, 4), (1, 8), (1, 16), (2, 4), (2, 8)]),
+       st.sampled_from([1, 2, 3.5]))
+def test_batched_neg_sobolev_equals_per_state_loop(seed, dn, excess):
+    rng = np.random.default_rng(seed)
+    grid = GridSpec(*dn)
+    m = grid.d + 1 + excess
+    traj, _ = random_member(rng, grid, 0.5 + rng.random(), False)
+    loop, sq = _loop_neg_sobolev(traj, m)
+    assert neg_sobolev_norm(traj, m) == loop
+    f = ScalarField(grid, traj.rho[-1])
+    assert neg_sobolev_norm(f, m) == float(np.sqrt(sq(traj.rho[-1])))
+    single = Trajectory.from_arrays(grid, traj.rho[:1], traj.u[:1], [0.0], [0])
+    assert neg_sobolev_norm(single, m) == _loop_neg_sobolev(single, m)[0]
+
+
+def test_trajectory_pickles_as_checked_frozen_arrays():
+    import pickle
+
+    rng = np.random.default_rng(3)
+    traj, _ = random_member(rng, GridSpec(2, 4), 1.0, True)
+    back = pickle.loads(pickle.dumps(traj))
+    assert np.array_equal(back.times, traj.times) and np.array_equal(back.steps, traj.steps)
+    for a, b in zip(back.rho + back.u, traj.rho + traj.u):
+        assert np.array_equal(a, b) and not a.flags.writeable
+    # unpickling checks the arrays as `from_arrays` does
+    fn, (grid, rho, u, times, steps) = traj.__reduce__()
+    for field, value, match in ((rho, -1.0, "strictly positive"), (u, np.nan, "finite")):
+        tampered = [a.copy() for a in field]
+        tampered[-1][0, 0] = value
+
+        class Tampered:
+            def __reduce__(self):
+                args = (tampered, u) if field is rho else (rho, tampered)
+                return fn, (grid, *args, times, steps)
+
+        with pytest.raises(ValueError, match=match):
+            pickle.loads(pickle.dumps(Tampered()))

@@ -26,7 +26,7 @@ from nsuq.solver import (
     solve,
     step,
 )
-from conftest import make_record
+from conftest import deep_or, make_record
 
 
 CFG = SchemeConfig(cfl=0.4, T=0.1)
@@ -185,19 +185,31 @@ def test_solve_keeps_only_states_around_windows(monkeypatch):
     grid = GridSpec(1, 32)
     full = solve(data, grid, CFG)
     windows = np.array([[0.0314, 0.0314], [0.05, 0.06]])
-    # the step loop runs on plain arrays: a FluidState is built, wherever it is
-    # built, only for a kept state
-    built = []
-    post_init = FluidState.__post_init__
+    # the step loop runs on plain arrays: the one FluidState built is the checked
+    # initial data, and the trajectory checks each kept state's arrays once
+    from nsuq import mesh
+
+    built, checked = [], []
+    post_init, frozen = FluidState.__post_init__, mesh._frozen
 
     def counting(self):
         built.append(self.time)
         post_init(self)
 
+    def checking(values, shape, positive=False, copy=False):
+        checked.append((shape, positive))
+        return frozen(values, shape, positive, copy)
+
     monkeypatch.setattr(FluidState, "__post_init__", counting)
     thin = solve(data, grid, CFG, keep=windows)
+    assert built == [0.0]
+    monkeypatch.setattr(mesh, "_frozen", checking)
+    thin = solve(data, grid, CFG, keep=windows)
     monkeypatch.undo()
-    assert built == [s.time for s in thin.trajectory.states]
+    n_kept = len(thin.trajectory.states)
+    # the initial data's two fields, then density (positive) and velocity of every kept state
+    assert checked == [((32,), False), ((32, 1), False)] \
+        + [((32,), True)] * n_kept + [((32, 1), False)] * n_kept
     s0 = thin.trajectory.states[0]
     out = step(s0.rho.values, s0.u.values, 0.0, data, 1e-3, grid, CFG)
     assert isinstance(out, tuple) and len(out) == 2
@@ -591,11 +603,10 @@ def admissible_problems(draw):
 
 # 25 examples in tier-1; CI also runs the three tests below alone under the "deep"
 # profile (conftest.py)
-CONTRACT_SETTINGS = settings.get_profile("deep") if settings.get_current_profile_name() == "deep" \
-    else settings(max_examples=25)
+CONTRACT_SETTINGS = deep_or(25)
 
 
-@settings(CONTRACT_SETTINGS, deadline=None)
+@CONTRACT_SETTINGS
 @given(admissible_problems())
 def test_solver_contract_on_random_admissible_data(problem):
     spec, omega, grid, scheme, forced = problem
@@ -614,7 +625,7 @@ def test_solver_contract_on_random_admissible_data(problem):
         assert np.all(np.diff(e) <= 1e-10 * e[0])
 
 
-@settings(CONTRACT_SETTINGS, deadline=None)
+@CONTRACT_SETTINGS
 @given(admissible_problems(), st.floats(0.0, 1.0))
 def test_extrapolated_guess_moves_no_accepted_step(problem, where):
     # the guess sets where the Picard iteration starts, not what it accepts: a step
@@ -644,7 +655,7 @@ def test_extrapolated_guess_moves_no_accepted_step(problem, where):
     assert max(np.abs(rho_a - rho_b).max(), np.abs(u_a - u_b).max()) <= 1e-8
 
 
-@settings(CONTRACT_SETTINGS, deadline=None)
+@CONTRACT_SETTINGS
 @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2]), st.sampled_from([2, 3, 8, 16]),
        st.floats(1e-4, 1e-1), st.floats(1e-3, 1.0), st.floats(0.0, 1.0))
 def test_preconditioned_solve_meets_tolerance(seed, d, n, dt, mu, eta):

@@ -1,8 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from nsuq import stats
 from nsuq.mesh import FluidState, GridSpec, ScalarField, Trajectory, VectorField
 from nsuq.random_data import Ensemble, EnsembleMember
 from nsuq.solver import SolveReport
@@ -17,8 +21,9 @@ from nsuq.stats import (
     r_barycenter,
     PairedEnsemble,
     PairedSample,
+    SampledEnsemble,
 )
-from conftest import fake_ensemble
+from conftest import deep_or, fake_ensemble, random_member
 
 
 # ---------------------------------------------------------------------------
@@ -342,9 +347,9 @@ def _three_state_ensemble(d):
     return Ensemble(out, w / w.sum(), "strong")
 
 
-def _loop_fields(ens, which, t):
+def _loop_fields(members, which, t):
     fields = []
-    for m in ens.members:
+    for m in members:
         rho, u = m.report.trajectory.sample(t)
         fields.append(rho if which == "density" else rho[..., None] * u)
     return fields
@@ -399,7 +404,7 @@ def _loop_barycenter(Ys, w, r, q, vol, vector, tol=1e-8, max_iter=500):
 def test_stacked_barycenter_equals_member_loop(d, which, r, q):
     ens = _three_state_ensemble(d)
     w = ens.weights / ens.weights.sum()
-    Ys = _loop_fields(ens, which, 0.7)
+    Ys = _loop_fields(ens.members, which, 0.7)
     Z, obj = _loop_barycenter(Ys, w, r, q, GridSpec(d, 8).cell_volume, which == "momentum")
     res = r_barycenter(ens, which, r=r, q=q, time=0.7)
     assert res.objective == obj
@@ -414,7 +419,7 @@ def test_stacked_means_equal_member_loop(d):
     for which in ("density", "momentum"):
         for (t, fld), ref_t in zip(empirical_field_mean(ens, which, times=times), times):
             acc = None
-            for wi, Y in zip(w, _loop_fields(ens, which, ref_t)):
+            for wi, Y in zip(w, _loop_fields(ens.members, which, ref_t)):
                 acc = wi * Y if acc is None else acc + wi * Y
             assert t == ref_t and np.array_equal(fld.values, acc)
     grid_t = np.linspace(0.0, 1.0, 33)
@@ -422,6 +427,54 @@ def test_stacked_means_equal_member_loop(d):
     for wi, m in zip(w, ens.members):
         acc += wi * np.interp(grid_t, m.report.trajectory.times, m.report.energy_history)
     assert energy_moment_bound(ens) == float(acc.max())
+
+
+@deep_or(15)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2]))
+def test_sampled_ensemble_equals_member_loop(seed, d):
+    # one SampledEnsemble pass serves the means, the barycenters and the state
+    # functionals exactly as per-member reads do.  Members end some ulps apart, so
+    # the final-time functionals of the later ones read their own final time, and
+    # an aborted member sits between the completed ones
+    rng = np.random.default_rng(seed)
+    grid = GridSpec(d, 8 if d == 1 else 4)
+    members = []
+    for i in range(5):
+        traj, _ = random_member(rng, grid, 1.0 + int(rng.integers(-2, 3)) * 2.0**-52)
+        rep = SolveReport(traj, np.ones(len(traj)), np.ones(len(traj)),
+                          "aborted_linf" if i == 2 else "completed")
+        members.append(EnsembleMember(np.array([i / 5]), None, rep))
+    w = rng.random(5)
+    ens = Ensemble(members, w / w.sum(), "strong")
+    done = [m for m in members if m.report.status == "completed"]
+    wd = ens.weights[ens.completed_mask] / ens.weights[ens.completed_mask].sum()
+    T = min(m.report.trajectory.final_time for m in done)
+    times = np.linspace(0.0, T, 4)
+    functionals = [make_functional(doc)[1] for doc in (
+        {"kind": "tanh_mean_density"},
+        {"kind": "clamp_fourier", "wavevec": [1] * d, "field": "momentum"},
+        {"kind": "clamp_fourier", "wavevec": [1] + [0] * (d - 1), "time": "initial"},
+        {"kind": "clamp_fourier", "wavevec": [0] * d, "time": 0.37},
+        {"kind": "tanh_neg_sobolev"},
+    )]
+    sampled = SampledEnsemble(ens, times, functionals)
+    for F in functionals:
+        loop = float(sum(wi * F(m.report.trajectory) for wi, m in zip(wd, done)))
+        assert empirical_functional_mean(sampled, F) == loop
+    # the means and barycenters read the sampled stacks only
+    with mock.patch.object(stats, "sample_members", side_effect=AssertionError("resampled")):
+        for which in ("density", "momentum"):
+            for (t, fld), ref_t in zip(empirical_field_mean(sampled, which, times=times), times):
+                acc = None
+                for wi, Y in zip(wd, _loop_fields(done, which, ref_t)):
+                    acc = wi * Y if acc is None else acc + wi * Y
+                assert t == ref_t and np.array_equal(fld.values, acc)
+            for r, q in ((2.0, 2.0), (1.5, 2.0)):
+                Z, obj = _loop_barycenter(_loop_fields(done, which, T), wd, r, q,
+                                          grid.cell_volume, which == "momentum")
+                res = r_barycenter(sampled, which, r=r, q=q)
+                assert res.time == T and res.objective == obj
+                assert np.array_equal(res.minimizer.values, Z)
 
 
 def test_weighted_sums_write_no_negative_zero():
