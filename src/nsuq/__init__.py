@@ -2,8 +2,9 @@
 
 Library layers:
 
-- `mesh`: periodic grids, discrete fields, norms, grid transfer.
-- `physics`: pressure law, stress, energy, data records, admissibility.
+- `mesh`: periodic grids, discrete fields, trajectories, their sampler and
+  space-time distances, norms, grid transfer.
+- `physics`: pressure law, energy, data records, admissibility, data distances.
 - `solver`: semi-implicit finite-volume scheme with residual contract.
 - `random_data`: latent-cube distributions, Monte-Carlo streams, collocation.
 - `stats`: boundedness in probability, empirical means, r-barycenters,

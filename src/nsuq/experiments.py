@@ -20,8 +20,7 @@ import numpy as np
 
 from . import __version__
 # trajectory_lq_distance is not called here; perfbench/tracing.py wraps this module's name
-from .mesh import N_DISTANCE_TIMES, SAMPLE_CHUNK_BYTES, GridSpec, _fmt, check_number, \
-    distance_times, sample_members, save_field, stack_lq_distance, \
+from .mesh import N_DISTANCE_TIMES, GridSpec, _fmt, check_number, pair_distances, save_field, \
     trajectory_lq_distance  # noqa: F401
 from .random_data import (
     MAX_PARTITION_CELLS,
@@ -311,10 +310,6 @@ def _solve_members(records, grid: GridSpec, config: ExperimentConfig):
         return list(ex.map(run, records))
 
 
-def _completed_trajectory(member):
-    return member.report.trajectory if member.report.status == COMPLETED else None
-
-
 def _provenance(config: ExperimentConfig) -> dict:
     return {
         "config_sha256": config.config_hash(),
@@ -408,44 +403,6 @@ def _diagnostic_doc(diag: DiagnosticReport, tag: str, report: ExperimentReport) 
 # runners
 
 
-def _pair_distances(ens_a: Ensemble, ens_b: Ensemble, partner, grid: GridSpec,
-                    norms) -> np.ndarray:
-    """(len(partner), len(norms)) space-time distances on `grid` between member
-    j of `ens_b` and member partner[j] of `ens_a`, one column per (q, which)
-    of `norms`; inf where either solve did not complete.
-
-    Each level is sampled once per pair by `sample_members`: the partners on
-    their own grid, each at the distance times of its pairs (once per
-    distinct end time, which only unequal final times make more than one),
-    and the members of `ens_b` onto that grid.  Each norm then reduces the
-    members with one `stack_lq_distance` call over the member axis.  The
-    members go in partner order, in chunks of SAMPLE_CHUNK_BYTES of samples,
-    so a fine 2-D pair holds one chunk's stacks at a time.
-    """
-    out = np.full((len(partner), len(norms)), np.inf)
-    ta = [_completed_trajectory(m) for m in ens_a.members]
-    tb = [_completed_trajectory(m) for m in ens_b.members[:len(partner)]]
-    both = [j for j in np.argsort(partner, kind="stable")
-            if ta[partner[j]] is not None and tb[j] is not None]
-    if not both:
-        return out
-    times = np.array([distance_times(ta[partner[j]], tb[j]) for j in both])
-    # one partner sample per (partner, end time): its row and the times it is taken at
-    keys = {}
-    for j, t in zip(both, times):
-        keys.setdefault((partner[j], t[-1]), (len(keys), t))
-    row = [keys[partner[j], t[-1]][0] for j, t in zip(both, times)]
-    sa = sample_members([ta[k] for k, _ in keys], [t for _, t in keys.values()], grid)
-    chunk = max(1, SAMPLE_CHUNK_BYTES // sa[0][0].nbytes // (1 + grid.d))  # members per chunk
-    for lo in range(0, len(both), chunk):
-        js, t = both[lo:lo + chunk], times[lo:lo + chunk]
-        a = tuple(s[row[lo:lo + chunk]] for s in sa)
-        b = sample_members([tb[j] for j in js], t, grid)
-        out[js] = np.transpose([stack_lq_distance(a, b, t, grid, q=q, which=which)
-                                for q, which in norms])
-    return out
-
-
 def _expectation_error_row(level: int, dist: np.ndarray, both: np.ndarray, w,
                            norms: list) -> dict:
     """Weighted r-th and s-th moments of the density and momentum distances
@@ -473,13 +430,14 @@ def _run_ladder(config: ExperimentConfig, draws: list, pairs: list) -> Experimen
     """
     spec, req = config.distribution, config.stats
     report = ExperimentReport(summary={"provenance": _provenance(config)})
-    ensembles, levels = [], []
+    ensembles, trajs, levels = [], [], []  # trajs: a level's trajectories, None if unresolved
     for idx, (level, (latents, weights, records)) in enumerate(zip(config.ladder, draws)):
         grid = GridSpec(spec.d, level.n_cells, spec.period)
         solves = _solve_members(records, grid, config)
         ens = Ensemble([EnsembleMember(*m) for m in zip(latents, records, solves)], weights,
                        config.mode)
         ensembles.append(ens)
+        trajs.append([r.trajectory if r.status == COMPLETED else None for r in solves])
         levels.append(_level_statistics(ens, config, idx, level, report))
     report.summary["levels"] = levels
 
@@ -492,7 +450,7 @@ def _run_ladder(config: ExperimentConfig, draws: list, pairs: list) -> Experimen
     for a, b, partner, w in pairs:
         ens_a, ens_b = ensembles[a], ensembles[b]
         grid = GridSpec(spec.d, config.ladder[a].n_cells, spec.period)
-        dist = _pair_distances(ens_a, ens_b, partner, grid, norms)
+        dist = pair_distances(trajs[a], trajs[b], partner, grid, norms)
         diag = diagnostic_from_distances(dist[:, 0], w, req.eps_grid)
         doc = _diagnostic_doc(diag, f"{a}_{b}", report)
         doc["pair"] = [a, b]

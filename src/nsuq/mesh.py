@@ -29,6 +29,7 @@ __all__ = [
     "N_DISTANCE_TIMES",
     "distance_times",
     "stack_lq_distance",
+    "pair_distances",
     "trajectory_lq_distance",
 ]
 
@@ -203,58 +204,33 @@ class Trajectory:
     solve thinned them).  The kept states are stored as read-only arrays:
     `rho[k]` of shape grid.shape and `u[k]` of shape grid.shape + (d,) at
     time `times[steps[k]]`, each checked once, for finite values and positive
-    density, when the trajectory takes it.  Sampling between two steps needs
-    both states.  `Trajectory(states, times)` builds one from `FluidState`s,
-    `from_arrays` from arrays.
+    density, when the trajectory takes it.  Arrays that own their float data
+    are frozen in place and kept, not copied: the caller hands them over.
+    Sampling between two steps needs both states; `sample_members` reads
+    them, for one trajectory (`sample`) or a whole level at once.
     """
 
-    def __init__(self, states: list, times=None):
-        if not states:
-            raise ValueError("trajectory needs at least one state")
-        grid = states[0].grid
-        if any(s.grid != grid for s in states):
-            raise ValueError("all states must share one grid")
-        kept = np.array([s.time for s in states], dtype=float)
-        times = kept if times is None else np.asarray(times, dtype=float)
-        steps = np.minimum(np.searchsorted(times, kept), len(times) - 1)
-        if not np.array_equal(times[steps], kept):
-            raise ValueError("kept states must sit at steps")
-        self._take(grid, [s.rho.values for s in states], [s.u.values for s in states],
-                   times, steps)
-
-    @classmethod
-    def from_arrays(cls, grid: GridSpec, rho: list, u: list, times, steps) -> "Trajectory":
-        """The trajectory keeping states rho[k], u[k] at step steps[k] of `times`.
-
-        Arrays that own their float data are frozen in place and kept, not
-        copied: the caller hands them over.
-        """
-        traj = cls.__new__(cls)
-        traj._take(grid, rho, u, times, steps)
-        return traj
-
-    def _take(self, grid: GridSpec, rho: list, u: list, times, steps) -> None:
+    def __init__(self, grid: GridSpec, rho: list, u: list, times, steps):
         times = np.asarray(times, dtype=float)
         steps = np.asarray(steps, dtype=np.intp)
         if not len(steps):
             raise ValueError("trajectory needs at least one state")
-        if times[0] != 0.0:
-            raise ValueError("trajectories start at t = 0")
-        if len(times) > 1 and not np.all(np.diff(times) > 0):
-            raise ValueError("times must be strictly increasing")
         if not len(rho) == len(u) == len(steps):
             raise ValueError("need one density and one velocity per kept step")
         if np.any(np.diff(steps) <= 0):
             raise ValueError("kept states must sit at distinct steps, in order")
         if steps[0] != 0 or steps[-1] != len(times) - 1:
             raise ValueError("kept states must include the first and the last step")
+        if times[0] != 0.0:
+            raise ValueError("trajectories start at t = 0")
+        if len(times) > 1 and not np.all(np.diff(times) > 0):
+            raise ValueError("times must be strictly increasing")
         self.grid, self.times, self.steps = grid, times, steps
         self.rho = tuple(_frozen(r, grid.shape, positive=True) for r in rho)
         self.u = tuple(_frozen(v, grid.shape + (grid.d,)) for v in u)
 
     def __reduce__(self):  # pickles as its arrays; unpickling checks and freezes them again
-        return Trajectory.from_arrays, (self.grid, list(self.rho), list(self.u), self.times,
-                                        self.steps)
+        return Trajectory, (self.grid, list(self.rho), list(self.u), self.times, self.steps)
 
     @property
     def final_time(self) -> float:
@@ -271,15 +247,9 @@ class Trajectory:
                 for r, v, t in zip(self.rho, self.u, self.times[self.steps])]
 
     def sample(self, t: float) -> tuple:
-        """(rho values, u values) at time t: `sample_stack([t], self.grid)` at index 0."""
-        rho, u = self.sample_stack([t], self.grid)
-        return rho[0], u[0]
-
-    def sample_stack(self, times, grid: GridSpec) -> tuple:
-        """(rho, u) at each of `times`, moved onto the nested `grid`: the one-member
-        `sample_members`, shapes (len(times), *grid.shape) and (..., d)."""
-        rho, u = sample_members([self], times, grid)
-        return rho[0], u[0]
+        """(rho values, u values) at time t: the one-member, one-time `sample_members`."""
+        rho, u = sample_members([self], [t], self.grid)
+        return rho[0, 0], u[0, 0]
 
     def _locate(self, times: np.ndarray) -> tuple:
         """(k, w) of each sample time t: t lies in [t_k, t_k+1] of the kept states k
@@ -512,16 +482,15 @@ def distance_times(a: Trajectory, b: Trajectory) -> np.ndarray:
 
 
 def stack_lq_distance(a: tuple, b: tuple, times, grid: GridSpec,
-                      q: float = 2.0, which: str = "both"):
-    """L^q((0,T) x torus) distance between two stacked samples on `grid`.
+                      q: float = 2.0, which: str = "both") -> np.ndarray:
+    """L^q((0,T) x torus) distances between two sampled stacks on `grid`, one per member.
 
-    `a` and `b` are `Trajectory.sample_stack(times, grid)` results; or, with
-    `times` one row per member, `sample_members` results, and then the
-    result is an array of one distance per member.  Each time slice is
-    reduced over its cells, then the time integral uses the trapezoid rule,
-    and each distance's root is taken as a scalar.  `which` selects the
-    compared quantity: "rho", "momentum", or "both" (the stacked (rho, u)
-    vector, Euclidean pointwise magnitude).
+    `a` and `b` are `sample_members` results on `grid` at `times`, one row of
+    sample times per member.  Each time slice is reduced over its cells, then
+    the time integral uses the trapezoid rule, and each distance's root is
+    taken as a scalar.  `which` selects the compared quantity: "rho",
+    "momentum", or "both" (the stacked (rho, u) vector, Euclidean pointwise
+    magnitude).
     """
     # the stacks are large, so temporaries are updated in place
     (ra, ua), (rb, ub) = a, b
@@ -544,33 +513,59 @@ def stack_lq_distance(a: tuple, b: tuple, times, grid: GridSpec,
         raise ValueError("q must be >= 1 or inf")
     times = np.asarray(times, dtype=float)
     if q == np.inf:
-        dist = mag.reshape(times.shape[:-1] + (-1,)).max(axis=-1)
-    else:
-        # one row per time slice, so each slice sums in the order of a whole-field np.sum
-        mag = mag.reshape(times.shape + (grid.num_cells,))
-        slice_int = np.sum(np.power(mag, q, out=mag), axis=-1) * grid.cell_volume
-        dist = np.trapezoid(slice_int, times, axis=-1)
+        return mag.reshape(len(times), -1).max(axis=-1)
+    # one row per time slice, so each slice sums in the order of a whole-field np.sum
+    mag = mag.reshape(times.shape + (grid.num_cells,))
+    slice_int = np.sum(np.power(mag, q, out=mag), axis=-1) * grid.cell_volume
+    # a scalar power per member: numpy's array power rounds differently
+    return np.array([x ** (1.0 / q) for x in np.trapezoid(slice_int, times, axis=-1)])
 
-    def root(x) -> float:  # a scalar power: numpy's array power rounds differently
-        return float(x if q == np.inf else x ** (1.0 / q))
 
-    return root(dist) if times.ndim == 1 else np.array([root(x) for x in dist])
+def pair_distances(ta: list, tb: list, partner, grid: GridSpec, norms) -> np.ndarray:
+    """(len(partner), len(norms)) space-time distances on `grid` between
+    trajectory tb[j] and its partner ta[partner[j]], one column per (q, which)
+    of `norms`; inf where either is None (a solve that did not complete).
+
+    Each list is sampled once by `sample_members`: the partners each at the
+    distance times of their pairs (once per distinct end time, which only
+    unequal final times make more than one), and tb at its pairs' times, both
+    onto `grid`.  Each norm then reduces the members with one
+    `stack_lq_distance` call over the member axis.  The members go in partner
+    order, in chunks of SAMPLE_CHUNK_BYTES of samples, so a fine 2-D pair
+    holds one chunk's stacks at a time.
+    """
+    out = np.full((len(partner), len(norms)), np.inf)
+    both = [j for j in np.argsort(partner, kind="stable")
+            if ta[partner[j]] is not None and tb[j] is not None]
+    if not both:
+        return out
+    times = np.array([distance_times(ta[partner[j]], tb[j]) for j in both])
+    # one partner sample per (partner, end time): its row and the times it is taken at
+    keys = {}
+    for j, t in zip(both, times):
+        keys.setdefault((partner[j], t[-1]), (len(keys), t))
+    row = [keys[partner[j], t[-1]][0] for j, t in zip(both, times)]
+    sa = sample_members([ta[k] for k, _ in keys], [t for _, t in keys.values()], grid)
+    chunk = max(1, SAMPLE_CHUNK_BYTES // sa[0][0].nbytes // (1 + grid.d))  # members per chunk
+    for lo in range(0, len(both), chunk):
+        js, t = both[lo:lo + chunk], times[lo:lo + chunk]
+        a = tuple(s[row[lo:lo + chunk]] for s in sa)
+        b = sample_members([tb[j] for j in js], t, grid)
+        out[js] = np.transpose([stack_lq_distance(a, b, t, grid, q=q, which=which)
+                                for q, which in norms])
+    return out
 
 
 def trajectory_lq_distance(a: Trajectory, b: Trajectory, q: float = 2.0,
                            which: str = "both") -> float:
-    """L^q((0,T) x torus) distance between two trajectories.
+    """L^q((0,T) x torus) distance between two trajectories: the one-pair `pair_distances`.
 
-    Both trajectories are sampled once, at the `N_DISTANCE_TIMES` uniform
-    times of `distance_times` (linear interpolation between stored steps);
-    the finer grid is restricted onto the coarser one, and the time integral
-    uses the trapezoid rule.  Both runners' cross-level distances take the
-    same steps for a whole level pair at once (`sample_members`, then
-    `stack_lq_distance` over the member axis).
-    `which` selects the compared quantity: "rho", "momentum", or "both"
-    (the stacked (rho, u) vector, Euclidean pointwise magnitude).
+    Both trajectories are sampled at the `N_DISTANCE_TIMES` uniform times of
+    `distance_times` (linear interpolation between stored steps); the finer
+    grid is restricted onto the coarser one, and the time integral uses the
+    trapezoid rule.  `which` selects the compared quantity: "rho",
+    "momentum", or "both" (the stacked (rho, u) vector, Euclidean pointwise
+    magnitude).
     """
-    times = distance_times(a, b)
     coarse = a.grid if a.grid.n <= b.grid.n else b.grid
-    return stack_lq_distance(a.sample_stack(times, coarse), b.sample_stack(times, coarse),
-                             times, coarse, q=q, which=which)
+    return float(pair_distances([a], [b], [0], coarse, [(q, which)])[0, 0])

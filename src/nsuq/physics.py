@@ -1,4 +1,4 @@
-"""Continuum-level building blocks: pressure law, viscous stress, energy,
+"""Continuum-level building blocks: pressure law and potential, energy,
 and the data record (initial fields, viscosities, pressure coefficient,
 forcing) together with the deterministic admissibility bounds.
 

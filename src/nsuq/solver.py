@@ -398,8 +398,8 @@ def solve(data: DataRecord, grid: GridSpec, cfg: SchemeConfig, keep=None) -> Sol
 
     The loop passes plain (rho, u) arrays to `cfl_dt`, `step` and
     `total_energy`, and the trajectory keeps the kept states' arrays as they
-    are: `Trajectory.from_arrays` checks and freezes each one, with no copy
-    and no `FluidState`.  The initial state comes from
+    are: the `Trajectory` constructor checks and freezes each one, with no
+    copy and no `FluidState`.  The initial state comes from
     `DataRecord.initial_state`, which checks the initial data.  Each
     step's guess is the velocity extrapolated through the last three
     accepted states (`_extrapolate`): u_k on the first step, linear on the
@@ -470,8 +470,7 @@ def solve(data: DataRecord, grid: GridSpec, cfg: SchemeConfig, keep=None) -> Sol
         steps.append(len(times) - 1)
 
     return SolveReport(
-        trajectory=Trajectory.from_arrays(grid, [r for r, _ in kept], [v for _, v in kept],
-                                          times, steps),
+        trajectory=Trajectory(grid, [r for r, _ in kept], [v for _, v in kept], times, steps),
         linf_history=np.array(linf),
         energy_history=np.array(energy),
         status=status,

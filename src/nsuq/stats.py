@@ -106,15 +106,6 @@ def _resolved(ensemble: Ensemble):
     return members, w / w.sum()
 
 
-def _shared_grid(members: list):
-    """(trajectories, grid) of completed members; a mixed-grid ensemble raises ValueError."""
-    trajs = [m.report.trajectory for m in members]
-    grid = trajs[0].grid
-    if any(tr.grid != grid for tr in trajs):
-        raise ValueError("ensemble members must share one grid")
-    return trajs, grid
-
-
 class SampledEnsemble(Ensemble):
     """An ensemble whose completed members are sampled once, by one `sample_members`
     pass, at `times`, at the earliest final time (the barycenters' default) and
@@ -127,7 +118,8 @@ class SampledEnsemble(Ensemble):
 
     def __init__(self, ensemble: Ensemble, times=(), functionals=()):
         super().__init__(ensemble.members, ensemble.weights, ensemble.mode)
-        trajs, self.grid = _shared_grid(_resolved(self)[0])
+        trajs = [m.report.trajectory for m in _resolved(self)[0]]
+        self.grid = trajs[0].grid
         T = min(tr.final_time for tr in trajs)
         reads = [*times, T, *(F.time_of(tr) for F in functionals
                               if isinstance(F, _StateFunctional) for tr in trajs)]
@@ -176,7 +168,8 @@ def _member_stack(ensemble: Ensemble, which: str, times) -> tuple:
     if which not in ("density", "momentum"):
         raise ValueError(f"unknown field selector {which!r}")
     members, w = _resolved(ensemble)
-    trajs, grid = _shared_grid(members)
+    trajs = [m.report.trajectory for m in members]
+    grid = trajs[0].grid
     if times is None:
         times = [min(tr.final_time for tr in trajs)]
     times = np.asarray(times, dtype=float)

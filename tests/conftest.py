@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from nsuq.mesh import GridSpec, ScalarField, VectorField, FluidState, Trajectory
+from nsuq.mesh import GridSpec, Trajectory
 from nsuq.physics import (
     AdmissibleBounds,
     DataRecord,
@@ -91,11 +91,10 @@ def make_spec(bounds, K=1, d=1, gamma=2.0, mu=("uniform", 0.02, 0.08, 0),
 def fake_report(grid, rho_vals, u_vals, linf_max=None, status="completed",
                 T=1.0, energy=1.0):
     """Two-state constant-in-time trajectory with a prescribed max norm."""
-    rho = ScalarField(grid, rho_vals)
-    u = VectorField(grid, u_vals)
-    traj = Trajectory([FluidState(rho, u, 0.0), FluidState(rho, u, T)])
+    rho, u = np.array(rho_vals, dtype=float), np.array(u_vals, dtype=float)
+    traj = Trajectory(grid, [rho, rho], [u, u], [0.0, T], [0, 1])
     if linf_max is None:
-        linf_max = max(np.abs(rho.values).max(), np.abs(u.values).max())
+        linf_max = max(np.abs(rho).max(), np.abs(u).max())
     return SolveReport(
         trajectory=traj,
         linf_history=np.array([linf_max, linf_max]),
@@ -137,7 +136,7 @@ def random_member(rng, grid, T, thin=False):
     steps = np.flatnonzero(keep)
     rho = [1.0 + 0.5 * rng.random(grid.shape) for _ in steps]
     u = [rng.standard_normal(grid.shape + (grid.d,)) for _ in steps]
-    traj = Trajectory.from_arrays(grid, rho, u, times, steps)
+    traj = Trajectory(grid, rho, u, times, steps)
     pairs = [(times[j], times[j + 1]) for j in steps[:-1] if keep[j + 1]]
     candidates = [*times[steps], T, T + 1e-13 * T]
     candidates += [a + (b - a) * rng.random() for a, b in pairs]

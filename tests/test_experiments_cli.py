@@ -6,8 +6,6 @@ import os
 import subprocess
 import sys
 
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -25,7 +23,7 @@ from nsuq.experiments import (
 from nsuq.mesh import load_field
 from nsuq.solver import SchemeConfig, solve
 from nsuq.mesh import GridSpec
-from conftest import deep_or, make_record, make_spec, random_member
+from conftest import deep_or, make_record, make_spec
 
 
 SCHEME = SchemeConfig(cfl=0.4, T=0.05)
@@ -807,30 +805,18 @@ def test_weak_functional_mean_error_decreases_across_levels(bounds):
 def cross_level_reads(run, cfg, monkeypatch):
     """(report, solve reports per level, trajectory id -> reads) of one run,
     counting the trajectory reads made outside the per-level statistics: each
-    trajectory passed to the level sampler, and each one-member read."""
-    from nsuq import experiments
-    from nsuq.mesh import Trajectory
+    trajectory passed to `mesh.sample_members`, the one sampler, through which
+    `pair_distances` and `Trajectory.sample` read."""
+    from nsuq import experiments, mesh
 
     solves, reads, in_level = [], {}, [False]
     solve_members, level_statistics = experiments._solve_members, experiments._level_statistics
-    sample, sample_stack = Trajectory.sample, Trajectory.sample_stack
-    sample_members = experiments.sample_members
-
-    def count(traj):
-        if not in_level[0]:  # reads by the per-level statistics are not cross-level reads
-            reads[id(traj)] = reads.get(id(traj), 0) + 1
-
-    def counted_sample(self, *args, **kwargs):
-        count(self)
-        return sample(self, *args, **kwargs)
-
-    def counted_stack(self, *args, **kwargs):
-        count(self)
-        return sample_stack(self, *args, **kwargs)
+    sample_members = mesh.sample_members
 
     def counted_members(trajs, *args, **kwargs):
-        for traj in trajs:
-            count(traj)
+        if not in_level[0]:  # reads by the per-level statistics are not cross-level reads
+            for traj in trajs:
+                reads[id(traj)] = reads.get(id(traj), 0) + 1
         return sample_members(trajs, *args, **kwargs)
 
     def recording_solve_members(*args):
@@ -845,9 +831,7 @@ def cross_level_reads(run, cfg, monkeypatch):
             in_level[0] = False
 
     with monkeypatch.context() as m:
-        m.setattr(Trajectory, "sample", counted_sample)
-        m.setattr(Trajectory, "sample_stack", counted_stack)
-        m.setattr(experiments, "sample_members", counted_members)
+        m.setattr(mesh, "sample_members", counted_members)
         m.setattr(experiments, "_solve_members", recording_solve_members)
         m.setattr(experiments, "_level_statistics", quiet_level_statistics)
         report = run(cfg)
@@ -921,48 +905,6 @@ def test_strong_reads_each_trajectory_once_per_level_pair(bounds, monkeypatch):
             assert diag["max_distance"] == max(dists)
             assert diag["fractions"] == [float(fine.weights[np.array(dists) > e].sum())
                                          for e in STATS.eps_grid]
-
-
-@deep_or(25)
-@given(st.integers(0, 2**32 - 1), st.sampled_from([(1, 4, 8), (1, 8, 8), (2, 4, 8)]),
-       st.sampled_from([1, 1000, 1 << 16]))
-def test_pair_distances_equal_per_pair_calls(seed, grids, chunk_bytes):
-    # the pair loop's member-axis distances equal one trajectory_lq_distance call per
-    # pair.  Final times differ by ulps, so each pair has its own distance times and
-    # a partner may be sampled at two time vectors; partners come in no order, some
-    # solves abort, and the members go one, a few or all at a time
-    from nsuq import experiments, mesh
-    from nsuq.mesh import trajectory_lq_distance
-    from nsuq.random_data import Ensemble, EnsembleMember
-    from nsuq.solver import SolveReport
-
-    rng = np.random.default_rng(seed)
-    d, n_a, n_b = grids
-
-    def ensemble(N, n):
-        members = []
-        for i in range(N):
-            traj, _ = random_member(rng, GridSpec(d, n), 1.0 + int(rng.integers(-2, 3)) * 2.0**-52)
-            status = "completed" if rng.random() < 0.85 else "aborted_vacuum"
-            rep = SolveReport(traj, np.ones(len(traj)), np.ones(len(traj)), status)
-            members.append(EnsembleMember(np.array([i / N]), None, rep))
-        return Ensemble(members, np.full(N, 1.0 / N), "strong")
-
-    ens_a, ens_b = ensemble(int(rng.integers(1, 4)), n_a), ensemble(int(rng.integers(1, 7)), n_b)
-    partner = rng.integers(0, len(ens_a), int(rng.integers(1, len(ens_b) + 1)))
-    norms = [(2.0, "both"), (2.0, "rho"), (4.0 / 3.0, "momentum"), (np.inf, "both")]
-    with mock.patch.object(experiments, "SAMPLE_CHUNK_BYTES", chunk_bytes), \
-            mock.patch.object(mesh, "SAMPLE_CHUNK_BYTES", chunk_bytes):
-        dist = experiments._pair_distances(ens_a, ens_b, partner, GridSpec(d, n_a), norms)
-    assert dist.shape == (len(partner), len(norms))
-    for j, k in enumerate(partner):
-        ma, mb = ens_a.members[k], ens_b.members[j]
-        for col, (q, which) in enumerate(norms):
-            if ma.report.status != "completed" or mb.report.status != "completed":
-                assert dist[j, col] == np.inf
-            else:
-                assert dist[j, col] == trajectory_lq_distance(
-                    ma.report.trajectory, mb.report.trajectory, q=q, which=which)
 
 
 def test_weak_checks_common_random_numbers_before_solving(bounds, monkeypatch):

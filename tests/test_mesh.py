@@ -169,13 +169,16 @@ def test_field_serialization_roundtrip(tmp_path):
     assert np.array_equal(v2.values, v.values)
 
 
+def _constant_trajectory(grid, rho, u, times):
+    """Every step kept, each state constant in space: density rho[k] and every
+    velocity component u[k] at times[k]."""
+    return Trajectory(grid, [np.full(grid.shape, r) for r in rho],
+                      [np.full(grid.shape + (grid.d,), v) for v in u], times, range(len(times)))
+
+
 def test_trajectory_validation_and_sampling():
     g = GridSpec(1, 4)
-    s0 = FluidState(ScalarField.constant(g, 1.0), VectorField.constant(g, [0.0]), 0.0)
-    s1 = FluidState(ScalarField.constant(g, 2.0), VectorField.constant(g, [1.0]), 1.0)
-    with pytest.raises(ValueError):
-        Trajectory([s1])  # must start at t=0
-    traj = Trajectory([s0, s1])
+    traj = _constant_trajectory(g, [1.0, 2.0], [0.0, 1.0], [0.0, 1.0])
     rho, u = traj.sample(0.25)
     assert rho[0] == pytest.approx(1.25)
     assert u[0, 0] == pytest.approx(0.25)
@@ -189,9 +192,9 @@ def test_thinned_trajectory_samples_kept_intervals_only():
     # every step time is recorded; only some steps keep their state
     g = GridSpec(1, 4)
     times = [0.0, 0.1, 0.2, 0.3, 0.4]
-    s = [FluidState(ScalarField.constant(g, 1.0 + t), VectorField.constant(g, [t]), t)
-         for t in times]
-    full, thin = Trajectory(s), Trajectory([s[0], s[2], s[3], s[4]], times)
+    full = _constant_trajectory(g, [1.0 + t for t in times], times, times)
+    kept = [0, 2, 3, 4]
+    thin = Trajectory(g, [full.rho[k] for k in kept], [full.u[k] for k in kept], times, kept)
     assert len(full.states) == len(full) and len(thin.states) == 4 < len(thin)
     assert len(thin) == len(full) == 5 and thin.final_time == 0.4
     assert np.array_equal(thin.times, full.times)
@@ -203,25 +206,46 @@ def test_thinned_trajectory_samples_kept_intervals_only():
         with pytest.raises(ValueError, match="needs step 1"):
             thin.sample(t)
     with pytest.raises(ValueError, match="needs step 1"):
-        thin.sample_stack([0.25, 0.15], g)
+        sample_members([thin], [0.25, 0.15], g)
     with pytest.raises(ValueError, match="every step"):
         neg_sobolev_norm(thin, 3)
+
+
+FIVE_STEPS = [0.0, 0.1, 0.2, 0.3, 0.4]
+
+
+@pytest.mark.parametrize("times, steps, n_rho, n_u, match", [
     # kept states sit at distinct steps, in order, and include the first and the last
-    off_step = FluidState(s[2].rho, s[2].u, 0.21)
-    past_end = FluidState(s[2].rho, s[2].u, 0.5)
-    for kept in ([s[0], off_step, s[4]], [s[0], s[2], past_end], [s[1], s[2], s[4]],
-                 [s[0], s[2], s[3]], [s[0], s[3], s[2], s[4]], [s[0], s[2], s[2], s[4]]):
-        with pytest.raises(ValueError):
-            Trajectory(kept, times)
+    (FIVE_STEPS, [1, 2, 4], 3, 3, "the first and the last step"),
+    (FIVE_STEPS, [0, 2, 3], 3, 3, "the first and the last step"),
+    (FIVE_STEPS, [0, 2, 5], 3, 3, "the first and the last step"),
+    (FIVE_STEPS, [0, 2, 2, 4], 4, 4, "distinct steps, in order"),
+    (FIVE_STEPS, [0, 3, 2, 4], 4, 4, "distinct steps, in order"),
+    (FIVE_STEPS, [], 0, 0, "at least one state"),
+    ([], [0], 1, 1, "the first and the last step"),
+    # one density and one velocity per kept step
+    (FIVE_STEPS, [0, 2, 4], 2, 3, "one density and one velocity"),
+    (FIVE_STEPS, [0, 2, 4], 3, 2, "one density and one velocity"),
+    (FIVE_STEPS, [0, 2, 4], 4, 4, "one density and one velocity"),
+    # the step times start at 0 and increase strictly
+    ([0.1, 0.2, 0.4], [0, 1, 2], 3, 3, "start at t = 0"),
+    ([np.nan, 0.2, 0.4], [0, 1, 2], 3, 3, "start at t = 0"),
+    ([0.0, 0.2, 0.2, 0.4], [0, 1, 2, 3], 4, 4, "strictly increasing"),
+    ([0.0, 0.3, 0.2, 0.4], [0, 1, 2, 3], 4, 4, "strictly increasing"),
+    ([0.0, np.nan, 0.4], [0, 1, 2], 3, 3, "strictly increasing"),
+])
+def test_trajectory_refuses_inconsistent_arrays(times, steps, n_rho, n_u, match):
+    g = GridSpec(1, 4)
+    rho, u = [np.ones(g.shape)] * n_rho, [np.zeros(g.shape + (1,))] * n_u
+    with pytest.raises(ValueError, match=match):
+        Trajectory(g, rho, u, times, steps)
 
 
 def test_trajectory_distance_constant_offset():
     g = GridSpec(1, 8)
 
     def const_traj(c):
-        s0 = FluidState(ScalarField.constant(g, c), VectorField.constant(g, [0.0]), 0.0)
-        s1 = FluidState(ScalarField.constant(g, c), VectorField.constant(g, [0.0]), 2.0)
-        return Trajectory([s0, s1])
+        return _constant_trajectory(g, [c, c], [0.0, 0.0], [0.0, 2.0])
 
     a, b = const_traj(1.0), const_traj(1.3)
     # |delta| * (T * vol)^(1/q)
@@ -234,9 +258,7 @@ def test_trajectory_distance_mixed_grids():
     g_c, g_f = GridSpec(1, 4), GridSpec(1, 8)
 
     def const_traj(grid, c):
-        s0 = FluidState(ScalarField.constant(grid, c), VectorField.constant(grid, [0.0]), 0.0)
-        s1 = FluidState(ScalarField.constant(grid, c), VectorField.constant(grid, [0.0]), 1.0)
-        return Trajectory([s0, s1])
+        return _constant_trajectory(grid, [c, c], [0.0, 0.0], [0.0, 1.0])
 
     d = trajectory_lq_distance(const_traj(g_c, 1.0), const_traj(g_f, 2.0), q=1.0, which="rho")
     assert d == pytest.approx(1.0, rel=1e-12)
@@ -270,11 +292,10 @@ def _loop_lq_distance(a, b, q=2.0, n_times=17, which="both"):
 
 
 def _random_trajectory(rng, grid, times):
-    return Trajectory([
-        FluidState(ScalarField(grid, 1.0 + 0.3 * rng.random(grid.shape)),
-                   VectorField(grid, rng.standard_normal(grid.shape + (grid.d,))), t)
-        for t in times
-    ])
+    states = [(1.0 + 0.3 * rng.random(grid.shape), rng.standard_normal(grid.shape + (grid.d,)))
+              for _ in times]
+    return Trajectory(grid, [r for r, _ in states], [v for _, v in states], times,
+                      range(len(times)))
 
 
 @pytest.mark.parametrize("d, n_a, n_b", [(1, 8, 8), (1, 4, 16), (1, 16, 4), (2, 4, 4), (2, 4, 8),
@@ -290,19 +311,19 @@ def test_stacked_distance_equals_per_time_loop(d, n_a, n_b):
                 _loop_lq_distance(a, b, q=q, which=which)
 
 
-def test_sample_stack_matches_sample():
+def test_one_member_sampler_matches_sample():
     rng = np.random.default_rng(5)
     fine, coarse = GridSpec(2, 8), GridSpec(2, 4)
     traj = _random_trajectory(rng, fine, [0.0, 0.3, 0.7, 1.0])
     times = [0.0, 0.15, 0.3, 0.99, 1.0 + 1e-13]  # exact hits, between steps, just past T
-    rho, u = traj.sample_stack(times, coarse)
+    (rho,), (u,) = sample_members([traj], times, coarse)
     assert rho.shape == (5, 4, 4) and u.shape == (5, 4, 4, 2)
     for i, t in enumerate(times):
         r, v = traj.sample(t)
         assert np.array_equal(rho[i], transfer(r, fine, coarse))
         assert np.array_equal(u[i], transfer(v, fine, coarse))
     with pytest.raises(ValueError, match="outside stored range"):
-        traj.sample_stack([0.5, 1.5], fine)
+        sample_members([traj], [0.5, 1.5], fine)
     with pytest.raises(ValueError, match="unknown field selector"):
         trajectory_lq_distance(traj, traj, which="velocity")
     with pytest.raises(ValueError, match="q must be"):
@@ -318,13 +339,10 @@ def test_fluid_state_requires_positive_density():
 def test_neg_sobolev_of_trajectory():
     g = GridSpec(1, 8)
 
-    def state(c, t):
-        return FluidState(ScalarField.constant(g, c), VectorField.constant(g, [0.0]), t)
-
     # constant-in-time trajectory: L2-in-time of the constant spatial norm
-    traj = Trajectory([state(1.5, 0.0), state(1.5, 2.0)])
+    traj = _constant_trajectory(g, [1.5, 1.5], [0.0, 0.0], [0.0, 2.0])
     assert neg_sobolev_norm(traj, 3) == pytest.approx(1.5 * np.sqrt(2.0), rel=1e-12)
-    single = Trajectory([state(1.5, 0.0)])
+    single = _constant_trajectory(g, [1.5], [0.0], [0.0])
     assert neg_sobolev_norm(single, 3) == pytest.approx(1.5, rel=1e-12)
     with pytest.raises(ValueError):
         neg_sobolev_norm(traj, 2)
@@ -376,7 +394,7 @@ def test_level_sampler_equals_per_time_loop(seed, grids, thin, chunk_bytes):
     for tr, t, r, v in zip(trajs, times, rho, u):
         r_loop, v_loop = _loop_sample(tr, t, dst)
         assert np.array_equal(r, r_loop) and np.array_equal(v, v_loop)
-        r_one, v_one = tr.sample_stack(t, dst)  # the one-member call
+        (r_one,), (v_one,) = sample_members([tr], t, dst)  # the one-member call
         assert np.array_equal(r, r_one) and np.array_equal(v, v_one)
     # one time vector for every member: the uniform distance times, which fall
     # between steps, hit t = 0 and end at the earliest final time
@@ -392,7 +410,7 @@ def test_level_sampler_equals_per_time_loop(seed, grids, thin, chunk_bytes):
 @given(st.integers(0, 2**32 - 1), st.sampled_from(GRID_PAIRS))
 def test_member_axis_distance_equals_per_member_calls(seed, grids):
     # one stack_lq_distance call over a leading member axis, with a time vector per
-    # member, equals one call per member
+    # member, equals one one-row call per member
     rng = np.random.default_rng(seed)
     d, n_a, n_b = grids
     coarse = GridSpec(d, min(n_a, n_b))
@@ -408,10 +426,47 @@ def test_member_axis_distance_equals_per_member_calls(seed, grids):
             dist = stack_lq_distance(sa, sb, times, coarse, q=q, which=which)
             assert dist.shape == (M,)
             for i in range(M):
-                one = stack_lq_distance((sa[0][i], sa[1][i]), (sb[0][i], sb[1][i]), times[i],
-                                        coarse, q=q, which=which)
+                row = slice(i, i + 1)
+                (one,) = stack_lq_distance((sa[0][row], sa[1][row]), (sb[0][row], sb[1][row]),
+                                           times[row], coarse, q=q, which=which)
                 assert dist[i] == one
                 assert one == trajectory_lq_distance(a[i], b[i], q=q, which=which)
+
+
+@deep_or(25)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([(1, 4, 8), (1, 8, 8), (2, 4, 8)]),
+       st.sampled_from([1, 1000, 1 << 16]))
+def test_pair_distances_equal_per_pair_calls(seed, grids, chunk_bytes):
+    # the member-axis distances of a level pair equal, pair by pair, the distances
+    # of the two one-member samples at that pair's times.  Final times differ by
+    # ulps, so each pair has its own distance times and a partner may be sampled at
+    # two time vectors; partners come in no order, some solves did not complete
+    # (None), and the members go one, a few or all at a time
+    rng = np.random.default_rng(seed)
+    d, n_a, n_b = grids
+    grid = GridSpec(d, n_a)
+
+    def level(N, n):
+        trajs = [random_member(rng, GridSpec(d, n), 1.0 + int(rng.integers(-2, 3)) * 2.0**-52)[0]
+                 for _ in range(N)]
+        return [tr if rng.random() < 0.85 else None for tr in trajs]
+
+    ta, tb = level(int(rng.integers(1, 4)), n_a), level(int(rng.integers(1, 7)), n_b)
+    partner = rng.integers(0, len(ta), int(rng.integers(1, len(tb) + 1)))
+    norms = [(2.0, "both"), (2.0, "rho"), (4.0 / 3.0, "momentum"), (np.inf, "both")]
+    with mock.patch.object(mesh, "SAMPLE_CHUNK_BYTES", chunk_bytes):
+        dist = mesh.pair_distances(ta, tb, partner, grid, norms)
+    assert dist.shape == (len(partner), len(norms))
+    for j, k in enumerate(partner):
+        a, b = ta[k], tb[j]
+        if a is None or b is None:
+            assert np.all(dist[j] == np.inf)
+            continue
+        times = np.linspace(0.0, min(a.final_time, b.final_time), mesh.N_DISTANCE_TIMES)[None]
+        sa, sb = sample_members([a], times, grid), sample_members([b], times, grid)
+        for col, (q, which) in enumerate(norms):
+            (one,) = stack_lq_distance(sa, sb, times, grid, q=q, which=which)
+            assert dist[j, col] == one
 
 
 def _loop_neg_sobolev(traj, m):
@@ -450,7 +505,7 @@ def test_batched_neg_sobolev_equals_per_state_loop(seed, dn, excess):
     assert neg_sobolev_norm(traj, m) == loop
     f = ScalarField(grid, traj.rho[-1])
     assert neg_sobolev_norm(f, m) == float(np.sqrt(sq(traj.rho[-1])))
-    single = Trajectory.from_arrays(grid, traj.rho[:1], traj.u[:1], [0.0], [0])
+    single = Trajectory(grid, traj.rho[:1], traj.u[:1], [0.0], [0])
     assert neg_sobolev_norm(single, m) == _loop_neg_sobolev(single, m)[0]
 
 
@@ -463,7 +518,7 @@ def test_trajectory_pickles_as_checked_frozen_arrays():
     assert np.array_equal(back.times, traj.times) and np.array_equal(back.steps, traj.steps)
     for a, b in zip(back.rho + back.u, traj.rho + traj.u):
         assert np.array_equal(a, b) and not a.flags.writeable
-    # unpickling checks the arrays as `from_arrays` does
+    # unpickling checks the arrays as the constructor does
     fn, (grid, rho, u, times, steps) = traj.__reduce__()
     for field, value, match in ((rho, -1.0, "strictly positive"), (u, np.nan, "finite")):
         tampered = [a.copy() for a in field]

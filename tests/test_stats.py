@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nsuq import stats
-from nsuq.mesh import FluidState, GridSpec, ScalarField, Trajectory, VectorField
+from nsuq.mesh import GridSpec, Trajectory
 from nsuq.random_data import Ensemble, EnsembleMember
 from nsuq.solver import SolveReport
 from nsuq.stats import (
@@ -338,10 +338,11 @@ def _three_state_ensemble(d):
     g = GridSpec(d, 8)
     out = []
     for i in range(12):
-        states = [FluidState(ScalarField(g, 0.5 + rng.random(g.shape)),
-                             VectorField(g, rng.standard_normal(g.shape + (d,))), t)
-                  for t in (0.0, 0.4, 1.0)]
-        rep = SolveReport(Trajectory(states), np.ones(3), 1.0 + rng.random(3))
+        states = [(0.5 + rng.random(g.shape), rng.standard_normal(g.shape + (d,)))
+                  for _ in range(3)]
+        traj = Trajectory(g, [r for r, _ in states], [v for _, v in states], [0.0, 0.4, 1.0],
+                          [0, 1, 2])
+        rep = SolveReport(traj, np.ones(3), 1.0 + rng.random(3))
         out.append(EnsembleMember(np.array([i / 12]), None, rep))
     w = rng.random(12)
     return Ensemble(out, w / w.sum(), "strong")
