@@ -371,18 +371,8 @@ def _level_statistics(ens: Ensemble, config: ExperimentConfig, level_idx: int,
     for r, q, which in req.barycenters:
         res = r_barycenter(sampled, which=which, r=r, q=q)
         report.fields[f"{prefix}/barycenter_{which}_r{_fmt(r)}_q{_fmt(q)}.csv"] = res.minimizer
-        bary_rows.append(
-            {
-                "r": r,
-                "q": q,
-                "which": which,
-                "time": res.time,
-                "objective": res.objective,
-                "iterations": res.iterations,
-                "first_order_residual": res.first_order_residual,
-                "converged": res.converged,
-            }
-        )
+        row = {f.name: getattr(res, f.name) for f in fields(res) if f.name != "minimizer"}
+        bary_rows.append({"which": which, **row})
     doc["barycenters"] = bary_rows
     return doc
 
@@ -532,9 +522,7 @@ def run_deterministic_convergence(config: ExperimentConfig) -> ExperimentReport:
         spec = config.distribution
         data = spec.realize(np.full(spec.K, 0.5))
         rows = self_convergence(data, grids, ref_n, config.scheme)
-    report.summary["rows"] = [
-        {"n": r.n, "h": r.h, "error_l1": r.error_l1, "order": r.order} for r in rows
-    ]
+    report.summary["rows"] = [asdict(r) for r in rows]
     report.tables["convergence.csv"] = (
         ("n", "h", "error_l1", "order"),
         [(r.n, float(r.h), float(r.error_l1), float(r.order) if r.order is not None else math.nan)

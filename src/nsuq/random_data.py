@@ -203,10 +203,6 @@ class RandomFieldSpec:
     def worst_inf(self) -> float:
         return self.base - sum(m.coef_abs_max() for m in self.modes)
 
-    def mode_norm(self, m: RandomMode, d: int, period: float, order: float) -> float:
-        ksq = sum((2 * math.pi * k / period) ** 2 for k in m.wavevec)
-        return math.sqrt(period**d * 0.5 * (1.0 + ksq) ** order)
-
     @classmethod
     def from_dict(cls, doc: dict) -> "RandomFieldSpec":
         doc = dict(doc)  # an unknown key fails in the constructors
@@ -301,10 +297,11 @@ class DistributionSpec:
                                                      * self.g_base.sup_bound())
         for fs in (self.rho0, *self.u0):
             for m in fs.modes:
-                if m.latent_index is not None:
-                    per_coord[m.latent_index] += abs(m.coef_slope) * fs.mode_norm(
-                        m, self.d, self.period, self.field_order
-                    )
+                if m.latent_index is not None:  # the data distance of a unit change of m
+                    unit = FourierField(self.d, self.period, 0.0,
+                                        (FourierMode(m.wavevec, m.kind, 1.0),))
+                    per_coord[m.latent_index] += (abs(m.coef_slope)
+                                                  * unit.sobolev_norm(self.field_order))
         return float(per_coord.sum())
 
     def to_dict(self) -> dict:

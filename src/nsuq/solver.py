@@ -575,44 +575,37 @@ def _l1_error_vs_exact(traj: Trajectory, case: TravelingWaveCase) -> float:
     return float(np.trapezoid(per_t, traj.times))
 
 
-def manufactured_convergence(case: TravelingWaveCase, grid_sizes: list,
-                             cfg: SchemeConfig) -> list:
-    """Refinement study against the exact traveling wave; observed order is log2(e_h/e_{h/2})."""
+def _refinement(data: DataRecord, grid_sizes: list, cfg: SchemeConfig, error,
+                run: str) -> list:
+    """Solve `data` on each of `grid_sizes` and tabulate error(trajectory), with the
+    observed order log2(e_h/e_{h/2}) (None on the first row, or where either error
+    is <= 0).  A solve that does not complete raises SolverError naming `run`."""
     rows = []
-    prev = None
     for n in grid_sizes:
-        grid = GridSpec(1, n, case.period)
-        report = solve(case.data_record(), grid, cfg)
+        grid = GridSpec(data.d, n, data.period)
+        report = solve(data, grid, cfg)
         if report.status != COMPLETED:
-            raise SolverError(f"manufactured run aborted with status {report.status}")
-        err = _l1_error_vs_exact(report.trajectory, case)
-        rows.append(ConvergenceRow(n=n, h=grid.h, error_l1=err, order=_observed_order(prev, err)))
-        prev = err
+            raise SolverError(f"{run} run aborted with status {report.status}")
+        err = error(report.trajectory)
+        prev = rows[-1].error_l1 if rows else None
+        order = None if prev is None or prev <= 0 or err <= 0 else math.log2(prev / err)
+        rows.append(ConvergenceRow(n=n, h=grid.h, error_l1=err, order=order))
     return rows
 
 
-def _observed_order(prev: float | None, err: float) -> float | None:
-    if prev is None or prev <= 0 or err <= 0:
-        return None
-    return math.log2(prev / err)
+def manufactured_convergence(case: TravelingWaveCase, grid_sizes: list,
+                             cfg: SchemeConfig) -> list:
+    """Refinement study against the exact traveling wave."""
+    return _refinement(case.data_record(), grid_sizes, cfg,
+                       lambda traj: _l1_error_vs_exact(traj, case), "manufactured")
 
 
 def self_convergence(data: DataRecord, grid_sizes: list, ref_n: int, cfg: SchemeConfig) -> list:
     """Errors against a fine-grid reference solve of the same data (L1 space-time)."""
     if any(ref_n % n != 0 or n >= ref_n for n in grid_sizes):
         raise ValueError("study grids must be strictly coarser divisors of the reference")
-    d = data.d
-    ref = solve(data, GridSpec(d, ref_n, data.period), cfg)
+    ref = solve(data, GridSpec(data.d, ref_n, data.period), cfg)
     if ref.status != COMPLETED:
         raise SolverError(f"reference run aborted with status {ref.status}")
-    rows = []
-    prev = None
-    for n in grid_sizes:
-        grid = GridSpec(d, n, data.period)
-        report = solve(data, grid, cfg)
-        if report.status != COMPLETED:
-            raise SolverError(f"study run aborted with status {report.status}")
-        err = trajectory_lq_distance(report.trajectory, ref.trajectory, q=1.0, which="both")
-        rows.append(ConvergenceRow(n=n, h=grid.h, error_l1=err, order=_observed_order(prev, err)))
-        prev = err
-    return rows
+    return _refinement(data, grid_sizes, cfg, lambda traj: trajectory_lq_distance(
+        traj, ref.trajectory, q=1.0, which="both"), "study")

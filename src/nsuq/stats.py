@@ -38,8 +38,6 @@ __all__ = [
     "SampledEnsemble",
     "BarycenterResult",
     "r_barycenter",
-    "PairedSample",
-    "PairedEnsemble",
     "pair_by_index",
     "DiagnosticReport",
     "diagnostic_from_distances",
@@ -316,46 +314,21 @@ def r_barycenter(ensemble: Ensemble, which: str = "density", r: float = 2.0,
 # convergence-in-probability diagnostic (common random numbers across levels)
 
 
-@dataclass
-class PairedSample:
-    latent: np.ndarray
-    weight: float
-    traj_a: Trajectory | None
-    traj_b: Trajectory | None
-
-    @property
-    def resolved(self) -> bool:
-        return self.traj_a is not None and self.traj_b is not None
-
-
-@dataclass
-class PairedEnsemble:
-    samples: list
-
-    def __post_init__(self):
-        if not self.samples:
-            raise ValueError("need at least one paired sample")
-        total = sum(s.weight for s in self.samples)
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError("pair weights must sum to one")
-
-
-def pair_by_index(ens_a: Ensemble, ens_b: Ensemble) -> PairedEnsemble:
-    """Pair the shared prefix of two ensembles member by member.
+def pair_by_index(ens_a: Ensemble, ens_b: Ensemble) -> tuple:
+    """(ta, tb, w): the shared prefix of two ensembles paired member by member,
+    as trajectory lists with None for a solve that did not complete, at
+    weights 1/n.
 
     Requires the common-random-number discipline: latent point n must be
     identical in both ensembles.
     """
     n = min(len(ens_a), len(ens_b))
-    samples = []
     for i in range(n):
-        ma, mb = ens_a.members[i], ens_b.members[i]
-        if not np.array_equal(ma.latent, mb.latent):
+        if not np.array_equal(ens_a.members[i].latent, ens_b.members[i].latent):
             raise ValueError(f"mismatched latent pairing at member {i}")
-        ta = ma.report.trajectory if ma.report.status == COMPLETED else None
-        tb = mb.report.trajectory if mb.report.status == COMPLETED else None
-        samples.append(PairedSample(ma.latent, 1.0 / n, ta, tb))
-    return PairedEnsemble(samples)
+    ta, tb = ([m.report.trajectory if m.report.status == COMPLETED else None
+               for m in ens.members[:n]] for ens in (ens_a, ens_b))
+    return ta, tb, np.full(n, 1.0 / n)
 
 
 @dataclass
@@ -380,19 +353,25 @@ def diagnostic_from_distances(distances, weights, eps_grid) -> DiagnosticReport:
     return DiagnosticReport(eps_grid=eps_grid, fractions=fractions, distances=dists)
 
 
-def convergence_in_probability_diagnostic(pairs: PairedEnsemble, eps_grid, q: float = 2.0,
+def convergence_in_probability_diagnostic(pairs: tuple, eps_grid, q: float = 2.0,
                                           which: str = "both") -> DiagnosticReport:
     """Weighted fraction of paired members with L^q distance above each epsilon.
 
-    Unresolved pairs (an aborted solve on either level) count as exceeding
-    every threshold.
+    `pairs` is (ta, tb, w) as `pair_by_index` gives it: pair j compares
+    trajectories ta[j] and tb[j] at weight w[j].  Unresolved pairs (None on
+    either level) count as exceeding every threshold.
     """
+    ta, tb, w = pairs
+    if not len(w):
+        raise ValueError("need at least one paired sample")
+    if abs(sum(w) - 1.0) > 1e-9:
+        raise ValueError("pair weights must sum to one")
     dists = np.array([
-        trajectory_lq_distance(s.traj_a, s.traj_b, q=q, which=which)
-        if s.resolved else np.inf
-        for s in pairs.samples
+        trajectory_lq_distance(a, b, q=q, which=which)
+        if a is not None and b is not None else np.inf
+        for a, b in zip(ta, tb)
     ])
-    return diagnostic_from_distances(dists, [s.weight for s in pairs.samples], eps_grid)
+    return diagnostic_from_distances(dists, w, eps_grid)
 
 
 # ---------------------------------------------------------------------------

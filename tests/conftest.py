@@ -23,17 +23,20 @@ from nsuq.random_data import (
 from nsuq.solver import SolveReport
 
 
-# `pytest --hypothesis-profile deep` runs the property tests that take `deep_or(n)`
-# settings (the solver contract, the batched sampling and distance paths, the CLI
+# `pytest -m deep --hypothesis-profile deep` runs the property tests decorated with
+# `deep_or(n)` (the solver contract, the batched sampling and distance paths, the CLI
 # config fuzz) with 400 examples instead of their tier-1 n
 settings.register_profile("deep", max_examples=400)
 
 
 def deep_or(n: int):
-    """The deep profile's settings when it is loaded, else n examples; no deadline."""
+    """Mark a property test `deep`, and give it the deep profile's settings when that
+    profile is loaded, else n examples; no deadline."""
     if settings.get_current_profile_name() == "deep":
-        return settings(settings.get_profile("deep"), deadline=None)
-    return settings(max_examples=n, deadline=None)
+        chosen = settings(settings.get_profile("deep"), deadline=None)
+    else:
+        chosen = settings(max_examples=n, deadline=None)
+    return lambda test: pytest.mark.deep(chosen(test))
 
 
 @pytest.fixture

@@ -3,7 +3,6 @@ import importlib
 import json
 import os
 import pathlib
-import re
 import subprocess
 import sys
 
@@ -130,21 +129,3 @@ def test_module_imports_are_read():
                     if name not in loaded | exported and (path.stem, name) not in wrapped:
                         unread.append(f"{path.name}: {name}")
     assert not unread, unread
-
-
-def test_ci_property_step_names_existing_tests():
-    # CI reruns chosen property tests by id at 400 examples; a moved or renamed test
-    # must fail here, in tier-1, rather than only in that step
-    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
-    step = re.search(r"- name: Property tests, 400 examples\n(.*?)(?=\n *- name:|\Z)", workflow,
-                     re.S)
-    assert step, "tests.yml has no 'Property tests, 400 examples' step"
-    ids = re.findall(r"(tests/[\w/]+\.py)::(\w+)", step.group(1))
-    assert ids
-    missing = []
-    for path, name in ids:
-        file = ROOT / path
-        tree = ast.parse(file.read_text()) if file.is_file() else ast.Module(body=[])
-        if name not in {n.name for n in tree.body if isinstance(n, ast.FunctionDef)}:
-            missing.append(f"{path}::{name}")
-    assert not missing, missing

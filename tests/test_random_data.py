@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ import pytest
 from nsuq.physics import data_distance, validate_admissible
 from nsuq.random_data import (
     DistributionSpec,
+    RandomFieldSpec,
+    RandomMode,
     ScalarTransform,
     SpecValidationError,
     build_partition,
@@ -214,18 +217,25 @@ def test_every_draw_is_admissible(bounds):
 
 
 def test_lipschitz_probe(bounds):
-    spec = make_spec(bounds, K=3, mu=("uniform", 0.02, 0.08, 0),
-                     a=("uniform", 0.6, 1.4, 1), rho_slope=0.2, rho_latent=2)
-    L = spec.lipschitz_constant()
-    rng = np.random.default_rng(1)
-    delta = 1e-4
-    for _ in range(20):
-        om = rng.random(3) * (1 - delta)
-        i = rng.integers(0, 3)
-        om2 = om.copy()
-        om2[i] += delta
-        d = data_distance(spec.realize(om), spec.realize(om2), spec.field_order)
-        assert d <= L * delta * (1 + 1e-9)
+    base = make_spec(bounds, K=3, mu=("uniform", 0.02, 0.08, 0), a=("uniform", 0.6, 1.4, 1))
+    # a k = 0 cos mode is a constant, of norm sqrt(period^d); a k = 0 sin mode is zero
+    for wavevec, kind in (((1,), "sin"), ((0,), "cos"), ((0,), "sin")):
+        mode = RandomMode(wavevec, kind, 0.05, 0.2, 2)
+        spec = replace(base, rho0=RandomFieldSpec(1.0, (mode,)))
+        L = spec.lipschitz_constant()
+        # each coordinate moves one piece of the data affinely, so the corners are L apart
+        corners = data_distance(spec.realize(np.zeros(3)), spec.realize(np.ones(3)),
+                                spec.field_order)
+        assert corners == pytest.approx(L, rel=1e-12), mode
+        rng = np.random.default_rng(1)
+        delta = 1e-4
+        for _ in range(20):
+            om = rng.random(3) * (1 - delta)
+            i = rng.integers(0, 3)
+            om2 = om.copy()
+            om2[i] += delta
+            d = data_distance(spec.realize(om), spec.realize(om2), spec.field_order)
+            assert d <= L * delta * (1 + 1e-9), mode
 
 
 def test_spec_dict_roundtrip(bounds):

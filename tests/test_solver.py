@@ -601,8 +601,8 @@ def admissible_problems(draw):
     return spec, omega, grid, scheme, forced
 
 
-# 25 examples in tier-1; CI also runs the three tests below alone under the "deep"
-# profile (conftest.py)
+# 25 examples in tier-1; CI reruns the three tests below, with the other tests marked
+# `deep`, under the "deep" profile (conftest.py)
 CONTRACT_SETTINGS = deep_or(25)
 
 

@@ -19,8 +19,6 @@ from nsuq.stats import (
     make_functional,
     pair_by_index,
     r_barycenter,
-    PairedEnsemble,
-    PairedSample,
     SampledEnsemble,
 )
 from conftest import deep_or, fake_ensemble, random_member
@@ -264,14 +262,22 @@ def test_diagnostic_deterministic_offset():
 
 
 def test_diagnostic_unresolved_pair_counts_everywhere():
-    samples = [PairedSample(np.array([0.5]), 1.0, None, None)]
-    rep = convergence_in_probability_diagnostic(PairedEnsemble(samples), [1.0, 1e9])
+    rep = convergence_in_probability_diagnostic(([None], [None], [1.0]), [1.0, 1e9])
+    assert list(rep.fractions) == [1.0, 1.0]
+    # an aborted member, taken through pair_by_index, is None in its level's list
+    a = fake_ensemble([{"latent": [0.5]}])
+    b = fake_ensemble([{"latent": [0.5], "status": "aborted_linf", "linf": 100.0}])
+    ta, tb, w = pair_by_index(a, b)
+    assert ta[0] is a.members[0].report.trajectory and tb == [None]
+    rep = convergence_in_probability_diagnostic((ta, tb, w), [1.0, 1e9])
     assert list(rep.fractions) == [1.0, 1.0]
 
 
 def test_paired_weights_must_sum_to_one():
-    with pytest.raises(ValueError):
-        PairedEnsemble([PairedSample(np.array([0.5]), 0.5, None, None)])
+    with pytest.raises(ValueError, match="sum to one"):
+        convergence_in_probability_diagnostic(([None], [None], [0.5]), [1.0])
+    with pytest.raises(ValueError, match="at least one"):
+        convergence_in_probability_diagnostic(([], [], []), [1.0])
 
 
 # ---------------------------------------------------------------------------
