@@ -329,7 +329,7 @@ def sample_members(trajs: list, times, grid: GridSpec) -> tuple:
 
 def _mag(values: np.ndarray, vector: bool) -> np.ndarray:
     """Pointwise Euclidean magnitude of vector values (last axis), or |values|."""
-    return np.sqrt(np.sum(values**2, axis=-1)) if vector else np.abs(values)
+    return np.sqrt((values**2).sum(axis=-1)) if vector else np.abs(values)
 
 
 def _lq(mag: np.ndarray, q: float, vol: float) -> float:

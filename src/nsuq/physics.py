@@ -46,9 +46,9 @@ def pressure(rho, a: float, gamma: float):
     to float64.
     """
     rho = np.asarray(rho)
-    if not np.issubdtype(rho.dtype, np.floating):
+    if rho.dtype.kind != "f":
         rho = rho.astype(float)
-    if np.any(rho < 0):
+    if (rho < 0).any():
         raise ValueError("density must be nonnegative")
     if a <= 0:
         raise ValueError("pressure coefficient a must be positive")
@@ -70,7 +70,7 @@ def total_energy(rho: np.ndarray, u: np.ndarray, grid: GridSpec, a: float,
     """Total energy integral [ rho |u|^2 / 2 + P(rho) ] dx of arrays on `grid`, midpoint rule."""
     if rho.min() <= 0:
         raise ValueError("total energy needs strictly positive density")
-    kinetic = 0.5 * rho * np.sum(u**2, axis=-1)
+    kinetic = 0.5 * rho * (u**2).sum(axis=-1)
     dens = kinetic + pressure_potential(rho, a, gamma)
     return float(dens.sum() * grid.cell_volume)
 

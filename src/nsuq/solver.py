@@ -134,37 +134,26 @@ class SolveReport:
 
 
 @functools.cache
-def _shift_slices(ax: int, k: int) -> tuple:
-    # (dst, src) index pairs of a periodic shift by k along ax; the leading
-    # full slices serve any ndim > ax, so the cache key needs no ndim
-    lead = (slice(None),) * ax
-    pairs = ((slice(k, None), slice(None, -k)), (slice(None, k), slice(-k, None)))
-    return tuple((lead + (dst,), lead + (src,)) for dst, src in pairs)
+def _shift_index(n: int, k: int) -> np.ndarray:
+    # source cell of each cell in a periodic shift by k on n cells; shared, so read-only
+    idx = (np.arange(n) - k) % n
+    idx.flags.writeable = False
+    return idx
 
 
 def _shift(v: np.ndarray, k: int, ax: int) -> np.ndarray:
-    """Periodic shift along ax, out[i] = v[i - k] mod n for k = +1 or -1.
-
-    One empty_like and two slice copies; the same values, in the same
-    layout, as numpy's roll by k, without its per-call set-up.
-    """
-    (d0, s0), (d1, s1) = _shift_slices(ax, k)
-    out = np.empty_like(v)
-    out[d0] = v[s0]
-    out[d1] = v[s1]
-    return out
+    """Periodic shift along ax, out[i] = v[i - k] mod n: numpy's roll by k, one `take`."""
+    return v.take(_shift_index(v.shape[ax], k), axis=ax)
 
 
 def _face_avg(v: np.ndarray, ax: int) -> np.ndarray:
     # value at face i+1/2 between cells i and i+1
-    return 0.5 * (v + _shift(v, -1, ax))
+    return (v + _shift(v, -1, ax)) * 0.5
 
 
 def _upwind(c: np.ndarray, w: np.ndarray, ax: int) -> np.ndarray:
-    # donor value at face i+1/2 for face velocity w; ties take the central average
-    right = _shift(c, -1, ax)
-    up = np.where(w > 0, c, right)
-    return np.where(w == 0, 0.5 * (c + right), up)
+    # donor at face i+1/2: cell i where w > 0, else cell i+1; at w = 0 the flux w * donor is 0
+    return np.where(w > 0, c, _shift(c, -1, ax))
 
 
 def _div_faces(flux: np.ndarray, ax: int, h: float) -> np.ndarray:
@@ -176,9 +165,14 @@ def _grad_c(v: np.ndarray, ax: int, h: float) -> np.ndarray:
 
 
 def _lap(v: np.ndarray, h: float, d: int) -> np.ndarray:
-    out = np.zeros_like(v)
+    """Centered second differences of v along its first d axes, summed onto the first's."""
+    two_v, h2 = v * 2, h**2
     for ax in range(d):
-        out += (_shift(v, -1, ax) - 2 * v + _shift(v, 1, ax)) / h**2
+        term = _shift(v, -1, ax)
+        term -= two_v
+        term += _shift(v, 1, ax)
+        term /= h2
+        out = np.add(out, term, out=out) if ax else term
     return out
 
 
@@ -188,33 +182,40 @@ def _faces(u: np.ndarray, grid: GridSpec) -> list:
 
 
 def _grad(p: np.ndarray, grid: GridSpec) -> np.ndarray:
-    return np.stack([_grad_c(p, ax, grid.h) for ax in range(grid.d)], axis=-1)
+    """Centered gradient of the scalar p, its components written along a new last axis."""
+    out = np.empty(p.shape + (grid.d,))
+    for ax in range(grid.d):
+        out[..., ax] = _grad_c(p, ax, grid.h)
+    return out
 
 
 def _flux_div(c: np.ndarray, faces: list, grid: GridSpec) -> np.ndarray:
-    """Divergence of the upwind flux of c for given face velocities (telescoping);
-    each face velocity is broadcast over c's trailing component axes, if any."""
-    out = np.zeros(c.shape)
+    """Divergence of the upwind flux of c for given face velocities (telescoping), summed
+    onto the first axis's term; face velocities broadcast over c's trailing axes, if any."""
     tail = (1,) * (c.ndim - grid.d)
     for ax, w in enumerate(faces):
         w = w.reshape(w.shape + tail)
-        out += _div_faces(w * _upwind(c, w, ax), ax, grid.h)
+        term = _div_faces(w * _upwind(c, w, ax), ax, grid.h)
+        out = np.add(out, term, out=out) if ax else term
     return out
 
 
 def _apply_viscous(u: np.ndarray, mu: float, eta: float, grid: GridSpec) -> np.ndarray:
     """div S(grad u) with centered stencils; for d=1 the reduced (mu+eta) u_xx."""
     h, d = grid.h, grid.d
-    if d == 1:
-        return (mu + eta) * _lap(u, h, 1)
-    div = sum(_grad_c(u[..., ax], ax, h) for ax in range(d))
-    return mu * _lap(u, h, d) + eta * _grad(div, grid)
+    out = _lap(u, h, d)
+    out *= mu + eta if d == 1 else mu
+    if d > 1:
+        out += _grad(sum(_grad_c(u[..., ax], ax, h) for ax in range(d)), grid) * eta
+    return out
 
 
 def _momentum_operator(u: np.ndarray, rho: np.ndarray, dt: float, mu: float, eta: float,
                        grid: GridSpec) -> np.ndarray:
     """A(rho) u = (diag(rho) - dt div S) u, the matrix of the momentum update."""
-    return rho[..., None] * u - dt * _apply_viscous(u, mu, eta, grid)
+    visc = _apply_viscous(u, mu, eta, grid)
+    visc *= dt
+    return np.subtract(rho[..., None] * u, visc, out=visc)
 
 
 def _cg_done(r: np.ndarray, tol: float) -> bool:
@@ -257,7 +258,7 @@ def _solve_momentum_system(rho: np.ndarray, b: np.ndarray, dt: float, mu: float,
     warm starts `step` and `solve` give it, this takes 2.6 iterations per
     solve on average on the 1-D n=64 level of the weak-1d-mc benchmark and
     2.4 on the 2-D n=64 level of strong-2d-colloc (seed 1), at 1.6 and 1.2
-    solves per step.  The stop is the residual's max norm within tol.
+    solves per step over all levels.  The stop is the residual's max norm within tol.
     """
     x = guess.copy()
     r = b - (rho[..., None] * x - visc)
@@ -349,20 +350,20 @@ def step(rho_k: np.ndarray, u_k: np.ndarray, t: float, data: DataRecord, dt: flo
     m_k = rho_k[..., None] * u_k
     t_new = t + dt
 
-    conv = _flux_div(m_k, _faces(u_k, grid), grid)
+    explicit = m_k - _flux_div(m_k, _faces(u_k, grid), grid) * dt
     g_new = data.g.evaluate(t_new, grid)
     lin_tol = 0.05 * cfg.picard_tol
     u = u_k if guess is None else guess
-    visc = dt * _apply_viscous(u, data.mu, data.eta, grid)
-    rho = rho_k - dt * _flux_div(rho_k, _faces(u, grid), grid)
+    visc = _apply_viscous(u, data.mu, data.eta, grid) * dt
+    rho = rho_k - _flux_div(rho_k, _faces(u, grid), grid) * dt
     for _ in range(cfg.picard_max_iter):
         if rho.min() <= 0:
             raise VacuumError(f"vacuum at t={t_new}")
-        b = (m_k - dt * conv - dt * _grad(pressure(rho, data.a, data.gamma), grid)
-             + dt * rho[..., None] * g_new)
+        # rho > 0 now, and the record has checked a and gamma: no `pressure` checks
+        b = explicit - _grad(data.a * rho**data.gamma, grid) * dt + rho[..., None] * dt * g_new
         u = _solve_momentum_system(rho, b, dt, data.mu, data.eta, grid, u, visc, lin_tol)
-        rho_next = rho_k - dt * _flux_div(rho_k, _faces(u, grid), grid)
-        visc = dt * _apply_viscous(u, data.mu, data.eta, grid)  # for r_m and the next CG start
+        rho_next = rho_k - _flux_div(rho_k, _faces(u, grid), grid) * dt
+        visc = _apply_viscous(u, data.mu, data.eta, grid) * dt  # for r_m and the next CG start
         r_m = (rho[..., None] * u - visc) - b
         # NaN fails both comparisons, so a non-finite sweep is never accepted
         if np.abs(rho - rho_next).max() <= cfg.picard_tol and np.abs(r_m).max() <= cfg.picard_tol:
@@ -424,8 +425,7 @@ def solve(data: DataRecord, grid: GridSpec, cfg: SchemeConfig, keep=None) -> Sol
     linf = [_linf(rho, u)]
     energy = [total_energy(rho, u, grid, data.a, data.gamma)]
     status = COMPLETED
-    if keep is not None:
-        lo, hi = np.asarray(keep, dtype=float).reshape(-1, 2).T
+    windows = [] if keep is None else np.asarray(keep, dtype=float).reshape(-1, 2).tolist()
     past = []  # (t, u) of the last three accepted states, newest first
 
     if linf[0] > cfg.linf_ceiling:
@@ -453,7 +453,7 @@ def solve(data: DataRecord, grid: GridSpec, cfg: SchemeConfig, keep=None) -> Sol
                 status = NO_CONVERGENCE
                 break
             t += dt
-            if keep is None or np.any((lo <= t) & (hi >= times[-1])):
+            if keep is None or any(lo <= t and hi >= times[-1] for lo, hi in windows):
                 if steps[-1] != len(times) - 1:
                     kept.append(prev)
                     steps.append(len(times) - 1)
