@@ -56,6 +56,18 @@ __all__ = [
     "run_deterministic_convergence",
 ]
 
+# Fixed ceilings on the sizes a config sets, so that a config too large to run is refused
+# by validation, on any machine alike, instead of failing at its first allocation.  Every
+# committed config, demo and test stays more than 100 times below them.
+MAX_GRID_CELLS = 1 << 20  # cells per grid, n**d; the same as the partition cap
+MAX_WEAK_MEMBERS = 1 << 20  # Monte-Carlo members per level
+MAX_REPORT_TIMES = 4096
+
+
+def _check_cells(n: int, d: int, name: str) -> None:
+    if n**d > MAX_GRID_CELLS:
+        raise ValueError(f"{name} {n} makes {n}**{d} grid cells, more than {MAX_GRID_CELLS}")
+
 
 @dataclass(frozen=True)
 class LadderLevel:
@@ -98,7 +110,8 @@ class StatsRequest:
         names = [make_functional(fdoc)[0] for fdoc in self.functionals]
         if len(set(names)) != len(names):
             raise ValueError(f"functional names must be unique, got {names}")
-        check_number(self.n_report_times, "n_report_times", integer=True, ge=0)
+        check_number(self.n_report_times, "n_report_times", integer=True, ge=0,
+                     le=MAX_REPORT_TIMES)
         check_number(self.diagnostic_q, "diagnostic_q", ge=1, inf=True)
 
     def to_dict(self) -> dict:
@@ -144,6 +157,9 @@ class ExperimentConfig:
             # cross-level distances transfer onto the coarser grid
             if any(b % a for a, b in zip(ns, ns[1:])):
                 raise ValueError("each level's n_cells must divide the next level's")
+            _check_cells(ns[-1], self.distribution.d, "ladder n_cells")
+            if self.mode == "weak" and Ns[-1] > MAX_WEAK_MEMBERS:
+                raise ValueError(f"ladder N {Ns[-1]} exceeds {MAX_WEAK_MEMBERS} weak members")
             K = self.distribution.K
             if self.mode == "strong" and (K < 1 or Ns[-1] ** K > MAX_PARTITION_CELLS):
                 raise ValueError(f"strong mode needs K >= 1 and at most "
@@ -213,10 +229,13 @@ def _convergence_plan(config: ExperimentConfig) -> tuple:
     ref_n = doc.get("ref_n", 64)
     if not grids:
         raise ValueError("convergence grids must not be empty")
+    d = config.distribution.d if study == "self" else 1  # the traveling wave is 1-D
     for n in grids:
         check_number(n, "convergence grid", integer=True, ge=2)
+        _check_cells(n, d, "convergence grid")
     if study == "self":
         check_number(ref_n, "ref_n", integer=True)
+        _check_cells(ref_n, d, "ref_n")
         if any(ref_n % n != 0 or n >= ref_n for n in grids):
             raise ValueError("study grids must be strictly coarser divisors of ref_n")
     case = None

@@ -448,10 +448,10 @@ def save_field(f: Field, path) -> None:
     component index is the fastest-varying one.
     """
     ncomp = f.grid.d if isinstance(f, VectorField) else 1
+    lines = "".join(format(x, ".17g") + "\n" for x in f.values.ravel().tolist())  # _fmt, joined
     with open(path, "w") as fh:
         fh.write(f"{f.grid.d},{f.grid.n},{_fmt(f.grid.period)},{ncomp}\n")
-        for x in f.values.ravel(order="C"):
-            fh.write(_fmt(x) + "\n")
+        fh.write(lines)
 
 
 def load_field(path) -> Field:

@@ -13,6 +13,9 @@ from hypothesis import strategies as st
 
 from nsuq.cli import main
 from nsuq.experiments import (
+    MAX_GRID_CELLS,
+    MAX_REPORT_TIMES,
+    MAX_WEAK_MEMBERS,
     ExperimentConfig,
     LadderLevel,
     StatsRequest,
@@ -96,6 +99,7 @@ BAD_STATS = (
     {"functionals": [{"kind": "bogus"}]},
     {"n_report_times": -1},
     {"n_report_times": 2.0},
+    {"n_report_times": 4097},  # above the ceiling
     {"M_grid": []},
     {"eps_grid": []},
     {"eps_grid": "abc"},
@@ -150,6 +154,14 @@ def constant_strong_doc(bounds):
     return constant_config(bounds, mode="strong").to_dict()
 
 
+def strong_2d_doc(bounds):
+    """A two-level strong config document in 2-D, the finer level on 64**2 cells."""
+    spec = make_spec(bounds, d=2, mu=("uniform", 0.02, 0.08, 0))
+    return ExperimentConfig(mode="strong", ladder=(LadderLevel(2, 16), LadderLevel(2, 64)),
+                            scheme=SchemeConfig(cfl=0.4, T=0.01), distribution=spec,
+                            stats=STATS, seed=1).to_dict()
+
+
 def convergence_doc(bounds, study=None):
     study = study or {"study": "manufactured", "grids": [8, 16]}
     return ExperimentConfig(mode="convergence", ladder=(), scheme=SCHEME,
@@ -174,6 +186,12 @@ BAD_ENTRIES = (
     (weak_doc, ("ladder", 0, "n_cells"), 1),
     (strong_doc, ("ladder", 1, "N"), 5000),  # 5000**2 partition cells
     (constant_strong_doc, ("distribution", "K"), 0),  # no latent axis to partition
+    # sizes above their ceilings, which failed at their first allocation
+    (weak_doc, ("ladder", 1, "N"), 10**13),
+    (weak_doc, ("ladder", 1, "n_cells"), 10**13),
+    (strong_2d_doc, ("ladder", 1, "n_cells"), 10**6),  # 10**12 cells
+    (convergence_doc, ("convergence", "grids"), [8, 2**21]),
+    (self_convergence_doc, ("convergence", "ref_n"), 2**21),
     (weak_doc, ("scheme", "T"), math.nan),
     (weak_doc, ("scheme", "T"), math.inf),
     (weak_doc, ("scheme", "picard_tol"), math.nan),
@@ -550,7 +568,10 @@ def _fuzz_bases():
     conv = [{**weak, "mode": "convergence", "ladder": [], "convergence": c}
             for c in ({"study": "self", "grids": [4], "ref_n": 8},
                       {"study": "manufactured", "grids": [8, 16], "mu": 0.05})]
-    return {"run-weak": [weak], "run-strong": [strong], "run-convergence": conv}
+    # as the CLI reads them: lists, not the dataclasses' tuples, so that the fuzz reaches
+    # ladder entries, thresholds and barycenters too
+    return json.loads(json.dumps({"run-weak": [weak], "run-strong": [strong],
+                                  "run-convergence": conv}))
 
 
 FUZZ_BASES = _fuzz_bases()
@@ -565,8 +586,17 @@ def _paths(doc, prefix=()):
             yield from _paths(value, prefix + (key,))
 
 
-# mutations change a value's type, sign or structure, never the size of a number
+# mutations change a value's type, sign or structure; sizes are only set above their ceilings
 FUZZ_VALUES = [None, True, False, "1", [], {}, -0.0, float("nan")]
+SIZE_CEILINGS = {"N": MAX_WEAK_MEMBERS, "n_cells": MAX_GRID_CELLS, "ref_n": MAX_GRID_CELLS,
+                 "n_report_times": MAX_REPORT_TIMES}
+
+
+def _size_ceiling(path):
+    """The ceiling of the size at `path` (a convergence grid or a SIZE_CEILINGS key), else None."""
+    if path[-2:-1] == ("grids",):
+        return MAX_GRID_CELLS
+    return SIZE_CEILINGS.get(path[-1])
 
 
 @deep_or(20)
@@ -596,6 +626,12 @@ def test_cli_config_fuzz(command, data):
             value["unknown_key"] = 1
         else:
             parent[path[-1]] = data.draw(st.sampled_from(FUZZ_VALUES))
+    # a size above its ceiling is refused before anything of that size is allocated
+    sizes = [path for path, _ in _paths(doc) if _size_ceiling(path)]
+    sized = bool(sizes) and data.draw(st.booleans())
+    if sized:
+        path = data.draw(st.sampled_from(sizes))
+        doc = patched(doc, path, data.draw(st.integers(_size_ceiling(path) + 1, 10**15)))
     with tempfile.TemporaryDirectory() as tmp:
         cfg_path, out = os.path.join(tmp, "cfg.json"), os.path.join(tmp, "out")
         with open(cfg_path, "w") as fh:
@@ -603,7 +639,7 @@ def test_cli_config_fuzz(command, data):
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             code = main([command, "--config", cfg_path, "--out", out, "--threads", "1"])
-        assert code in (0, 2, 3), (code, doc)
+        assert code in ((2,) if sized else (0, 2, 3)), (code, doc)
         if code == 2:
             lines = err.getvalue().splitlines()
             assert len(lines) == 1 and lines[0].startswith("nsuq: config error:"), lines
@@ -696,6 +732,69 @@ def test_cli_entry_point_subprocess(bounds, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "completed" in proc.stdout
+
+
+def test_cli_pads_heap_top_and_library_calls_do_not(bounds, tmp_path, monkeypatch):
+    import types
+    from nsuq import cli
+
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, weak_config(bounds, levels=((2, 8),)))
+    argv = ["run-weak", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    def fake_cdll(libc):
+        def cdll(name):
+            assert name is None
+            if isinstance(libc, Exception):
+                raise libc
+            return libc
+        return cdll
+
+    # M_TOP_PAD (-2) at 16 MiB, once per invocation
+    monkeypatch.setattr(cli.ctypes, "CDLL", fake_cdll(types.SimpleNamespace(mallopt=mallopt)))
+    assert main(argv) == 0 and main(argv) == 0
+    assert calls == [(-2, 16 << 20)] * 2
+    # a libc without mallopt, or none at all, is a silent no-op
+    for libc in (types.SimpleNamespace(), OSError("no libc")):
+        monkeypatch.setattr(cli.ctypes, "CDLL", fake_cdll(libc))
+        assert main(argv) == 0
+    # a library run leaves the allocator alone
+    calls.clear()
+    monkeypatch.setattr(cli.ctypes, "CDLL", fake_cdll(types.SimpleNamespace(mallopt=mallopt)))
+    run_strong(constant_config(bounds, mode="strong", levels=((2, 8),)))
+    assert calls == []
+    # and so does importing the package, in a fresh interpreter
+    code = ("import ctypes\n"
+            "def cdll(*args, **kwargs):\n"
+            "    raise AssertionError('ctypes.CDLL called')\n"
+            "ctypes.CDLL = cdll\n"
+            "import nsuq, nsuq.cli, nsuq.experiments\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_and_library_reports_are_byte_identical_across_processes(bounds, tmp_path):
+    # each in its own process: once cli.main has run, a process keeps its heap-top pad
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(strong_2d_doc(bounds)))
+    cli_out, lib_out = tmp_path / "cli", tmp_path / "lib"
+    lib = ("import json, sys\n"
+           "from nsuq.experiments import ExperimentConfig, run_strong\n"
+           "with open(sys.argv[1]) as fh:\n"
+           "    run_strong(ExperimentConfig.from_dict(json.load(fh))).write(sys.argv[2])\n")
+    for argv in ([sys.executable, "-m", "nsuq.cli", "run-strong", "--config", str(cfg_path),
+                  "--out", str(cli_out), "--threads", "1"],
+                 [sys.executable, "-c", lib, str(cfg_path), str(lib_out)]):
+        proc = subprocess.run(argv, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+    assert (cli_out / "report.json").exists()
+    assert hash_dir(cli_out) == hash_dir(lib_out)
 
 
 def test_fully_aborted_level_is_tainted_not_fatal(bounds, tmp_path):
