@@ -10,11 +10,20 @@ at any worker count.
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 import math
 import os
 from dataclasses import asdict, dataclass, field as dc_field, fields
+
+# CPython's own SHA-256 (the same digest): the OpenSSL-backed one maps libcrypto, about
+# 3.5 MiB of resident memory for one 2 KB hash per run
+try:
+    from _sha2 import sha256  # Python >= 3.12
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:  # an interpreter built without its own SHA-256
+        from hashlib import sha256
 
 import numpy as np
 
@@ -58,9 +67,11 @@ __all__ = [
 
 # Fixed ceilings on the sizes a config sets, so that a config too large to run is refused
 # by validation, on any machine alike, instead of failing at its first allocation.  Every
-# committed config, demo and test stays more than 100 times below them.
+# committed config, demo and test stays more than 100 times below them (10 times below
+# the latent dimension's).
 MAX_GRID_CELLS = 1 << 20  # cells per grid, n**d; the same as the partition cap
 MAX_WEAK_MEMBERS = 1 << 20  # Monte-Carlo members per level
+MAX_LATENT_DIM = 64  # distribution.K, the coordinates of every latent draw
 MAX_REPORT_TIMES = 4096
 
 
@@ -147,6 +158,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.mode not in ("weak", "strong", "convergence"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        K = self.distribution.K
+        if K > MAX_LATENT_DIM:  # before N**K is computed, and before any draw of K numbers
+            raise ValueError(f"distribution K {K} exceeds {MAX_LATENT_DIM} latent dimensions")
         if self.mode != "convergence":
             if not self.ladder:
                 raise ValueError("ladder must not be empty")
@@ -160,7 +174,6 @@ class ExperimentConfig:
             _check_cells(ns[-1], self.distribution.d, "ladder n_cells")
             if self.mode == "weak" and Ns[-1] > MAX_WEAK_MEMBERS:
                 raise ValueError(f"ladder N {Ns[-1]} exceeds {MAX_WEAK_MEMBERS} weak members")
-            K = self.distribution.K
             if self.mode == "strong" and (K < 1 or Ns[-1] ** K > MAX_PARTITION_CELLS):
                 raise ValueError(f"strong mode needs K >= 1 and at most "
                                  f"{MAX_PARTITION_CELLS} partition cells per level")
@@ -201,7 +214,7 @@ class ExperimentConfig:
         """sha256 of the config; `threads` is left out, since output does not depend on it."""
         doc = self.to_dict()
         del doc["threads"]
-        return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+        return sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
 # study kind -> default study grids

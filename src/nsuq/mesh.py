@@ -441,6 +441,9 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+_SAVE_CHUNK = 1024  # values formatted per write of save_field
+
+
 def save_field(f: Field, path) -> None:
     """Write a field as CSV: header `d,n,period,ncomp`, then one value per line.
 
@@ -448,10 +451,13 @@ def save_field(f: Field, path) -> None:
     component index is the fastest-varying one.
     """
     ncomp = f.grid.d if isinstance(f, VectorField) else 1
-    lines = "".join(format(x, ".17g") + "\n" for x in f.values.ravel().tolist())  # _fmt, joined
+    flat = f.values.ravel()
     with open(path, "w") as fh:
         fh.write(f"{f.grid.d},{f.grid.n},{_fmt(f.grid.period)},{ncomp}\n")
-        fh.write(lines)
+        # `%.17g` is _fmt's format; a chunk at a time, so no whole field of text is held
+        for i in range(0, flat.size, _SAVE_CHUNK):
+            chunk = flat[i:i + _SAVE_CHUNK].tolist()
+            fh.write(("%.17g\n" * len(chunk)) % tuple(chunk))
 
 
 def load_field(path) -> Field:

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from nsuq.cli import main
 from nsuq.experiments import (
     MAX_GRID_CELLS,
+    MAX_LATENT_DIM,
     MAX_REPORT_TIMES,
     MAX_WEAK_MEMBERS,
     ExperimentConfig,
@@ -150,6 +152,14 @@ def strong_doc(bounds):
                             scheme=SCHEME, distribution=spec, stats=STATS).to_dict()
 
 
+def one_cell_strong_doc(bounds):
+    """strong_doc with N = 1 on both levels: 1**K = 1 partition cell for any K."""
+    doc = strong_doc(bounds)
+    for level in doc["ladder"]:
+        level["N"] = 1
+    return doc
+
+
 def constant_strong_doc(bounds):
     return constant_config(bounds, mode="strong").to_dict()
 
@@ -192,6 +202,8 @@ BAD_ENTRIES = (
     (strong_2d_doc, ("ladder", 1, "n_cells"), 10**6),  # 10**12 cells
     (convergence_doc, ("convergence", "grids"), [8, 2**21]),
     (self_convergence_doc, ("convergence", "ref_n"), 2**21),
+    (weak_doc, ("distribution", "K"), 10**13),  # 146 TiB of latent draws
+    (one_cell_strong_doc, ("distribution", "K"), 10**13),  # under the partition cap
     (weak_doc, ("scheme", "T"), math.nan),
     (weak_doc, ("scheme", "T"), math.inf),
     (weak_doc, ("scheme", "picard_tol"), math.nan),
@@ -553,6 +565,23 @@ def test_one_worker_run_never_imports_multiprocessing(bounds, tmp_path):
     assert proc.stdout.splitlines()[-1] == "False", proc.stdout
 
 
+@pytest.mark.skipif(not any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256")),
+                    reason="the interpreter has no built-in SHA-256")
+def test_strong_run_never_loads_openssl(bounds, tmp_path):
+    # the config hash uses the interpreter's own SHA-256, and a center-rule strong run
+    # draws no random numbers: neither OpenSSL's libcrypto (_hashlib, about 3.5 MiB)
+    # nor numpy.random is loaded
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(strong_doc(bounds)))
+    argv = ["run-strong", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+    code = f"import sys; from nsuq.cli import main; main({argv!r}); " \
+           "print([m for m in ('_hashlib', 'numpy.random') if m in sys.modules])"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]", proc.stdout
+
+
 def _fuzz_bases():
     """Small weak, strong and convergence documents for the config fuzz."""
     from nsuq.physics import AdmissibleBounds
@@ -589,7 +618,7 @@ def _paths(doc, prefix=()):
 # mutations change a value's type, sign or structure; sizes are only set above their ceilings
 FUZZ_VALUES = [None, True, False, "1", [], {}, -0.0, float("nan")]
 SIZE_CEILINGS = {"N": MAX_WEAK_MEMBERS, "n_cells": MAX_GRID_CELLS, "ref_n": MAX_GRID_CELLS,
-                 "n_report_times": MAX_REPORT_TIMES}
+                 "n_report_times": MAX_REPORT_TIMES, "K": MAX_LATENT_DIM}
 
 
 def _size_ceiling(path):

@@ -169,6 +169,23 @@ def test_field_serialization_roundtrip(tmp_path):
     assert np.array_equal(v2.values, v.values)
 
 
+def test_save_field_writes_the_joined_text(tmp_path):
+    # save_field formats a chunk of values at a time; its bytes are those of the whole
+    # field formatted value by value and joined, and load_field reads back every bit
+    rng = np.random.default_rng(5)
+    edge = [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 1 / 3]
+    path = tmp_path / "f.csv"
+    for f in (VectorField(GridSpec(2, 64), rng.standard_normal((64, 64, 2))),  # 8 chunks
+              ScalarField(GridSpec(1, 6), np.array(edge))):
+        save_field(f, path)
+        ncomp = f.grid.d if isinstance(f, VectorField) else 1
+        joined = "".join(format(x, ".17g") + "\n" for x in f.values.ravel().tolist())
+        assert path.read_text() == f"{f.grid.d},{f.grid.n},1,{ncomp}\n" + joined
+        loaded = load_field(path)
+        assert loaded.values.shape == f.values.shape
+        assert loaded.values.tobytes() == f.values.tobytes()
+
+
 def _constant_trajectory(grid, rho, u, times):
     """Every step kept, each state constant in space: density rho[k] and every
     velocity component u[k] at times[k]."""

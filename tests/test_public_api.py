@@ -77,8 +77,11 @@ def test_benchmark_tracer_installs():
 
 
 def test_benchmark_configs_load():
-    # every config the benchmark generates passes the strict (unknown-key) readers
-    from nsuq.experiments import ExperimentConfig
+    # every config the benchmark generates passes the strict (unknown-key) readers, stays
+    # 10 times below the latent dimension's ceiling, and hashes as OpenSSL's SHA-256 does
+    import hashlib
+
+    from nsuq.experiments import MAX_LATENT_DIM, ExperimentConfig
 
     sys.path.insert(0, str(ROOT / "perfbench"))
     try:
@@ -91,6 +94,10 @@ def test_benchmark_configs_load():
                 doc = json.loads(json.dumps(workloads.build_config(name, seed, shrink)))
                 cfg = ExperimentConfig.from_dict(doc)
                 assert json.loads(json.dumps(cfg.to_dict()))["ladder"] == doc["ladder"]
+                assert 10 * cfg.distribution.K <= MAX_LATENT_DIM
+                hashed = {k: v for k, v in cfg.to_dict().items() if k != "threads"}
+                assert cfg.config_hash() == hashlib.sha256(
+                    json.dumps(hashed, sort_keys=True).encode()).hexdigest()
 
 
 def _tracer_wrapped_names() -> set:
