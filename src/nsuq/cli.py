@@ -77,7 +77,8 @@ def main(argv=None) -> int:
         )
         if config.mode != mode:
             raise ValueError(f"config mode {config.mode!r} does not match {args.command}")
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    # json.load raises RecursionError past the interpreter's nesting limit
+    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError, RecursionError) as exc:
         print(f"nsuq: config error: {exc}", file=sys.stderr)
         return 2
 

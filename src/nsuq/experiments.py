@@ -45,6 +45,7 @@ from .solver import COMPLETED, SchemeConfig, TravelingWaveCase, manufactured_con
 from .stats import (
     DiagnosticReport,
     SampledEnsemble,
+    _resolved,
     boundedness_in_probability,
     convergence_in_probability_diagnostic,  # noqa: F401 -- wrapped by perfbench/tracing.py
     diagnostic_from_distances,
@@ -229,7 +230,7 @@ def _convergence_plan(config: ExperimentConfig) -> tuple:
     `case` is the manufactured TravelingWaveCase (None for a self study); its
     data record is built here so that bad wave parameters fail validation.
     """
-    doc = config.convergence or {}
+    doc = {} if config.convergence is None else config.convergence
     if not isinstance(doc, dict):
         raise ValueError("convergence must be a mapping")
     study = doc.get("study", "manufactured")
@@ -271,23 +272,58 @@ def _finite_or_null(x):
     return x
 
 
+# the directory of one ladder level's tables and field snapshots
+_LEVEL_DIR = "level_{:02d}"
+
+
+def _tables(summary: dict) -> dict:
+    """rel path -> (header, rows) of every CSV table, read off a run's summary."""
+    def table(header, docs):  # the header names each column's key; None is written as nan
+        return header, [[math.nan if doc[k] is None else doc[k] for k in header] for doc in docs]
+
+    levels, cross = summary.get("levels", []), summary.get("cross_level", {})
+    tables = {}
+    for lvl in levels:
+        prefix, bnd = _LEVEL_DIR.format(lvl["level"]), lvl["boundedness"]
+        tables[f"{prefix}/boundedness.csv"] = (("threshold", "exceedance"),
+                                               zip(bnd["thresholds"], bnd["exceedance"]))
+        if lvl["functional_means"]:
+            tables[f"{prefix}/functional_means.csv"] = (("functional", "mean"),
+                                                        sorted(lvl["functional_means"].items()))
+    for diag in cross.get("diagnostics", []):
+        tables["cross_level/diagnostic_{}_{}.csv".format(*diag["pair"])] = (
+            ("eps", "fraction"), zip(diag["eps"], diag["fractions"]))
+    if cross.get("expectation_errors"):
+        tables["cross_level/expectation_errors.csv"] = table(
+            ("level", "rho_error", "momentum_error"), cross["expectation_errors"])
+    names = sorted({k for lvl in levels for k in lvl["functional_means"]})
+    if names:
+        tables["cross_level/functional_means_by_level.csv"] = (
+            ("level", "N", "n_cells", *names),
+            [(lvl["level"], lvl["N"], lvl["n_cells"],
+              *(lvl["functional_means"].get(k, math.nan) for k in names)) for lvl in levels])
+    if "rows" in summary:  # a convergence study
+        tables["convergence.csv"] = table(("n", "h", "error_l1", "order"), summary["rows"])
+    return tables
+
+
 @dataclass
 class ExperimentReport:
-    """Structured summary plus the tables and field snapshots to persist."""
+    """Structured summary and field snapshots; `write` forms the CSV tables from the summary."""
 
     summary: dict
-    tables: dict = dc_field(default_factory=dict)  # rel path -> (header, rows)
     fields: dict = dc_field(default_factory=dict)  # rel path -> Field
 
     def write(self, out_dir: str) -> None:
         os.makedirs(out_dir, exist_ok=True)
+        tables = _tables(self.summary)  # from the raw summary: the CSVs keep inf and nan
         with open(os.path.join(out_dir, "report.json"), "w") as fh:
             # standard JSON: an overflowed energy, say, is written as null
             json.dump(_finite_or_null(self.summary), fh, sort_keys=True, indent=1,
                       allow_nan=False)
             fh.write("\n")
-        for rel in sorted(self.tables):
-            header, rows = self.tables[rel]
+        for rel in sorted(tables):
+            header, rows = tables[rel]
             path = os.path.join(out_dir, rel)
             os.makedirs(os.path.dirname(path), exist_ok=True)
             with open(path, "w") as fh:
@@ -354,7 +390,7 @@ def _provenance(config: ExperimentConfig) -> dict:
 def _level_statistics(ens: Ensemble, config: ExperimentConfig, level_idx: int,
                       level: LadderLevel, report: ExperimentReport) -> dict:
     req = config.stats
-    prefix = f"level_{level_idx:02d}"
+    prefix = _LEVEL_DIR.format(level_idx)
     doc = {
         "level": level_idx,
         "N": level.N,
@@ -369,7 +405,6 @@ def _level_statistics(ens: Ensemble, config: ExperimentConfig, level_idx: int,
         "thresholds": [float(m) for m in bnd.thresholds],
         "exceedance": [float(e) for e in bnd.exceedance],
     }
-    report.tables[f"{prefix}/boundedness.csv"] = (("threshold", "exceedance"), bnd.rows())
 
     # means, energies, and barycenters need at least one completed member;
     # a fully unresolved level still reports its boundedness statistics
@@ -380,18 +415,10 @@ def _level_statistics(ens: Ensemble, config: ExperimentConfig, level_idx: int,
 
     # one sampling pass: the report times, the final time and the functionals' times
     functionals = [make_functional(fdoc) for fdoc in req.functionals]
-    T = min(m.report.trajectory.final_time
-            for m, ok in zip(ens.members, ens.completed_mask) if ok)
-    times = np.linspace(0.0, T, req.n_report_times)
+    times = np.linspace(0.0, _resolved(ens)[2], req.n_report_times)  # up to the earliest end
     sampled = SampledEnsemble(ens, times, [F for _, F in functionals])
-    means = {name: empirical_functional_mean(sampled, F) for name, F in functionals}
-    doc["functional_means"] = means
-    if means:
-        report.tables[f"{prefix}/functional_means.csv"] = (
-            ("functional", "mean"),
-            [(k, float(v)) for k, v in sorted(means.items())],
-        )
-
+    doc["functional_means"] = {name: empirical_functional_mean(sampled, F)
+                               for name, F in functionals}
     doc["energy_moment_bound"] = energy_moment_bound(ens)
 
     for which in ("density", "momentum"):
@@ -409,16 +436,15 @@ def _level_statistics(ens: Ensemble, config: ExperimentConfig, level_idx: int,
     return doc
 
 
-def _diagnostic_doc(diag: DiagnosticReport, tag: str, report: ExperimentReport) -> dict:
+def _diagnostic_doc(diag: DiagnosticReport, pair: list) -> dict:
     finite = diag.distances[np.isfinite(diag.distances)]
-    doc = {
+    return {
+        "pair": pair,
         "eps": [float(e) for e in diag.eps_grid],
         "fractions": [float(f) for f in diag.fractions],
         "mean_distance": float(finite.mean()) if len(finite) else None,
         "max_distance": float(finite.max()) if len(finite) else None,
     }
-    report.tables[f"cross_level/diagnostic_{tag}.csv"] = (("eps", "fraction"), diag.rows())
-    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -474,39 +500,14 @@ def _run_ladder(config: ExperimentConfig, draws: list, pairs: list) -> Experimen
         grid = GridSpec(spec.d, config.ladder[a].n_cells, spec.period)
         dist = pair_distances(trajs[a], trajs[b], partner, grid, norms)
         diag = diagnostic_from_distances(dist[:, 0], w, req.eps_grid)
-        doc = _diagnostic_doc(diag, f"{a}_{b}", report)
-        doc["pair"] = [a, b]
-        diagnostics.append(doc)
+        diagnostics.append(_diagnostic_doc(diag, [a, b]))
         if strong:
             both = ens_a.completed_mask[partner] & ens_b.completed_mask[:len(partner)]
             error_rows.append(_expectation_error_row(a, dist, both, w, norms))
     report.summary["cross_level"] = {"diagnostics": diagnostics}
     if strong:
         report.summary["cross_level"]["expectation_errors"] = error_rows
-    if error_rows:
-        report.tables["cross_level/expectation_errors.csv"] = (
-            ("level", "rho_error", "momentum_error"),
-            [(row["level"], float(row["rho_error"]), float(row["momentum_error"]))
-             for row in error_rows],
-        )
-    _means_by_level_table(levels, report)
     return report
-
-
-def _means_by_level_table(levels: list, report: ExperimentReport) -> None:
-    names = sorted({k for lvl in levels for k in lvl["functional_means"]})
-    if not names:
-        return
-    rows = []
-    for lvl in levels:
-        rows.append(
-            (lvl["level"], lvl["N"], lvl["n_cells"],
-             *(float(lvl["functional_means"].get(n, math.nan)) for n in names))
-        )
-    report.tables["cross_level/functional_means_by_level.csv"] = (
-        ("level", "N", "n_cells", *names),
-        rows,
-    )
 
 
 def run_weak(config: ExperimentConfig) -> ExperimentReport:
@@ -537,8 +538,8 @@ def run_strong(config: ExperimentConfig) -> ExperimentReport:
              for level in config.ladder]
     draws = [(part.points, part.weights, collocate_data(spec, part)) for part in parts]
     fine = len(parts) - 1
-    pairs = [(a, fine, np.array([parts[a].locate(om) for om in parts[fine].points]),
-              parts[fine].weights) for a in range(fine)]
+    pairs = [(a, fine, parts[a].locate(parts[fine].points), parts[fine].weights)
+             for a in range(fine)]
     return _run_ladder(config, draws, pairs)
 
 
@@ -555,9 +556,4 @@ def run_deterministic_convergence(config: ExperimentConfig) -> ExperimentReport:
         data = spec.realize(np.full(spec.K, 0.5))
         rows = self_convergence(data, grids, ref_n, config.scheme)
     report.summary["rows"] = [asdict(r) for r in rows]
-    report.tables["convergence.csv"] = (
-        ("n", "h", "error_l1", "order"),
-        [(r.n, float(r.h), float(r.error_l1), float(r.order) if r.order is not None else math.nan)
-         for r in rows],
-    )
     return report

@@ -536,13 +536,12 @@ def pair_distances(ta: list, tb: list, partner, grid: GridSpec, norms) -> np.nda
     distance times of their pairs (once per distinct end time, which only
     unequal final times make more than one), and tb at its pairs' times, both
     onto `grid`.  Each norm then reduces the members with one
-    `stack_lq_distance` call over the member axis.  The members go in partner
-    order, in chunks of SAMPLE_CHUNK_BYTES of samples, so a fine 2-D pair
-    holds one chunk's stacks at a time.
+    `stack_lq_distance` call over the member axis.  The members go in chunks
+    of SAMPLE_CHUNK_BYTES of samples, so a fine 2-D pair holds one chunk's
+    stacks at a time.
     """
     out = np.full((len(partner), len(norms)), np.inf)
-    both = [j for j in np.argsort(partner, kind="stable")
-            if ta[partner[j]] is not None and tb[j] is not None]
+    both = [j for j in range(len(partner)) if ta[partner[j]] is not None and tb[j] is not None]
     if not both:
         return out
     times = np.array([distance_times(ta[partner[j]], tb[j]) for j in both])

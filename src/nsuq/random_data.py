@@ -352,14 +352,13 @@ class CollocationPartition:
     K: int
     n_per_axis: int
     points: np.ndarray
-    rule: str = "center"
 
     def __post_init__(self):
         if self.points.shape != (self.num_cells, self.K):
             raise ValueError("points array has wrong shape")
-        lows, highs = self._bounds_all()
-        inside = (self.points >= lows) & (self.points <= highs)
-        if not np.all(inside):
+        idx = _multi_index(self.K, self.n_per_axis)
+        w = 1.0 / self.n_per_axis
+        if not np.all((self.points >= idx * w) & (self.points <= (idx + 1) * w)):
             raise ValueError("every collocation point must lie inside its cell")
 
     @property
@@ -370,19 +369,12 @@ class CollocationPartition:
     def weights(self) -> np.ndarray:
         return np.full(self.num_cells, float(self.n_per_axis) ** (-self.K))
 
-    def _bounds_all(self) -> tuple:
-        idx = _multi_index(self.K, self.n_per_axis)
-        w = 1.0 / self.n_per_axis
-        return idx * w, (idx + 1) * w
-
-    def locate(self, omega: np.ndarray) -> int:
-        """Flat index (C-order) of the cell containing a latent point."""
+    def locate(self, omega: np.ndarray):
+        """Flat index (C order) of the cell containing a latent point, or an
+        array of them for an (m, K) array of points."""
         omega = np.asarray(omega, dtype=float)
         axes = np.minimum((omega * self.n_per_axis).astype(int), self.n_per_axis - 1)
-        flat = 0
-        for k in range(self.K):
-            flat = flat * self.n_per_axis + int(axes[k])
-        return flat
+        return np.ravel_multi_index(tuple(axes.T), (self.n_per_axis,) * self.K)
 
 
 def build_partition(K: int, n_per_axis: int, rule: str = "center",
@@ -402,7 +394,7 @@ def build_partition(K: int, n_per_axis: int, rule: str = "center",
         pts = (idx + rng.random(idx.shape)) * w
     else:
         raise ValueError(f"unknown collocation rule {rule!r}")
-    return CollocationPartition(K=K, n_per_axis=n_per_axis, points=pts, rule=rule)
+    return CollocationPartition(K=K, n_per_axis=n_per_axis, points=pts)
 
 
 def collocate_data(spec: DistributionSpec, partition: CollocationPartition) -> list:

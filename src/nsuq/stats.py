@@ -55,10 +55,6 @@ __all__ = [
 class BoundednessReport:
     thresholds: np.ndarray
     exceedance: np.ndarray
-    mode: str
-
-    def rows(self) -> list:
-        return [(float(m), float(e)) for m, e in zip(self.thresholds, self.exceedance)]
 
 
 def _effective_maxes(ensemble: Ensemble) -> np.ndarray:
@@ -88,20 +84,22 @@ def boundedness_in_probability(ensemble: Ensemble, M_grid) -> BoundednessReport:
             exceed[j] = np.count_nonzero(mask) / len(ensemble)
         else:
             exceed[j] = float(ensemble.weights[mask].sum())
-    return BoundednessReport(thresholds=M_grid, exceedance=exceed, mode=ensemble.mode)
+    return BoundednessReport(thresholds=M_grid, exceedance=exceed)
 
 
 # ---------------------------------------------------------------------------
 # empirical means
 
 
-def _resolved(ensemble: Ensemble):
+def _resolved(ensemble: Ensemble) -> tuple:
+    """(trajs, w, T): the completed members' trajectories, in order, their
+    renormalized weights and the earliest final time."""
     mask = ensemble.completed_mask
     if not mask.any():
         raise ValueError("no completed members in the ensemble")
-    members = [m for m, ok in zip(ensemble.members, mask) if ok]
+    trajs = [m.report.trajectory for m, ok in zip(ensemble.members, mask) if ok]
     w = ensemble.weights[mask]
-    return members, w / w.sum()
+    return trajs, w / w.sum(), min(tr.final_time for tr in trajs)
 
 
 class SampledEnsemble(Ensemble):
@@ -116,9 +114,8 @@ class SampledEnsemble(Ensemble):
 
     def __init__(self, ensemble: Ensemble, times=(), functionals=()):
         super().__init__(ensemble.members, ensemble.weights, ensemble.mode)
-        trajs = [m.report.trajectory for m in _resolved(self)[0]]
+        trajs, _, T = _resolved(self)
         self.grid = trajs[0].grid
-        T = min(tr.final_time for tr in trajs)
         reads = [*times, T, *(F.time_of(tr) for F in functionals
                               if isinstance(F, _StateFunctional) for tr in trajs)]
         self.times = np.array([t for t in dict.fromkeys(map(float, reads)) if t <= T])
@@ -126,14 +123,12 @@ class SampledEnsemble(Ensemble):
         self.rho, self.u = sample_members(trajs, self.times, self.grid)
 
     def _columns(self, times):
-        """Index of `times` along the stacks' time axis (a slice when they are
-        consecutive columns), or None when one of them was not sampled."""
+        """The slice of the stacks' time axis that holds `times`, or None
+        unless they were sampled as consecutive columns."""
         cols = [self._column.get(float(t)) for t in times]
-        if None in cols:
+        if None in cols or np.any(np.diff(cols) != 1):
             return None
-        if cols and cols == list(range(cols[0], cols[0] + len(cols))):
-            return slice(cols[0], cols[0] + len(cols))
-        return cols
+        return slice(cols[0], cols[0] + len(cols)) if cols else slice(0, 0)
 
     def _state_value(self, F: "_StateFunctional", i: int, traj: Trajectory) -> float:
         """F of completed member i (trajectory `traj`), read from the stacks when
@@ -144,8 +139,7 @@ class SampledEnsemble(Ensemble):
 
 def empirical_functional_mean(ensemble: Ensemble, F) -> float:
     """Weighted mean of F over completed members (weights renormalized)."""
-    members, w = _resolved(ensemble)
-    trajs = [m.report.trajectory for m in members]
+    trajs, w, _ = _resolved(ensemble)
     if isinstance(ensemble, SampledEnsemble) and isinstance(F, _StateFunctional):
         values = [ensemble._state_value(F, i, tr) for i, tr in enumerate(trajs)]
     else:
@@ -158,19 +152,17 @@ def _member_stack(ensemble: Ensemble, which: str, times) -> tuple:
     weights w and Y[i] member i's density or momentum at each of `times`
     (None: the earliest final time).
 
-    A `SampledEnsemble` gives Y from its stacks when it sampled `times`;
+    A `SampledEnsemble` gives Y from its stacks when it sampled `times` as
+    consecutive columns;
     otherwise one `sample_members` pass samples them.  Y has shape
     (members, len(times), *grid.shape[, d]).  The members must share one
     grid; a mixed-grid ensemble raises ValueError.
     """
     if which not in ("density", "momentum"):
         raise ValueError(f"unknown field selector {which!r}")
-    members, w = _resolved(ensemble)
-    trajs = [m.report.trajectory for m in members]
+    trajs, w, T = _resolved(ensemble)
     grid = trajs[0].grid
-    if times is None:
-        times = [min(tr.final_time for tr in trajs)]
-    times = np.asarray(times, dtype=float)
+    times = np.asarray([T] if times is None else times, dtype=float)
     cols = ensemble._columns(times) if isinstance(ensemble, SampledEnsemble) else None
     if cols is None:
         rho, u = sample_members(trajs, times, grid)
@@ -337,9 +329,6 @@ class DiagnosticReport:
     fractions: np.ndarray
     distances: np.ndarray
 
-    def rows(self) -> list:
-        return [(float(e), float(f)) for e, f in zip(self.eps_grid, self.fractions)]
-
 
 def diagnostic_from_distances(distances, weights, eps_grid) -> DiagnosticReport:
     """Weighted fraction of paired members with distance above each epsilon.
@@ -384,11 +373,10 @@ N_ENERGY_TIMES = 33
 
 def energy_moment_bound(ensemble: Ensemble) -> float:
     """sup over time of the weighted mean total energy (completed members)."""
-    members, w = _resolved(ensemble)
-    T = min(m.report.trajectory.final_time for m in members)
+    _, w, T = _resolved(ensemble)
     times = np.linspace(0.0, T, N_ENERGY_TIMES)
     E = np.array([np.interp(times, m.report.trajectory.times, m.report.energy_history)
-                  for m in members])
+                  for m in ensemble.members if m.report.status == COMPLETED])
     return float(_weighted_sum(w, E).max())
 
 

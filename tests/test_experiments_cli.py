@@ -263,6 +263,11 @@ BAD_ENTRIES = (
     (weak_doc, ("distribution", "g_base", "period"), True),
     (weak_doc, ("distribution", "g_base", "d"), True),
     (convergence_doc, ("convergence", "mu"), True),
+    # a falsy convergence document that is not a mapping ran the default study
+    (convergence_doc, ("convergence",), False),
+    (convergence_doc, ("convergence",), []),
+    # a collocation rule build_partition does not know
+    (weak_doc, ("point_rule",), "corners"),
     (weak_doc, ("distribution", "field_order"), math.nan),
     (weak_doc, ("distribution", "gamma"), math.inf),
     # a forcing on another torus than the spec's
@@ -716,6 +721,13 @@ def test_cli_config_errors(bounds, tmp_path, capsys, monkeypatch):
                      "--out", str(tmp_path / "never")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("nsuq: config error: ") and err.count("\n") == 1, err
+    # nesting past the interpreter's recursion limit fails in json.load
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 3000 + "]" * 3000)
+    capsys.readouterr()
+    assert main(["run-weak", "--config", str(deep), "--out", str(tmp_path / "never")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("nsuq: config error: ") and err.count("\n") == 1, err
     assert main(["run-weak", "--config", str(cfg_path), "--seed", "-1",
                  "--out", str(tmp_path / "never")]) == 2
     # worker counts from the environment that are not integers >= 1
@@ -727,6 +739,18 @@ def test_cli_config_errors(bounds, tmp_path, capsys, monkeypatch):
         err = capsys.readouterr().err
         assert err.startswith("nsuq: config error: ") and err.count("\n") == 1, err
     assert not (tmp_path / "never").exists()
+
+
+def test_cli_out_naming_a_file_exits_2(bounds, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, weak_config(bounds, levels=((2, 8),)))
+    out = tmp_path / "taken"
+    out.write_text("a file, not a directory")
+    capsys.readouterr()
+    assert main(["run-weak", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("nsuq: cannot write report:"), err
+    assert out.read_text() == "a file, not a directory"
 
 
 def test_cli_run_convergence(bounds, tmp_path, capsys):
@@ -844,6 +868,55 @@ def test_fully_aborted_level_is_tainted_not_fatal(bounds, tmp_path):
     cfg_path = tmp_path / "cfg.json"
     write_config(cfg_path, cfg)
     assert main(["run-weak", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+
+
+def test_weak_run_counts_members_aborted_after_start_above_every_threshold(bounds):
+    from nsuq.physics import ForcingSpec, ForcingTerm
+    from nsuq.random_data import RandomFieldSpec, RandomMode, ScalarTransform
+
+    # u0's amplitude is 0.3 * omega under a steady forcing: at omega = 1 the max
+    # norm climbs from 1.098 at t = 0 to 1.226 by T, so a ceiling of 1.162 ends
+    # the members with a large latent point part-way, and the others complete
+    spec = dataclasses.replace(
+        make_spec(bounds, mu=("const", 0.05), u_amp=0.0),
+        rho0=RandomFieldSpec(1.0, (RandomMode((1,), "sin", 0.1),)),
+        u0=(RandomFieldSpec(0.0, (RandomMode((1,), "cos", 0.0, 0.3, 0),)),),
+        g_base=ForcingSpec(1, 1.0, (ForcingTerm((1,), "sin", (0.8,)),)),
+        g_scale=ScalarTransform("const", 1.0))
+    cfg = ExperimentConfig(mode="weak", ladder=(LadderLevel(4, 16),),
+                           scheme=SchemeConfig(cfl=0.4, T=0.2, linf_ceiling=1.162),
+                           distribution=spec, stats=StatsRequest(M_grid=(0.5, 2.0, 10.0)),
+                           seed=2)
+    [lvl] = run_weak(cfg).summary["levels"]
+    members = lvl["member_summaries"]
+    aborted = [m for m in members if m["status"] == "aborted_linf"]
+    assert len(aborted) == 2 and sum(m["status"] == "completed" for m in members) == 2
+    assert all(0 < m["steps"] and m["final_time"] < 0.2 for m in aborted)
+    assert max(m["max_linf"] for m in members) < 2.0
+    assert lvl["unresolved_mass"] == 0.5 and lvl["tainted"] is True
+    # only the completed members stay below 2 and 10: an abort counts above every threshold
+    assert lvl["boundedness"]["exceedance"] == [1.0, 0.5, 0.5]
+    assert len(lvl["barycenters"]) == 1
+
+
+def test_weak_run_reports_vacuum_abort_as_unresolved_mass(bounds, monkeypatch):
+    from nsuq import solver
+
+    real_step, calls = solver.step, []
+
+    def step(*args):  # the first member's second step meets vacuum
+        calls.append(None)
+        if len(calls) == 2:
+            raise solver.VacuumError("density left the admissible range")
+        return real_step(*args)
+
+    monkeypatch.setattr(solver, "step", step)
+    [lvl] = run_weak(constant_config(bounds, levels=((2, 8),))).summary["levels"]
+    first, second = lvl["member_summaries"]
+    assert first["status"] == "aborted_vacuum" and first["steps"] == 1
+    assert second["status"] == "completed" and second["steps"] == 2
+    assert lvl["unresolved_mass"] == 0.5 and lvl["tainted"] is True
+    assert lvl["boundedness"]["exceedance"] == [1.0, 0.5, 0.5]
 
 
 def test_functional_mean_exact_under_mass_conservation(bounds):

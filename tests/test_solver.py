@@ -158,6 +158,44 @@ def test_linf_ceiling_abort_is_immediate():
     assert solver._linf(np.full(4, 2.0), np.full((4, 1), -3.0)) == 3.0
 
 
+def test_linf_ceiling_abort_after_start():
+    # the max norm climbs from 1.098 at t = 0 to 1.226 by T under the forcing
+    data = make_record(rho_amp=0.1, u_amp=0.3,
+                       g=ForcingSpec(1, 1.0, (ForcingTerm((1,), "sin", (0.8,)),)))
+    grid = GridSpec(1, 16)
+    free = solve(data, grid, SchemeConfig(cfl=0.4, T=0.2))
+    assert free.status == COMPLETED
+    ceiling = 0.5 * (free.linf_history[0] + free.max_linf)
+    report = solve(data, grid, SchemeConfig(cfl=0.4, T=0.2, linf_ceiling=ceiling))
+    assert report.status == ABORTED_LINF
+    assert 0 < report.steps < free.steps and report.trajectory.final_time < 0.2
+    # the run ends at the first step above the ceiling, and the steps before it are the free run's
+    assert report.linf_history[-1] > ceiling >= report.linf_history[:-1].max()
+    assert np.array_equal(report.linf_history, free.linf_history[:report.steps + 1])
+
+
+def test_vacuum_abort_keeps_the_accepted_states(monkeypatch):
+    data, grid = make_record(rho_amp=0.1, u_amp=0.1), GridSpec(1, 16)
+    full = solve(data, grid, CFG)
+    real_step, calls = solver.step, []
+
+    def step_into_vacuum(*args):  # the fourth step meets vacuum
+        calls.append(None)
+        if len(calls) == 4:
+            raise VacuumError("density left the admissible range")
+        return real_step(*args)
+
+    monkeypatch.setattr(solver, "step", step_into_vacuum)
+    report = solve(data, grid, CFG)
+    assert report.status == ABORTED_VACUUM and full.steps > 4
+    assert report.steps == 3
+    assert np.array_equal(report.trajectory.times, full.trajectory.times[:4])
+    for kept, ref in ((report.trajectory.rho, full.trajectory.rho),
+                      (report.trajectory.u, full.trajectory.u)):
+        assert len(kept) == 4 and all(np.array_equal(a, b) for a, b in zip(kept, ref))
+    assert np.array_equal(report.energy_history, full.energy_history[:4])
+
+
 def test_no_convergence_status():
     data = make_record(rho_amp=0.1, u_amp=0.1)
     cfg = SchemeConfig(cfl=0.4, T=0.1, picard_max_iter=1, picard_tol=1e-14)
