@@ -48,6 +48,19 @@ def _pad_heap_top() -> None:
         pass
 
 
+def _unwritable(out: str) -> str | None:
+    """Why a report directory cannot be made at out, judged from its nearest existing
+    ancestor (out itself, when it exists); None when it can."""
+    path = os.path.abspath(out)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        return f"{path} is not a directory"
+    if not os.access(path, os.W_OK | os.X_OK):
+        return f"{path} is not writable"
+    return None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="nsuq", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -80,6 +93,10 @@ def main(argv=None) -> int:
     # json.load raises RecursionError past the interpreter's nesting limit
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError, RecursionError) as exc:
         print(f"nsuq: config error: {exc}", file=sys.stderr)
+        return 2
+    unwritable = _unwritable(args.out)
+    if unwritable:  # refused before any solve; nothing is created
+        print(f"nsuq: cannot write report: {unwritable}", file=sys.stderr)
         return 2
 
     try:

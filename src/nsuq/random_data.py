@@ -322,16 +322,81 @@ class DistributionSpec:
 
 # ---------------------------------------------------------------------------
 # Monte-Carlo latent stream
+#
+# NumPy's SeedSequence, PCG64 and Generator.random, computed bit for bit with
+# Python integers: the stream is fixed by the integer recurrences below, not by
+# NumPy's generator stability policy, and no run imports NumPy's random module
+# (whose import also loads OpenSSL, through secrets and hashlib).
+
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
+
+
+def _words(n: int) -> list:
+    """n as little-endian 32-bit words, 0 giving [0], as SeedSequence assembles it."""
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    return [n >> shift & _M32 for shift in range(0, max(n.bit_length(), 1), 32)]
+
+
+def _seed_state(seed: int, spawn_key: tuple) -> list:
+    """SeedSequence(seed, spawn_key=spawn_key).generate_state(4, np.uint64)."""
+    entropy, key = _words(seed), [w for k in spawn_key for w in _words(k)]
+    if key:  # a spawned sequence pads the seed to the pool size, 4 words
+        entropy += [0] * (4 - len(entropy))
+    entropy += key
+    h = 0x43B0D7E5  # INIT_A
+
+    def hashmix(value: int) -> int:
+        nonlocal h
+        value ^= h
+        h = h * 0x931E8875 & _M32  # MULT_A
+        value = value * h & _M32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        r = 0xCA01F9DD * x - 0x4973F715 * y & _M32  # MIX_MULT_L, MIX_MULT_R
+        return r ^ r >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    h, state = 0x8B51F9DD, []  # INIT_B
+    for i in range(8):
+        value = pool[i % 4] ^ h
+        h = h * 0x58F38DED & _M32  # MULT_B
+        value = value * h & _M32
+        state.append(value ^ value >> 16)
+    return [state[i] | state[i + 1] << 32 for i in range(0, 8, 2)]
+
+
+def _uniforms(seed: int, spawn_key: tuple = ()):
+    """The doubles of Generator(PCG64(SeedSequence(seed, spawn_key=spawn_key))).random()."""
+    s_hi, s_lo, i_hi, i_lo = _seed_state(seed, spawn_key)
+    inc = (i_hi << 64 | i_lo) << 1 & _M128 | 1  # pcg_setseq_128_srandom_r
+    state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _M128
+    while True:  # one LCG step, then the XSL-RR output
+        state = (state * _PCG_MULT + inc) & _M128
+        x, rot = (state >> 64 ^ state) & _M64, state >> 122
+        yield (((x >> rot | x << 64 - rot) & _M64) >> 11) * 2.0**-53
 
 
 def sample_latent(seed: int, count: int, K: int) -> np.ndarray:
-    """count i.i.d. uniform points on [0,1]^K; sample n depends only on (seed, n)."""
+    """count i.i.d. uniform points on [0,1]^K; sample n depends only on (seed, n).
+
+    Row n holds, bit for bit, the K doubles of NumPy's
+    ``Generator(PCG64(SeedSequence(seed, spawn_key=(n,)))).random(K)``.
+    """
     if count < 1:
         raise ValueError("need at least one sample")
     out = np.empty((count, K))
     for n in range(count):
-        ss = np.random.SeedSequence(seed, spawn_key=(n,))
-        out[n] = np.random.Generator(np.random.PCG64(ss)).random(K)
+        out[n] = np.fromiter(_uniforms(seed, (n,)), float, K)
     return out
 
 
@@ -339,10 +404,17 @@ def sample_latent(seed: int, count: int, K: int) -> np.ndarray:
 # collocation partitions
 
 
+def _place_values(K: int, n: int) -> np.ndarray:
+    """n^(K-1), ..., n, 1: the C-order flat index of a cell is its multi-index @ these.
+
+    (numpy's meshgrid and ravel_multi_index take at most 32 dimensions; K reaches 64.)
+    """
+    return n ** np.arange(K - 1, -1, -1)
+
+
 def _multi_index(K: int, n: int) -> np.ndarray:
     """Integer multi-indices of the n^K cells, one row per cell in C order."""
-    grids = np.meshgrid(*[np.arange(n)] * K, indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=-1)
+    return np.arange(n**K)[:, None] // _place_values(K, n) % n
 
 
 @dataclass(frozen=True)
@@ -374,7 +446,9 @@ class CollocationPartition:
         array of them for an (m, K) array of points."""
         omega = np.asarray(omega, dtype=float)
         axes = np.minimum((omega * self.n_per_axis).astype(int), self.n_per_axis - 1)
-        return np.ravel_multi_index(tuple(axes.T), (self.n_per_axis,) * self.K)
+        if np.any(axes < 0):
+            raise ValueError("latent point outside the unit cube")
+        return axes @ _place_values(self.K, self.n_per_axis)
 
 
 def build_partition(K: int, n_per_axis: int, rule: str = "center",
@@ -390,8 +464,9 @@ def build_partition(K: int, n_per_axis: int, rule: str = "center",
     elif rule == "random":
         if seed is None:
             raise ValueError("random-in-cell rule needs a seed")
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-        pts = (idx + rng.random(idx.shape)) * w
+        # one stream of num_cells * K draws in C order, as Generator.random(idx.shape)
+        draws = np.fromiter(_uniforms(seed), float, idx.size).reshape(idx.shape)
+        pts = (idx + draws) * w
     else:
         raise ValueError(f"unknown collocation rule {rule!r}")
     return CollocationPartition(K=K, n_per_axis=n_per_axis, points=pts)

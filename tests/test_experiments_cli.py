@@ -587,6 +587,25 @@ def test_strong_run_never_loads_openssl(bounds, tmp_path):
     assert proc.stdout.splitlines()[-1] == "[]", proc.stdout
 
 
+@pytest.mark.skipif(not any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256")),
+                    reason="the interpreter has no built-in SHA-256")
+@pytest.mark.parametrize("command", ["run-weak", "run-strong"])
+def test_random_runs_never_load_openssl(bounds, tmp_path, command):
+    # the Monte-Carlo draws and the random-in-cell points come from nsuq's own PCG64
+    # stream, so neither numpy.random nor OpenSSL's libcrypto (_hashlib) is loaded
+    cfg_path = tmp_path / "cfg.json"
+    doc = (weak_config(bounds, levels=((2, 8),)).to_dict() if command == "run-weak"
+           else {**strong_doc(bounds), "point_rule": "random"})
+    cfg_path.write_text(json.dumps(doc))
+    argv = [command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+    code = f"import sys; from nsuq.cli import main; main({argv!r}); " \
+           "print([m for m in ('_hashlib', 'numpy.random') if m in sys.modules])"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]", proc.stdout
+
+
 def _fuzz_bases():
     """Small weak, strong and convergence documents for the config fuzz."""
     from nsuq.physics import AdmissibleBounds
@@ -741,7 +760,13 @@ def test_cli_config_errors(bounds, tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "never").exists()
 
 
-def test_cli_out_naming_a_file_exits_2(bounds, tmp_path, capsys):
+def test_cli_out_naming_a_file_exits_2(bounds, tmp_path, capsys, monkeypatch):
+    import nsuq.cli
+
+    def never(config):
+        raise AssertionError("an unwritable --out must be refused before the run")
+
+    monkeypatch.setitem(nsuq.cli._RUNNERS, "run-weak", ("weak", never))
     cfg_path = tmp_path / "cfg.json"
     write_config(cfg_path, weak_config(bounds, levels=((2, 8),)))
     out = tmp_path / "taken"
@@ -751,6 +776,17 @@ def test_cli_out_naming_a_file_exits_2(bounds, tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("nsuq: cannot write report:"), err
     assert out.read_text() == "a file, not a directory"
+    # below a file, or below a directory that cannot be written (faked, since
+    # root may write anywhere), nothing is created either
+    locked = tmp_path / "locked"
+    locked.mkdir()
+    access = os.access
+    monkeypatch.setattr(os, "access", lambda p, mode: p != str(locked) and access(p, mode))
+    for bad in (out / "sub", locked / "a" / "b"):
+        assert main(["run-weak", "--config", str(cfg_path), "--out", str(bad)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("nsuq: cannot write report:"), err
+    assert list(locked.iterdir()) == []
 
 
 def test_cli_run_convergence(bounds, tmp_path, capsys):

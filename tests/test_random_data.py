@@ -1,3 +1,4 @@
+import itertools
 import math
 import subprocess
 import sys
@@ -5,7 +6,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from nsuq.experiments import MAX_LATENT_DIM
 from nsuq.physics import data_distance, validate_admissible
 from nsuq.random_data import (
     DistributionSpec,
@@ -15,9 +19,10 @@ from nsuq.random_data import (
     SpecValidationError,
     build_partition,
     collocate_data,
+    _uniforms,
     sample_latent,
 )
-from conftest import fake_ensemble, make_spec
+from conftest import deep_or, fake_ensemble, make_spec
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +166,41 @@ def test_sample_latent_single_point():
     assert pt.shape == (1, 4)
 
 
+def _numpy_draws(seed, shape, spawn_key=()):
+    """The oracle: NumPy's own SeedSequence -> PCG64 -> Generator.random."""
+    ss = np.random.SeedSequence(seed, spawn_key=spawn_key)
+    return np.random.Generator(np.random.PCG64(ss)).random(shape)
+
+
+def _numpy_partition(seed, K, n):
+    idx = np.array(list(itertools.product(range(n), repeat=K)))  # C order
+    return (idx + _numpy_draws(seed, idx.shape)) * (1.0 / n)
+
+
+@pytest.mark.parametrize("K,n_per_axis", [(1, 4), (2, 3), (64, 1)])
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**70 + 5])
+def test_latent_stream_matches_numpy(seed, K, n_per_axis):
+    lat = sample_latent(seed, 8, K)
+    for n in (0, 7):
+        assert np.array_equal(lat[n], _numpy_draws(seed, K, (n,)))
+    far = np.fromiter(_uniforms(seed, (2**32 + 3,)), float, K)  # a spawn key of two words
+    assert np.array_equal(far, _numpy_draws(seed, K, (2**32 + 3,)))
+    part = build_partition(K, n_per_axis, rule="random", seed=seed)
+    assert np.array_equal(part.points, _numpy_partition(seed, K, n_per_axis))
+
+
+@deep_or(25)
+@given(seed=st.integers(0, 2**96), count=st.integers(1, MAX_LATENT_DIM),
+       K=st.integers(1, MAX_LATENT_DIM), n_per_axis=st.integers(1, 4))
+def test_latent_stream_matches_numpy_property(seed, count, K, n_per_axis):
+    oracle = np.array([_numpy_draws(seed, K, (n,)) for n in range(count)])
+    assert np.array_equal(sample_latent(seed, count, K), oracle)
+    if n_per_axis**K > 4096:
+        n_per_axis = 1
+    part = build_partition(K, n_per_axis, rule="random", seed=seed)
+    assert np.array_equal(part.points, _numpy_partition(seed, K, n_per_axis))
+
+
 def test_sample_latent_clt_bound():
     # 3 sigma of the mean of 1e4 uniforms (variance 1/12)
     N = 10_000
@@ -291,6 +331,12 @@ def test_partition_locate():
         assert part.locate(pt) == j
     assert part.locate(np.array([0.0, 0.0])) == 0
     assert part.locate(np.array([1.0, 1.0])) == 15
+    with pytest.raises(ValueError):
+        part.locate(np.array([-0.5, 0.5]))
+    # past the 32 dimensions of numpy's meshgrid and ravel_multi_index
+    wide = build_partition(MAX_LATENT_DIM, 1)
+    assert wide.locate(wide.points[0]) == 0
+    assert np.array_equal(wide.locate(np.full((3, MAX_LATENT_DIM), 0.5)), [0, 0, 0])
 
 
 def test_collocate_constant_spec_zero_error(bounds):
