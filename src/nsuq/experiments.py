@@ -40,7 +40,7 @@ from .random_data import (
     collocate_data,
     sample_latent,
 )
-from .solver import COMPLETED, SchemeConfig, TravelingWaveCase, manufactured_convergence, \
+from .solver import SchemeConfig, TravelingWaveCase, manufactured_convergence, \
     self_convergence, solve
 from .stats import (
     DiagnosticReport,
@@ -126,9 +126,6 @@ class StatsRequest:
                      le=MAX_REPORT_TIMES)
         check_number(self.diagnostic_q, "diagnostic_q", ge=1, inf=True)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, doc: dict) -> "StatsRequest":
         doc = dict(doc)  # an unknown key fails in the constructor
@@ -193,8 +190,11 @@ class ExperimentConfig:
                 raise ValueError(f"functional time {at} lies after the final time {T}")
             if fdoc.get("m") is not None and not fdoc["m"] > d + 1:
                 raise ValueError(f"tanh_neg_sobolev needs m > d + 1 = {d + 1}")
-        if self.mode == "convergence":
-            _convergence_plan(self)
+        study = _convergence_plan(self)[0] if self.mode == "convergence" else None
+        horizon = self.distribution.g_base.horizon  # a manufactured study builds its own forcing
+        if study != "manufactured" and T > horizon:
+            raise ValueError(f"scheme T {T} exceeds g_base.horizon {horizon}, "
+                             "the end of the forcing's certified sup bound")
 
     def to_dict(self) -> dict:
         return {**asdict(self), "distribution": self.distribution.to_dict()}
@@ -485,7 +485,7 @@ def _run_ladder(config: ExperimentConfig, draws: list, pairs: list) -> Experimen
         ens = Ensemble([EnsembleMember(*m) for m in zip(latents, records, solves)], weights,
                        config.mode)
         ensembles.append(ens)
-        trajs.append([r.trajectory if r.status == COMPLETED else None for r in solves])
+        trajs.append([r.trajectory if ok else None for r, ok in zip(solves, ens.completed_mask)])
         levels.append(_level_statistics(ens, config, idx, level, report))
     report.summary["levels"] = levels
 
@@ -512,16 +512,15 @@ def _run_ladder(config: ExperimentConfig, draws: list, pairs: list) -> Experimen
 
 def run_weak(config: ExperimentConfig) -> ExperimentReport:
     """Monte-Carlo ladder at weights 1/N: neighbouring levels are compared
-    member n with member n, which share their latent point (common random numbers)."""
+    member n with member n.  One draw of the finest level's N latent points
+    serves every level, level a taking its first N_a rows, so member n has
+    the same latent point on every level (common random numbers)."""
     if config.mode != "weak":
         raise ValueError("config mode must be 'weak'")
     spec = config.distribution
-    latents = [sample_latent(config.seed, level.N, spec.K) for level in config.ladder]
-    for a in range(len(latents) - 1):
-        if not np.array_equal(latents[a], latents[a + 1][:len(latents[a])]):
-            raise ValueError(f"level {a} does not share its latent points with level {a + 1}")
+    latents = sample_latent(config.seed, config.ladder[-1].N, spec.K)
     draws = [(om, np.full(len(om), 1.0 / len(om)), [spec.realize(x) for x in om])
-             for om in latents]
+             for om in (latents[:level.N] for level in config.ladder)]
     pairs = [(a, a + 1, np.arange(len(om)), w) for a, (om, w, _) in enumerate(draws[:-1])]
     return _run_ladder(config, draws, pairs)
 

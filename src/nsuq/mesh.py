@@ -291,7 +291,8 @@ def _interpolate(states: list, k: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def sample_members(trajs: list, times, grid: GridSpec) -> tuple:
-    """(rho, u) of each trajectory at its sample times, moved onto the nested `grid`.
+    """(rho, u) of each trajectory at its sample times, moved onto the nested `grid`,
+    the members' own grid or a coarser one.
 
     `times` is one vector for every member, or one row per member.  Returns
     new arrays of shape (len(trajs), n_times, *grid.shape) and (..., d):
@@ -404,33 +405,28 @@ def neg_sobolev_norm(obj, m: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# grid transfer (nested uniform grids only)
+# grid transfer (onto nested, coarser uniform grids only)
 
 
 def transfer(values: np.ndarray, src: GridSpec, target: GridSpec, lead: int = 0) -> np.ndarray:
-    """Cell values moved from `src` onto a nested `target` grid.
+    """Cell values moved from `src` onto a nested `target` grid no finer than it.
 
-    Cell averages onto a coarser grid, copies onto a finer one, and the
-    values themselves (not a copy) on the same grid.  The spatial axes
-    follow `lead` leading axes (a stack of fields) and precede any trailing
-    component axis.
+    Cell averages onto a coarser grid, and the values themselves (not a
+    copy) on the same grid; a finer or non-nested target raises ValueError.
+    The spatial axes follow `lead` leading axes (a stack of fields) and
+    precede any trailing component axis.
     """
     if target.d != src.d or target.period != src.period:
         raise ValueError("grids must share dimension and period")
     if target.n == src.n:
         return values
-    if src.n % target.n == 0:
-        r = src.n // target.n
-        # split each spatial axis into (coarse cell, fine cell within it) and average the latter
-        v = values.reshape(values.shape[:lead] + (target.n, r) * src.d
-                           + values.shape[lead + src.d:])
-        # np.mean's sum-then-divide, without its per-call overhead
-        return np.add.reduce(v, axis=tuple(range(lead + 1, lead + 2 * src.d, 2))) / r**src.d
-    if target.n % src.n == 0:
-        for ax in range(src.d):
-            values = np.repeat(values, target.n // src.n, axis=lead + ax)
-        return values
-    raise ValueError(f"grids not nested: {src.n} vs {target.n}")
+    if src.n % target.n:
+        raise ValueError(f"grid {target.n} is not a coarsening of grid {src.n}")
+    r = src.n // target.n
+    # split each spatial axis into (coarse cell, fine cell within it) and average the latter
+    v = values.reshape(values.shape[:lead] + (target.n, r) * src.d + values.shape[lead + src.d:])
+    # np.mean's sum-then-divide, without its per-call overhead
+    return np.add.reduce(v, axis=tuple(range(lead + 1, lead + 2 * src.d, 2))) / r**src.d
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -271,9 +271,6 @@ class ForcingSpec:
         )
         return ForcingSpec(self.d, self.period, terms, self.horizon)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, doc: dict) -> "ForcingSpec":
         doc = dict(doc)  # an unknown key fails in the constructors
@@ -365,6 +362,21 @@ class AdmissibilityVerdict:
         return self.ok
 
 
+def _admissibility_violation(bounds: AdmissibleBounds, rho_inf: float, mu: float, eta: float,
+                             a_lo: float, a_hi: float, g_sup: float) -> str | None:
+    """The first admissible-set inequality that data with these extremes breaks, or None.
+
+    Each test reads `not x >= bound`, so a NaN breaks it.
+    """
+    tests = (("density_lower_bound", rho_inf, bounds.rho_lower),
+             ("shear_viscosity_lower_bound", mu, bounds.mu_lower),
+             ("bulk_viscosity_sign", eta, 0.0),
+             ("pressure_coefficient_lower_bound", a_lo, bounds.a_lower),
+             ("pressure_coefficient_upper_bound", bounds.a_upper, a_hi),
+             ("forcing_sup_bound", bounds.g_sup, g_sup))
+    return next((name for name, x, bound in tests if not x >= bound), None)
+
+
 def validate_admissible(data: DataRecord, bounds: AdmissibleBounds) -> AdmissibilityVerdict:
     """Membership verdict for the admissible set; all inequalities are non-strict.
 
@@ -372,32 +384,23 @@ def validate_admissible(data: DataRecord, bounds: AdmissibleBounds) -> Admissibi
     bounds (exact for constants and single-mode fields, conservative
     otherwise), so acceptance implies true membership.
     """
-    if data.min_density() < bounds.rho_lower:
-        return AdmissibilityVerdict(False, "density_lower_bound")
-    if data.mu < bounds.mu_lower:
-        return AdmissibilityVerdict(False, "shear_viscosity_lower_bound")
-    if data.eta < 0:
-        return AdmissibilityVerdict(False, "bulk_viscosity_sign")
-    if data.a < bounds.a_lower:
-        return AdmissibilityVerdict(False, "pressure_coefficient_lower_bound")
-    if data.a > bounds.a_upper:
-        return AdmissibilityVerdict(False, "pressure_coefficient_upper_bound")
-    if data.g.sup_bound() > bounds.g_sup:
-        return AdmissibilityVerdict(False, "forcing_sup_bound")
-    return AdmissibilityVerdict(True)
+    violation = _admissibility_violation(bounds, data.min_density(), data.mu, data.eta,
+                                         data.a, data.a, data.g.sup_bound())
+    return AdmissibilityVerdict(violation is None, violation)
 
 
 def _forcing_distance(ga: ForcingSpec, gb: ForcingSpec) -> float:
     """Sup-style distance between forcings sharing the same envelope structure."""
 
-    def key(t: ForcingTerm):
-        return (t.wavevec, t.kind, t.omega, t.phase, t.poly)
+    def amplitudes(g: ForcingSpec) -> dict:  # per term key; a key that repeats adds up
+        acc = {}
+        for t in g.terms:
+            key = (t.wavevec, t.kind, t.omega, t.phase, t.poly)
+            acc[key] = acc.get(key, 0.0) + np.array(t.amplitude)
+        return acc
 
-    terms = {}
-    for t in ga.terms:
-        terms[key(t)] = np.array(t.amplitude)
-    for t in gb.terms:
-        terms[key(t)] = terms.get(key(t), np.zeros(gb.d)) - np.array(t.amplitude)
+    amp_a, amp_b = amplitudes(ga), amplitudes(gb)
+    terms = {k: amp_a.get(k, 0.0) - amp_b.get(k, 0.0) for k in {**amp_a, **amp_b}}
     horizon = max(ga.horizon, gb.horizon)
     return sum(
         float(np.linalg.norm(amp)) * _poly_abs_max(k[4], horizon) for k, amp in terms.items()

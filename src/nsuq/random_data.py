@@ -22,7 +22,8 @@ from statistics import NormalDist
 import numpy as np
 
 from .mesh import check_number
-from .physics import AdmissibleBounds, DataRecord, ForcingSpec, FourierField, FourierMode
+from .physics import AdmissibleBounds, DataRecord, ForcingSpec, FourierField, FourierMode, \
+    _admissibility_violation
 from .solver import COMPLETED
 
 __all__ = [
@@ -254,20 +255,14 @@ class DistributionSpec:
                     raise SpecValidationError("latent index out of range")
                 if len(m.wavevec) != self.d:
                     raise SpecValidationError("mode wavevector dimension mismatch")
-        # written so that NaN fails every comparison (the sums can overflow)
-        b = self.bounds
-        if not self.mu.lo >= b.mu_lower:
-            raise SpecValidationError("viscosity transform leaves the admissible set")
-        if not self.eta.lo >= 0:
-            raise SpecValidationError("bulk viscosity transform goes negative")
-        if not b.a_lower <= self.a.lo <= self.a.hi <= b.a_upper:
-            raise SpecValidationError("pressure coefficient transform leaves [a_lower, a_upper]")
-        if not self.rho0.worst_inf() >= b.rho_lower:
-            raise SpecValidationError("initial density can fall below rho_lower")
         if not self.g_scale.lo >= 0:
             raise SpecValidationError("forcing scale must be nonnegative")
-        if not self.g_scale.hi * self.g_base.sup_bound() <= b.g_sup:
-            raise SpecValidationError("forcing sup bound can exceed g_sup")
+        # the image's extremes; a sum that overflows to NaN breaks the rule too
+        violation = _admissibility_violation(
+            self.bounds, self.rho0.worst_inf(), self.mu.lo, self.eta.lo, self.a.lo, self.a.hi,
+            self.g_scale.hi * self.g_base.sup_bound())
+        if violation:
+            raise SpecValidationError(f"the spec's image can break {violation}")
 
     def realize(self, omega: np.ndarray) -> DataRecord:
         omega = np.asarray(omega, dtype=float)

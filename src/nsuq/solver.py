@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -91,9 +91,6 @@ class SchemeConfig:
         check_number(self.linf_ceiling, "linf_ceiling", gt=0, inf=True)
         check_number(self.picard_tol, "picard_tol", gt=0)
         check_number(self.picard_max_iter, "picard_max_iter", integer=True, ge=1)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SchemeConfig":

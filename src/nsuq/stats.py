@@ -28,7 +28,6 @@ from .mesh import (
 )
 from .physics import _spatial_profile
 from .random_data import Ensemble
-from .solver import COMPLETED
 
 __all__ = [
     "BoundednessReport",
@@ -59,12 +58,8 @@ class BoundednessReport:
 
 def _effective_maxes(ensemble: Ensemble) -> np.ndarray:
     # an aborted run has an unknown true sup: count it above every threshold
-    return np.array(
-        [
-            m.report.max_linf if m.report.status == COMPLETED else np.inf
-            for m in ensemble.members
-        ]
-    )
+    return np.array([m.report.max_linf if ok else np.inf
+                     for m, ok in zip(ensemble.members, ensemble.completed_mask)])
 
 
 def boundedness_in_probability(ensemble: Ensemble, M_grid) -> BoundednessReport:
@@ -233,16 +228,19 @@ def _bary_grad(w, r, q, vector, norms, D, mag) -> np.ndarray:
     return _weighted_sum(coef, fac[..., None] * D if vector else fac * D)
 
 
+# r_barycenter's stopping rule: the gradient's max norm, and the step count
+_BARY_TOL, _BARY_MAX_ITER = 1e-8, 500
+
+
 def r_barycenter(ensemble: Ensemble, which: str = "density", r: float = 2.0,
-                 q: float = 2.0, time: float | None = None, tol: float = 1e-8,
-                 max_iter: int = 500, method: str = "auto") -> BarycenterResult:
+                 q: float = 2.0, time: float | None = None) -> BarycenterResult:
     """Minimizer of the weighted mean of ||Y_n - Z||_{L^q}^r over fields Z.
 
     r = q = 2 is the weighted pointwise mean in closed form.  Otherwise the
     objective is minimized by gradient descent (Barzilai-Borwein steps with
     an Armijo backtracking safeguard) initialized at the pointwise mean, so
-    the returned objective never exceeds the mean's.  method="iterative"
-    forces the descent path even when the closed form applies.  The completed
+    the returned objective never exceeds the mean's; it stops once the
+    gradient's max norm is within 1e-8, or after 500 steps.  The completed
     members must share one grid; each objective is one pass over their
     (members, *shape[, d]) stack, and the gradient is formed only at
     accepted points, from that pass's differences.
@@ -252,8 +250,6 @@ def r_barycenter(ensemble: Ensemble, which: str = "density", r: float = 2.0,
     if not 1 <= q < math.inf:
         # the L^q kernel is the finite-q formula; at q = inf it reads 1 for any data
         raise ValueError("ambient exponent q must be finite and >= 1")
-    if method not in ("auto", "iterative"):
-        raise ValueError("method must be auto or iterative")
     grid, w, (time,), Y = _member_stack(ensemble, which, None if time is None else [time])
     Y = Y[:, 0]
     vector = which == "momentum"
@@ -264,15 +260,15 @@ def r_barycenter(ensemble: Ensemble, which: str = "density", r: float = 2.0,
     obj, norms, D, mag = _bary_objective(Z, Y, w, r, q, vol, vector)
     g = _bary_grad(w, r, q, vector, norms, D, mag)
     res = float(np.abs(g).max())
-    if r == 2.0 and q == 2.0 and method == "auto":
+    if r == 2.0 and q == 2.0:
         return BarycenterResult(
             minimizer=cls(grid, Z), r=r, q=q, time=float(time), objective=obj,
-            iterations=0, first_order_residual=res, converged=res <= tol,
+            iterations=0, first_order_residual=res, converged=res <= _BARY_TOL,
         )
 
     t_step = 0.5 * max(norms) / res if res > 0 else 0.0  # half the spread over the slope
     iterations = 0
-    while res > tol and iterations < max_iter:
+    while res > _BARY_TOL and iterations < _BARY_MAX_ITER:
         gnorm2 = float(np.sum(g**2) * vol)
         t_try = t_step
         accepted = False
@@ -298,7 +294,7 @@ def r_barycenter(ensemble: Ensemble, which: str = "density", r: float = 2.0,
         res = float(np.abs(g).max())
     return BarycenterResult(
         minimizer=cls(grid, Z), r=r, q=q, time=float(time), objective=obj,
-        iterations=iterations, first_order_residual=res, converged=res <= tol,
+        iterations=iterations, first_order_residual=res, converged=res <= _BARY_TOL,
     )
 
 
@@ -318,8 +314,8 @@ def pair_by_index(ens_a: Ensemble, ens_b: Ensemble) -> tuple:
     for i in range(n):
         if not np.array_equal(ens_a.members[i].latent, ens_b.members[i].latent):
             raise ValueError(f"mismatched latent pairing at member {i}")
-    ta, tb = ([m.report.trajectory if m.report.status == COMPLETED else None
-               for m in ens.members[:n]] for ens in (ens_a, ens_b))
+    ta, tb = ([m.report.trajectory if ok else None
+               for m, ok in zip(ens.members[:n], ens.completed_mask)] for ens in (ens_a, ens_b))
     return ta, tb, np.full(n, 1.0 / n)
 
 
@@ -376,7 +372,7 @@ def energy_moment_bound(ensemble: Ensemble) -> float:
     _, w, T = _resolved(ensemble)
     times = np.linspace(0.0, T, N_ENERGY_TIMES)
     E = np.array([np.interp(times, m.report.trajectory.times, m.report.energy_history)
-                  for m in ensemble.members if m.report.status == COMPLETED])
+                  for m, ok in zip(ensemble.members, ensemble.completed_mask) if ok])
     return float(_weighted_sum(w, E).max())
 
 

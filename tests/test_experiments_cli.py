@@ -135,6 +135,15 @@ def typo_base_doc(bounds):
     return doc
 
 
+def ramp_forcing_doc(bounds):
+    """A weak config document forced by 0.5 t cos(2 pi x), its sup bound certified on [0, 1]."""
+    doc = typo_base_doc(bounds)
+    doc["distribution"]["g_base"]["terms"][0].update(kind="cos", amplitude=[0.5], omega=0.0,
+                                                     poly=[0.0, 1.0])
+    doc["distribution"]["g_scale"] = {"dist": "const", "lo": 1.0}
+    return doc
+
+
 def misspelt(doc, path, key, typo):
     """A copy of doc whose entry at path carries `typo` next to `key`, with key's value."""
     doc = json.loads(json.dumps(doc))
@@ -270,6 +279,10 @@ BAD_ENTRIES = (
     (weak_doc, ("point_rule",), "corners"),
     (weak_doc, ("distribution", "field_order"), math.nan),
     (weak_doc, ("distribution", "gamma"), math.inf),
+    # runs past the horizon on which the forcing's sup bound is certified: at T = 4
+    # the ramp reaches 2, against its bound of 0.5
+    (ramp_forcing_doc, ("scheme", "T"), 4.0),
+    (self_convergence_doc, ("scheme", "T"), 4.0),
     # a forcing on another torus than the spec's
     (weak_doc, ("distribution", "g_base", "period"), 2.0),
     (weak_doc, ("distribution", "g_base"),
@@ -312,7 +325,7 @@ def test_config_validation(bounds):
     # statistics requests the runners would reject only after every solve
     for patch in BAD_STATS:
         with pytest.raises(ValueError):
-            StatsRequest.from_dict({**STATS.to_dict(), **patch})
+            StatsRequest.from_dict({**dataclasses.asdict(STATS), **patch})
     with pytest.raises(ValueError):
         dataclasses.replace(weak_config(bounds), seed=-1)
     # numpy floats are real numbers; a bool is neither a real nor an integer
@@ -337,7 +350,7 @@ def test_config_validation(bounds):
             ExperimentConfig.from_dict(misspelt(base, *typo))
     # ladders the runners could not finish, and NaN or infinite numbers
     for make_doc in (weak_doc, strong_doc, constant_strong_doc, typo_base_doc,
-                     convergence_doc, self_convergence_doc):
+                     ramp_forcing_doc, convergence_doc, self_convergence_doc):
         ExperimentConfig.from_dict(make_doc(bounds))
     for make_doc, path, value in BAD_ENTRIES:
         with pytest.raises(ValueError):
@@ -345,6 +358,8 @@ def test_config_validation(bounds):
     # equal resolutions divide, and a strong ladder may sit at the partition limit
     ExperimentConfig.from_dict(patched(weak_doc(bounds), ("ladder", 1, "n_cells"), 8))
     ExperimentConfig.from_dict(patched(strong_doc(bounds), ("ladder", 1, "N"), 1024))
+    # a manufactured study certifies its own forcing up to T
+    ExperimentConfig.from_dict(patched(convergence_doc(bounds), ("scheme", "T"), 4.0))
     # a functional may read any time up to T, and a neg-Sobolev order above d + 1
     ExperimentConfig.from_dict(patched(weak_doc(bounds), *functionals(
         {"kind": "clamp_fourier", "wavevec": [1], "time": SCHEME.T},
@@ -720,7 +735,7 @@ def test_cli_config_errors(bounds, tmp_path, capsys, monkeypatch):
         ("viscosity.json", "run-convergence",
          {**conv, "convergence": {"study": "manufactured", "mu": -1.0}}),
         ("explicit.json", "run-weak",
-         {"scheme": {**SCHEME.to_dict(), "theta_implicit": False}}),
+         {"scheme": {**dataclasses.asdict(SCHEME), "theta_implicit": False}}),
     ):
         doc = {**weak_config(bounds, levels=((2, 8),)).to_dict(), **patch}
         (tmp_path / path).write_text(json.dumps(doc))
@@ -728,8 +743,8 @@ def test_cli_config_errors(bounds, tmp_path, capsys, monkeypatch):
                      "--out", str(tmp_path / "never")]) == 2
     # bad statistics requests, typo'd keys and a negative seed also exit 2 before any solve
     two_levels = weak_doc(bounds)
-    docs = [{**two_levels, "stats": {**STATS.to_dict(), **patch}} for patch in BAD_STATS]
-    docs.append({**two_levels, "stats": {**STATS.to_dict(), "n_report_time": 5}})
+    docs = [{**two_levels, "stats": {**dataclasses.asdict(STATS), **patch}} for patch in BAD_STATS]
+    docs.append({**two_levels, "stats": {**dataclasses.asdict(STATS), "n_report_time": 5}})
     docs += [misspelt(typo_base_doc(bounds), *typo) for typo in KEY_TYPOS]
     # bad ladders and non-finite numbers too
     docs += [patched(make_doc(bounds), path, value) for make_doc, path, value in BAD_ENTRIES]
@@ -787,6 +802,14 @@ def test_cli_out_naming_a_file_exits_2(bounds, tmp_path, capsys, monkeypatch):
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("nsuq: cannot write report:"), err
     assert list(locked.iterdir()) == []
+    # a write that fails after the run: a file stands where a level's directory goes
+    monkeypatch.undo()
+    clash = tmp_path / "clash"
+    clash.mkdir()
+    (clash / "level_00").write_text("a file, not a directory")
+    assert main(["run-weak", "--config", str(cfg_path), "--out", str(clash)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("nsuq: cannot write report:"), err
 
 
 def test_cli_run_convergence(bounds, tmp_path, capsys):
@@ -1142,21 +1165,6 @@ def test_strong_reads_each_trajectory_once_per_level_pair(bounds, monkeypatch):
             assert diag["max_distance"] == max(dists)
             assert diag["fractions"] == [float(fine.weights[np.array(dists) > e].sum())
                                          for e in STATS.eps_grid]
-
-
-def test_weak_checks_common_random_numbers_before_solving(bounds, monkeypatch):
-    # level a's latent points must be the first N_a of level a+1's, or member n
-    # of one level is no partner of member n of the next; a stream that breaks
-    # this is refused before any member is solved
-    from nsuq import experiments
-
-    sample_latent, solves = experiments.sample_latent, []
-    monkeypatch.setattr(experiments, "sample_latent",
-                        lambda seed, N, K: sample_latent(seed + N, N, K))
-    monkeypatch.setattr(experiments, "solve", lambda *args, **kwargs: solves.append(args))
-    with pytest.raises(ValueError, match="latent points"):
-        run_weak(weak_config(bounds, levels=((2, 8), (4, 16))))
-    assert solves == []
 
 
 # ---------------------------------------------------------------------------

@@ -124,12 +124,6 @@ def test_restrict_cell_averages():
     assert np.array_equal(transfer(np.array([1.0, 1.0, 3.0, 3.0]), g4, g2), np.array([1.0, 3.0]))
 
 
-def test_prolong_then_restrict_identity():
-    g2, g8 = GridSpec(1, 2), GridSpec(1, 8)
-    v = np.array([0.25, -1.5])
-    assert np.array_equal(transfer(transfer(v, g2, g8), g8, g2), v)
-
-
 def test_restrict_preserves_mass_and_mean():
     g, gc = GridSpec(2, 8), GridSpec(2, 4)
     rng = np.random.default_rng(3)
@@ -143,9 +137,9 @@ def test_restrict_or_prolong_dispatch_and_errors():
     g = GridSpec(1, 4)
     v = np.ones(4)
     assert transfer(v, g, GridSpec(1, 4)) is v
-    assert transfer(v, g, GridSpec(1, 8)).shape == (8,)
-    with pytest.raises(ValueError):
-        transfer(v, g, GridSpec(1, 6))
+    for finer in (8, 6):  # transfer only coarsens
+        with pytest.raises(ValueError):
+            transfer(v, g, GridSpec(1, finer))
 
 
 def test_vector_restrict_prolong():
@@ -388,14 +382,14 @@ def _loop_sample(traj, times, grid):
     return np.array(rho), np.array(u)
 
 
-GRID_PAIRS = [(1, 8, 8), (1, 8, 4), (1, 4, 8), (1, 16, 4), (2, 4, 4), (2, 8, 4), (2, 4, 8)]
+GRID_PAIRS = [(1, 8, 8), (1, 8, 4), (1, 16, 4), (2, 4, 4), (2, 8, 4)]
 
 
 @deep_or(25)
 @given(st.integers(0, 2**32 - 1), st.sampled_from(GRID_PAIRS), st.booleans(),
        st.sampled_from([1, 1000, mesh.SAMPLE_CHUNK_BYTES]))
 def test_level_sampler_equals_per_time_loop(seed, grids, thin, chunk_bytes):
-    # one (members, times, ...) stack: the same grid, a coarser one and a finer one;
+    # one (members, times, ...) stack: the same grid or a coarser one;
     # thinned members, each at its own times and with a final time some ulps off T;
     # gathered one row, a few rows or every row at a time
     rng = np.random.default_rng(seed)
@@ -535,6 +529,11 @@ def test_trajectory_pickles_as_checked_frozen_arrays():
     assert np.array_equal(back.times, traj.times) and np.array_equal(back.steps, traj.steps)
     for a, b in zip(back.rho + back.u, traj.rho + traj.u):
         assert np.array_equal(a, b) and not a.flags.writeable
+    # so do the fields, which numpy alone would unpickle writeable
+    for f in (ScalarField(traj.grid, traj.rho[0]), VectorField(traj.grid, traj.u[0])):
+        back = pickle.loads(pickle.dumps(f))
+        assert type(back) is type(f) and back.grid == f.grid
+        assert np.array_equal(back.values, f.values) and not back.values.flags.writeable
     # unpickling checks the arrays as the constructor does
     fn, (grid, rho, u, times, steps) = traj.__reduce__()
     for field, value, match in ((rho, -1.0, "strictly positive"), (u, np.nan, "finite")):

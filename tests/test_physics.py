@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -231,7 +232,7 @@ def test_forcing_sup_bound():
 def test_forcing_scaled_and_dict_roundtrip():
     spec = ForcingSpec(1, 1.0, (ForcingTerm((1,), "cos", (0.5,), omega=1.0, phase=0.1),))
     assert spec.scaled(2.0).sup_bound() == pytest.approx(1.0)
-    assert ForcingSpec.from_dict(spec.to_dict()) == spec
+    assert ForcingSpec.from_dict(asdict(spec)) == spec
     assert ForcingSpec.zero(2).sup_bound() == 0.0
 
 
@@ -282,6 +283,14 @@ def test_validate_admissible_examples(bounds):
         == "pressure_coefficient_lower_bound"
     assert validate_admissible(make_record(mu=bounds.mu_lower / 2), bounds).violation \
         == "shear_viscosity_lower_bound"
+
+    # a NaN breaks every bound it enters (the record refuses a negative eta, not a NaN one)
+    for key, violation in (("rho_mean", "density_lower_bound"),
+                           ("mu", "shear_viscosity_lower_bound"),
+                           ("eta", "bulk_viscosity_sign"),
+                           ("a", "pressure_coefficient_lower_bound")):
+        verdict = validate_admissible(make_record(**{key: math.nan}), bounds)
+        assert not verdict and verdict.violation == violation, key
 
 
 @settings(max_examples=60, deadline=None)

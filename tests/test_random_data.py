@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nsuq.experiments import MAX_LATENT_DIM
-from nsuq.physics import data_distance, validate_admissible
+from nsuq.physics import ForcingSpec, ForcingTerm, data_distance, validate_admissible
 from nsuq.random_data import (
     DistributionSpec,
     RandomFieldSpec,
@@ -259,14 +259,18 @@ def test_every_draw_is_admissible(bounds):
 def test_lipschitz_probe(bounds):
     base = make_spec(bounds, K=3, mu=("uniform", 0.02, 0.08, 0), a=("uniform", 0.6, 1.4, 1))
     # a k = 0 cos mode is a constant, of norm sqrt(period^d); a k = 0 sin mode is zero
-    for wavevec, kind in (((1,), "sin"), ((0,), "cos"), ((0,), "sin")):
-        mode = RandomMode(wavevec, kind, 0.05, 0.2, 2)
-        spec = replace(base, rho0=RandomFieldSpec(1.0, (mode,)))
+    specs = [replace(base, rho0=RandomFieldSpec(1.0, (RandomMode(wavevec, kind, 0.05, 0.2, 2),)))
+             for wavevec, kind in (((1,), "sin"), ((0,), "cos"), ((0,), "sin"))]
+    # a forcing scaled by latent 2, whose two terms share a key: their amplitudes add up
+    terms = (ForcingTerm((1,), "sin", (0.3,)), ForcingTerm((1,), "sin", (0.2,)))
+    specs.append(replace(base, g_base=ForcingSpec(1, 1.0, terms),
+                         g_scale=ScalarTransform("uniform", 0.0, 1.0, latent_index=2)))
+    for case, spec in enumerate(specs):
         L = spec.lipschitz_constant()
         # each coordinate moves one piece of the data affinely, so the corners are L apart
         corners = data_distance(spec.realize(np.zeros(3)), spec.realize(np.ones(3)),
                                 spec.field_order)
-        assert corners == pytest.approx(L, rel=1e-12), mode
+        assert corners == pytest.approx(L, rel=1e-12), case
         rng = np.random.default_rng(1)
         delta = 1e-4
         for _ in range(20):
@@ -275,7 +279,9 @@ def test_lipschitz_probe(bounds):
             om2 = om.copy()
             om2[i] += delta
             d = data_distance(spec.realize(om), spec.realize(om2), spec.field_order)
-            assert d <= L * delta * (1 + 1e-9), mode
+            assert d <= L * delta * (1 + 1e-9), case
+        rec = spec.realize(om)
+        assert data_distance(rec, rec) == 0.0, case
 
 
 def test_spec_dict_roundtrip(bounds):

@@ -165,15 +165,6 @@ def test_barycenter_two_constant_fields():
     assert res15.first_order_residual <= 1e-8
 
 
-def test_barycenter_forced_iteration_matches_closed_form():
-    rng = np.random.default_rng(12)
-    fields = [1.0 + rng.random(16) for _ in range(5)]
-    ens = fake_ensemble([{"rho": f} for f in fields], n=16)
-    closed = r_barycenter(ens, "density", r=2.0, q=2.0)
-    iterated = r_barycenter(ens, "density", r=2.0, q=2.0, method="iterative")
-    assert np.abs(closed.minimizer.values - iterated.minimizer.values).max() <= 1e-10
-
-
 def test_barycenter_objective_never_exceeds_mean_objective():
     rng = np.random.default_rng(7)
     for r, q in ((1.5, 2.0), (2.0, 4.0), (3.0, 2.0)):
@@ -228,8 +219,6 @@ def test_barycenter_domain_errors():
     for q in (np.inf, np.nan):  # the L^q kernel is the finite-q formula
         with pytest.raises(ValueError):
             r_barycenter(ens, q=q)
-    with pytest.raises(ValueError):
-        r_barycenter(ens, method="newton")
 
 
 # ---------------------------------------------------------------------------
