@@ -40,10 +40,9 @@ grid = GridSpec(1, 32)
 scheme = SchemeConfig(cfl=0.4, T=0.1)
 N = 12
 latents = sample_latent(5, N, spec.K)
-members = [
-    EnsembleMember(om, spec.realize(om), solve(spec.realize(om), grid, scheme))
-    for om in latents
-]
+records = [spec.realize(om) for om in latents]
+members = [EnsembleMember(om, data, solve(data, grid, scheme))
+           for om, data in zip(latents, records)]
 ensemble = Ensemble(members, np.full(N, 1.0 / N), "weak")
 
 [(t, mean_rho)] = empirical_field_mean(ensemble, "density")

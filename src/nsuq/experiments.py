@@ -519,7 +519,8 @@ def run_weak(config: ExperimentConfig) -> ExperimentReport:
         raise ValueError("config mode must be 'weak'")
     spec = config.distribution
     latents = sample_latent(config.seed, config.ladder[-1].N, spec.K)
-    draws = [(om, np.full(len(om), 1.0 / len(om)), [spec.realize(x) for x in om])
+    records = [spec.realize(x) for x in latents]
+    draws = [(om, np.full(len(om), 1.0 / len(om)), records[:len(om)])
              for om in (latents[:level.N] for level in config.ladder)]
     pairs = [(a, a + 1, np.arange(len(om)), w) for a, (om, w, _) in enumerate(draws[:-1])]
     return _run_ladder(config, draws, pairs)

@@ -35,7 +35,8 @@ __all__ = [
 
 
 def check_number(x, name: str, *, integer=False, gt=None, ge=None, le=None, inf=False):
-    """x, if it is a number in range; else ValueError.  Every config number passes here.
+    """x, if it is a number in range; else ValueError.  Every number the library
+    tests passes here: config numbers, and the arguments of its entry points.
 
     A bool is never a number.  An integer field takes only an int; a real
     field an int or a float, numpy floating scalars included.  NaN never
@@ -174,8 +175,7 @@ class FluidState:
             raise ValueError("rho and u must live on the same grid")
         if self.rho.values.min() <= 0:
             raise ValueError("density must be strictly positive")
-        if self.time < 0:
-            raise ValueError("time must be nonnegative")
+        check_number(self.time, "time", ge=0)
 
     @property
     def grid(self) -> GridSpec:
@@ -343,11 +343,10 @@ def lq_norm(f: Field, q: float) -> float:
 
     Vector fields are reduced to their pointwise Euclidean magnitude first.
     """
+    check_number(q, "q", ge=1, inf=True)
     a = _mag(f.values, isinstance(f, VectorField))
     if q == np.inf:
         return float(a.max())
-    if q < 1:
-        raise ValueError(f"q must be >= 1 or inf, got {q}")
     return _lq(a, q, f.grid.cell_volume)
 
 
@@ -391,8 +390,7 @@ def neg_sobolev_norm(obj, m: int) -> float:
     Requires m > d + 1 so that bounded fields embed compactly.
     """
     grid = obj.grid
-    if m <= grid.d + 1:
-        raise ValueError(f"need m > d+1 = {grid.d + 1}, got {m}")
+    check_number(m, "m", gt=grid.d + 1)
     if isinstance(obj, Trajectory):
         if len(obj.steps) < len(obj.times):
             raise ValueError("the negative Sobolev norm of a trajectory needs every step's state")
@@ -494,6 +492,7 @@ def stack_lq_distance(a: tuple, b: tuple, times, grid: GridSpec,
     "momentum", or "both" (the stacked (rho, u) vector, Euclidean pointwise
     magnitude).
     """
+    check_number(q, "q", ge=1, inf=True)
     # the stacks are large, so temporaries are updated in place
     (ra, ua), (rb, ub) = a, b
     if which == "rho":
@@ -511,8 +510,6 @@ def stack_lq_distance(a: tuple, b: tuple, times, grid: GridSpec,
         np.sqrt(mag, out=mag)
     else:
         raise ValueError(f"unknown field selector {which!r}")
-    if q < 1:
-        raise ValueError("q must be >= 1 or inf")
     times = np.asarray(times, dtype=float)
     if q == np.inf:
         return mag.reshape(len(times), -1).max(axis=-1)

@@ -48,27 +48,23 @@ def pressure(rho, a: float, gamma: float):
     rho = np.asarray(rho)
     if rho.dtype.kind != "f":
         rho = rho.astype(float)
-    if (rho < 0).any():
+    if not (rho >= 0).all():
         raise ValueError("density must be nonnegative")
-    if a <= 0:
-        raise ValueError("pressure coefficient a must be positive")
-    if gamma <= 1:
-        raise ValueError("adiabatic exponent must exceed 1")
+    check_number(a, "pressure coefficient a", gt=0)
+    check_number(gamma, "adiabatic exponent gamma", gt=1)
     out = a * rho**gamma
     return out[()] if out.ndim == 0 else out
 
 
 def pressure_potential(rho, a: float, gamma: float):
     """Pressure potential P with P'(rho) rho - P(rho) = p(rho), i.e. a rho^gamma / (gamma - 1)."""
-    if gamma <= 1:
-        raise ValueError("pressure potential is singular for gamma <= 1")
     return pressure(rho, a, gamma) / (gamma - 1.0)
 
 
 def total_energy(rho: np.ndarray, u: np.ndarray, grid: GridSpec, a: float,
                  gamma: float) -> float:
     """Total energy integral [ rho |u|^2 / 2 + P(rho) ] dx of arrays on `grid`, midpoint rule."""
-    if rho.min() <= 0:
+    if not rho.min() > 0:
         raise ValueError("total energy needs strictly positive density")
     kinetic = 0.5 * rho * (u**2).sum(axis=-1)
     dens = kinetic + pressure_potential(rho, a, gamma)
@@ -308,16 +304,11 @@ class DataRecord:
             raise ValueError("u0 must have one component field per dimension")
         if self.g.d != d:
             raise ValueError("forcing dimension mismatch")
-        if self.rho0.inf_bound() <= 0:
-            raise ValueError("initial density must be strictly positive")
-        if self.mu <= 0:
-            raise ValueError("shear viscosity must be positive")
-        if self.eta < 0:
-            raise ValueError("bulk viscosity must be nonnegative")
-        if self.a <= 0:
-            raise ValueError("pressure coefficient must be positive")
-        if self.gamma <= 1:
-            raise ValueError("adiabatic exponent must exceed 1")
+        check_number(self.rho0.inf_bound(), "initial density's lower bound", gt=0)
+        check_number(self.mu, "shear viscosity mu", gt=0)
+        check_number(self.eta, "bulk viscosity eta", ge=0)
+        check_number(self.a, "pressure coefficient a", gt=0)
+        check_number(self.gamma, "adiabatic exponent gamma", gt=1)
 
     @property
     def d(self) -> int:
@@ -349,8 +340,7 @@ class AdmissibleBounds:
     def __post_init__(self):
         for f in fields(self):
             check_number(getattr(self, f.name), f.name, gt=0)
-        if not self.a_lower <= self.a_upper:
-            raise ValueError("need a_lower <= a_upper")
+        check_number(self.a_upper, "a_upper", ge=self.a_lower)
 
 
 @dataclass(frozen=True)

@@ -268,7 +268,7 @@ class DistributionSpec:
         omega = np.asarray(omega, dtype=float)
         if omega.shape != (self.K,):
             raise ValueError(f"latent point must have {self.K} coordinates")
-        if np.any(omega < 0) or np.any(omega > 1):
+        if not ((omega >= 0) & (omega <= 1)).all():
             raise ValueError("latent point must lie in the unit cube")
         return DataRecord(
             rho0=self.rho0.realize(omega, self.d, self.period),
@@ -499,7 +499,7 @@ class Ensemble:
             raise ValueError("mode must be weak or strong")
         if len(self.members) != len(self.weights) or not len(self.members):
             raise ValueError("need one weight per member and at least one member")
-        if np.any(self.weights <= 0) or abs(self.weights.sum() - 1.0) > 1e-9:
+        if not ((self.weights > 0).all() and abs(self.weights.sum() - 1.0) <= 1e-9):
             raise ValueError("weights must be positive and sum to one")
 
     def __len__(self) -> int:

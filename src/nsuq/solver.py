@@ -342,8 +342,7 @@ def step(rho_k: np.ndarray, u_k: np.ndarray, t: float, data: DataRecord, dt: flo
     accepted only with both defects finite and within picard_tol, so an
     accepted step is finite and positive.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    check_number(dt, "dt", gt=0)
     m_k = rho_k[..., None] * u_k
     t_new = t + dt
 
@@ -485,7 +484,7 @@ def gronwall_energy_bound(e0: float, mass0: float, g_sup: float, times: np.ndarr
     bounds = np.empty(len(times))
     bounds[0] = e0
     for k, dt in enumerate(np.diff(times)):
-        if dt * g_sup >= 1:
+        if not dt * g_sup < 1:
             raise ValueError("time step too large for the Gronwall recursion")
         bounds[k + 1] = (bounds[k] + dt * g_sup * mass0 / 2) / (1 - dt * g_sup)
     return bounds

@@ -69,8 +69,8 @@ def boundedness_in_probability(ensemble: Ensemble, M_grid) -> BoundednessReport:
     cell weights of the exceeding members.
     """
     M_grid = np.asarray(M_grid, dtype=float)
-    if M_grid.ndim != 1 or len(M_grid) == 0:
-        raise ValueError("M_grid must be a nonempty 1-D array")
+    if M_grid.ndim != 1 or len(M_grid) == 0 or np.isnan(M_grid).any():
+        raise ValueError("M_grid must be a nonempty 1-D array of numbers")
     maxes = _effective_maxes(ensemble)
     exceed = np.empty(len(M_grid))
     for j, M in enumerate(M_grid):
@@ -245,11 +245,9 @@ def r_barycenter(ensemble: Ensemble, which: str = "density", r: float = 2.0,
     (members, *shape[, d]) stack, and the gradient is formed only at
     accepted points, from that pass's differences.
     """
-    if r <= 1:
-        raise ValueError("barycenter order r must exceed 1")
-    if not 1 <= q < math.inf:
-        # the L^q kernel is the finite-q formula; at q = inf it reads 1 for any data
-        raise ValueError("ambient exponent q must be finite and >= 1")
+    check_number(r, "barycenter order r", gt=1)
+    # the L^q kernel is the finite-q formula; at q = inf it reads 1 for any data
+    check_number(q, "ambient exponent q", ge=1)
     grid, w, (time,), Y = _member_stack(ensemble, which, None if time is None else [time])
     Y = Y[:, 0]
     vector = which == "momentum"
@@ -332,6 +330,8 @@ def diagnostic_from_distances(distances, weights, eps_grid) -> DiagnosticReport:
     An unresolved pair carries distance inf and so exceeds every threshold.
     """
     eps_grid = np.asarray(eps_grid, dtype=float)
+    if np.isnan(eps_grid).any():
+        raise ValueError("eps_grid must hold numbers")
     dists = np.asarray(distances, dtype=float)
     weights = np.asarray(weights, dtype=float)
     fractions = np.array([float(weights[dists > eps].sum()) for eps in eps_grid])
@@ -349,7 +349,7 @@ def convergence_in_probability_diagnostic(pairs: tuple, eps_grid, q: float = 2.0
     ta, tb, w = pairs
     if not len(w):
         raise ValueError("need at least one paired sample")
-    if abs(sum(w) - 1.0) > 1e-9:
+    if not abs(sum(w) - 1.0) <= 1e-9:
         raise ValueError("pair weights must sum to one")
     dists = np.array([
         trajectory_lq_distance(a, b, q=q, which=which)
@@ -444,8 +444,7 @@ def make_functional(doc: dict):
         if p["part"] not in ("cos", "sin") or p["field"] not in ("rho", "momentum"):
             raise ValueError(f"functional {name}: part must be cos or sin, "
                              "field rho or momentum")
-        if not p["lo"] <= p["hi"]:
-            raise ValueError(f"functional {name}: need lo <= hi")
+        check_number(p["hi"], f"functional {name}: hi", ge=p["lo"])
         at = p["time"]
         if at not in ("final", "initial"):
             check_number(at, f"functional {name}: time (final, initial or a number)", ge=0)

@@ -13,6 +13,7 @@ from nsuq.physics import (
     ForcingTerm,
     FourierField,
     FourierMode,
+    _admissibility_violation,
     data_distance,
     pressure,
     pressure_potential,
@@ -284,13 +285,18 @@ def test_validate_admissible_examples(bounds):
     assert validate_admissible(make_record(mu=bounds.mu_lower / 2), bounds).violation \
         == "shear_viscosity_lower_bound"
 
-    # a NaN breaks every bound it enters (the record refuses a negative eta, not a NaN one)
-    for key, violation in (("rho_mean", "density_lower_bound"),
+    # a record refuses NaN numbers, but a spec's image extremes can overflow to NaN:
+    # a NaN extreme breaks every bound it enters
+    edge = dict(rho_inf=bounds.rho_lower, mu=bounds.mu_lower, eta=0.0, a_lo=bounds.a_lower,
+                a_hi=bounds.a_upper, g_sup=bounds.g_sup)
+    assert _admissibility_violation(bounds, **edge) is None
+    for key, violation in (("rho_inf", "density_lower_bound"),
                            ("mu", "shear_viscosity_lower_bound"),
                            ("eta", "bulk_viscosity_sign"),
-                           ("a", "pressure_coefficient_lower_bound")):
-        verdict = validate_admissible(make_record(**{key: math.nan}), bounds)
-        assert not verdict and verdict.violation == violation, key
+                           ("a_lo", "pressure_coefficient_lower_bound"),
+                           ("a_hi", "pressure_coefficient_upper_bound"),
+                           ("g_sup", "forcing_sup_bound")):
+        assert _admissibility_violation(bounds, **{**edge, key: math.nan}) == violation, key
 
 
 @settings(max_examples=60, deadline=None)
