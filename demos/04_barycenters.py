@@ -14,15 +14,13 @@ from nsuq.mesh import GridSpec
 from nsuq.physics import AdmissibleBounds, ForcingSpec
 from nsuq.random_data import (
     DistributionSpec,
-    Ensemble,
-    EnsembleMember,
     RandomFieldSpec,
     RandomMode,
     ScalarTransform,
     sample_latent,
 )
 from nsuq.solver import SchemeConfig, solve
-from nsuq.stats import empirical_field_mean, r_barycenter
+from nsuq.stats import Ensemble, empirical_field_mean, r_barycenter
 
 bounds = AdmissibleBounds(rho_lower=0.5, mu_lower=0.01, a_lower=0.5, a_upper=1.5, g_sup=1.0)
 spec = DistributionSpec(
@@ -41,9 +39,7 @@ scheme = SchemeConfig(cfl=0.4, T=0.1)
 N = 12
 latents = sample_latent(5, N, spec.K)
 records = [spec.realize(om) for om in latents]
-members = [EnsembleMember(om, data, solve(data, grid, scheme))
-           for om, data in zip(latents, records)]
-ensemble = Ensemble(members, np.full(N, 1.0 / N), "weak")
+ensemble = Ensemble(latents, [solve(d, grid, scheme) for d in records], np.full(N, 1.0 / N), "weak")
 
 [(t, mean_rho)] = empirical_field_mean(ensemble, "density")
 print(f"solved {N} members to T={t}; empirical mean density range "

@@ -70,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default="nsuq-out", help="output directory")
         p.add_argument("--threads", type=int, default=None,
-                       help="worker count (flag > NSUQ_THREADS > config)")
+                       help="worker count (flag > config)")
     return parser
 
 
@@ -85,8 +85,7 @@ def main(argv=None) -> int:
         config = dataclasses.replace(
             config,
             seed=config.seed if args.seed is None else args.seed,
-            threads=args.threads if args.threads is not None
-            else int(os.environ.get("NSUQ_THREADS", config.threads)),
+            threads=config.threads if args.threads is None else args.threads,
         )
         if config.mode != mode:
             raise ValueError(f"config mode {config.mode!r} does not match {args.command}")

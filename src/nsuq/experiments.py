@@ -31,19 +31,13 @@ from . import __version__
 # trajectory_lq_distance is not called here; perfbench/tracing.py wraps this module's name
 from .mesh import N_DISTANCE_TIMES, GridSpec, _fmt, check_number, pair_distances, save_field, \
     trajectory_lq_distance  # noqa: F401
-from .random_data import (
-    MAX_PARTITION_CELLS,
-    DistributionSpec,
-    Ensemble,
-    EnsembleMember,
-    build_partition,
-    collocate_data,
-    sample_latent,
-)
+from .random_data import MAX_PARTITION_CELLS, DistributionSpec, build_partition, collocate_data, \
+    sample_latent
 from .solver import SchemeConfig, TravelingWaveCase, manufactured_convergence, \
     self_convergence, solve
 from .stats import (
     DiagnosticReport,
+    Ensemble,
     SampledEnsemble,
     _resolved,
     boundedness_in_probability,
@@ -398,7 +392,7 @@ def _level_statistics(ens: Ensemble, config: ExperimentConfig, level_idx: int,
         "num_members": len(ens),
         "unresolved_mass": ens.unresolved_mass,
         "tainted": ens.unresolved_mass > config.failure_budget,
-        "member_summaries": [m.report.to_summary() for m in ens.members],
+        "member_summaries": [r.to_summary() for r in ens.reports],
     }
     bnd = boundedness_in_probability(ens, req.M_grid)
     doc["boundedness"] = {
@@ -471,21 +465,20 @@ def _expectation_error_row(level: int, dist: np.ndarray, both: np.ndarray, w,
 def _run_ladder(config: ExperimentConfig, draws: list, pairs: list) -> ExperimentReport:
     """Solve and post-process a ladder level by level, then compare level pairs.
 
-    `draws[i]` is level i's (latent points, weights, data records).  Each of
-    `pairs` is (a, b, partner, w): member j of level b is compared with member
-    partner[j] of level a, at weight w[j], on level a's (coarser) grid.  A
-    strong ladder adds the density and momentum expectation errors.
+    `draws[i]` is level i's (latent points, weights, data records); its
+    records are solved into level i's `Ensemble`.  Each of `pairs` is
+    (a, b, partner, w): member j of level b is compared with member partner[j]
+    of level a, at weight w[j], on level a's (coarser) grid, through the two
+    ensembles' `trajectories`.  A strong ladder adds the density and momentum
+    expectation errors.
     """
     spec, req = config.distribution, config.stats
     report = ExperimentReport(summary={"provenance": _provenance(config)})
-    ensembles, trajs, levels = [], [], []  # trajs: a level's trajectories, None if unresolved
+    ensembles, levels = [], []
     for idx, (level, (latents, weights, records)) in enumerate(zip(config.ladder, draws)):
         grid = GridSpec(spec.d, level.n_cells, spec.period)
-        solves = _solve_members(records, grid, config)
-        ens = Ensemble([EnsembleMember(*m) for m in zip(latents, records, solves)], weights,
-                       config.mode)
+        ens = Ensemble(latents, _solve_members(records, grid, config), weights, config.mode)
         ensembles.append(ens)
-        trajs.append([r.trajectory if ok else None for r, ok in zip(solves, ens.completed_mask)])
         levels.append(_level_statistics(ens, config, idx, level, report))
     report.summary["levels"] = levels
 
@@ -498,7 +491,7 @@ def _run_ladder(config: ExperimentConfig, draws: list, pairs: list) -> Experimen
     for a, b, partner, w in pairs:
         ens_a, ens_b = ensembles[a], ensembles[b]
         grid = GridSpec(spec.d, config.ladder[a].n_cells, spec.period)
-        dist = pair_distances(trajs[a], trajs[b], partner, grid, norms)
+        dist = pair_distances(ens_a.trajectories, ens_b.trajectories, partner, grid, norms)
         diag = diagnostic_from_distances(dist[:, 0], w, req.eps_grid)
         diagnostics.append(_diagnostic_doc(diag, [a, b]))
         if strong:

@@ -166,14 +166,15 @@ class FourierField:
 
 
 def _poly_abs_max(coeffs: tuple, horizon: float) -> float:
-    """max |p(t)| on [0, horizon] for polynomial coefficients (low order, exact via roots)."""
-    p = np.polynomial.Polynomial(list(coeffs))
+    """max |p(t)| on [0, horizon] for polynomial coefficients: p at the ends and at
+    the real roots of p' inside (low order, exact via roots)."""
     crit = [0.0, horizon]
-    if len(coeffs) > 1:
-        for r in p.deriv().roots():
+    if len(coeffs) > 2:  # a constant or linear envelope is extreme at the ends
+        # p' highest power first, as np.roots takes it
+        for r in np.roots([k * c for k, c in enumerate(coeffs)][:0:-1]):
             if abs(r.imag) < 1e-12 and 0.0 <= r.real <= horizon:
                 crit.append(float(r.real))
-    return float(max(abs(p(t)) for t in crit))
+    return max(abs(_polyval(coeffs, t)) for t in crit)
 
 
 def _polyval(coeffs: tuple, t: float) -> float:

@@ -24,7 +24,6 @@ import numpy as np
 from .mesh import check_number
 from .physics import AdmissibleBounds, DataRecord, ForcingSpec, FourierField, FourierMode, \
     _admissibility_violation
-from .solver import COMPLETED
 
 __all__ = [
     "ScalarTransform",
@@ -36,8 +35,6 @@ __all__ = [
     "CollocationPartition",
     "build_partition",
     "collocate_data",
-    "EnsembleMember",
-    "Ensemble",
 ]
 
 MAX_PARTITION_CELLS = 1 << 20
@@ -473,43 +470,3 @@ def collocate_data(spec: DistributionSpec, partition: CollocationPartition) -> l
         raise ValueError("partition and spec disagree on the latent dimension")
     return [spec.realize(p) for p in partition.points]
 
-
-# ---------------------------------------------------------------------------
-# ensembles
-
-
-@dataclass
-class EnsembleMember:
-    latent: np.ndarray
-    data: DataRecord
-    report: object  # SolveReport
-
-
-@dataclass
-class Ensemble:
-    """Weighted collection of solved members; weights are 1/N (weak) or cell volumes (strong)."""
-
-    members: list
-    weights: np.ndarray
-    mode: str
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=float)
-        if self.mode not in ("weak", "strong"):
-            raise ValueError("mode must be weak or strong")
-        if len(self.members) != len(self.weights) or not len(self.members):
-            raise ValueError("need one weight per member and at least one member")
-        if not ((self.weights > 0).all() and abs(self.weights.sum() - 1.0) <= 1e-9):
-            raise ValueError("weights must be positive and sum to one")
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    @property
-    def completed_mask(self) -> np.ndarray:
-        return np.array([m.report.status == COMPLETED for m in self.members])
-
-    @property
-    def unresolved_mass(self) -> float:
-        """Weight mass of members whose solve did not complete."""
-        return float(self.weights[~self.completed_mask].sum())

@@ -289,6 +289,7 @@ def cfl_dt(rho: np.ndarray, u: np.ndarray, data: DataRecord, grid: GridSpec,
            cfl: float = 1.0) -> float:
     """Stable step at density rho and velocity u (arrays on `grid`):
     cfl * min( dx/(|u|max + cmax), dx^2 rho_min / (2 d (2 mu + eta)) )."""
+    check_number(cfl, "cfl", gt=0)
     h = grid.h
     umax = float(_mag(u, vector=True).max())
     cmax = math.sqrt(data.a * data.gamma * float(rho.max()) ** (data.gamma - 1.0))
@@ -303,6 +304,7 @@ def scheme_residual(data: DataRecord, states: tuple, dt: float) -> float:
     Pairs produced by `step` satisfy residual <= cfg.picard_tol: its
     stopping test measures the same defect from inside the iteration.
     """
+    check_number(dt, "dt", gt=0)
     old, new = states
     grid = old.grid
     if new.grid != grid:
@@ -411,8 +413,11 @@ def solve(data: DataRecord, grid: GridSpec, cfg: SchemeConfig, keep=None) -> Sol
     j and j + 1 are kept when [t_j, t_{j+1}] meets a window, and the first
     and last states always are, so any time inside a window can be sampled.
     Every step's time, linf and energy are recorded either way.  None keeps
-    every state.
+    every state; a window without lo <= hi (NaN included) raises ValueError.
     """
+    windows = [] if keep is None else np.asarray(keep, dtype=float).reshape(-1, 2).tolist()
+    if not all(lo <= hi for lo, hi in windows):
+        raise ValueError(f"keep windows must have lo <= hi, got {windows}")
     s0 = data.initial_state(grid)
     rho, u, t = s0.rho.values, s0.u.values, s0.time
     kept = [(rho, u)]  # the kept states, at steps `steps`
@@ -421,7 +426,6 @@ def solve(data: DataRecord, grid: GridSpec, cfg: SchemeConfig, keep=None) -> Sol
     linf = [_linf(rho, u)]
     energy = [total_energy(rho, u, grid, data.a, data.gamma)]
     status = COMPLETED
-    windows = [] if keep is None else np.asarray(keep, dtype=float).reshape(-1, 2).tolist()
     past = []  # (t, u) of the last three accepted states, newest first
 
     if linf[0] > cfg.linf_ceiling:

@@ -1,4 +1,4 @@
-"""Ensemble post-processing: the statistics the convergence theory is about.
+"""Solved ensembles and the statistics the convergence theory is about.
 
 Boundedness-in-probability reports are plain counting/weighting formulas
 over the per-member max norms.  Empirical means and r-barycenters are
@@ -27,9 +27,10 @@ from .mesh import (
     trajectory_lq_distance,
 )
 from .physics import _spatial_profile
-from .random_data import Ensemble
+from .solver import COMPLETED
 
 __all__ = [
+    "Ensemble",
     "BoundednessReport",
     "boundedness_in_probability",
     "empirical_functional_mean",
@@ -47,6 +48,50 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
+# solved ensembles
+
+
+@dataclass
+class Ensemble:
+    """A solved level: member i is the latent point `latents[i]`, a row of the
+    (N, K) array, solved as `reports[i]`, a `SolveReport`, at weight
+    `weights[i]`; the weights are 1/N (weak) or cell volumes (strong)."""
+
+    latents: np.ndarray
+    reports: list
+    weights: np.ndarray
+    mode: str
+
+    def __post_init__(self):
+        self.latents = np.asarray(self.latents, dtype=float)
+        self.weights = np.asarray(self.weights, dtype=float)
+        if self.mode not in ("weak", "strong"):
+            raise ValueError("mode must be weak or strong")
+        if not len(self.latents) == len(self.reports) == len(self.weights) or not len(self):
+            raise ValueError("need one latent point, one report and one weight per member, "
+                             "and at least one member")
+        if not ((self.weights > 0).all() and abs(self.weights.sum() - 1.0) <= 1e-9):
+            raise ValueError("weights must be positive and sum to one")
+
+    def __len__(self) -> int:
+        return len(self.reports)
+
+    @property
+    def completed_mask(self) -> np.ndarray:
+        return np.array([r.status == COMPLETED for r in self.reports])
+
+    @property
+    def unresolved_mass(self) -> float:
+        """Weight mass of members whose solve did not complete."""
+        return float(self.weights[~self.completed_mask].sum())
+
+    @property
+    def trajectories(self) -> list:
+        """Each member's trajectory, None where its solve did not complete."""
+        return [r.trajectory if ok else None for r, ok in zip(self.reports, self.completed_mask)]
+
+
+# ---------------------------------------------------------------------------
 # boundedness in probability
 
 
@@ -58,8 +103,8 @@ class BoundednessReport:
 
 def _effective_maxes(ensemble: Ensemble) -> np.ndarray:
     # an aborted run has an unknown true sup: count it above every threshold
-    return np.array([m.report.max_linf if ok else np.inf
-                     for m, ok in zip(ensemble.members, ensemble.completed_mask)])
+    return np.array([r.max_linf if ok else np.inf
+                     for r, ok in zip(ensemble.reports, ensemble.completed_mask)])
 
 
 def boundedness_in_probability(ensemble: Ensemble, M_grid) -> BoundednessReport:
@@ -92,7 +137,7 @@ def _resolved(ensemble: Ensemble) -> tuple:
     mask = ensemble.completed_mask
     if not mask.any():
         raise ValueError("no completed members in the ensemble")
-    trajs = [m.report.trajectory for m, ok in zip(ensemble.members, mask) if ok]
+    trajs = [tr for tr in ensemble.trajectories if tr is not None]
     w = ensemble.weights[mask]
     return trajs, w / w.sum(), min(tr.final_time for tr in trajs)
 
@@ -108,7 +153,7 @@ class SampledEnsemble(Ensemble):
     """
 
     def __init__(self, ensemble: Ensemble, times=(), functionals=()):
-        super().__init__(ensemble.members, ensemble.weights, ensemble.mode)
+        super().__init__(ensemble.latents, ensemble.reports, ensemble.weights, ensemble.mode)
         trajs, _, T = _resolved(self)
         self.grid = trajs[0].grid
         reads = [*times, T, *(F.time_of(tr) for F in functionals
@@ -302,7 +347,7 @@ def r_barycenter(ensemble: Ensemble, which: str = "density", r: float = 2.0,
 
 def pair_by_index(ens_a: Ensemble, ens_b: Ensemble) -> tuple:
     """(ta, tb, w): the shared prefix of two ensembles paired member by member,
-    as trajectory lists with None for a solve that did not complete, at
+    as their `trajectories` lists (None for a solve that did not complete), at
     weights 1/n.
 
     Requires the common-random-number discipline: latent point n must be
@@ -310,11 +355,9 @@ def pair_by_index(ens_a: Ensemble, ens_b: Ensemble) -> tuple:
     """
     n = min(len(ens_a), len(ens_b))
     for i in range(n):
-        if not np.array_equal(ens_a.members[i].latent, ens_b.members[i].latent):
+        if not np.array_equal(ens_a.latents[i], ens_b.latents[i]):
             raise ValueError(f"mismatched latent pairing at member {i}")
-    ta, tb = ([m.report.trajectory if ok else None
-               for m, ok in zip(ens.members[:n], ens.completed_mask)] for ens in (ens_a, ens_b))
-    return ta, tb, np.full(n, 1.0 / n)
+    return ens_a.trajectories[:n], ens_b.trajectories[:n], np.full(n, 1.0 / n)
 
 
 @dataclass
@@ -371,8 +414,8 @@ def energy_moment_bound(ensemble: Ensemble) -> float:
     """sup over time of the weighted mean total energy (completed members)."""
     _, w, T = _resolved(ensemble)
     times = np.linspace(0.0, T, N_ENERGY_TIMES)
-    E = np.array([np.interp(times, m.report.trajectory.times, m.report.energy_history)
-                  for m, ok in zip(ensemble.members, ensemble.completed_mask) if ok])
+    E = np.array([np.interp(times, r.trajectory.times, r.energy_history)
+                  for r, ok in zip(ensemble.reports, ensemble.completed_mask) if ok])
     return float(_weighted_sum(w, E).max())
 
 

@@ -14,13 +14,12 @@ from nsuq.physics import (
 )
 from nsuq.random_data import (
     DistributionSpec,
-    Ensemble,
-    EnsembleMember,
     RandomFieldSpec,
     RandomMode,
     ScalarTransform,
 )
 from nsuq.solver import SolveReport
+from nsuq.stats import Ensemble
 
 
 # `pytest -m deep --hypothesis-profile deep` runs the property tests decorated with
@@ -109,7 +108,7 @@ def fake_report(grid, rho_vals, u_vals, linf_max=None, status="completed",
 def fake_ensemble(entries, mode="weak", weights=None, grid=None, d=1, n=8):
     """Synthetic ensemble; entries are dicts {rho, u, linf, status, latent}."""
     grid = grid or GridSpec(d, n)
-    members = []
+    latents, reports = [], []
     for i, e in enumerate(entries):
         rho_vals = np.full(grid.shape, e.get("rho", 1.0)) if np.isscalar(e.get("rho", 1.0)) \
             else np.asarray(e["rho"])
@@ -121,11 +120,11 @@ def fake_ensemble(entries, mode="weak", weights=None, grid=None, d=1, n=8):
         rep = fake_report(grid, rho_vals, u_vals, linf_max=e.get("linf"),
                           status=e.get("status", "completed"),
                           energy=e.get("energy", 1.0))
-        latent = np.asarray(e.get("latent", [i / max(len(entries), 1)]), dtype=float)
-        members.append(EnsembleMember(latent=latent, data=None, report=rep))
+        latents.append(e.get("latent", [i / max(len(entries), 1)]))
+        reports.append(rep)
     if weights is None:
         weights = np.full(len(entries), 1.0 / len(entries))
-    return Ensemble(members=members, weights=np.asarray(weights, dtype=float), mode=mode)
+    return Ensemble(latents=latents, reports=reports, weights=weights, mode=mode)
 
 
 def random_member(rng, grid, T, thin=False):

@@ -509,7 +509,7 @@ def test_cli_seed_override(bounds, tmp_path):
 
 
 def test_cli_threads_resolution(bounds, tmp_path, monkeypatch):
-    # the worker count resolves as flag > NSUQ_THREADS > config, and output, config hash
+    # the worker count resolves as flag > config, and output, config hash
     # included, is the same at 1, 2 and 3 workers; four cores are reported, so that the
     # 4-member level really runs on 3 processes
     import concurrent.futures
@@ -528,12 +528,8 @@ def test_cli_threads_resolution(bounds, tmp_path, monkeypatch):
         cfg_path = tmp_path / f"{mode}.json"
         write_config(cfg_path, dataclasses.replace(cfg, mode=mode))
         outs = []
-        for env, flag, workers in (("3", [], [2, 3]), ("3", ["--threads", "1"], []),
-                                   (None, [], [2, 2])):
-            if env is None:
-                monkeypatch.delenv("NSUQ_THREADS")
-            else:
-                monkeypatch.setenv("NSUQ_THREADS", env)
+        for flag, workers in ((["--threads", "3"], [2, 3]), (["--threads", "1"], []),
+                              ([], [2, 2])):
             outs.append(tmp_path / f"{mode}{len(outs)}")
             pools.clear()
             assert main([f"run-{mode}", "--config", str(cfg_path), *flag,
@@ -588,14 +584,16 @@ def test_one_worker_run_never_imports_multiprocessing(bounds, tmp_path):
 @pytest.mark.skipif(not any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256")),
                     reason="the interpreter has no built-in SHA-256")
 def test_strong_run_never_loads_openssl(bounds, tmp_path):
-    # the config hash uses the interpreter's own SHA-256, and a center-rule strong run
-    # draws no random numbers: neither OpenSSL's libcrypto (_hashlib, about 3.5 MiB)
-    # nor numpy.random is loaded
+    # the config hash uses the interpreter's own SHA-256, a center-rule strong run
+    # draws no random numbers, and the forcing bound evaluates its envelope by Horner's
+    # rule: neither OpenSSL's libcrypto (_hashlib, about 3.5 MiB), numpy.random nor
+    # numpy.polynomial is loaded
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(strong_doc(bounds)))
     argv = ["run-strong", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
     code = f"import sys; from nsuq.cli import main; main({argv!r}); " \
-           "print([m for m in ('_hashlib', 'numpy.random') if m in sys.modules])"
+           "print([m for m in ('_hashlib', 'numpy.random', 'numpy.polynomial') " \
+           "if m in sys.modules])"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -607,14 +605,16 @@ def test_strong_run_never_loads_openssl(bounds, tmp_path):
 @pytest.mark.parametrize("command", ["run-weak", "run-strong"])
 def test_random_runs_never_load_openssl(bounds, tmp_path, command):
     # the Monte-Carlo draws and the random-in-cell points come from nsuq's own PCG64
-    # stream, so neither numpy.random nor OpenSSL's libcrypto (_hashlib) is loaded
+    # stream, and the forcing bound evaluates its envelope by Horner's rule, so neither
+    # numpy.random, numpy.polynomial nor OpenSSL's libcrypto (_hashlib) is loaded
     cfg_path = tmp_path / "cfg.json"
     doc = (weak_config(bounds, levels=((2, 8),)).to_dict() if command == "run-weak"
            else {**strong_doc(bounds), "point_rule": "random"})
     cfg_path.write_text(json.dumps(doc))
     argv = [command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]
     code = f"import sys; from nsuq.cli import main; main({argv!r}); " \
-           "print([m for m in ('_hashlib', 'numpy.random') if m in sys.modules])"
+           "print([m for m in ('_hashlib', 'numpy.random', 'numpy.polynomial') " \
+           "if m in sys.modules])"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -716,8 +716,7 @@ def test_cli_config_fuzz(command, data):
             assert "Traceback" not in err.getvalue()
 
 
-def test_cli_config_errors(bounds, tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("NSUQ_THREADS", raising=False)  # the config's threads must be read
+def test_cli_config_errors(bounds, tmp_path, capsys):
     assert main(["run-weak", "--config", str(tmp_path / "missing.json")]) == 2
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -764,14 +763,12 @@ def test_cli_config_errors(bounds, tmp_path, capsys, monkeypatch):
     assert err.startswith("nsuq: config error: ") and err.count("\n") == 1, err
     assert main(["run-weak", "--config", str(cfg_path), "--seed", "-1",
                  "--out", str(tmp_path / "never")]) == 2
-    # worker counts from the environment that are not integers >= 1
-    for env in ("abc", "0"):
-        monkeypatch.setenv("NSUQ_THREADS", env)
-        capsys.readouterr()
-        assert main(["run-weak", "--config", str(cfg_path),
-                     "--out", str(tmp_path / "never")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("nsuq: config error: ") and err.count("\n") == 1, err
+    # a worker count that is not an integer >= 1
+    capsys.readouterr()
+    assert main(["run-weak", "--config", str(cfg_path), "--threads", "0",
+                 "--out", str(tmp_path / "never")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("nsuq: config error: ") and err.count("\n") == 1, err
     assert not (tmp_path / "never").exists()
 
 
@@ -983,18 +980,15 @@ def test_functional_mean_exact_under_mass_conservation(bounds):
     # density of every member equals the initial mean, so the clamped
     # mean-density functional is exact for any ensemble size
     import numpy as np
-    from nsuq.random_data import Ensemble, EnsembleMember, sample_latent
-    from nsuq.stats import empirical_functional_mean, make_functional
+    from nsuq.random_data import sample_latent
+    from nsuq.stats import Ensemble, empirical_functional_mean, make_functional
 
     spec = make_spec(bounds, mu=("const", 0.05), a=("uniform", 0.6, 1.4, 0),
                      rho_slope=0.0, u_amp=0.0)
     grid = GridSpec(1, 16)
     latents = sample_latent(3, 3, spec.K)
-    members = [
-        EnsembleMember(om, spec.realize(om), solve(spec.realize(om), grid, SCHEME))
-        for om in latents
-    ]
-    ens = Ensemble(members, np.full(3, 1.0 / 3), "weak")
+    ens = Ensemble(latents, [solve(spec.realize(om), grid, SCHEME) for om in latents],
+                   np.full(3, 1.0 / 3), "weak")
     _, F = make_functional({"kind": "clamp_fourier", "wavevec": [0], "part": "cos",
                             "lo": 0.0, "hi": 2.0})
     assert empirical_functional_mean(ens, F) == pytest.approx(1.0, abs=1e-13)
@@ -1004,11 +998,10 @@ def test_strong_field_mean_of_affine_equilibria_is_exact(bounds):
     # constant-in-space density 1 + 0.1 w, u0 = 0, g = 0: every member is an
     # equilibrium and the center rule integrates the affine map exactly
     import numpy as np
-    from nsuq.random_data import (Ensemble, EnsembleMember, RandomFieldSpec, RandomMode,
-                                  ScalarTransform, DistributionSpec, build_partition,
-                                  collocate_data)
+    from nsuq.random_data import (RandomFieldSpec, RandomMode, ScalarTransform,
+                                  DistributionSpec, build_partition, collocate_data)
     from nsuq.physics import ForcingSpec
-    from nsuq.stats import empirical_field_mean
+    from nsuq.stats import Ensemble, empirical_field_mean
 
     spec = DistributionSpec(
         K=1, d=1, period=1.0, gamma=2.0, bounds=bounds,
@@ -1022,11 +1015,8 @@ def test_strong_field_mean_of_affine_equilibria_is_exact(bounds):
     part = build_partition(1, 4)
     records = collocate_data(spec, part)
     grid = GridSpec(1, 8)
-    members = [
-        EnsembleMember(part.points[i], records[i], solve(records[i], grid, SCHEME))
-        for i in range(part.num_cells)
-    ]
-    ens = Ensemble(members, part.weights, "strong")
+    ens = Ensemble(part.points, [solve(r, grid, SCHEME) for r in records], part.weights,
+                   "strong")
     [(t, fld)] = empirical_field_mean(ens, "density")
     assert np.abs(fld.values - 1.05).max() <= 1e-12
 
@@ -1106,8 +1096,8 @@ def test_strong_reads_each_trajectory_once_per_level_pair(bounds, monkeypatch):
     # in fine-cell order would sample a coarse member again; and weak, whose
     # diagnostics must equal convergence_in_probability_diagnostic's
     from nsuq.mesh import trajectory_lq_distance
-    from nsuq.random_data import Ensemble, EnsembleMember, build_partition, sample_latent
-    from nsuq.stats import convergence_in_probability_diagnostic, pair_by_index
+    from nsuq.random_data import build_partition, sample_latent
+    from nsuq.stats import Ensemble, convergence_in_probability_diagnostic, pair_by_index
 
     mu = ("uniform", 0.02, 0.08, 0)
     cases = [
@@ -1134,8 +1124,7 @@ def test_strong_reads_each_trajectory_once_per_level_pair(bounds, monkeypatch):
         if mode == "weak":
             for idx, doc in enumerate(cross["diagnostics"]):
                 ens_a, ens_b = (
-                    Ensemble([EnsembleMember(om, None, r) for om, r in
-                              zip(sample_latent(cfg.seed, len(level), spec.K), level)],
+                    Ensemble(sample_latent(cfg.seed, len(level), spec.K), level,
                              np.full(len(level), 1.0 / len(level)), "weak")
                     for level in solves[idx:idx + 2])
                 diag = convergence_in_probability_diagnostic(

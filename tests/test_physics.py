@@ -228,6 +228,30 @@ def test_forcing_sup_bound():
     spec3 = ForcingSpec(1, 1.0, (ForcingTerm((1,), "sin", (1.0,), poly=(0.0, 2.0, -1.0)),),
                         horizon=2.0)
     assert spec3.sup_bound() == pytest.approx(1.0)
+    # random envelopes of degree 0 to 5 against numpy.polynomial's roots and values: the
+    # bound is the same number up to degree 2; from degree 3 on, np.roots' companion
+    # matrix may move a critical point by rounding, which moves the bound by ulps
+    rng = np.random.default_rng(11)
+    for horizon in (0.5, 1.0, 2.0, 7.5):
+        for deg in range(6):
+            for _ in range(200):
+                poly = tuple(float(c) for c in rng.uniform(-2.0, 2.0, deg + 1))
+                spec = ForcingSpec(1, 1.0, (ForcingTerm((1,), "sin", (1.0,), poly=poly),),
+                                   horizon=horizon)
+                ref = _reference_poly_abs_max(poly, horizon)
+                tol = 0.0 if deg <= 2 else 1e-14
+                assert abs(spec.sup_bound() - ref) <= tol * ref, (poly, horizon)
+
+
+def _reference_poly_abs_max(coeffs, horizon):
+    """max |p| on [0, horizon] from numpy.polynomial: p at the ends and at the real
+    roots of p' inside."""
+    p = np.polynomial.Polynomial(list(coeffs))
+    crit = [0.0, horizon]
+    if len(coeffs) > 1:
+        crit += [float(r.real) for r in p.deriv().roots()
+                 if abs(r.imag) < 1e-12 and 0.0 <= r.real <= horizon]
+    return float(max(abs(p(t)) for t in crit))
 
 
 def test_forcing_scaled_and_dict_roundtrip():

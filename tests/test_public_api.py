@@ -136,3 +136,21 @@ def test_module_imports_are_read():
                     if name not in loaded | exported and (path.stem, name) not in wrapped:
                         unread.append(f"{path.name}: {name}")
     assert not unread, unread
+
+
+# each module imports only modules before it: a layer never reads one above it
+LAYERS = ["mesh", "physics", "random_data", "solver", "stats", "experiments", "cli"]
+
+
+def test_modules_import_only_lower_layers():
+    # every `from .x import`, at module level or inside a function; `from . import`
+    # (the package itself: its version, or __init__ gathering the layers) is exempt
+    src = ROOT / "src" / "nsuq"
+    assert sorted(LAYERS) == sorted(p.stem for p in src.glob("*.py") if p.stem != "__init__")
+    upward = []
+    for name in LAYERS:
+        for node in ast.walk(ast.parse((src / f"{name}.py").read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                if LAYERS.index(node.module.split(".")[0]) >= LAYERS.index(name):
+                    upward.append(f"{name} -> {node.module}")
+    assert not upward, upward

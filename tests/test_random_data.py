@@ -414,6 +414,8 @@ def test_ensemble_unresolved_mass():
     )
     assert ens.unresolved_mass == pytest.approx(0.25)
     assert list(ens.completed_mask) == [True, False]
+    # the one trajectory list: None where the solve did not complete
+    assert ens.trajectories[0] is ens.reports[0].trajectory and ens.trajectories[1] is None
 
 
 def test_collocation_error_below_lipschitz_bound(bounds):

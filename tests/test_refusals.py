@@ -36,7 +36,6 @@ from nsuq.physics import (
 )
 from nsuq.random_data import (
     CollocationPartition,
-    Ensemble,
     RandomFieldSpec,
     RandomMode,
     ScalarTransform,
@@ -49,12 +48,15 @@ from nsuq.solver import (
     SchemeConfig,
     SolverError,
     _solve_momentum_system,
+    cfl_dt,
     gronwall_energy_bound,
     scheme_residual,
     self_convergence,
+    solve,
     step,
 )
 from nsuq.stats import (
+    Ensemble,
     boundedness_in_probability,
     convergence_in_probability_diagnostic,
     diagnostic_from_distances,
@@ -108,10 +110,17 @@ NAN_CASES = [
      "q must be"),
     ("neg-sobolev-m", lambda: neg_sobolev_norm(rho_u()[0], NAN), "m must be"),
     ("step-dt", step_nan_dt, "dt must be"),
+    ("cfl-dt-cfl", lambda: cfl_dt(*(f.values for f in rho_u()), make_record(), G1, cfl=NAN),
+     "cfl must be"),
+    ("residual-dt", lambda: scheme_residual(make_record(), (state(), state()), NAN),
+     "dt must be"),
+    ("keep-window", lambda: solve(make_record(), G1, SchemeConfig(), keep=[[NAN, NAN]]),
+     "must have lo <= hi"),
     ("barycenter-r", lambda: r_barycenter(fake_ensemble([{}]), r=NAN), "order r must be"),
     ("barycenter-q", lambda: r_barycenter(fake_ensemble([{}]), q=NAN), "exponent q must be"),
     # array and threshold checks
-    ("ensemble-weights", lambda: Ensemble(fake_ensemble([{}, {}]).members, [0.5, NAN], "weak"),
+    ("ensemble-weights",
+     lambda: Ensemble([[0.0], [0.5]], fake_ensemble([{}, {}]).reports, [0.5, NAN], "weak"),
      "weights must be positive"),
     ("latent-point", lambda: make_spec(BOUNDS, K=2).realize([NAN, 0.5]), "unit cube"),
     ("boundedness-threshold", lambda: boundedness_in_probability(fake_ensemble([{}]), [NAN]),
@@ -192,9 +201,12 @@ REFUSALS = [
     ("partition-cells", lambda: CollocationPartition(1, 2, np.full((2, 1), 0.9)),
      ValueError, "inside its cell"),
     ("partition-size", lambda: build_partition(0, 2), ValueError, "need K >= 1"),
-    ("ensemble-mode", lambda: Ensemble(fake_ensemble([{}]).members, [1.0], "both"),
+    ("ensemble-mode", lambda: Ensemble([[0.0]], fake_ensemble([{}]).reports, [1.0], "both"),
      ValueError, "mode must be weak or strong"),
-    ("ensemble-empty", lambda: Ensemble([], [], "weak"), ValueError, "one weight per member"),
+    ("ensemble-empty", lambda: Ensemble([], [], [], "weak"), ValueError, "one weight per member"),
+    ("ensemble-lengths",
+     lambda: Ensemble([[0.0], [0.5]], fake_ensemble([{}]).reports, [0.5, 0.5], "weak"),
+     ValueError, "one latent point, one report and one weight per member"),
     # mesh
     ("state-grids", lambda: FluidState(rho_u(G1)[0], rho_u(GridSpec(1, 8))[1], 0.0),
      ValueError, "same grid"),
@@ -208,6 +220,10 @@ REFUSALS = [
     ("residual-grids", lambda: scheme_residual(make_record(), (state(G1), state(GridSpec(1, 8))),
                                                0.1),
      ValueError, "share one grid"),
+    ("cfl-dt-negative", lambda: cfl_dt(*(f.values for f in rho_u()), make_record(), G1, cfl=-1.0),
+     ValueError, "cfl must be a finite number and > 0"),
+    ("keep-window-order", lambda: solve(make_record(), G1, SchemeConfig(), keep=[[0.04, 0.01]]),
+     ValueError, "must have lo <= hi"),
     ("reference-abort",
      lambda: self_convergence(make_record(), [8], 16, SchemeConfig(linf_ceiling=0.5)),
      SolverError, "reference run aborted"),

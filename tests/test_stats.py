@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from nsuq import stats
 from nsuq.mesh import GridSpec, Trajectory
-from nsuq.random_data import Ensemble, EnsembleMember
 from nsuq.solver import SolveReport
 from nsuq.stats import (
+    Ensemble,
     boundedness_in_probability,
     convergence_in_probability_diagnostic,
     empirical_field_mean,
@@ -122,9 +122,8 @@ def test_field_mean_excludes_aborted():
 
 
 def test_mixed_grid_ensemble_is_rejected():
-    ens = fake_ensemble([{"rho": 1.0}], n=8)
-    ens.members.append(fake_ensemble([{"rho": 3.0}], n=16).members[0])
-    ens.weights = np.array([0.5, 0.5])
+    reports = [fake_ensemble([{"rho": rho}], n=n).reports[0] for rho, n in ((1.0, 8), (3.0, 16))]
+    ens = Ensemble([[0.0], [0.5]], reports, [0.5, 0.5], "weak")
     with pytest.raises(ValueError, match="one grid"):
         empirical_field_mean(ens, "density")
     with pytest.raises(ValueError, match="one grid"):
@@ -257,7 +256,7 @@ def test_diagnostic_unresolved_pair_counts_everywhere():
     a = fake_ensemble([{"latent": [0.5]}])
     b = fake_ensemble([{"latent": [0.5], "status": "aborted_linf", "linf": 100.0}])
     ta, tb, w = pair_by_index(a, b)
-    assert ta[0] is a.members[0].report.trajectory and tb == [None]
+    assert ta[0] is a.reports[0].trajectory and tb == [None]
     rep = convergence_in_probability_diagnostic((ta, tb, w), [1.0, 1e9])
     assert list(rep.fractions) == [1.0, 1.0]
 
@@ -285,7 +284,7 @@ def test_energy_moment_bound_weighted():
 
 def test_make_functional_kinds():
     ens = fake_ensemble([{"rho": 1.4}])
-    traj = ens.members[0].report.trajectory
+    traj = ens.reports[0].trajectory
     name, F = make_functional({"kind": "tanh_mean_density", "scale": 2.0, "name": "f1"})
     assert name == "f1"
     assert F(traj) == pytest.approx(math.tanh(2.0 * 1.4))
@@ -331,22 +330,21 @@ def _three_state_ensemble(d):
     """12 members with distinct states at t = 0, 0.4, 1 on one grid, random weights."""
     rng = np.random.default_rng(5 + d)
     g = GridSpec(d, 8)
-    out = []
+    reports = []
     for i in range(12):
         states = [(0.5 + rng.random(g.shape), rng.standard_normal(g.shape + (d,)))
                   for _ in range(3)]
         traj = Trajectory(g, [r for r, _ in states], [v for _, v in states], [0.0, 0.4, 1.0],
                           [0, 1, 2])
-        rep = SolveReport(traj, np.ones(3), 1.0 + rng.random(3))
-        out.append(EnsembleMember(np.array([i / 12]), None, rep))
+        reports.append(SolveReport(traj, np.ones(3), 1.0 + rng.random(3)))
     w = rng.random(12)
-    return Ensemble(out, w / w.sum(), "strong")
+    return Ensemble(np.arange(12)[:, None] / 12, reports, w / w.sum(), "strong")
 
 
-def _loop_fields(members, which, t):
+def _loop_fields(reports, which, t):
     fields = []
-    for m in members:
-        rho, u = m.report.trajectory.sample(t)
+    for rep in reports:
+        rho, u = rep.trajectory.sample(t)
         fields.append(rho if which == "density" else rho[..., None] * u)
     return fields
 
@@ -400,7 +398,7 @@ def _loop_barycenter(Ys, w, r, q, vol, vector, tol=1e-8, max_iter=500):
 def test_stacked_barycenter_equals_member_loop(d, which, r, q):
     ens = _three_state_ensemble(d)
     w = ens.weights / ens.weights.sum()
-    Ys = _loop_fields(ens.members, which, 0.7)
+    Ys = _loop_fields(ens.reports, which, 0.7)
     Z, obj = _loop_barycenter(Ys, w, r, q, GridSpec(d, 8).cell_volume, which == "momentum")
     res = r_barycenter(ens, which, r=r, q=q, time=0.7)
     assert res.objective == obj
@@ -415,13 +413,13 @@ def test_stacked_means_equal_member_loop(d):
     for which in ("density", "momentum"):
         for (t, fld), ref_t in zip(empirical_field_mean(ens, which, times=times), times):
             acc = None
-            for wi, Y in zip(w, _loop_fields(ens.members, which, ref_t)):
+            for wi, Y in zip(w, _loop_fields(ens.reports, which, ref_t)):
                 acc = wi * Y if acc is None else acc + wi * Y
             assert t == ref_t and np.array_equal(fld.values, acc)
     grid_t = np.linspace(0.0, 1.0, 33)
     acc = np.zeros(33)
-    for wi, m in zip(w, ens.members):
-        acc += wi * np.interp(grid_t, m.report.trajectory.times, m.report.energy_history)
+    for wi, rep in zip(w, ens.reports):
+        acc += wi * np.interp(grid_t, rep.trajectory.times, rep.energy_history)
     assert energy_moment_bound(ens) == float(acc.max())
 
 
@@ -434,17 +432,16 @@ def test_sampled_ensemble_equals_member_loop(seed, d):
     # an aborted member sits between the completed ones
     rng = np.random.default_rng(seed)
     grid = GridSpec(d, 8 if d == 1 else 4)
-    members = []
+    reports = []
     for i in range(5):
         traj, _ = random_member(rng, grid, 1.0 + int(rng.integers(-2, 3)) * 2.0**-52)
-        rep = SolveReport(traj, np.ones(len(traj)), np.ones(len(traj)),
-                          "aborted_linf" if i == 2 else "completed")
-        members.append(EnsembleMember(np.array([i / 5]), None, rep))
+        reports.append(SolveReport(traj, np.ones(len(traj)), np.ones(len(traj)),
+                                   "aborted_linf" if i == 2 else "completed"))
     w = rng.random(5)
-    ens = Ensemble(members, w / w.sum(), "strong")
-    done = [m for m in members if m.report.status == "completed"]
+    ens = Ensemble(np.arange(5)[:, None] / 5, reports, w / w.sum(), "strong")
+    done = [rep for rep in reports if rep.status == "completed"]
     wd = ens.weights[ens.completed_mask] / ens.weights[ens.completed_mask].sum()
-    T = min(m.report.trajectory.final_time for m in done)
+    T = min(rep.trajectory.final_time for rep in done)
     times = np.linspace(0.0, T, 4)
     functionals = [make_functional(doc)[1] for doc in (
         {"kind": "tanh_mean_density"},
@@ -455,7 +452,7 @@ def test_sampled_ensemble_equals_member_loop(seed, d):
     )]
     sampled = SampledEnsemble(ens, times, functionals)
     for F in functionals:
-        loop = float(sum(wi * F(m.report.trajectory) for wi, m in zip(wd, done)))
+        loop = float(sum(wi * F(rep.trajectory) for wi, rep in zip(wd, done)))
         assert empirical_functional_mean(sampled, F) == loop
     # the means and barycenters read the sampled stacks only
     with mock.patch.object(stats, "sample_members", side_effect=AssertionError("resampled")):
