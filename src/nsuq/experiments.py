@@ -9,11 +9,12 @@ at any worker count.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field as dc_field, fields
+from dataclasses import asdict, dataclass, field as dc_field, fields, replace
 
 # CPython's own SHA-256 (the same digest): the OpenSSL-backed one maps libcrypto, about
 # 3.5 MiB of resident memory for one 2 KB hash per run
@@ -27,13 +28,13 @@ except ImportError:
 
 import numpy as np
 
-from . import __version__
+from . import __version__, mesh
 # trajectory_lq_distance is not called here; perfbench/tracing.py wraps this module's name
 from .mesh import N_DISTANCE_TIMES, GridSpec, _fmt, check_number, pair_distances, save_field, \
     trajectory_lq_distance  # noqa: F401
 from .random_data import MAX_PARTITION_CELLS, DistributionSpec, build_partition, collocate_data, \
     sample_latent
-from .solver import SchemeConfig, TravelingWaveCase, manufactured_convergence, \
+from .solver import COMPLETED, SchemeConfig, TravelingWaveCase, manufactured_convergence, \
     self_convergence, solve
 from .stats import (
     DiagnosticReport,
@@ -341,7 +342,11 @@ def _observation_windows(config: ExperimentConfig):
 
     Only completed members are sampled, and they end within 1e-12 T of T,
     so a relative half-width of 1e-9 around the fractions c of T holds the
-    distance times, the report times, the final time and t = 0.
+    distance times, the report times, the final time and t = 0.  The first
+    N_DISTANCE_TIMES rows are the distance times, which only the level pairs
+    read; the rest (t = 0, t = T, the report and functional times) are what a
+    level's own statistics read, and a member that no later pair reads is
+    thinned to them (`_run_ladder`).
     """
     req, T = config.stats, config.scheme.T
     fracs = [k / (N_DISTANCE_TIMES - 1) for k in range(N_DISTANCE_TIMES)] + [0.0, 1.0]
@@ -358,18 +363,24 @@ def _observation_windows(config: ExperimentConfig):
 
 
 def _solve_members(records, grid: GridSpec, config: ExperimentConfig):
-    """Member solves in record order: in-process at one worker, else on forked processes."""
+    """Yield the member solves in record order: in-process at one worker, else
+    from forked processes, which keep solving while the caller reads each report.
+
+    Closing the generator early (the caller's error, say) cancels the solves not
+    started and shuts the pool down, so no worker outlives it.
+    """
     run = functools.partial(solve, grid=grid, cfg=config.scheme, keep=_observation_windows(config))
     workers = min(config.threads, os.cpu_count() or 1, len(records))
     if workers <= 1 or not hasattr(os, "fork"):
-        return [run(r) for r in records]
+        yield from map(run, records)
+        return
     # imported here, so that one-worker runs never load the pool's modules
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     # fork starts fastest and nsuq starts no threads; Python 3.14 no longer makes it the default
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as ex:
-        return list(ex.map(run, records))
+        yield from ex.map(run, records)
 
 
 def _provenance(config: ExperimentConfig) -> dict:
@@ -462,41 +473,89 @@ def _expectation_error_row(level: int, dist: np.ndarray, both: np.ndarray, w,
             "r": r_exp, "s": s_exp, "resolved_mass": resolved_mass}
 
 
+def _take_chunk(reports: list, lo: int, reading: list, norms: list, thin_to) -> None:
+    """Take the rows lo.. of every pair that a level is the finer side of, from
+    its members reports[lo:], then thin those members in place to the windows
+    `thin_to` (None thins nothing).
+
+    Each entry of `reading` is (rows, ta, partner, grid, partner samples) of one
+    pair: its distance array, filled here, and `pair_distances`' arguments.
+    """
+    tb = [r.trajectory if r.status == COMPLETED else None for r in reports[lo:]]
+    for rows, ta, partner, grid, samples in reading:
+        hi = min(len(reports), len(partner))
+        if lo < hi:
+            rows[lo:hi] = pair_distances(ta, tb, partner[lo:hi], grid, norms, samples)
+    if thin_to is not None:
+        reports[lo:] = [replace(r, trajectory=r.trajectory.thinned(thin_to)) for r in reports[lo:]]
+
+
+def _solve_level(records, grid: GridSpec, config: ExperimentConfig, reading: list, norms: list,
+                 thin_to) -> list:
+    """The level's solve reports, in record order, its pair rows taken and its members
+    thinned (`_take_chunk`) each time the members that came back since the last
+    chunk keep SAMPLE_CHUNK_BYTES of states, and once more at the level's end."""
+    reports, lo, held = [], 0, 0
+    with contextlib.closing(_solve_members(records, grid, config)) as members:
+        for r in members:
+            reports.append(r)
+            held += sum(x.nbytes for x in r.trajectory.rho + r.trajectory.u)
+            del r  # no reference to a full trajectory outlives its chunk
+            if held >= mesh.SAMPLE_CHUNK_BYTES:
+                _take_chunk(reports, lo, reading, norms, thin_to)
+                lo, held = len(reports), 0
+    _take_chunk(reports, lo, reading, norms, thin_to)
+    return reports
+
+
 def _run_ladder(config: ExperimentConfig, draws: list, pairs: list) -> ExperimentReport:
-    """Solve and post-process a ladder level by level, then compare level pairs.
+    """Solve and post-process a ladder level by level, taking each level pair's
+    distances while its finer level's members come back.
 
     `draws[i]` is level i's (latent points, weights, data records); its
     records are solved into level i's `Ensemble`.  Each of `pairs` is
     (a, b, partner, w): member j of level b is compared with member partner[j]
-    of level a, at weight w[j], on level a's (coarser) grid, through the two
-    ensembles' `trajectories`.  A strong ladder adds the density and momentum
-    expectation errors.
+    of level a, at weight w[j], on level a's (coarser) grid.  A strong ladder
+    adds the density and momentum expectation errors.
+
+    Level b streams: each time the members that came back since the last
+    chunk keep SAMPLE_CHUNK_BYTES of states, and once at the level's end,
+    they give their rows of every pair (a, b), and each pair resumes its one
+    set of partner samples (`pair_distances`).  A level that is no pair's
+    coarse side (the finest) is then thinned, chunk by chunk, to the windows
+    its own statistics read, so the parent holds one chunk of full
+    trajectories at a time.  Diagnostics and errors follow the order of `pairs`.
     """
     spec, req = config.distribution, config.stats
+    strong = config.mode == "strong"
+    norms = [(req.diagnostic_q, "both")]
+    if strong:  # the integrability ceilings of density and momentum
+        norms += [(spec.gamma, "rho"), (2.0 * spec.gamma / (spec.gamma + 1.0), "momentum")]
+    windows = _observation_windows(config)
+    dist = [np.full((len(partner), len(norms)), np.inf) for _, _, partner, _ in pairs]
     report = ExperimentReport(summary={"provenance": _provenance(config)})
     ensembles, levels = [], []
     for idx, (level, (latents, weights, records)) in enumerate(zip(config.ladder, draws)):
+        reading = [(dist[p], ensembles[a].trajectories, partner,
+                    GridSpec(spec.d, config.ladder[a].n_cells, spec.period), {})
+                   for p, (a, b, partner, _) in enumerate(pairs) if b == idx]
+        coarse_side = any(a == idx for a, *_ in pairs)
+        thin_to = None if windows is None or coarse_side else windows[N_DISTANCE_TIMES:]
         grid = GridSpec(spec.d, level.n_cells, spec.period)
-        ens = Ensemble(latents, _solve_members(records, grid, config), weights, config.mode)
+        reports = _solve_level(records, grid, config, reading, norms, thin_to)
+        del reading  # the partner samples: a level's statistics need none of them
+        ens = Ensemble(latents, reports, weights, config.mode)
         ensembles.append(ens)
         levels.append(_level_statistics(ens, config, idx, level, report))
     report.summary["levels"] = levels
 
-    strong = config.mode == "strong"
-    gamma = spec.gamma
-    norms = [(req.diagnostic_q, "both")]
-    if strong:  # the integrability ceilings of density and momentum
-        norms += [(gamma, "rho"), (2.0 * gamma / (gamma + 1.0), "momentum")]
     diagnostics, error_rows = [], []
-    for a, b, partner, w in pairs:
-        ens_a, ens_b = ensembles[a], ensembles[b]
-        grid = GridSpec(spec.d, config.ladder[a].n_cells, spec.period)
-        dist = pair_distances(ens_a.trajectories, ens_b.trajectories, partner, grid, norms)
-        diag = diagnostic_from_distances(dist[:, 0], w, req.eps_grid)
+    for (a, b, partner, w), rows in zip(pairs, dist):
+        diag = diagnostic_from_distances(rows[:, 0], w, req.eps_grid)
         diagnostics.append(_diagnostic_doc(diag, [a, b]))
         if strong:
-            both = ens_a.completed_mask[partner] & ens_b.completed_mask[:len(partner)]
-            error_rows.append(_expectation_error_row(a, dist, both, w, norms))
+            both = ensembles[a].completed_mask[partner] & ensembles[b].completed_mask[:len(partner)]
+            error_rows.append(_expectation_error_row(a, rows, both, w, norms))
     report.summary["cross_level"] = {"diagnostics": diagnostics}
     if strong:
         report.summary["cross_level"]["expectation_errors"] = error_rows

@@ -192,8 +192,28 @@ def _view(cls, grid: GridSpec, values: np.ndarray):
 
 # bytes of source-grid states a sampling pass gathers at once; a finer source
 # grid or a long time vector is sampled in chunks of rows, so the pass never
-# holds a whole fine-grid stack
+# holds a whole fine-grid stack; a runner takes the pair rows of a level's
+# members each time those that came back keep this many bytes of states
 SAMPLE_CHUNK_BYTES = 1 << 16
+
+
+def _keep_windows(keep) -> list | None:
+    """`keep`, an array of [lo, hi] time windows, as a list of [lo, hi] pairs; None
+    (every state kept) stays None, and a window without lo <= hi (NaN included)
+    raises ValueError."""
+    if keep is None:
+        return None
+    windows = np.asarray(keep, dtype=float).reshape(-1, 2).tolist()
+    if not all(lo <= hi for lo, hi in windows):
+        raise ValueError(f"keep windows must have lo <= hi, got {windows}")
+    return windows
+
+
+def _keeps_step(windows: list | None, t0: float, t1: float) -> bool:
+    """The keep rule of a thinned trajectory: the states at both ends of the step
+    from t0 to t1 are kept when [t0, t1] meets one of `windows` (a `_keep_windows`
+    list), and every state is kept when `windows` is None."""
+    return windows is None or any(lo <= t1 and hi >= t0 for lo, hi in windows)
 
 
 class Trajectory:
@@ -201,13 +221,15 @@ class Trajectory:
 
     `times` holds every step time and `steps` the indices of the kept steps,
     a subset that includes the first and the last (every step unless the
-    solve thinned them).  The kept states are stored as read-only arrays:
+    solve, or `thinned`, dropped them).  The kept states are stored as read-only arrays:
     `rho[k]` of shape grid.shape and `u[k]` of shape grid.shape + (d,) at
     time `times[steps[k]]`, each checked once, for finite values and positive
     density, when the trajectory takes it.  Arrays that own their float data
     are frozen in place and kept, not copied: the caller hands them over.
     Sampling between two steps needs both states; `sample_members` reads
-    them, for one trajectory (`sample`) or a whole level at once.
+    them, for one trajectory (`sample`) or a whole level at once.  The
+    runners thin a member of the finest level (`thinned`) once its
+    cross-level distances are taken, to the states its level statistics read.
     """
 
     def __init__(self, grid: GridSpec, rho: list, u: list, times, steps):
@@ -245,6 +267,24 @@ class Trajectory:
         return [FluidState(_view(ScalarField, self.grid, r), _view(VectorField, self.grid, v),
                            float(t))
                 for r, v, t in zip(self.rho, self.u, self.times[self.steps])]
+
+    def thinned(self, keep) -> "Trajectory":
+        """This trajectory with only the states that `solve(keep=keep)` keeps: the
+        first, the last, and both ends of every step that meets a window
+        (`_keeps_step`, the rule `solve` applies as it steps).  The states share
+        this trajectory's arrays; each must be among its kept ones, else ValueError.
+        """
+        windows = _keep_windows(keep)
+        t = self.times.tolist()
+        wanted = {0, len(t) - 1}
+        for j in range(len(t) - 1):
+            if _keeps_step(windows, t[j], t[j + 1]):
+                wanted.update((j, j + 1))
+        ks = [k for k, s in enumerate(self.steps.tolist()) if s in wanted]
+        if len(ks) < len(wanted):
+            raise ValueError("thinning needs states that this trajectory did not keep")
+        return Trajectory(self.grid, [self.rho[k] for k in ks], [self.u[k] for k in ks],
+                          self.times, self.steps[ks])
 
     def sample(self, t: float) -> tuple:
         """(rho values, u values) at time t: the one-member, one-time `sample_members`."""
@@ -520,7 +560,8 @@ def stack_lq_distance(a: tuple, b: tuple, times, grid: GridSpec,
     return np.array([x ** (1.0 / q) for x in np.trapezoid(slice_int, times, axis=-1)])
 
 
-def pair_distances(ta: list, tb: list, partner, grid: GridSpec, norms) -> np.ndarray:
+def pair_distances(ta: list, tb: list, partner, grid: GridSpec, norms,
+                   partner_samples: dict | None = None) -> np.ndarray:
     """(len(partner), len(norms)) space-time distances on `grid` between
     trajectory tb[j] and its partner ta[partner[j]], one column per (q, which)
     of `norms`; inf where either is None (a solve that did not complete).
@@ -532,22 +573,32 @@ def pair_distances(ta: list, tb: list, partner, grid: GridSpec, norms) -> np.nda
     `stack_lq_distance` call over the member axis.  The members go in chunks
     of SAMPLE_CHUNK_BYTES of samples, so a fine 2-D pair holds one chunk's
     stacks at a time.
+
+    The call is resumable: `partner_samples`, a dict kept by the caller, holds
+    the partner samples by (partner, end time) from one call to the next.  A
+    pair whose finer members arrive in pieces passes each piece as `tb`, with
+    its slice of `partner` and the same dict, so each partner is still sampled
+    once per end time, and the rows equal those of one whole-level call.
     """
     out = np.full((len(partner), len(norms)), np.inf)
     both = [j for j in range(len(partner)) if ta[partner[j]] is not None and tb[j] is not None]
     if not both:
         return out
+    samples = {} if partner_samples is None else partner_samples
     times = np.array([distance_times(ta[partner[j]], tb[j]) for j in both])
-    # one partner sample per (partner, end time): its row and the times it is taken at
-    keys = {}
-    for j, t in zip(both, times):
-        keys.setdefault((partner[j], t[-1]), (len(keys), t))
-    row = [keys[partner[j], t[-1]][0] for j, t in zip(both, times)]
-    sa = sample_members([ta[k] for k, _ in keys], [t for _, t in keys.values()], grid)
-    chunk = max(1, SAMPLE_CHUNK_BYTES // sa[0][0].nbytes // (1 + grid.d))  # members per chunk
-    for lo in range(0, len(both), chunk):
+    keys = [(partner[j], t[-1]) for j, t in zip(both, times)]
+    # the partner samples not taken yet, one per (partner, end time), in one pass
+    new = {}
+    for key, t in zip(keys, times):
+        if key not in samples:
+            new.setdefault(key, t)
+    if new:
+        sa = sample_members([ta[k] for k, _ in new], list(new.values()), grid)
+        samples.update((key, (sa[0][i], sa[1][i])) for i, key in enumerate(new))
+    chunk = max(1, SAMPLE_CHUNK_BYTES // samples[keys[0]][0].nbytes // (1 + grid.d))
+    for lo in range(0, len(both), chunk):  # `chunk` members at a time
         js, t = both[lo:lo + chunk], times[lo:lo + chunk]
-        a = tuple(s[row[lo:lo + chunk]] for s in sa)
+        a = tuple(np.stack([samples[key][f] for key in keys[lo:lo + chunk]]) for f in (0, 1))
         b = sample_members([tb[j] for j in js], t, grid)
         out[js] = np.transpose([stack_lq_distance(a, b, t, grid, q=q, which=which)
                                 for q, which in norms])

@@ -31,6 +31,8 @@ import numpy as np
 from .mesh import (
     GridSpec,
     Trajectory,
+    _keep_windows,
+    _keeps_step,
     _mag,
     check_number,
     trajectory_lq_distance,
@@ -410,14 +412,13 @@ def solve(data: DataRecord, grid: GridSpec, cfg: SchemeConfig, keep=None) -> Sol
     NO_CONVERGENCE.
 
     `keep`, an array of [lo, hi] time windows, thins the trajectory: states
-    j and j + 1 are kept when [t_j, t_{j+1}] meets a window, and the first
-    and last states always are, so any time inside a window can be sampled.
-    Every step's time, linf and energy are recorded either way.  None keeps
-    every state; a window without lo <= hi (NaN included) raises ValueError.
+    j and j + 1 are kept when [t_j, t_{j+1}] meets a window (`mesh._keeps_step`,
+    which `Trajectory.thinned` applies too), and the first and last states
+    always are, so any time inside a window can be sampled.  Every step's
+    time, linf and energy are recorded either way.  None keeps every state; a
+    window without lo <= hi (NaN included) raises ValueError.
     """
-    windows = [] if keep is None else np.asarray(keep, dtype=float).reshape(-1, 2).tolist()
-    if not all(lo <= hi for lo, hi in windows):
-        raise ValueError(f"keep windows must have lo <= hi, got {windows}")
+    windows = _keep_windows(keep)
     s0 = data.initial_state(grid)
     rho, u, t = s0.rho.values, s0.u.values, s0.time
     kept = [(rho, u)]  # the kept states, at steps `steps`
@@ -453,7 +454,7 @@ def solve(data: DataRecord, grid: GridSpec, cfg: SchemeConfig, keep=None) -> Sol
                 status = NO_CONVERGENCE
                 break
             t += dt
-            if keep is None or any(lo <= t and hi >= times[-1] for lo, hi in windows):
+            if _keeps_step(windows, times[-1], t):
                 if steps[-1] != len(times) - 1:
                     kept.append(prev)
                     steps.append(len(times) - 1)

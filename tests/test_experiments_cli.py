@@ -1069,9 +1069,11 @@ def cross_level_reads(run, cfg, monkeypatch):
                 reads[id(traj)] = reads.get(id(traj), 0) + 1
         return sample_members(trajs, *args, **kwargs)
 
-    def recording_solve_members(*args):
-        solves.append(solve_members(*args))
-        return solves[-1]
+    def recording_solve_members(*args):  # each report as it is yielded, before any thinning
+        solves.append([])
+        for r in solve_members(*args):
+            solves[-1].append(r)
+            yield r
 
     def quiet_level_statistics(*args):
         in_level[0] = True
@@ -1088,12 +1090,18 @@ def cross_level_reads(run, cfg, monkeypatch):
     return report, solves, reads
 
 
+# a 2-D strong ladder whose fine members each keep more than SAMPLE_CHUNK_BYTES of states
+STREAMED_LADDER = ((1, 8), (2, 16), (4, 32))
+
+
 def test_strong_reads_each_trajectory_once_per_level_pair(bounds, monkeypatch):
     # cross-level distances sample every trajectory once per level pair and
-    # agree exactly with pairwise trajectory_lq_distance calls.  Three ladders
+    # agree exactly with pairwise trajectory_lq_distance calls.  Four ladders
     # run the one pair loop: strong with K = 1; strong with K = 2, where the
     # coarse partners of the fine cells are not in increasing order, so a loop
-    # in fine-cell order would sample a coarse member again; and weak, whose
+    # in fine-cell order would sample a coarse member again; strong in 2-D, whose
+    # fine members come back in one chunk each (test_finest_level_streams_in_chunks),
+    # so each partner's samples must outlive the chunks; and weak, whose
     # diagnostics must equal convergence_in_probability_diagnostic's
     from nsuq.mesh import trajectory_lq_distance
     from nsuq.random_data import build_partition, sample_latent
@@ -1104,6 +1112,7 @@ def test_strong_reads_each_trajectory_once_per_level_pair(bounds, monkeypatch):
         (run_strong, make_spec(bounds, mu=mu), ((2, 8), (4, 8), (4, 16))),
         (run_strong, make_spec(bounds, K=2, mu=mu, a=("uniform", 0.8, 1.2, 1)),
          ((1, 8), (2, 8), (4, 16))),
+        (run_strong, make_spec(bounds, d=2, mu=mu), STREAMED_LADDER),
         (run_weak, make_spec(bounds, mu=mu), ((2, 8), (4, 8), (4, 16))),
     ]
     for run, spec, ladder in cases:
@@ -1154,6 +1163,128 @@ def test_strong_reads_each_trajectory_once_per_level_pair(bounds, monkeypatch):
             assert diag["max_distance"] == max(dists)
             assert diag["fractions"] == [float(fine.weights[np.array(dists) > e].sum())
                                          for e in STATS.eps_grid]
+
+
+def streamed_config(bounds, ladder=STREAMED_LADDER):
+    return ExperimentConfig(mode="strong", ladder=tuple(LadderLevel(N, n) for N, n in ladder),
+                            scheme=SCHEME, stats=STATS, seed=0,
+                            distribution=make_spec(bounds, d=2, mu=("uniform", 0.02, 0.08, 0)))
+
+
+def test_finest_level_streams_in_chunks(bounds, tmp_path, monkeypatch):
+    # the fine members of a 2-D ladder each keep more than SAMPLE_CHUNK_BYTES, so the
+    # fine level gives its pair rows one member at a time.  The rows, chunk by chunk,
+    # equal one whole-level pair_distances call on the unthinned trajectories; the
+    # fine members that the level statistics read keep only the states around their
+    # own windows, while the coarse ones keep what their solves kept; and the output
+    # is the same at one and two workers
+    from nsuq import experiments, mesh
+    from nsuq.random_data import build_partition
+
+    cfg = streamed_config(bounds)
+    calls, seen = [], []
+    pair_distances, level_statistics = experiments.pair_distances, experiments._level_statistics
+
+    def recording_pair_distances(ta, tb, partner, grid, norms, samples):
+        calls.append((grid.n, list(partner), norms,
+                      pair_distances(ta, tb, partner, grid, norms, samples)))
+        return calls[-1][-1]
+
+    def recording_level_statistics(ens, *args):
+        seen.append([r.trajectory for r in ens.reports])
+        return level_statistics(ens, *args)
+
+    with monkeypatch.context() as m:
+        m.setattr(experiments, "pair_distances", recording_pair_distances)
+        m.setattr(experiments, "_level_statistics", recording_level_statistics)
+        _, solves, _ = cross_level_reads(run_strong, cfg, monkeypatch)
+    full = [[r.trajectory for r in level] for level in solves]
+    assert all(r.status == "completed" for level in solves for r in level)
+    assert all(sum(a.nbytes for a in t.rho + t.u) > mesh.SAMPLE_CHUNK_BYTES for t in full[-1])
+
+    K = cfg.distribution.K
+    fine_points = build_partition(K, cfg.ladder[-1].N).points
+    for level in cfg.ladder[:-1]:
+        chunks = [c for c in calls if c[0] == level.n_cells]
+        assert len(chunks) == len(full[-1])  # one chunk per fine member
+        partner = build_partition(K, level.N).locate(fine_points)
+        assert sum((c[1] for c in chunks), []) == list(partner)
+        whole = pair_distances(full[cfg.ladder.index(level)], full[-1], partner,
+                               GridSpec(2, level.n_cells), chunks[0][2])
+        assert np.array_equal(np.concatenate([c[3] for c in chunks]), whole)
+
+    assert [len(level) for level in seen] == [1, 2, 4]
+    for coarse, solved in zip(seen[:-1], full[:-1]):
+        assert all(t is s for t, s in zip(coarse, solved))
+    windows = experiments._observation_windows(cfg)[mesh.N_DISTANCE_TIMES:]
+    for thin, solved in zip(seen[-1], full[-1]):
+        times = solved.times
+        meets = (times[:-1, None] <= windows[:, 1]) & (times[1:, None] >= windows[:, 0])
+        kept = {0, len(times) - 1}.union(*({*np.flatnonzero(col), *(np.flatnonzero(col) + 1)}
+                                          for col in meets.T))
+        assert np.array_equal(thin.times, times)
+        assert thin.steps.tolist() == sorted(kept) and len(kept) < len(solved.steps)
+        at = {s: k for k, s in enumerate(solved.steps.tolist())}
+        for k, s in enumerate(thin.steps.tolist()):
+            assert thin.rho[k] is solved.rho[at[s]] and thin.u[k] is solved.u[at[s]]
+
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, cfg)
+    outs = [tmp_path / "t1", tmp_path / "t2"]
+    for threads, out in zip(("1", "2"), outs):
+        assert main(["run-strong", "--config", str(cfg_path), "--threads", threads,
+                     "--out", str(out)]) == 0
+    assert hash_dir(outs[0]) == hash_dir(outs[1])
+
+
+def test_failed_chunk_leaves_no_worker_running(bounds, monkeypatch):
+    # the fine level streams from a two-worker pool; an error while its first chunk is
+    # taken cancels the solves not started and shuts the pool down before it propagates
+    import multiprocessing
+    from nsuq import experiments
+
+    take_chunk = experiments._take_chunk
+
+    def failing(reports, lo, reading, *args):
+        if len(reading) == 2:  # the fine level, the finer side of both pairs
+            assert len(reports) < 4 and multiprocessing.active_children()
+            raise RuntimeError("chunk failed")
+        return take_chunk(reports, lo, reading, *args)
+
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(experiments, "_take_chunk", failing)
+    with pytest.raises(RuntimeError, match="chunk failed") as failure:
+        run_strong(dataclasses.replace(streamed_config(bounds), threads=2))
+    # while the traceback, and so the run's frames, are still held
+    assert failure.traceback and multiprocessing.active_children() == []
+
+
+def test_streamed_run_peaks_below_its_finest_level(bounds, monkeypatch):
+    # a memory guard that does not drift with the host: the traced peak of a strong run
+    # (tracemalloc counts numpy's buffers) stays below the bytes that its finest level's
+    # members keep before thinning, which a run holding the whole level at once exceeds
+    import tracemalloc
+    from nsuq import experiments
+
+    fine_bytes = []
+
+    def counting(data, grid, cfg, keep=None):
+        r = solve(data, grid, cfg, keep)
+        if grid.n == 32:  # only the count is kept, not the report
+            fine_bytes.append(sum(a.nbytes for a in r.trajectory.rho + r.trajectory.u))
+        return r
+
+    monkeypatch.setattr(experiments, "solve", counting)
+    cfg = streamed_config(bounds, ladder=((2, 16), (8, 32)))
+    tracemalloc.start()
+    try:
+        run_strong(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(fine_bytes) == 8
+    assert peak < sum(fine_bytes)
 
 
 # ---------------------------------------------------------------------------

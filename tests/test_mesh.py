@@ -452,7 +452,7 @@ def test_pair_distances_equal_per_pair_calls(seed, grids, chunk_bytes):
     # of the two one-member samples at that pair's times.  Final times differ by
     # ulps, so each pair has its own distance times and a partner may be sampled at
     # two time vectors; partners come in no order, some solves did not complete
-    # (None), and the members go one, a few or all at a time
+    # (None), and the members go one, a few or all at a time, in one call or resumed
     rng = np.random.default_rng(seed)
     d, n_a, n_b = grids
     grid = GridSpec(d, n_a)
@@ -478,6 +478,17 @@ def test_pair_distances_equal_per_pair_calls(seed, grids, chunk_bytes):
         for col, (q, which) in enumerate(norms):
             (one,) = stack_lq_distance(sa, sb, times, grid, q=q, which=which)
             assert dist[j, col] == one
+    # resumed over pieces of the finer list, with one dict of partner samples: the
+    # same rows, and one sample per (partner, end time) for the whole pair
+    cuts = [0, *sorted(rng.integers(0, len(partner) + 1, 2).tolist()), len(partner)]
+    samples = {}
+    with mock.patch.object(mesh, "SAMPLE_CHUNK_BYTES", chunk_bytes):
+        pieces = [mesh.pair_distances(ta, tb[lo:hi], partner[lo:hi], grid, norms, samples)
+                  for lo, hi in zip(cuts, cuts[1:])]
+    assert np.array_equal(np.concatenate(pieces), dist)
+    assert len(samples) == len({(k, min(ta[k].final_time, tb[j].final_time))
+                                for j, k in enumerate(partner)
+                                if ta[k] is not None and tb[j] is not None})
 
 
 def _loop_neg_sobolev(traj, m):

@@ -278,6 +278,34 @@ def test_solve_keeps_only_states_around_windows(monkeypatch):
         thin.trajectory.sample(0.02)
 
 
+THIN_DATA, THIN_GRID = make_record(rho_amp=0.1, u_amp=0.05, mu=0.03), GridSpec(1, 32)
+THIN_FULL = solve(THIN_DATA, THIN_GRID, CFG)
+
+
+@deep_or(25)
+@given(st.data())
+def test_thinning_equals_solving_with_the_windows(data):
+    # the one keep rule: a trajectory thinned to windows W holds exactly what a solve
+    # with keep=W holds, whether it kept every state or a wider set of windows.  Window
+    # ends are drawn off the grid of step times, on it, and outside [0, T]
+    times = THIN_FULL.trajectory.times
+    ends = st.one_of(st.floats(-0.01, CFG.T + 0.01), st.sampled_from(list(times)))
+    pairs = st.lists(st.tuples(ends, ends).map(sorted), min_size=1, max_size=4)
+    windows, extra = data.draw(pairs), data.draw(pairs)
+    wide = solve(THIN_DATA, THIN_GRID, CFG, keep=windows + extra)
+    ref = solve(THIN_DATA, THIN_GRID, CFG, keep=windows)
+    for source in (THIN_FULL, wide):
+        thin = source.trajectory.thinned(windows)
+        assert np.array_equal(thin.times, ref.trajectory.times)
+        assert np.array_equal(thin.steps, ref.trajectory.steps)
+        for got, want in ((thin.rho, ref.trajectory.rho), (thin.u, ref.trajectory.u)):
+            assert len(got) == len(want) and all(map(np.array_equal, got, want))
+    # thinning keeps no state that the source dropped
+    if len(ref.trajectory.steps) < len(times):
+        with pytest.raises(ValueError, match="did not keep"):
+            ref.trajectory.thinned(None)
+
+
 def test_vacuum_error_on_oversized_step():
     grid = GridSpec(1, 16)
     data = make_record(rho_amp=0.0, mu=0.05)
