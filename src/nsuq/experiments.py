@@ -34,13 +34,14 @@ from .mesh import N_DISTANCE_TIMES, GridSpec, _fmt, check_number, pair_distances
     trajectory_lq_distance  # noqa: F401
 from .random_data import MAX_PARTITION_CELLS, DistributionSpec, build_partition, collocate_data, \
     sample_latent
-from .solver import COMPLETED, SchemeConfig, TravelingWaveCase, manufactured_convergence, \
+from .solver import SchemeConfig, TravelingWaveCase, manufactured_convergence, \
     self_convergence, solve
 from .stats import (
     DiagnosticReport,
     Ensemble,
     SampledEnsemble,
     _resolved,
+    _trajectories,
     boundedness_in_probability,
     convergence_in_probability_diagnostic,  # noqa: F401 -- wrapped by perfbench/tracing.py
     diagnostic_from_distances,
@@ -340,13 +341,13 @@ def _observation_windows(config: ExperimentConfig):
     """[lo, hi] windows around every time the statistics sample a member;
     None when a statistic reads every step (`tanh_neg_sobolev`).
 
-    Only completed members are sampled, and they end within 1e-12 T of T,
-    so a relative half-width of 1e-9 around the fractions c of T holds the
-    distance times, the report times, the final time and t = 0.  The first
-    N_DISTANCE_TIMES rows are the distance times, which only the level pairs
-    read; the rest (t = 0, t = T, the report and functional times) are what a
-    level's own statistics read, and a member that no later pair reads is
-    thinned to them (`_run_ladder`).
+    Only completed members are sampled, and they end within 1e-12 T of T, so a relative
+    half-width of 1e-9 around the fractions c of T holds the distance times, the report
+    times, the final time and t = 0.  The first N_DISTANCE_TIMES rows are the distance
+    times, which only the level pairs read; the rest (t = 0, t = T, the report and
+    functional times) are what a level's own statistics read.  `_run_ladder` takes them once
+    per run: a solve keeps or drops each state by the one rule `mesh._keeps_state` once its
+    two steps are known, and a member no later pair reads is thinned to the rest.
     """
     req, T = config.stats, config.scheme.T
     fracs = [k / (N_DISTANCE_TIMES - 1) for k in range(N_DISTANCE_TIMES)] + [0.0, 1.0]
@@ -362,14 +363,15 @@ def _observation_windows(config: ExperimentConfig):
     return np.array(windows, dtype=float)
 
 
-def _solve_members(records, grid: GridSpec, config: ExperimentConfig):
+def _solve_members(records, grid: GridSpec, config: ExperimentConfig, keep):
     """Yield the member solves in record order: in-process at one worker, else
-    from forked processes, which keep solving while the caller reads each report.
+    from forked processes, which keep solving while the caller reads each report;
+    each solve keeps its states under the windows `keep` (`solve`'s argument).
 
     Closing the generator early (the caller's error, say) cancels the solves not
     started and shuts the pool down, so no worker outlives it.
     """
-    run = functools.partial(solve, grid=grid, cfg=config.scheme, keep=_observation_windows(config))
+    run = functools.partial(solve, grid=grid, cfg=config.scheme, keep=keep)
     workers = min(config.threads, os.cpu_count() or 1, len(records))
     if workers <= 1 or not hasattr(os, "fork"):
         yield from map(run, records)
@@ -481,7 +483,7 @@ def _take_chunk(reports: list, lo: int, reading: list, norms: list, thin_to) -> 
     Each entry of `reading` is (rows, ta, partner, grid, partner samples) of one
     pair: its distance array, filled here, and `pair_distances`' arguments.
     """
-    tb = [r.trajectory if r.status == COMPLETED else None for r in reports[lo:]]
+    tb = _trajectories(reports[lo:])
     for rows, ta, partner, grid, samples in reading:
         hi = min(len(reports), len(partner))
         if lo < hi:
@@ -490,13 +492,13 @@ def _take_chunk(reports: list, lo: int, reading: list, norms: list, thin_to) -> 
         reports[lo:] = [replace(r, trajectory=r.trajectory.thinned(thin_to)) for r in reports[lo:]]
 
 
-def _solve_level(records, grid: GridSpec, config: ExperimentConfig, reading: list, norms: list,
-                 thin_to) -> list:
-    """The level's solve reports, in record order, its pair rows taken and its members
-    thinned (`_take_chunk`) each time the members that came back since the last
-    chunk keep SAMPLE_CHUNK_BYTES of states, and once more at the level's end."""
+def _solve_level(records, grid: GridSpec, config: ExperimentConfig, keep, reading: list,
+                 norms: list, thin_to) -> list:
+    """The level's solve reports under the windows `keep`, in record order, its pair
+    rows taken and its members thinned (`_take_chunk`) each time the members that came
+    back since the last chunk keep SAMPLE_CHUNK_BYTES of states, and at the level's end."""
     reports, lo, held = [], 0, 0
-    with contextlib.closing(_solve_members(records, grid, config)) as members:
+    with contextlib.closing(_solve_members(records, grid, config, keep)) as members:
         for r in members:
             reports.append(r)
             held += sum(x.nbytes for x in r.trajectory.rho + r.trajectory.u)
@@ -521,10 +523,10 @@ def _run_ladder(config: ExperimentConfig, draws: list, pairs: list) -> Experimen
     Level b streams: each time the members that came back since the last
     chunk keep SAMPLE_CHUNK_BYTES of states, and once at the level's end,
     they give their rows of every pair (a, b), and each pair resumes its one
-    set of partner samples (`pair_distances`).  A level that is no pair's
-    coarse side (the finest) is then thinned, chunk by chunk, to the windows
-    its own statistics read, so the parent holds one chunk of full
-    trajectories at a time.  Diagnostics and errors follow the order of `pairs`.
+    set of partner samples (`pair_distances`).  All levels keep the states around
+    the run's windows; one that is no pair's coarse side (the finest) is then
+    thinned, chunk by chunk, to those its own statistics read, so the parent holds
+    one chunk of full trajectories at a time.  Diagnostics and errors keep `pairs` order.
     """
     spec, req = config.distribution, config.stats
     strong = config.mode == "strong"
@@ -542,7 +544,7 @@ def _run_ladder(config: ExperimentConfig, draws: list, pairs: list) -> Experimen
         coarse_side = any(a == idx for a, *_ in pairs)
         thin_to = None if windows is None or coarse_side else windows[N_DISTANCE_TIMES:]
         grid = GridSpec(spec.d, level.n_cells, spec.period)
-        reports = _solve_level(records, grid, config, reading, norms, thin_to)
+        reports = _solve_level(records, grid, config, windows, reading, norms, thin_to)
         del reading  # the partner samples: a level's statistics need none of them
         ens = Ensemble(latents, reports, weights, config.mode)
         ensembles.append(ens)

@@ -209,27 +209,30 @@ def _keep_windows(keep) -> list | None:
     return windows
 
 
-def _keeps_step(windows: list | None, t0: float, t1: float) -> bool:
-    """The keep rule of a thinned trajectory: the states at both ends of the step
-    from t0 to t1 are kept when [t0, t1] meets one of `windows` (a `_keep_windows`
-    list), and every state is kept when `windows` is None."""
-    return windows is None or any(lo <= t1 and hi >= t0 for lo, hi in windows)
+def _keeps_state(windows: list | None, times, j: int) -> bool:
+    """The one keep rule: state j of the step times `times` is kept when it is the
+    first or the last, or when a step it bounds, [t_j-1, t_j] or [t_j, t_j+1], meets
+    one of `windows` (a `_keep_windows` list), that is when [t_j-1, t_j+1] does;
+    every state is kept when `windows` is None."""
+    return windows is None or j == 0 or j == len(times) - 1 \
+        or any(lo <= times[j + 1] and hi >= times[j - 1] for lo, hi in windows)
 
 
 class Trajectory:
     """Time history of fluid states on a fixed grid, t0 = 0.
 
-    `times` holds every step time and `steps` the indices of the kept steps,
-    a subset that includes the first and the last (every step unless the
-    solve, or `thinned`, dropped them).  The kept states are stored as read-only arrays:
-    `rho[k]` of shape grid.shape and `u[k]` of shape grid.shape + (d,) at
-    time `times[steps[k]]`, each checked once, for finite values and positive
-    density, when the trajectory takes it.  Arrays that own their float data
-    are frozen in place and kept, not copied: the caller hands them over.
-    Sampling between two steps needs both states; `sample_members` reads
-    them, for one trajectory (`sample`) or a whole level at once.  The
-    runners thin a member of the finest level (`thinned`) once its
-    cross-level distances are taken, to the states its level statistics read.
+    `times` holds every step time and `steps` the indices of the kept steps, a
+    subset that includes the first and the last (every step unless the solve, or
+    `thinned`, dropped them by the one per-state rule `_keeps_state`, which the solve
+    applies to each state once its two steps are known).  The kept states are stored
+    as read-only arrays: `rho[k]` of shape grid.shape and `u[k]` of shape grid.shape
+    + (d,) at time `times[steps[k]]`, each checked once, for finite values and
+    positive density, when the trajectory takes it.  Arrays that own their float
+    data are frozen in place and kept, not copied: the caller hands them over.
+    Sampling between two steps needs both states; `sample_members` reads them, for
+    one trajectory (`sample`) or a whole level at once.  The runners thin a member
+    of the finest level (`thinned`) once its cross-level distances are taken, to
+    the states its level statistics read.
     """
 
     def __init__(self, grid: GridSpec, rho: list, u: list, times, steps):
@@ -269,19 +272,15 @@ class Trajectory:
                 for r, v, t in zip(self.rho, self.u, self.times[self.steps])]
 
     def thinned(self, keep) -> "Trajectory":
-        """This trajectory with only the states that `solve(keep=keep)` keeps: the
-        first, the last, and both ends of every step that meets a window
-        (`_keeps_step`, the rule `solve` applies as it steps).  The states share
-        this trajectory's arrays; each must be among its kept ones, else ValueError.
+        """This trajectory with only the states that `solve(keep=keep)` keeps: each
+        state j that the one per-state rule `_keeps_state` keeps, which `solve` applies
+        to each state once its two steps are known.  The states share this
+        trajectory's arrays; each must be among its kept ones, else ValueError.
         """
-        windows = _keep_windows(keep)
-        t = self.times.tolist()
-        wanted = {0, len(t) - 1}
-        for j in range(len(t) - 1):
-            if _keeps_step(windows, t[j], t[j + 1]):
-                wanted.update((j, j + 1))
-        ks = [k for k, s in enumerate(self.steps.tolist()) if s in wanted]
-        if len(ks) < len(wanted):
+        windows, t = _keep_windows(keep), self.times.tolist()
+        at = {s: k for k, s in enumerate(self.steps.tolist())}
+        ks = [at.get(j) for j in range(len(t)) if _keeps_state(windows, t, j)]
+        if None in ks:
             raise ValueError("thinning needs states that this trajectory did not keep")
         return Trajectory(self.grid, [self.rho[k] for k in ks], [self.u[k] for k in ks],
                           self.times, self.steps[ks])

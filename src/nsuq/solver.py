@@ -32,7 +32,7 @@ from .mesh import (
     GridSpec,
     Trajectory,
     _keep_windows,
-    _keeps_step,
+    _keeps_state,
     _mag,
     check_number,
     trajectory_lq_distance,
@@ -411,18 +411,18 @@ def solve(data: DataRecord, grid: GridSpec, cfg: SchemeConfig, keep=None) -> Sol
     be sized (dt overflows, or is not positive and finite) ends the run as
     NO_CONVERGENCE.
 
-    `keep`, an array of [lo, hi] time windows, thins the trajectory: states
-    j and j + 1 are kept when [t_j, t_{j+1}] meets a window (`mesh._keeps_step`,
-    which `Trajectory.thinned` applies too), and the first and last states
-    always are, so any time inside a window can be sampled.  Every step's
+    `keep`, an array of [lo, hi] time windows, thins the trajectory by the one
+    per-state rule `mesh._keeps_state`, which `Trajectory.thinned` applies too:
+    a state is kept when a step it bounds meets a window, and the first and
+    last (an abort's too) always are, so any time inside a window can be
+    sampled.  Each state is decided once its two steps are known.  Every step's
     time, linf and energy are recorded either way.  None keeps every state; a
     window without lo <= hi (NaN included) raises ValueError.
     """
     windows = _keep_windows(keep)
     s0 = data.initial_state(grid)
     rho, u, t = s0.rho.values, s0.u.values, s0.time
-    kept = [(rho, u)]  # the kept states, at steps `steps`
-    steps = [0]
+    kept = {0: (rho, u)}  # step -> (rho, u): the kept states and the newest one
     times = [t]
     linf = [_linf(rho, u)]
     energy = [total_energy(rho, u, grid, data.a, data.gamma)]
@@ -444,7 +444,6 @@ def solve(data: DataRecord, grid: GridSpec, cfg: SchemeConfig, keep=None) -> Sol
                 dt = cfg.T - t
             past = [(t, u)] + past[:2]
             guess = _extrapolate(past, t + dt)
-            prev = rho, u
             try:
                 rho, u = step(rho, u, t, data, dt, grid, cfg, guess)
             except VacuumError:
@@ -454,24 +453,18 @@ def solve(data: DataRecord, grid: GridSpec, cfg: SchemeConfig, keep=None) -> Sol
                 status = NO_CONVERGENCE
                 break
             t += dt
-            if _keeps_step(windows, times[-1], t):
-                if steps[-1] != len(times) - 1:
-                    kept.append(prev)
-                    steps.append(len(times) - 1)
-                kept.append((rho, u))
-                steps.append(len(times))
             times.append(t)
+            kept[len(times) - 1] = rho, u
+            if not _keeps_state(windows, times, len(times) - 2):
+                del kept[len(times) - 2]
             linf.append(_linf(rho, u))
             energy.append(total_energy(rho, u, grid, data.a, data.gamma))
             if linf[-1] > cfg.linf_ceiling:
                 status = ABORTED_LINF
                 break
-    if steps[-1] != len(times) - 1:
-        kept.append((rho, u))
-        steps.append(len(times) - 1)
 
     return SolveReport(
-        trajectory=Trajectory(grid, [r for r, _ in kept], [v for _, v in kept], times, steps),
+        trajectory=Trajectory(grid, *zip(*kept.values()), times, list(kept)),
         linf_history=np.array(linf),
         energy_history=np.array(energy),
         status=status,

@@ -88,7 +88,12 @@ class Ensemble:
     @property
     def trajectories(self) -> list:
         """Each member's trajectory, None where its solve did not complete."""
-        return [r.trajectory if ok else None for r, ok in zip(self.reports, self.completed_mask)]
+        return _trajectories(self.reports)
+
+
+def _trajectories(reports: list) -> list:
+    """The one trajectory list of a level's reports: None where a solve did not complete."""
+    return [r.trajectory if r.status == COMPLETED else None for r in reports]
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +503,7 @@ def make_functional(doc: dict):
             return traj.final_time if at == "final" else (0.0 if at == "initial" else float(at))
 
         def clamped_coef(rho, u, grid) -> float:
-            vals = rho if field == "rho" else np.sqrt(np.sum((rho[..., None] * u) ** 2, axis=-1))
+            vals = rho if field == "rho" else _mag(rho[..., None] * u, vector=True)
             c = _fourier_coef(vals, grid, wavevec, part)
             return float(np.clip(scale * c, lo, hi))
 

@@ -558,8 +558,9 @@ def test_pooled_members_keep_read_only_fields(bounds, monkeypatch):
 
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
     records = [make_record(rho_amp=a, u_amp=0.05) for a in (0.05, 0.1, 0.15)]
-    reports = experiments._solve_members(records, GridSpec(1, 8),
-                                         weak_config(bounds, threads=2))
+    config = weak_config(bounds, threads=2)
+    reports = experiments._solve_members(records, GridSpec(1, 8), config,
+                                         experiments._observation_windows(config))
     # the arrays the trajectories store, not the FluidStates built around them on access
     kept = [a for r in reports for a in r.trajectory.rho + r.trajectory.u]
     assert len(kept) > 2 * len(records)
@@ -1306,7 +1307,7 @@ def recorded_solves(monkeypatch):
     return reports, windows
 
 
-def windowed_config(bounds, mode, d):
+def windowed_config(bounds, mode, d, n_levels=2):
     stats = dataclasses.replace(STATS, n_report_times=4, functionals=(
         {"kind": "tanh_mean_density", "name": "f"},
         {"kind": "clamp_fourier", "name": "c", "wavevec": [1] + [0] * (d - 1),
@@ -1316,19 +1317,34 @@ def windowed_config(bounds, mode, d):
                      rho_latent=0)
     # T long enough that most steps lie between the windows; fewer 2-D members, for time
     fine_N = 4 if d == 1 else 2
-    return ExperimentConfig(mode=mode, ladder=(LadderLevel(2, 8), LadderLevel(fine_N, 16)),
+    ladder = (LadderLevel(2, 8), LadderLevel(fine_N, 16))[2 - n_levels:]
+    return ExperimentConfig(mode=mode, ladder=ladder,
                             scheme=SchemeConfig(cfl=0.4, T=0.25), distribution=spec,
                             stats=stats, seed=3)
 
 
-@pytest.mark.parametrize("mode, d", [("weak", 1), ("strong", 1), ("weak", 2), ("strong", 2)])
-def test_observation_windows_leave_reports_unchanged(bounds, tmp_path, monkeypatch, mode, d):
-    from nsuq import experiments
+@pytest.mark.parametrize("mode, d, n_levels", [
+    *(pytest.param(mode, d, 2, id=f"{mode}-{d}")
+      for mode, d in [("weak", 1), ("strong", 1), ("weak", 2), ("strong", 2)]),
+    # a one-level ladder: no pair reads its level, which is thinned all the same
+    *(pytest.param(mode, 1, 1, id=f"{mode}-1-one-level") for mode in ("weak", "strong")),
+])
+def test_observation_windows_leave_reports_unchanged(bounds, tmp_path, monkeypatch, mode, d,
+                                                     n_levels):
+    from nsuq import experiments, mesh
 
-    cfg = windowed_config(bounds, mode, d)
+    cfg = windowed_config(bounds, mode, d, n_levels)
     run = run_weak if mode == "weak" else run_strong
+    level_statistics, finest = experiments._level_statistics, []
+
+    def recording_level_statistics(ens, config, level_idx, *args):
+        if level_idx == len(config.ladder) - 1:
+            finest.extend(ens.trajectories)
+        return level_statistics(ens, config, level_idx, *args)
+
     with monkeypatch.context() as m:
         reports, windows = recorded_solves(m)
+        m.setattr(experiments, "_level_statistics", recording_level_statistics)
         thin = run(cfg)
     with monkeypatch.context() as m:
         m.setattr(experiments, "_observation_windows", lambda config: None)
@@ -1350,6 +1366,13 @@ def test_observation_windows_leave_reports_unchanged(bounds, tmp_path, monkeypat
         assert max(map(len, per_window)) <= 2  # at most two states per window
         kept = sorted({0, len(times) - 1}.union(*per_window))
         assert [s.time for s in traj.states] == [times[j] for j in kept]
+    # the finest level's statistics read its members thinned to the level windows
+    fine = reports[-len(finest):]
+    assert len(finest) == cfg.ladder[-1].N
+    for r, traj in zip(fine, finest):
+        ref = r.trajectory.thinned(keep[mesh.N_DISTANCE_TIMES:])
+        assert np.array_equal(traj.steps, ref.steps)
+        assert len(traj.steps) < len(r.trajectory.steps)
 
 
 def test_neg_sobolev_functional_keeps_every_step(bounds, monkeypatch):

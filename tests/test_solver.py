@@ -173,6 +173,33 @@ def test_linf_ceiling_abort_after_start():
     # the run ends at the first step above the ceiling, and the steps before it are the free run's
     assert report.linf_history[-1] > ceiling >= report.linf_history[:-1].max()
     assert np.array_equal(report.linf_history, free.linf_history[:report.steps + 1])
+    windows = first_step_window(report)
+    thin = solve(data, grid, SchemeConfig(cfl=0.4, T=0.2, linf_ceiling=ceiling), keep=windows)
+    assert_thinned_abort(thin, report, windows)
+
+
+def first_step_window(report):
+    """A keep window that meets the first step of `report` and misses its last."""
+    times = report.trajectory.times
+    assert len(times) > 3
+    return [[0.0, 0.5 * times[1]]]
+
+
+def assert_thinned_abort(thin, full, windows):
+    """`thin`, an aborted solve under `windows`, keeps the state the abort ends on and
+    is the unthinned abort `full` thinned to `windows`, bit for bit."""
+    ref = full.trajectory.thinned(windows)
+    assert len(thin.trajectory.steps) < len(full.trajectory)
+    assert thin.trajectory.steps[-1] == len(full.trajectory) - 1
+    assert np.array_equal(thin.trajectory.rho[-1], full.trajectory.rho[-1])
+    assert np.array_equal(thin.trajectory.u[-1], full.trajectory.u[-1])
+    assert np.array_equal(thin.trajectory.times, ref.times)
+    assert np.array_equal(thin.trajectory.steps, ref.steps)
+    for got, want in ((thin.trajectory.rho, ref.rho), (thin.trajectory.u, ref.u)):
+        assert len(got) == len(want) and all(map(np.array_equal, got, want))
+    assert thin.status == full.status
+    assert np.array_equal(thin.linf_history, full.linf_history)
+    assert np.array_equal(thin.energy_history, full.energy_history)
 
 
 def test_vacuum_abort_keeps_the_accepted_states(monkeypatch):
@@ -195,6 +222,10 @@ def test_vacuum_abort_keeps_the_accepted_states(monkeypatch):
                       (report.trajectory.u, full.trajectory.u)):
         assert len(kept) == 4 and all(np.array_equal(a, b) for a, b in zip(kept, ref))
     assert np.array_equal(report.energy_history, full.energy_history[:4])
+    windows = first_step_window(report)
+    calls.clear()
+    thin = solve(data, grid, CFG, keep=windows)
+    assert_thinned_abort(thin, report, windows)
 
 
 def test_no_convergence_status():
