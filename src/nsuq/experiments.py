@@ -4,7 +4,8 @@ collocation ladders, and deterministic convergence studies.
 A run is a pure function of (config, seed): member solves are independent
 and collected in submission order, aggregation is sequential, and every
 emitted file uses canonical float formatting, so reruns are byte-identical
-at any worker count.
+at any worker count.  A member keeps only the states its level statistics
+read; the level pairs read the samples each solve takes while it steps.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import functools
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field as dc_field, fields, replace
+from dataclasses import asdict, dataclass, field as dc_field, fields
 
 # CPython's own SHA-256 (the same digest): the OpenSSL-backed one maps libcrypto, about
 # 3.5 MiB of resident memory for one 2 KB hash per run
@@ -30,8 +31,8 @@ import numpy as np
 
 from . import __version__, mesh
 # trajectory_lq_distance is not called here; perfbench/tracing.py wraps this module's name
-from .mesh import N_DISTANCE_TIMES, GridSpec, _fmt, check_number, pair_distances, save_field, \
-    trajectory_lq_distance  # noqa: F401
+from .mesh import N_DISTANCE_TIMES, GridSpec, _fmt, check_number, save_field, \
+    stack_lq_distance, trajectory_lq_distance  # noqa: F401
 from .random_data import MAX_PARTITION_CELLS, DistributionSpec, build_partition, collocate_data, \
     sample_latent
 from .solver import SchemeConfig, TravelingWaveCase, manufactured_convergence, \
@@ -41,7 +42,6 @@ from .stats import (
     Ensemble,
     SampledEnsemble,
     _resolved,
-    _trajectories,
     boundedness_in_probability,
     convergence_in_probability_diagnostic,  # noqa: F401 -- wrapped by perfbench/tracing.py
     diagnostic_from_distances,
@@ -311,13 +311,10 @@ class ExperimentReport:
     fields: dict = dc_field(default_factory=dict)  # rel path -> Field
 
     def write(self, out_dir: str) -> None:
+        """The tables and field snapshots, then `report.json` last, so that a write
+        that fails midway leaves no `report.json` of its own."""
         os.makedirs(out_dir, exist_ok=True)
         tables = _tables(self.summary)  # from the raw summary: the CSVs keep inf and nan
-        with open(os.path.join(out_dir, "report.json"), "w") as fh:
-            # standard JSON: an overflowed energy, say, is written as null
-            json.dump(_finite_or_null(self.summary), fh, sort_keys=True, indent=1,
-                      allow_nan=False)
-            fh.write("\n")
         for rel in sorted(tables):
             header, rows = tables[rel]
             path = os.path.join(out_dir, rel)
@@ -331,6 +328,11 @@ class ExperimentReport:
             path = os.path.join(out_dir, rel)
             os.makedirs(os.path.dirname(path), exist_ok=True)
             save_field(self.fields[rel], path)
+        with open(os.path.join(out_dir, "report.json"), "w") as fh:
+            # standard JSON: an overflowed energy, say, is written as null
+            json.dump(_finite_or_null(self.summary), fh, sort_keys=True, indent=1,
+                      allow_nan=False)
+            fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -338,19 +340,19 @@ class ExperimentReport:
 
 
 def _observation_windows(config: ExperimentConfig):
-    """[lo, hi] windows around every time the statistics sample a member;
-    None when a statistic reads every step (`tanh_neg_sobolev`).
+    """[lo, hi] windows around every time a level's own statistics sample a member
+    (t = 0, t = T, the report and functional times); None when a statistic reads
+    every step (`tanh_neg_sobolev`).
 
-    Only completed members are sampled, and they end within 1e-12 T of T, so a relative
-    half-width of 1e-9 around the fractions c of T holds the distance times, the report
-    times, the final time and t = 0.  The first N_DISTANCE_TIMES rows are the distance
-    times, which only the level pairs read; the rest (t = 0, t = T, the report and
-    functional times) are what a level's own statistics read.  `_run_ladder` takes them once
-    per run: a solve keeps or drops each state by the one rule `mesh._keeps_state` once its
-    two steps are known, and a member no later pair reads is thinned to the rest.
+    Only completed members are sampled, and they end at T, so a relative half-width
+    of 1e-9 around the fractions c of T holds the report times, the final time and
+    t = 0.  `_run_ladder` takes them once per run, and a solve keeps or drops each
+    state by the one rule `mesh._keeps_state` once its two steps are known.  The
+    level pairs read no state: each solve samples its member at the distance times
+    while it steps.
     """
     req, T = config.stats, config.scheme.T
-    fracs = [k / (N_DISTANCE_TIMES - 1) for k in range(N_DISTANCE_TIMES)] + [0.0, 1.0]
+    fracs = [0.0, 1.0]
     if req.n_report_times > 1:
         fracs += [k / (req.n_report_times - 1) for k in range(req.n_report_times)]
     windows = [(c * T - 1e-9 * T, c * T + 1e-9 * T) for c in fracs]
@@ -363,15 +365,17 @@ def _observation_windows(config: ExperimentConfig):
     return np.array(windows, dtype=float)
 
 
-def _solve_members(records, grid: GridSpec, config: ExperimentConfig, keep):
+def _solve_members(records, grid: GridSpec, config: ExperimentConfig, keep, sample_grids):
     """Yield the member solves in record order: in-process at one worker, else
     from forked processes, which keep solving while the caller reads each report;
-    each solve keeps its states under the windows `keep` (`solve`'s argument).
+    each solve keeps its states under the windows `keep` and samples its member
+    onto `sample_grids` (`solve`'s arguments).
 
     Closing the generator early (the caller's error, say) cancels the solves not
     started and shuts the pool down, so no worker outlives it.
     """
-    run = functools.partial(solve, grid=grid, cfg=config.scheme, keep=keep)
+    run = functools.partial(solve, grid=grid, cfg=config.scheme, keep=keep,
+                            sample_grids=sample_grids)
     workers = min(config.threads, os.cpu_count() or 1, len(records))
     if workers <= 1 or not hasattr(os, "fork"):
         yield from map(run, records)
@@ -475,38 +479,53 @@ def _expectation_error_row(level: int, dist: np.ndarray, both: np.ndarray, w,
             "r": r_exp, "s": s_exp, "resolved_mass": resolved_mass}
 
 
-def _take_chunk(reports: list, lo: int, reading: list, norms: list, thin_to) -> None:
-    """Take the rows lo.. of every pair that a level is the finer side of, from
-    its members reports[lo:], then thin those members in place to the windows
-    `thin_to` (None thins nothing).
+def _take_chunk(reports: list, lo: int, reading: list, norms: list, times) -> None:
+    """Take the rows lo.. of every pair that a level is the finer side of, from the
+    samples of its members reports[lo:] at the distance `times`, then drop those
+    samples from the reports.
 
-    Each entry of `reading` is (rows, ta, partner, grid, partner samples) of one
-    pair: its distance array, filled here, and `pair_distances`' arguments.
+    Each entry of `reading` is (rows, partners, partner, grid) of one pair: its
+    distance array, filled here, the coarser level's samples on `grid` (None where
+    a solve did not complete), and the partner of each finer member.
     """
-    tb = _trajectories(reports[lo:])
-    for rows, ta, partner, grid, samples in reading:
-        hi = min(len(reports), len(partner))
-        if lo < hi:
-            rows[lo:hi] = pair_distances(ta, tb, partner[lo:hi], grid, norms, samples)
-    if thin_to is not None:
-        reports[lo:] = [replace(r, trajectory=r.trajectory.thinned(thin_to)) for r in reports[lo:]]
+    for rows, partners, partner, grid in reading:
+        js = [j for j in range(lo, min(len(reports), len(partner)))
+              if reports[j].samples is not None and partners[partner[j]] is not None]
+        if js:
+            a = tuple(np.stack([partners[partner[j]][f] for j in js]) for f in (0, 1))
+            b = tuple(np.stack([reports[j].samples[grid][f] for j in js]) for f in (0, 1))
+            t = np.broadcast_to(times, (len(js), len(times)))
+            rows[js] = np.transpose([stack_lq_distance(a, b, t, grid, q=q, which=which)
+                                     for q, which in norms])
+    for r in reports[lo:]:
+        r.samples = None
 
 
 def _solve_level(records, grid: GridSpec, config: ExperimentConfig, keep, reading: list,
-                 norms: list, thin_to) -> list:
-    """The level's solve reports under the windows `keep`, in record order, its pair
-    rows taken and its members thinned (`_take_chunk`) each time the members that came
-    back since the last chunk keep SAMPLE_CHUNK_BYTES of states, and at the level's end."""
+                 norms: list, own) -> list:
+    """The level's solve reports under the windows `keep`, in record order.
+
+    Each member is sampled onto its level's grid when `own`, a list, collects its
+    samples there (a pair's coarser side), and onto the grid of each pair in
+    `reading`; its pair rows are taken and its samples dropped (`_take_chunk`)
+    each time the members that came back since the last chunk hold
+    SAMPLE_CHUNK_BYTES of states and samples, and at the level's end.
+    """
+    times = np.linspace(0.0, config.scheme.T, N_DISTANCE_TIMES)
+    sample_grids = [grid] * (own is not None) + [g for *_, g in reading]
     reports, lo, held = [], 0, 0
-    with contextlib.closing(_solve_members(records, grid, config, keep)) as members:
+    with contextlib.closing(_solve_members(records, grid, config, keep, sample_grids)) as members:
         for r in members:
             reports.append(r)
+            if own is not None:
+                own.append(None if r.samples is None else r.samples[grid])
             held += sum(x.nbytes for x in r.trajectory.rho + r.trajectory.u)
-            del r  # no reference to a full trajectory outlives its chunk
+            held += sum(x.nbytes for s in (r.samples or {}).values() for x in s)
+            del r  # no reference to a member's samples outlives its chunk
             if held >= mesh.SAMPLE_CHUNK_BYTES:
-                _take_chunk(reports, lo, reading, norms, thin_to)
+                _take_chunk(reports, lo, reading, norms, times)
                 lo, held = len(reports), 0
-    _take_chunk(reports, lo, reading, norms, thin_to)
+    _take_chunk(reports, lo, reading, norms, times)
     return reports
 
 
@@ -520,13 +539,15 @@ def _run_ladder(config: ExperimentConfig, draws: list, pairs: list) -> Experimen
     of level a, at weight w[j], on level a's (coarser) grid.  A strong ladder
     adds the density and momentum expectation errors.
 
-    Level b streams: each time the members that came back since the last
-    chunk keep SAMPLE_CHUNK_BYTES of states, and once at the level's end,
-    they give their rows of every pair (a, b), and each pair resumes its one
-    set of partner samples (`pair_distances`).  All levels keep the states around
-    the run's windows; one that is no pair's coarse side (the finest) is then
-    thinned, chunk by chunk, to those its own statistics read, so the parent holds
-    one chunk of full trajectories at a time.  Diagnostics and errors keep `pairs` order.
+    Every level keeps only the states its own statistics read
+    (`_observation_windows`).  The pairs read the samples that the solves take
+    while they step: a level that is a pair's coarser side samples its members
+    onto its own grid, and one that is a finer side onto each partner's grid.
+    Level b streams: each time the members that came back since the last chunk
+    hold SAMPLE_CHUNK_BYTES of states and samples, and once at the level's end,
+    they give their rows of every pair (a, b) and drop their samples.  A level's
+    own samples are dropped once no later pair reads them.  Diagnostics and errors
+    keep `pairs` order.
     """
     spec, req = config.distribution, config.stats
     strong = config.mode == "strong"
@@ -534,18 +555,19 @@ def _run_ladder(config: ExperimentConfig, draws: list, pairs: list) -> Experimen
     if strong:  # the integrability ceilings of density and momentum
         norms += [(spec.gamma, "rho"), (2.0 * spec.gamma / (spec.gamma + 1.0), "momentum")]
     windows = _observation_windows(config)
+    grids = [GridSpec(spec.d, level.n_cells, spec.period) for level in config.ladder]
     dist = [np.full((len(partner), len(norms)), np.inf) for _, _, partner, _ in pairs]
     report = ExperimentReport(summary={"provenance": _provenance(config)})
-    ensembles, levels = [], []
+    samples, ensembles, levels = [], [], []  # samples[a]: level a's, while a later pair reads them
     for idx, (level, (latents, weights, records)) in enumerate(zip(config.ladder, draws)):
-        reading = [(dist[p], ensembles[a].trajectories, partner,
-                    GridSpec(spec.d, config.ladder[a].n_cells, spec.period), {})
+        reading = [(dist[p], samples[a], partner, grids[a])
                    for p, (a, b, partner, _) in enumerate(pairs) if b == idx]
-        coarse_side = any(a == idx for a, *_ in pairs)
-        thin_to = None if windows is None or coarse_side else windows[N_DISTANCE_TIMES:]
-        grid = GridSpec(spec.d, level.n_cells, spec.period)
-        reports = _solve_level(records, grid, config, windows, reading, norms, thin_to)
-        del reading  # the partner samples: a level's statistics need none of them
+        samples.append([] if any(a == idx for a, *_ in pairs) else None)
+        reports = _solve_level(records, grids[idx], config, windows, reading, norms,
+                               samples[idx])
+        del reading  # with its references to the coarser levels' samples
+        samples = [s if any(a == i and b > idx for a, b, *_ in pairs) else None
+                   for i, s in enumerate(samples)]
         ens = Ensemble(latents, reports, weights, config.mode)
         ensembles.append(ens)
         levels.append(_level_statistics(ens, config, idx, level, report))

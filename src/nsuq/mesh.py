@@ -29,7 +29,6 @@ __all__ = [
     "N_DISTANCE_TIMES",
     "distance_times",
     "stack_lq_distance",
-    "pair_distances",
     "trajectory_lq_distance",
 ]
 
@@ -193,7 +192,7 @@ def _view(cls, grid: GridSpec, values: np.ndarray):
 # bytes of source-grid states a sampling pass gathers at once; a finer source
 # grid or a long time vector is sampled in chunks of rows, so the pass never
 # holds a whole fine-grid stack; a runner takes the pair rows of a level's
-# members each time those that came back keep this many bytes of states
+# members each time those that came back hold this many bytes of states and samples
 SAMPLE_CHUNK_BYTES = 1 << 16
 
 
@@ -222,17 +221,17 @@ class Trajectory:
     """Time history of fluid states on a fixed grid, t0 = 0.
 
     `times` holds every step time and `steps` the indices of the kept steps, a
-    subset that includes the first and the last (every step unless the solve, or
-    `thinned`, dropped them by the one per-state rule `_keeps_state`, which the solve
-    applies to each state once its two steps are known).  The kept states are stored
-    as read-only arrays: `rho[k]` of shape grid.shape and `u[k]` of shape grid.shape
-    + (d,) at time `times[steps[k]]`, each checked once, for finite values and
+    subset that includes the first and the last (every step unless the solve dropped
+    them by the one per-state rule `_keeps_state`, which it applies to each state
+    once its two steps are known).  The kept states are stored as read-only arrays:
+    `rho[k]` of shape grid.shape and `u[k]` of shape grid.shape + (d,) at time
+    `times[steps[k]]`, each checked once, for finite values and
     positive density, when the trajectory takes it.  Arrays that own their float
     data are frozen in place and kept, not copied: the caller hands them over.
     Sampling between two steps needs both states; `sample_members` reads them, for
-    one trajectory (`sample`) or a whole level at once.  The runners thin a member
-    of the finest level (`thinned`) once its cross-level distances are taken, to
-    the states its level statistics read.
+    one trajectory (`sample`) or a whole level at once.  A runner's members keep the
+    states their level statistics read; `StepSampler` takes their cross-level
+    samples while they step.
     """
 
     def __init__(self, grid: GridSpec, rho: list, u: list, times, steps):
@@ -270,20 +269,6 @@ class Trajectory:
         return [FluidState(_view(ScalarField, self.grid, r), _view(VectorField, self.grid, v),
                            float(t))
                 for r, v, t in zip(self.rho, self.u, self.times[self.steps])]
-
-    def thinned(self, keep) -> "Trajectory":
-        """This trajectory with only the states that `solve(keep=keep)` keeps: each
-        state j that the one per-state rule `_keeps_state` keeps, which `solve` applies
-        to each state once its two steps are known.  The states share this
-        trajectory's arrays; each must be among its kept ones, else ValueError.
-        """
-        windows, t = _keep_windows(keep), self.times.tolist()
-        at = {s: k for k, s in enumerate(self.steps.tolist())}
-        ks = [at.get(j) for j in range(len(t)) if _keeps_state(windows, t, j)]
-        if None in ks:
-            raise ValueError("thinning needs states that this trajectory did not keep")
-        return Trajectory(self.grid, [self.rho[k] for k in ks], [self.u[k] for k in ks],
-                          self.times, self.steps[ks])
 
     def sample(self, t: float) -> tuple:
         """(rho values, u values) at time t: the one-member, one-time `sample_members`."""
@@ -361,6 +346,45 @@ def sample_members(trajs: list, times, grid: GridSpec) -> tuple:
             rows = slice(lo, lo + chunk)
             out[rows] = transfer(_interpolate(states, g[rows], w[rows]), src, grid, lead=1)
     return rho.reshape(times.shape + grid.shape), u.reshape(times.shape + u.shape[1:])
+
+
+class StepSampler:
+    """One member's rows of `sample_members` at `times`, moved onto each of `grids`
+    (a grid named twice is sampled once), taken from each step's two states while a
+    solve accepts them, so no state is kept for them.  The rows equal, bit for bit,
+    those of the member's unthinned trajectory: a time t in [t0, t1) reads the state
+    at t0 alone when t = t0, else (1 - w) s0 + w s1 at w = (t - t0) / (t1 - t0),
+    `_locate`'s state and weight with `_interpolate`'s arithmetic.
+    """
+
+    def __init__(self, src: GridSpec, times, grids):
+        self.src, self.times, self.next = src, [float(t) for t in times], 0
+        shape = (len(self.times),)
+        self.out = {g: (np.empty(shape + g.shape), np.empty(shape + g.shape + (g.d,)))
+                    for g in grids}
+
+    def take(self, t0: float, s0: tuple, t1: float, s1: tuple) -> None:
+        """The rows of the times in [t0, t1), from the (rho, u) states s0 at t0 and s1 at t1."""
+        lo = hi = self.next
+        while hi < len(self.times) and self.times[hi] < t1:
+            hi += 1
+        self.next = hi
+        if lo == hi or not self.out:
+            return
+        w = np.array([(t - t0) / (t1 - t0) for t in self.times[lo:hi]])
+        for f, (a, b) in enumerate(zip(s0, s1)):
+            wf = w.reshape((-1,) + (1,) * a.ndim)
+            rows = np.multiply(a, 1 - wf)
+            rows += b * wf
+            if self.times[lo] == t0:  # only the first time can be a hit
+                rows[0] = a
+            for g, out in self.out.items():
+                out[f][lo:hi] = transfer(rows, self.src, g, lead=1)
+
+    def finish(self, t: float, s: tuple) -> dict:
+        """grid -> (rho, u) stacks, once the solve has ended at t = times[-1] in state s."""
+        self.take(t, s, math.inf, s)
+        return self.out
 
 
 # ---------------------------------------------------------------------------
@@ -508,8 +532,8 @@ def load_field(path) -> Field:
 # space-time distances between trajectories
 
 
-# uniform sample times of every space-time distance; the runners keep the
-# states around them (experiments._observation_windows)
+# uniform sample times of every space-time distance; a runner's solves sample
+# their members at them while they step (StepSampler)
 N_DISTANCE_TIMES = 17
 
 
@@ -559,61 +583,19 @@ def stack_lq_distance(a: tuple, b: tuple, times, grid: GridSpec,
     return np.array([x ** (1.0 / q) for x in np.trapezoid(slice_int, times, axis=-1)])
 
 
-def pair_distances(ta: list, tb: list, partner, grid: GridSpec, norms,
-                   partner_samples: dict | None = None) -> np.ndarray:
-    """(len(partner), len(norms)) space-time distances on `grid` between
-    trajectory tb[j] and its partner ta[partner[j]], one column per (q, which)
-    of `norms`; inf where either is None (a solve that did not complete).
-
-    Each list is sampled once by `sample_members`: the partners each at the
-    distance times of their pairs (once per distinct end time, which only
-    unequal final times make more than one), and tb at its pairs' times, both
-    onto `grid`.  Each norm then reduces the members with one
-    `stack_lq_distance` call over the member axis.  The members go in chunks
-    of SAMPLE_CHUNK_BYTES of samples, so a fine 2-D pair holds one chunk's
-    stacks at a time.
-
-    The call is resumable: `partner_samples`, a dict kept by the caller, holds
-    the partner samples by (partner, end time) from one call to the next.  A
-    pair whose finer members arrive in pieces passes each piece as `tb`, with
-    its slice of `partner` and the same dict, so each partner is still sampled
-    once per end time, and the rows equal those of one whole-level call.
-    """
-    out = np.full((len(partner), len(norms)), np.inf)
-    both = [j for j in range(len(partner)) if ta[partner[j]] is not None and tb[j] is not None]
-    if not both:
-        return out
-    samples = {} if partner_samples is None else partner_samples
-    times = np.array([distance_times(ta[partner[j]], tb[j]) for j in both])
-    keys = [(partner[j], t[-1]) for j, t in zip(both, times)]
-    # the partner samples not taken yet, one per (partner, end time), in one pass
-    new = {}
-    for key, t in zip(keys, times):
-        if key not in samples:
-            new.setdefault(key, t)
-    if new:
-        sa = sample_members([ta[k] for k, _ in new], list(new.values()), grid)
-        samples.update((key, (sa[0][i], sa[1][i])) for i, key in enumerate(new))
-    chunk = max(1, SAMPLE_CHUNK_BYTES // samples[keys[0]][0].nbytes // (1 + grid.d))
-    for lo in range(0, len(both), chunk):  # `chunk` members at a time
-        js, t = both[lo:lo + chunk], times[lo:lo + chunk]
-        a = tuple(np.stack([samples[key][f] for key in keys[lo:lo + chunk]]) for f in (0, 1))
-        b = sample_members([tb[j] for j in js], t, grid)
-        out[js] = np.transpose([stack_lq_distance(a, b, t, grid, q=q, which=which)
-                                for q, which in norms])
-    return out
-
-
 def trajectory_lq_distance(a: Trajectory, b: Trajectory, q: float = 2.0,
                            which: str = "both") -> float:
-    """L^q((0,T) x torus) distance between two trajectories: the one-pair `pair_distances`.
+    """L^q((0,T) x torus) distance between two trajectories.
 
-    Both trajectories are sampled at the `N_DISTANCE_TIMES` uniform times of
-    `distance_times` (linear interpolation between stored steps); the finer
-    grid is restricted onto the coarser one, and the time integral uses the
-    trapezoid rule.  `which` selects the compared quantity: "rho",
-    "momentum", or "both" (the stacked (rho, u) vector, Euclidean pointwise
-    magnitude).
+    Both trajectories are sampled by `sample_members` at the `N_DISTANCE_TIMES`
+    uniform times of `distance_times` (linear interpolation between stored steps);
+    the finer grid is restricted onto the coarser one, and `stack_lq_distance`
+    integrates in time by the trapezoid rule, as it does for the runners' level
+    pairs from the samples their solves took (`StepSampler`).  `which` selects the
+    compared quantity: "rho", "momentum", or "both" (the stacked (rho, u) vector,
+    Euclidean pointwise magnitude).
     """
     coarse = a.grid if a.grid.n <= b.grid.n else b.grid
-    return float(pair_distances([a], [b], [0], coarse, [(q, which)])[0, 0])
+    times = distance_times(a, b)[None]
+    sa, sb = (sample_members([x], times, coarse) for x in (a, b))
+    return float(stack_lq_distance(sa, sb, times, coarse, q=q, which=which)[0])

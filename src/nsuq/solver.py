@@ -29,7 +29,9 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .mesh import (
+    N_DISTANCE_TIMES,
     GridSpec,
+    StepSampler,
     Trajectory,
     _keep_windows,
     _keeps_state,
@@ -109,6 +111,7 @@ class SolveReport:
     linf_history: np.ndarray = field(repr=False)
     energy_history: np.ndarray = field(repr=False)
     status: str = COMPLETED
+    samples: dict | None = field(default=None, repr=False)  # grid -> (rho, u) distance stacks
 
     @property
     def max_linf(self) -> float:
@@ -394,7 +397,8 @@ def _linf(rho: np.ndarray, u: np.ndarray) -> float:
 # every non-finite outcome (an energy or sound speed that overflows at large gamma)
 # becomes a member status, or a null energy in the report, rather than a warning
 @np.errstate(over="ignore", invalid="ignore")
-def solve(data: DataRecord, grid: GridSpec, cfg: SchemeConfig, keep=None) -> SolveReport:
+def solve(data: DataRecord, grid: GridSpec, cfg: SchemeConfig, keep=None,
+          sample_grids=()) -> SolveReport:
     """Integrate from the record's initial data to cfg.T, or until an abort.
 
     The loop passes plain (rho, u) arrays to `cfl_dt`, `step` and
@@ -404,7 +408,7 @@ def solve(data: DataRecord, grid: GridSpec, cfg: SchemeConfig, keep=None) -> Sol
     `DataRecord.initial_state`, which checks the initial data.  Each
     step's guess is the velocity extrapolated through the last three
     accepted states (`_extrapolate`): u_k on the first step, linear on the
-    second.
+    second.  The last step is clamped to end at t = cfg.T exactly.
 
     Aborts are reported as data, not failures: the linf ceiling feeds the
     boundedness-in-probability statistics downstream.  A step that cannot
@@ -412,14 +416,21 @@ def solve(data: DataRecord, grid: GridSpec, cfg: SchemeConfig, keep=None) -> Sol
     NO_CONVERGENCE.
 
     `keep`, an array of [lo, hi] time windows, thins the trajectory by the one
-    per-state rule `mesh._keeps_state`, which `Trajectory.thinned` applies too:
-    a state is kept when a step it bounds meets a window, and the first and
-    last (an abort's too) always are, so any time inside a window can be
-    sampled.  Each state is decided once its two steps are known.  Every step's
-    time, linf and energy are recorded either way.  None keeps every state; a
-    window without lo <= hi (NaN included) raises ValueError.
+    per-state rule `mesh._keeps_state`: a state is kept when a step it bounds
+    meets a window, and the first and last (an abort's too) always are, so any
+    time inside a window can be sampled.  Each state is decided once its two
+    steps are known.  Every step's time, linf and energy are recorded either
+    way.  None keeps every state; a window without lo <= hi (NaN included)
+    raises ValueError.
+
+    `sample_grids` names the grids, this one or nested coarser ones, that the
+    member is sampled onto at the N_DISTANCE_TIMES uniform times of [0, cfg.T]
+    while it steps (`mesh.StepSampler`), whatever `keep` drops; the report's
+    `samples` maps each to its (rho, u) stacks, and is None unless the solve
+    completed.
     """
     windows = _keep_windows(keep)
+    sampler = StepSampler(grid, np.linspace(0.0, cfg.T, N_DISTANCE_TIMES), sample_grids)
     s0 = data.initial_state(grid)
     rho, u, t = s0.rho.values, s0.u.values, s0.time
     kept = {0: (rho, u)}  # step -> (rho, u): the kept states and the newest one
@@ -440,19 +451,22 @@ def solve(data: DataRecord, grid: GridSpec, cfg: SchemeConfig, keep=None) -> Sol
             if not 0 < dt < math.inf:
                 status = NO_CONVERGENCE
                 break
-            if t + dt >= cfg.T * (1 - 1e-12):
+            last = t + dt >= cfg.T * (1 - 1e-12)
+            if last:
                 dt = cfg.T - t
             past = [(t, u)] + past[:2]
             guess = _extrapolate(past, t + dt)
             try:
-                rho, u = step(rho, u, t, data, dt, grid, cfg, guess)
+                new = step(rho, u, t, data, dt, grid, cfg, guess)
             except VacuumError:
                 status = ABORTED_VACUUM
                 break
             except NoConvergenceError:
                 status = NO_CONVERGENCE
                 break
-            t += dt
+            t_new = cfg.T if last else t + dt
+            sampler.take(t, (rho, u), t_new, new)
+            (rho, u), t = new, t_new
             times.append(t)
             kept[len(times) - 1] = rho, u
             if not _keeps_state(windows, times, len(times) - 2):
@@ -468,6 +482,7 @@ def solve(data: DataRecord, grid: GridSpec, cfg: SchemeConfig, keep=None) -> Sol
         linf_history=np.array(linf),
         energy_history=np.array(energy),
         status=status,
+        samples=sampler.finish(t, (rho, u)) if status == COMPLETED else None,
     )
 
 

@@ -87,13 +87,8 @@ class Ensemble:
 
     @property
     def trajectories(self) -> list:
-        """Each member's trajectory, None where its solve did not complete."""
-        return _trajectories(self.reports)
-
-
-def _trajectories(reports: list) -> list:
-    """The one trajectory list of a level's reports: None where a solve did not complete."""
-    return [r.trajectory if r.status == COMPLETED else None for r in reports]
+        """The one trajectory list of a level: None where a solve did not complete."""
+        return [r.trajectory if r.status == COMPLETED else None for r in self.reports]
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from nsuq.experiments import (
 from nsuq.mesh import load_field
 from nsuq.solver import SchemeConfig, solve
 from nsuq.mesh import GridSpec
-from conftest import deep_or, make_record, make_spec
+from conftest import deep_or, make_record, make_spec, thinned
 
 
 SCHEME = SchemeConfig(cfl=0.4, T=0.05)
@@ -495,6 +495,19 @@ def test_cli_run_weak(bounds, tmp_path):
     assert doc["provenance"]["mode"] == "weak"
 
 
+def test_failed_write_leaves_no_report_json(bounds, tmp_path, capsys):
+    # report.json is written last, so a write that fails midway (here `level_00` is a
+    # plain file) exits 2 and leaves no report.json that looks complete
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, weak_config(bounds, levels=((2, 8),)))
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "level_00").write_text("")
+    assert main(["run-weak", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "cannot write report" in capsys.readouterr().err
+    assert not (out / "report.json").exists() and (out / "level_00").is_file()
+
+
 def test_cli_seed_override(bounds, tmp_path):
     cfg_path = tmp_path / "cfg.json"
     write_config(cfg_path, weak_config(bounds, seed=1, levels=((2, 8),)))
@@ -560,12 +573,37 @@ def test_pooled_members_keep_read_only_fields(bounds, monkeypatch):
     records = [make_record(rho_amp=a, u_amp=0.05) for a in (0.05, 0.1, 0.15)]
     config = weak_config(bounds, threads=2)
     reports = experiments._solve_members(records, GridSpec(1, 8), config,
-                                         experiments._observation_windows(config))
+                                         experiments._observation_windows(config), ())
     # the arrays the trajectories store, not the FluidStates built around them on access
     kept = [a for r in reports for a in r.trajectory.rho + r.trajectory.u]
     assert len(kept) > 2 * len(records)
     for a in kept:
         assert not a.flags.writeable
+
+
+def test_pooled_members_keep_level_states_and_samples(bounds, monkeypatch):
+    # at two workers, each member comes back holding only the states around its level
+    # statistics' windows and its samples on the requested grids, bit for bit those
+    # of the same solve in-process
+    import nsuq.experiments as experiments
+
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
+    records = [make_record(rho_amp=a, u_amp=0.05) for a in (0.05, 0.1, 0.15)]
+    config = weak_config(bounds, threads=2)
+    keep = experiments._observation_windows(config)
+    grid, grids = GridSpec(1, 16), [GridSpec(1, 16), GridSpec(1, 8)]
+    pooled = list(experiments._solve_members(records, grid, config, keep, grids))
+    for rec, r in zip(records, pooled):
+        ref, every = solve(rec, grid, config.scheme, keep, grids), solve(rec, grid, config.scheme)
+        assert np.array_equal(r.trajectory.times, every.trajectory.times)
+        assert np.array_equal(r.trajectory.steps, thinned(every.trajectory, keep).steps)
+        assert len(r.trajectory.steps) < len(r.trajectory)
+        for f in ("rho", "u"):
+            got, want = getattr(r.trajectory, f), getattr(ref.trajectory, f)
+            assert len(got) == len(want) and all(map(np.array_equal, got, want))
+        assert set(r.samples) == set(grids)
+        for g in grids:
+            assert all(map(np.array_equal, r.samples[g], ref.samples[g]))
 
 
 def test_one_worker_run_never_imports_multiprocessing(bounds, tmp_path):
@@ -1054,13 +1092,14 @@ def test_weak_functional_mean_error_decreases_across_levels(bounds):
 
 
 def cross_level_reads(run, cfg, monkeypatch):
-    """(report, solve reports per level, trajectory id -> reads) of one run,
-    counting the trajectory reads made outside the per-level statistics: each
-    trajectory passed to `mesh.sample_members`, the one sampler, through which
-    `pair_distances` and `Trajectory.sample` read."""
+    """(report, solve reports per level, trajectory id -> reads, full trajectories
+    per level, sample grids per level) of one run.  The reads counted are the
+    trajectory reads made outside the per-level statistics: each trajectory passed
+    to `mesh.sample_members`, the one sampler of stored trajectories.  Each member
+    is solved once more keeping every state, for reference distances."""
     from nsuq import experiments, mesh
 
-    solves, reads, in_level = [], {}, [False]
+    solves, full, grids, reads, in_level = [], [], [], {}, [False]
     solve_members, level_statistics = experiments._solve_members, experiments._level_statistics
     sample_members = mesh.sample_members
 
@@ -1070,9 +1109,11 @@ def cross_level_reads(run, cfg, monkeypatch):
                 reads[id(traj)] = reads.get(id(traj), 0) + 1
         return sample_members(trajs, *args, **kwargs)
 
-    def recording_solve_members(*args):  # each report as it is yielded, before any thinning
-        solves.append([])
-        for r in solve_members(*args):
+    def recording_solve_members(records, grid, config, keep, sample_grids):
+        solves.append([])  # each report as it is yielded
+        full.append([solve(rec, grid, config.scheme).trajectory for rec in records])
+        grids.append(sample_grids)
+        for r in solve_members(records, grid, config, keep, sample_grids):
             solves[-1].append(r)
             yield r
 
@@ -1088,22 +1129,25 @@ def cross_level_reads(run, cfg, monkeypatch):
         m.setattr(experiments, "_solve_members", recording_solve_members)
         m.setattr(experiments, "_level_statistics", quiet_level_statistics)
         report = run(cfg)
-    return report, solves, reads
+    return report, solves, reads, full, grids
 
 
-# a 2-D strong ladder whose fine members each keep more than SAMPLE_CHUNK_BYTES of states
+# a 2-D strong ladder whose fine members each come back with more than
+# SAMPLE_CHUNK_BYTES of states and samples
 STREAMED_LADDER = ((1, 8), (2, 16), (4, 32))
 
 
 def test_strong_reads_each_trajectory_once_per_level_pair(bounds, monkeypatch):
-    # cross-level distances sample every trajectory once per level pair and
-    # agree exactly with pairwise trajectory_lq_distance calls.  Four ladders
-    # run the one pair loop: strong with K = 1; strong with K = 2, where the
-    # coarse partners of the fine cells are not in increasing order, so a loop
-    # in fine-cell order would sample a coarse member again; strong in 2-D, whose
-    # fine members come back in one chunk each (test_finest_level_streams_in_chunks),
-    # so each partner's samples must outlive the chunks; and weak, whose
-    # diagnostics must equal convergence_in_probability_diagnostic's
+    # cross-level distances read no stored trajectory: each solve samples its member
+    # while it steps, onto its own grid where its level is a pair's coarser side and
+    # onto each partner's grid where it is a finer side, and the distances agree
+    # exactly with pairwise trajectory_lq_distance calls on the unthinned
+    # trajectories.  Four ladders run the one pair loop: strong with K = 1; strong
+    # with K = 2, where the coarse partners of the fine cells are not in increasing
+    # order; strong in 2-D, whose fine members come back in one chunk each
+    # (test_finest_level_streams_in_chunks), so each partner's samples must outlive
+    # the chunks; and weak, whose diagnostics must equal
+    # convergence_in_probability_diagnostic's
     from nsuq.mesh import trajectory_lq_distance
     from nsuq.random_data import build_partition, sample_latent
     from nsuq.stats import Ensemble, convergence_in_probability_diagnostic, pair_by_index
@@ -1120,23 +1164,24 @@ def test_strong_reads_each_trajectory_once_per_level_pair(bounds, monkeypatch):
         mode = "weak" if run is run_weak else "strong"
         cfg = ExperimentConfig(mode=mode, ladder=tuple(LadderLevel(N, n) for N, n in ladder),
                                scheme=SCHEME, distribution=spec, stats=STATS, seed=0)
-        report, solves, reads = cross_level_reads(run, cfg, monkeypatch)
+        report, solves, reads, full, grids = cross_level_reads(run, cfg, monkeypatch)
         cross = report.summary["cross_level"]
-        trajs = [[r.trajectory for r in level] for level in solves]
         assert all(r.status == "completed" for level in solves for r in level)
-        for idx, level in enumerate(trajs):
-            n_pairs = sum(idx in doc["pair"] for doc in cross["diagnostics"])
-            for t in level:
-                assert reads.get(id(t), 0) <= n_pairs, (mode, spec.K, idx)
-        # the reads are counted where the pairs make them: every finest member is read
-        assert all(reads.get(id(t), 0) >= 1 for t in trajs[-1]), mode
+        # no trajectory is read for a level pair, and no member keeps its samples
+        assert not reads, (mode, spec.K)
+        assert all(r.samples is None for level in solves for r in level)
+        pairs = [doc["pair"] for doc in cross["diagnostics"]]
+        for idx, level_grids in enumerate(grids):
+            assert {g.n for g in level_grids} == {cfg.ladder[a].n_cells
+                                                  for a, b in pairs if idx in (a, b)}
 
         if mode == "weak":
             for idx, doc in enumerate(cross["diagnostics"]):
                 ens_a, ens_b = (
-                    Ensemble(sample_latent(cfg.seed, len(level), spec.K), level,
+                    Ensemble(sample_latent(cfg.seed, len(level), spec.K),
+                             [dataclasses.replace(r, trajectory=t) for r, t in zip(level, trajs)],
                              np.full(len(level), 1.0 / len(level)), "weak")
-                    for level in solves[idx:idx + 2])
+                    for level, trajs in zip(solves[idx:idx + 2], full[idx:idx + 2]))
                 diag = convergence_in_probability_diagnostic(
                     pair_by_index(ens_a, ens_b), STATS.eps_grid, q=STATS.diagnostic_q)
                 assert doc["fractions"] == [float(f) for f in diag.fractions]
@@ -1153,8 +1198,8 @@ def test_strong_reads_each_trajectory_once_per_level_pair(bounds, monkeypatch):
             coarse = build_partition(spec.K, cfg.ladder[idx].N)
             rho_err = mom_err = 0.0
             dists = []
-            for j, tb in enumerate(trajs[-1]):
-                ta = trajs[idx][coarse.locate(fine.points[j])]
+            for j, tb in enumerate(full[-1]):
+                ta = full[idx][coarse.locate(fine.points[j])]
                 w = float(fine.weights[j])
                 rho_err += w * trajectory_lq_distance(ta, tb, q=gamma, which="rho") ** r_exp
                 mom_err += w * trajectory_lq_distance(ta, tb, q=q_mom, which="momentum") ** s_exp
@@ -1173,61 +1218,68 @@ def streamed_config(bounds, ladder=STREAMED_LADDER):
 
 
 def test_finest_level_streams_in_chunks(bounds, tmp_path, monkeypatch):
-    # the fine members of a 2-D ladder each keep more than SAMPLE_CHUNK_BYTES, so the
-    # fine level gives its pair rows one member at a time.  The rows, chunk by chunk,
-    # equal one whole-level pair_distances call on the unthinned trajectories; the
-    # fine members that the level statistics read keep only the states around their
-    # own windows, while the coarse ones keep what their solves kept; and the output
-    # is the same at one and two workers
+    # the fine members of a 2-D ladder each come back with more than SAMPLE_CHUNK_BYTES
+    # of states and samples, so the fine level gives its pair rows one member at a
+    # time.  The rows, chunk by chunk, equal the per-pair trajectory_lq_distance calls
+    # on the unthinned trajectories; the members that the level statistics read are the
+    # solved ones, keep only the states around their own level's windows, and hold no
+    # samples; and the output is the same at one and two workers
     from nsuq import experiments, mesh
+    from nsuq.mesh import trajectory_lq_distance
     from nsuq.random_data import build_partition
 
     cfg = streamed_config(bounds)
-    calls, seen = [], []
-    pair_distances, level_statistics = experiments.pair_distances, experiments._level_statistics
+    chunks, seen = [], []
+    take_chunk, level_statistics = experiments._take_chunk, experiments._level_statistics
 
-    def recording_pair_distances(ta, tb, partner, grid, norms, samples):
-        calls.append((grid.n, list(partner), norms,
-                      pair_distances(ta, tb, partner, grid, norms, samples)))
-        return calls[-1][-1]
+    def recording_take_chunk(reports, lo, reading, norms, times):
+        take_chunk(reports, lo, reading, norms, times)
+        hi = len(reports)
+        if reading and lo < hi:
+            chunks.append([(grid.n, list(partner[lo:hi]), norms, rows[lo:hi].copy())
+                           for rows, _, partner, grid in reading])
 
     def recording_level_statistics(ens, *args):
+        assert all(r.samples is None for r in ens.reports)
         seen.append([r.trajectory for r in ens.reports])
         return level_statistics(ens, *args)
 
     with monkeypatch.context() as m:
-        m.setattr(experiments, "pair_distances", recording_pair_distances)
+        m.setattr(experiments, "_take_chunk", recording_take_chunk)
         m.setattr(experiments, "_level_statistics", recording_level_statistics)
-        _, solves, _ = cross_level_reads(run_strong, cfg, monkeypatch)
-    full = [[r.trajectory for r in level] for level in solves]
+        _, solves, _, full, grids = cross_level_reads(run_strong, cfg, monkeypatch)
     assert all(r.status == "completed" for level in solves for r in level)
-    assert all(sum(a.nbytes for a in t.rho + t.u) > mesh.SAMPLE_CHUNK_BYTES for t in full[-1])
+    sample_bytes = sum(mesh.N_DISTANCE_TIMES * g.num_cells * (1 + g.d) * 8 for g in grids[-1])
+    for r in solves[-1]:
+        t = r.trajectory
+        assert sum(a.nbytes for a in t.rho + t.u) + sample_bytes > mesh.SAMPLE_CHUNK_BYTES
 
     K = cfg.distribution.K
     fine_points = build_partition(K, cfg.ladder[-1].N).points
-    for level in cfg.ladder[:-1]:
-        chunks = [c for c in calls if c[0] == level.n_cells]
-        assert len(chunks) == len(full[-1])  # one chunk per fine member
+    assert len(chunks) == len(full[-1])  # one chunk per fine member
+    for p, level in enumerate(cfg.ladder[:-1]):
+        calls = [chunk[p] for chunk in chunks]
+        assert all(c[0] == level.n_cells for c in calls)
         partner = build_partition(K, level.N).locate(fine_points)
-        assert sum((c[1] for c in chunks), []) == list(partner)
-        whole = pair_distances(full[cfg.ladder.index(level)], full[-1], partner,
-                               GridSpec(2, level.n_cells), chunks[0][2])
-        assert np.array_equal(np.concatenate([c[3] for c in chunks]), whole)
+        assert sum((c[1] for c in calls), []) == list(partner)
+        whole = [[trajectory_lq_distance(full[p][k], tb, q=q, which=which)
+                  for q, which in calls[0][2]] for k, tb in zip(partner, full[-1])]
+        assert np.array_equal(np.concatenate([c[3] for c in calls]), whole)
 
     assert [len(level) for level in seen] == [1, 2, 4]
-    for coarse, solved in zip(seen[:-1], full[:-1]):
-        assert all(t is s for t, s in zip(coarse, solved))
-    windows = experiments._observation_windows(cfg)[mesh.N_DISTANCE_TIMES:]
-    for thin, solved in zip(seen[-1], full[-1]):
-        times = solved.times
-        meets = (times[:-1, None] <= windows[:, 1]) & (times[1:, None] >= windows[:, 0])
-        kept = {0, len(times) - 1}.union(*({*np.flatnonzero(col), *(np.flatnonzero(col) + 1)}
-                                          for col in meets.T))
-        assert np.array_equal(thin.times, times)
-        assert thin.steps.tolist() == sorted(kept) and len(kept) < len(solved.steps)
-        at = {s: k for k, s in enumerate(solved.steps.tolist())}
-        for k, s in enumerate(thin.steps.tolist()):
-            assert thin.rho[k] is solved.rho[at[s]] and thin.u[k] is solved.u[at[s]]
+    windows = experiments._observation_windows(cfg)
+    for read, solved, ref in zip(seen, solves, full):
+        for traj, r, whole in zip(read, solved, ref):
+            times = whole.times
+            meets = (times[:-1, None] <= windows[:, 1]) & (times[1:, None] >= windows[:, 0])
+            kept = {0, len(times) - 1}.union(*({*np.flatnonzero(col),
+                                                *(np.flatnonzero(col) + 1)} for col in meets.T))
+            assert traj is r.trajectory and np.array_equal(traj.times, times)
+            assert traj.steps.tolist() == sorted(kept)
+            for k, s in enumerate(traj.steps.tolist()):
+                assert np.array_equal(traj.rho[k], whole.rho[s])
+                assert np.array_equal(traj.u[k], whole.u[s])
+    assert all(len(t.steps) < len(t) for t in seen[-1])
 
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
     cfg_path = tmp_path / "cfg.json"
@@ -1263,20 +1315,20 @@ def test_failed_chunk_leaves_no_worker_running(bounds, monkeypatch):
 
 def test_streamed_run_peaks_below_its_finest_level(bounds, monkeypatch):
     # a memory guard that does not drift with the host: the traced peak of a strong run
-    # (tracemalloc counts numpy's buffers) stays below the bytes that its finest level's
-    # members keep before thinning, which a run holding the whole level at once exceeds
+    # (tracemalloc counts numpy's buffers) stays below half the bytes of the states
+    # that its finest level's members keep around the 17 distance times alone, which
+    # a run keeping states for its level pairs holds while the level streams
     import tracemalloc
-    from nsuq import experiments
+    from nsuq import experiments, mesh
 
-    fine_bytes = []
+    fine = []
 
-    def counting(data, grid, cfg, keep=None):
-        r = solve(data, grid, cfg, keep)
-        if grid.n == 32:  # only the count is kept, not the report
-            fine_bytes.append(sum(a.nbytes for a in r.trajectory.rho + r.trajectory.u))
-        return r
+    def recording(data, grid, cfg, *args, **kwargs):
+        if grid.n == 32:  # only the arguments: each is solved again once the trace stops
+            fine.append((data, grid, cfg))
+        return solve(data, grid, cfg, *args, **kwargs)
 
-    monkeypatch.setattr(experiments, "solve", counting)
+    monkeypatch.setattr(experiments, "solve", recording)
     cfg = streamed_config(bounds, ladder=((2, 16), (8, 32)))
     tracemalloc.start()
     try:
@@ -1284,8 +1336,12 @@ def test_streamed_run_peaks_below_its_finest_level(bounds, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(fine_bytes) == 8
-    assert peak < sum(fine_bytes)
+    T = cfg.scheme.T
+    windows = [(c * T - 1e-9 * T, c * T + 1e-9 * T)
+               for c in (k / (mesh.N_DISTANCE_TIMES - 1) for k in range(mesh.N_DISTANCE_TIMES))]
+    held = [solve(*args, keep=windows).trajectory for args in fine]
+    assert len(held) == 8
+    assert peak < 0.5 * sum(a.nbytes for t in held for a in t.rho + t.u)
 
 
 # ---------------------------------------------------------------------------
@@ -1298,9 +1354,9 @@ def recorded_solves(monkeypatch):
 
     reports, windows = [], []
 
-    def recording(data, grid, cfg, keep=None):
+    def recording(data, grid, cfg, keep=None, sample_grids=()):
         windows.append(keep)
-        reports.append(solve(data, grid, cfg, keep))
+        reports.append(solve(data, grid, cfg, keep, sample_grids))
         return reports[-1]
 
     monkeypatch.setattr(experiments, "solve", recording)
@@ -1326,12 +1382,12 @@ def windowed_config(bounds, mode, d, n_levels=2):
 @pytest.mark.parametrize("mode, d, n_levels", [
     *(pytest.param(mode, d, 2, id=f"{mode}-{d}")
       for mode, d in [("weak", 1), ("strong", 1), ("weak", 2), ("strong", 2)]),
-    # a one-level ladder: no pair reads its level, which is thinned all the same
+    # a one-level ladder: no pair reads its level
     *(pytest.param(mode, 1, 1, id=f"{mode}-1-one-level") for mode in ("weak", "strong")),
 ])
 def test_observation_windows_leave_reports_unchanged(bounds, tmp_path, monkeypatch, mode, d,
                                                      n_levels):
-    from nsuq import experiments, mesh
+    from nsuq import experiments
 
     cfg = windowed_config(bounds, mode, d, n_levels)
     run = run_weak if mode == "weak" else run_strong
@@ -1347,6 +1403,7 @@ def test_observation_windows_leave_reports_unchanged(bounds, tmp_path, monkeypat
         m.setattr(experiments, "_level_statistics", recording_level_statistics)
         thin = run(cfg)
     with monkeypatch.context() as m:
+        every, _ = recorded_solves(m)
         m.setattr(experiments, "_observation_windows", lambda config: None)
         full = run(cfg)
     thin.write(str(tmp_path / "thin"))
@@ -1354,9 +1411,9 @@ def test_observation_windows_leave_reports_unchanged(bounds, tmp_path, monkeypat
     assert thin.summary == full.summary
     assert hash_dir(tmp_path / "thin") == hash_dir(tmp_path / "full")
 
-    # 17 distance times, 4 report times, t = 0, t = T and the functional's time
+    # 4 report times, t = 0, t = T and the functional's time: no distance time
     [keep] = {w.tobytes(): w for w in windows}.values()
-    assert len(keep) == 17 + 4 + 2 + 1
+    assert len(keep) == 4 + 2 + 1
     assert all(r.status == "completed" for r in reports)
     assert any(len(r.trajectory.states) < len(r.trajectory) for r in reports)
     for r in reports:
@@ -1366,13 +1423,14 @@ def test_observation_windows_leave_reports_unchanged(bounds, tmp_path, monkeypat
         assert max(map(len, per_window)) <= 2  # at most two states per window
         kept = sorted({0, len(times) - 1}.union(*per_window))
         assert [s.time for s in traj.states] == [times[j] for j in kept]
-    # the finest level's statistics read its members thinned to the level windows
-    fine = reports[-len(finest):]
+    # the finest level's statistics read its members as solved, holding only the
+    # states around the level windows of the whole history
+    fine, fine_every = reports[-len(finest):], every[-len(finest):]
     assert len(finest) == cfg.ladder[-1].N
-    for r, traj in zip(fine, finest):
-        ref = r.trajectory.thinned(keep[mesh.N_DISTANCE_TIMES:])
-        assert np.array_equal(traj.steps, ref.steps)
-        assert len(traj.steps) < len(r.trajectory.steps)
+    for r, ref, traj in zip(fine, fine_every, finest):
+        assert traj is r.trajectory
+        assert np.array_equal(traj.steps, thinned(ref.trajectory, keep).steps)
+        assert len(traj.steps) < len(ref.trajectory.steps)
 
 
 def test_neg_sobolev_functional_keeps_every_step(bounds, monkeypatch):

@@ -444,53 +444,6 @@ def test_member_axis_distance_equals_per_member_calls(seed, grids):
                 assert one == trajectory_lq_distance(a[i], b[i], q=q, which=which)
 
 
-@deep_or(25)
-@given(st.integers(0, 2**32 - 1), st.sampled_from([(1, 4, 8), (1, 8, 8), (2, 4, 8)]),
-       st.sampled_from([1, 1000, 1 << 16]))
-def test_pair_distances_equal_per_pair_calls(seed, grids, chunk_bytes):
-    # the member-axis distances of a level pair equal, pair by pair, the distances
-    # of the two one-member samples at that pair's times.  Final times differ by
-    # ulps, so each pair has its own distance times and a partner may be sampled at
-    # two time vectors; partners come in no order, some solves did not complete
-    # (None), and the members go one, a few or all at a time, in one call or resumed
-    rng = np.random.default_rng(seed)
-    d, n_a, n_b = grids
-    grid = GridSpec(d, n_a)
-
-    def level(N, n):
-        trajs = [random_member(rng, GridSpec(d, n), 1.0 + int(rng.integers(-2, 3)) * 2.0**-52)[0]
-                 for _ in range(N)]
-        return [tr if rng.random() < 0.85 else None for tr in trajs]
-
-    ta, tb = level(int(rng.integers(1, 4)), n_a), level(int(rng.integers(1, 7)), n_b)
-    partner = rng.integers(0, len(ta), int(rng.integers(1, len(tb) + 1)))
-    norms = [(2.0, "both"), (2.0, "rho"), (4.0 / 3.0, "momentum"), (np.inf, "both")]
-    with mock.patch.object(mesh, "SAMPLE_CHUNK_BYTES", chunk_bytes):
-        dist = mesh.pair_distances(ta, tb, partner, grid, norms)
-    assert dist.shape == (len(partner), len(norms))
-    for j, k in enumerate(partner):
-        a, b = ta[k], tb[j]
-        if a is None or b is None:
-            assert np.all(dist[j] == np.inf)
-            continue
-        times = np.linspace(0.0, min(a.final_time, b.final_time), mesh.N_DISTANCE_TIMES)[None]
-        sa, sb = sample_members([a], times, grid), sample_members([b], times, grid)
-        for col, (q, which) in enumerate(norms):
-            (one,) = stack_lq_distance(sa, sb, times, grid, q=q, which=which)
-            assert dist[j, col] == one
-    # resumed over pieces of the finer list, with one dict of partner samples: the
-    # same rows, and one sample per (partner, end time) for the whole pair
-    cuts = [0, *sorted(rng.integers(0, len(partner) + 1, 2).tolist()), len(partner)]
-    samples = {}
-    with mock.patch.object(mesh, "SAMPLE_CHUNK_BYTES", chunk_bytes):
-        pieces = [mesh.pair_distances(ta, tb[lo:hi], partner[lo:hi], grid, norms, samples)
-                  for lo, hi in zip(cuts, cuts[1:])]
-    assert np.array_equal(np.concatenate(pieces), dist)
-    assert len(samples) == len({(k, min(ta[k].final_time, tb[j].final_time))
-                                for j, k in enumerate(partner)
-                                if ta[k] is not None and tb[j] is not None})
-
-
 def _loop_neg_sobolev(traj, m):
     """The trajectory norm one kept state at a time, one FFT per field and state."""
     grid = traj.grid

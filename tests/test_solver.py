@@ -8,7 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nsuq import solver
-from nsuq.mesh import GridSpec, ScalarField, VectorField, FluidState
+from nsuq.mesh import N_DISTANCE_TIMES, GridSpec, ScalarField, VectorField, FluidState, \
+    distance_times, sample_members
 from nsuq.physics import AdmissibleBounds, ForcingSpec, ForcingTerm, pressure
 from nsuq.random_data import DistributionSpec, RandomFieldSpec, RandomMode, ScalarTransform
 from nsuq.solver import (
@@ -27,7 +28,7 @@ from nsuq.solver import (
     solve,
     step,
 )
-from conftest import deep_or, make_record
+from conftest import deep_or, make_record, thinned
 
 
 CFG = SchemeConfig(cfl=0.4, T=0.1)
@@ -174,7 +175,8 @@ def test_linf_ceiling_abort_after_start():
     assert report.linf_history[-1] > ceiling >= report.linf_history[:-1].max()
     assert np.array_equal(report.linf_history, free.linf_history[:report.steps + 1])
     windows = first_step_window(report)
-    thin = solve(data, grid, SchemeConfig(cfl=0.4, T=0.2, linf_ceiling=ceiling), keep=windows)
+    thin = solve(data, grid, SchemeConfig(cfl=0.4, T=0.2, linf_ceiling=ceiling), keep=windows,
+                 sample_grids=[grid])
     assert_thinned_abort(thin, report, windows)
 
 
@@ -186,9 +188,9 @@ def first_step_window(report):
 
 
 def assert_thinned_abort(thin, full, windows):
-    """`thin`, an aborted solve under `windows`, keeps the state the abort ends on and
-    is the unthinned abort `full` thinned to `windows`, bit for bit."""
-    ref = full.trajectory.thinned(windows)
+    """`thin`, an aborted solve under `windows`, keeps the state the abort ends on, is
+    the unthinned abort `full` thinned to `windows`, bit for bit, and has no samples."""
+    ref = thinned(full.trajectory, windows)
     assert len(thin.trajectory.steps) < len(full.trajectory)
     assert thin.trajectory.steps[-1] == len(full.trajectory) - 1
     assert np.array_equal(thin.trajectory.rho[-1], full.trajectory.rho[-1])
@@ -197,7 +199,7 @@ def assert_thinned_abort(thin, full, windows):
     assert np.array_equal(thin.trajectory.steps, ref.steps)
     for got, want in ((thin.trajectory.rho, ref.rho), (thin.trajectory.u, ref.u)):
         assert len(got) == len(want) and all(map(np.array_equal, got, want))
-    assert thin.status == full.status
+    assert thin.status == full.status and thin.samples is None
     assert np.array_equal(thin.linf_history, full.linf_history)
     assert np.array_equal(thin.energy_history, full.energy_history)
 
@@ -224,7 +226,7 @@ def test_vacuum_abort_keeps_the_accepted_states(monkeypatch):
     assert np.array_equal(report.energy_history, full.energy_history[:4])
     windows = first_step_window(report)
     calls.clear()
-    thin = solve(data, grid, CFG, keep=windows)
+    thin = solve(data, grid, CFG, keep=windows, sample_grids=[grid])
     assert_thinned_abort(thin, report, windows)
 
 
@@ -316,8 +318,10 @@ THIN_FULL = solve(THIN_DATA, THIN_GRID, CFG)
 @deep_or(25)
 @given(st.data())
 def test_thinning_equals_solving_with_the_windows(data):
-    # the one keep rule: a trajectory thinned to windows W holds exactly what a solve
-    # with keep=W holds, whether it kept every state or a wider set of windows.  Window
+    # the one keep rule: a trajectory thinned to windows W, by `mesh._keeps_state` over
+    # its whole history (conftest.thinned), holds exactly what a solve with keep=W holds,
+    # deciding each state as it steps, whether the trajectory kept every state or a
+    # wider set of windows.  Window
     # ends are drawn off the grid of step times, on it, and outside [0, T]
     times = THIN_FULL.trajectory.times
     ends = st.one_of(st.floats(-0.01, CFG.T + 0.01), st.sampled_from(list(times)))
@@ -326,15 +330,11 @@ def test_thinning_equals_solving_with_the_windows(data):
     wide = solve(THIN_DATA, THIN_GRID, CFG, keep=windows + extra)
     ref = solve(THIN_DATA, THIN_GRID, CFG, keep=windows)
     for source in (THIN_FULL, wide):
-        thin = source.trajectory.thinned(windows)
+        thin = thinned(source.trajectory, windows)
         assert np.array_equal(thin.times, ref.trajectory.times)
         assert np.array_equal(thin.steps, ref.trajectory.steps)
         for got, want in ((thin.rho, ref.trajectory.rho), (thin.u, ref.trajectory.u)):
             assert len(got) == len(want) and all(map(np.array_equal, got, want))
-    # thinning keeps no state that the source dropped
-    if len(ref.trajectory.steps) < len(times):
-        with pytest.raises(ValueError, match="did not keep"):
-            ref.trajectory.thinned(None)
 
 
 def test_vacuum_error_on_oversized_step():
@@ -896,3 +896,66 @@ def test_preconditioned_solve_meets_tolerance(seed, d, n, dt, mu, eta):
     x_ref = np.linalg.solve(A, b.ravel())
     err = np.linalg.norm(x.ravel() - x_ref)
     assert err <= np.linalg.norm(r) / rho.min() + 1e-12 * np.linalg.norm(x_ref)
+
+
+@deep_or(25)
+@given(admissible_problems(), st.data())
+def test_step_samples_equal_sample_members(problem, data):
+    # the samples a solve takes while it steps equal, bit for bit, the rows that
+    # sample_members reads off its unthinned trajectory, on the member's grid and on
+    # coarser ones, whatever states `keep` drops: at the distance times, and at times
+    # drawn from a first solve's step times (exact hits) and between them
+    spec, omega, grid, scheme, _ = problem
+    rec = spec.realize(omega)
+    full = solve(rec, grid, scheme)
+    grids = [GridSpec(grid.d, n) for n in (grid.n, grid.n, grid.n // 2, grid.n // 4)]
+    keep = data.draw(st.sampled_from([None, [[0.0, 0.0]], [[0.5 * scheme.T] * 2]]))
+    steps = full.trajectory.times.tolist()
+    drawn = data.draw(st.lists(st.one_of(st.sampled_from(steps), st.floats(0.0, steps[-1])),
+                               min_size=1, max_size=20))
+    sampler = solver.StepSampler
+    for times in (None, sorted(set(drawn))):
+        with mock.patch.object(solver, "StepSampler", sampler if times is None else
+                               lambda src, _, grids: sampler(src, times, grids)):
+            report = solve(rec, grid, scheme, keep=keep, sample_grids=grids)
+        if full.status != COMPLETED:
+            assert report.status == full.status and report.samples is None
+            return
+        times = np.linspace(0.0, scheme.T, N_DISTANCE_TIMES) if times is None else times
+        assert set(report.samples) == set(grids)
+        for g, (rho, u) in report.samples.items():
+            (want_rho,), (want_u,) = sample_members([full.trajectory], times, g)
+            assert np.array_equal(rho, want_rho) and np.array_equal(u, want_u)
+
+
+@settings(max_examples=40, deadline=None)
+@given(admissible_problems(), st.floats(1e-3, 1.0))
+def test_completed_solve_ends_at_T(problem, frac):
+    # the clamped last step ends at T exactly, also in solves of one to three steps,
+    # so the distance times of two completed members are the uniform times of [0, T]
+    spec, omega, grid, scheme, _ = problem
+    scheme = SchemeConfig(cfl=scheme.cfl, T=frac * scheme.T)
+    rec = spec.realize(omega)
+    a, b = (solve(rec, GridSpec(grid.d, n), scheme) for n in (grid.n, grid.n // 2))
+    assume(a.status == b.status == COMPLETED)
+    assert a.trajectory.final_time == b.trajectory.final_time == scheme.T
+    assert np.array_equal(distance_times(a.trajectory, b.trajectory),
+                          np.linspace(0.0, scheme.T, N_DISTANCE_TIMES))
+
+
+def test_short_solves_end_at_T(monkeypatch):
+    # members of one to three steps end at T exactly; so does a last step from a time t
+    # where t + (T - t) rounds off T
+    data, grid = make_record(rho_amp=0.1, u_amp=0.05), GridSpec(1, 16)
+    steps = []
+    for T in (1e-4, 0.01, 0.02):
+        report = solve(data, grid, SchemeConfig(cfl=0.4, T=T))
+        assert report.status == COMPLETED and report.trajectory.final_time == T
+        steps.append(report.steps)
+    assert steps == [1, 2, 3]
+    t1, T = 0.017375543026057788, 0.3
+    assert t1 + (T - t1) != T
+    dts = iter([t1, 1.0])
+    monkeypatch.setattr(solver, "cfl_dt", lambda *args: next(dts))
+    report = solve(make_record(rho_amp=0.0), GridSpec(1, 8), SchemeConfig(T=T))  # at rest
+    assert report.status == COMPLETED and report.trajectory.times.tolist() == [0.0, t1, T]
