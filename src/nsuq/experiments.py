@@ -2,15 +2,15 @@
 collocation ladders, and deterministic convergence studies.
 
 A run is a pure function of (config, seed): member solves are independent
-and collected in submission order, aggregation is sequential, and every
-emitted file uses canonical float formatting, so reruns are byte-identical
-at any worker count.  A member keeps only the states its level statistics
-read; the level pairs read the samples each solve takes while it steps.
+and run in batches that are split before any solve and joined in record
+order, aggregation is sequential, and every emitted file uses canonical
+float formatting, so reruns are byte-identical at any worker count.  A member
+keeps only the states its level statistics read; the level pairs read the
+samples each solve takes while it steps, in the batch that solves it.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import json
 import math
@@ -365,30 +365,6 @@ def _observation_windows(config: ExperimentConfig):
     return np.array(windows, dtype=float)
 
 
-def _solve_members(records, grid: GridSpec, config: ExperimentConfig, keep, sample_grids):
-    """Yield the member solves in record order: in-process at one worker, else
-    from forked processes, which keep solving while the caller reads each report;
-    each solve keeps its states under the windows `keep` and samples its member
-    onto `sample_grids` (`solve`'s arguments).
-
-    Closing the generator early (the caller's error, say) cancels the solves not
-    started and shuts the pool down, so no worker outlives it.
-    """
-    run = functools.partial(solve, grid=grid, cfg=config.scheme, keep=keep,
-                            sample_grids=sample_grids)
-    workers = min(config.threads, os.cpu_count() or 1, len(records))
-    if workers <= 1 or not hasattr(os, "fork"):
-        yield from map(run, records)
-        return
-    # imported here, so that one-worker runs never load the pool's modules
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    # fork starts fastest and nsuq starts no threads; Python 3.14 no longer makes it the default
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as ex:
-        yield from ex.map(run, records)
-
-
 def _provenance(config: ExperimentConfig) -> dict:
     return {
         "config_sha256": config.config_hash(),
@@ -479,59 +455,81 @@ def _expectation_error_row(level: int, dist: np.ndarray, both: np.ndarray, w,
             "r": r_exp, "s": s_exp, "resolved_mass": resolved_mass}
 
 
-def _take_chunk(reports: list, lo: int, reading: list, norms: list, times) -> None:
-    """Take the rows lo.. of every pair that a level is the finer side of, from the
-    samples of its members reports[lo:] at the distance `times`, then drop those
-    samples from the reports.
+def _solve_batch(records, grid: GridSpec, config: ExperimentConfig, keep, reading: list,
+                 norms: list, own: bool, bounds: tuple) -> tuple:
+    """(reports without samples, own samples, rows per pair) of members records[lo:hi].
 
-    Each entry of `reading` is (rows, partners, partner, grid) of one pair: its
-    distance array, filled here, the coarser level's samples on `grid` (None where
-    a solve did not complete), and the partner of each finer member.
+    Each member is solved under the windows `keep`, and sampled at the distance
+    times onto its level's grid when `own` (else the own samples are None) and
+    onto the grid of each pair in `reading`: (partners, partner, grid) of a pair
+    the level is the finer side of, the coarser level's samples on `grid` (None
+    where a solve did not complete) and the partner of each finer member.  A
+    pair's rows lo.. are inf where a side did not complete.
     """
-    for rows, partners, partner, grid in reading:
-        js = [j for j in range(lo, min(len(reports), len(partner)))
-              if reports[j].samples is not None and partners[partner[j]] is not None]
+    lo, hi = bounds
+    times = np.linspace(0.0, config.scheme.T, N_DISTANCE_TIMES)
+    sample_grids = [grid] * own + [g for *_, g in reading]
+    reports = [solve(rec, grid, config.scheme, keep, sample_grids) for rec in records[lo:hi]]
+    rows = []
+    for partners, partner, g in reading:
+        out = np.full((max(0, min(hi, len(partner)) - lo), len(norms)), np.inf)
+        js = [j for j in range(len(out))
+              if reports[j].samples is not None and partners[partner[lo + j]] is not None]
         if js:
-            a = tuple(np.stack([partners[partner[j]][f] for j in js]) for f in (0, 1))
-            b = tuple(np.stack([reports[j].samples[grid][f] for j in js]) for f in (0, 1))
+            a = tuple(np.stack([partners[partner[lo + j]][f] for j in js]) for f in (0, 1))
+            b = tuple(np.stack([reports[j].samples[g][f] for j in js]) for f in (0, 1))
             t = np.broadcast_to(times, (len(js), len(times)))
-            rows[js] = np.transpose([stack_lq_distance(a, b, t, grid, q=q, which=which)
-                                     for q, which in norms])
-    for r in reports[lo:]:
+            out[js] = np.transpose([stack_lq_distance(a, b, t, g, q=q, which=which)
+                                    for q, which in norms])
+        rows.append(out)
+    mine = [None if r.samples is None else r.samples[grid] for r in reports] if own else None
+    for r in reports:
         r.samples = None
+    return reports, mine, rows
+
+
+def _run_batch(bounds: tuple) -> tuple:
+    """A forked worker's batch, of the level task that its pool's initializer set."""
+    return _run_batch.task(bounds)
 
 
 def _solve_level(records, grid: GridSpec, config: ExperimentConfig, keep, reading: list,
-                 norms: list, own) -> list:
-    """The level's solve reports under the windows `keep`, in record order.
+                 norms: list, own: bool) -> tuple:
+    """`_solve_batch`'s results over contiguous batches of a level's records, joined.
 
-    Each member is sampled onto its level's grid when `own`, a list, collects its
-    samples there (a pair's coarser side), and onto the grid of each pair in
-    `reading`; its pair rows are taken and its samples dropped (`_take_chunk`)
-    each time the members that came back since the last chunk hold
-    SAMPLE_CHUNK_BYTES of states and samples, and at the level's end.
+    The split is fixed before any solve: a batch holds as many members as have
+    samples that fit SAMPLE_CHUNK_BYTES (at least one), and at most an even share
+    of the level among its workers.  One worker maps the batches in-process; more
+    map them in a forked pool, so that the parent never holds a finer member's
+    samples.  A level never starts more workers than cores or members.
     """
-    times = np.linspace(0.0, config.scheme.T, N_DISTANCE_TIMES)
-    sample_grids = [grid] * (own is not None) + [g for *_, g in reading]
-    reports, lo, held = [], 0, 0
-    with contextlib.closing(_solve_members(records, grid, config, keep, sample_grids)) as members:
-        for r in members:
-            reports.append(r)
-            if own is not None:
-                own.append(None if r.samples is None else r.samples[grid])
-            held += sum(x.nbytes for x in r.trajectory.rho + r.trajectory.u)
-            held += sum(x.nbytes for s in (r.samples or {}).values() for x in s)
-            del r  # no reference to a member's samples outlives its chunk
-            if held >= mesh.SAMPLE_CHUNK_BYTES:
-                _take_chunk(reports, lo, reading, norms, times)
-                lo, held = len(reports), 0
-    _take_chunk(reports, lo, reading, norms, times)
-    return reports
+    grids = set([grid] * own + [g for *_, g in reading])
+    member_bytes = N_DISTANCE_TIMES * sum(g.num_cells for g in grids) * (1 + grid.d) * 8
+    workers = min(config.threads, os.cpu_count() or 1, len(records)) if hasattr(os, "fork") else 1
+    size = min(max(1, mesh.SAMPLE_CHUNK_BYTES // max(1, member_bytes)), -(-len(records) // workers))
+    bounds = [(lo, min(lo + size, len(records))) for lo in range(0, len(records), size)]
+    task = functools.partial(_solve_batch, records, grid, config, keep, reading, norms, own)
+    if workers <= 1:
+        batches = list(map(task, bounds))
+    else:
+        # imported here, so that one-worker runs never load the pool's modules
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # fork starts fastest and nsuq starts no threads; Python 3.14 no longer makes it the
+        # default.  The workers inherit the task through the fork (`map` would pickle it per
+        # batch).  A failed batch ends the map, which cancels the batches not started
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                 initializer=setattr, initargs=(_run_batch, "task", task)) as ex:
+            batches = list(ex.map(_run_batch, bounds))
+    reports, mine, rows = zip(*batches)
+    return ([r for rs in reports for r in rs], [s for ss in mine for s in ss] if own else None,
+            [np.concatenate(pair) for pair in zip(*rows)])
 
 
 def _run_ladder(config: ExperimentConfig, draws: list, pairs: list) -> ExperimentReport:
     """Solve and post-process a ladder level by level, taking each level pair's
-    distances while its finer level's members come back.
+    distances in the batches that solve its finer level.
 
     `draws[i]` is level i's (latent points, weights, data records); its
     records are solved into level i's `Ensemble`.  Each of `pairs` is
@@ -543,11 +541,10 @@ def _run_ladder(config: ExperimentConfig, draws: list, pairs: list) -> Experimen
     (`_observation_windows`).  The pairs read the samples that the solves take
     while they step: a level that is a pair's coarser side samples its members
     onto its own grid, and one that is a finer side onto each partner's grid.
-    Level b streams: each time the members that came back since the last chunk
-    hold SAMPLE_CHUNK_BYTES of states and samples, and once at the level's end,
-    they give their rows of every pair (a, b) and drop their samples.  A level's
-    own samples are dropped once no later pair reads them.  Diagnostics and errors
-    keep `pairs` order.
+    Level b is solved in batches of members whose samples fit SAMPLE_CHUNK_BYTES,
+    split before any solve (`_solve_level`); each batch gives its rows of every
+    pair (a, b) and drops its samples.  A level's own samples are dropped once no
+    later pair reads them.  Diagnostics and errors keep `pairs` order.
     """
     spec, req = config.distribution, config.stats
     strong = config.mode == "strong"
@@ -556,18 +553,19 @@ def _run_ladder(config: ExperimentConfig, draws: list, pairs: list) -> Experimen
         norms += [(spec.gamma, "rho"), (2.0 * spec.gamma / (spec.gamma + 1.0), "momentum")]
     windows = _observation_windows(config)
     grids = [GridSpec(spec.d, level.n_cells, spec.period) for level in config.ladder]
-    dist = [np.full((len(partner), len(norms)), np.inf) for _, _, partner, _ in pairs]
+    dist = [None] * len(pairs)
     report = ExperimentReport(summary={"provenance": _provenance(config)})
     samples, ensembles, levels = [], [], []  # samples[a]: level a's, while a later pair reads them
     for idx, (level, (latents, weights, records)) in enumerate(zip(config.ladder, draws)):
-        reading = [(dist[p], samples[a], partner, grids[a])
-                   for p, (a, b, partner, _) in enumerate(pairs) if b == idx]
-        samples.append([] if any(a == idx for a, *_ in pairs) else None)
-        reports = _solve_level(records, grids[idx], config, windows, reading, norms,
-                               samples[idx])
+        finer = [(p, a, partner) for p, (a, b, partner, _) in enumerate(pairs) if b == idx]
+        reading = [(samples[a], partner, grids[a]) for _, a, partner in finer]
+        reports, mine, rows = _solve_level(records, grids[idx], config, windows, reading, norms,
+                                           any(a == idx for a, *_ in pairs))
         del reading  # with its references to the coarser levels' samples
+        for (p, *_), r in zip(finer, rows):
+            dist[p] = r
         samples = [s if any(a == i and b > idx for a, b, *_ in pairs) else None
-                   for i, s in enumerate(samples)]
+                   for i, s in enumerate(samples + [mine])]
         ens = Ensemble(latents, reports, weights, config.mode)
         ensembles.append(ens)
         levels.append(_level_statistics(ens, config, idx, level, report))

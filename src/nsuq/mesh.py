@@ -191,8 +191,8 @@ def _view(cls, grid: GridSpec, values: np.ndarray):
 
 # bytes of source-grid states a sampling pass gathers at once; a finer source
 # grid or a long time vector is sampled in chunks of rows, so the pass never
-# holds a whole fine-grid stack; a runner takes the pair rows of a level's
-# members each time those that came back hold this many bytes of states and samples
+# holds a whole fine-grid stack; a runner solves a level in batches of members
+# whose samples fit this many bytes, split before any solve
 SAMPLE_CHUNK_BYTES = 1 << 16
 
 

@@ -551,6 +551,51 @@ def test_cli_threads_resolution(bounds, tmp_path, monkeypatch):
         assert hash_dir(outs[0]) == hash_dir(outs[1]) == hash_dir(outs[2])
 
 
+def test_batch_split_does_not_move_output(bounds, tmp_path, monkeypatch):
+    # a level's split into batches is fixed before any solve, by SAMPLE_CHUNK_BYTES
+    # (1: one member per batch) and by an even share of its workers (1 << 30: that
+    # alone), and output is the same at every split and at 1, 2 and 3 workers.  The
+    # levels hold 2, 4 and 6 members; the finest weak level has members past its
+    # pair's partners
+    import concurrent.futures
+    from nsuq import experiments, mesh
+
+    pool, solve_batch, splits = concurrent.futures.ProcessPoolExecutor, experiments._solve_batch, []
+
+    class RecordingPool(pool):
+        def map(self, fn, *iterables, **kwargs):
+            splits.extend(iterables[0])
+            return super().map(fn, *iterables, **kwargs)
+
+    def recording_solve_batch(*args):
+        splits.append(args[-1])  # in-process only: a worker's list is its own
+        return solve_batch(*args)
+
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(experiments, "_solve_batch", recording_solve_batch)
+    ones = [(k, k + 1) for m in (2, 4, 6) for k in range(m)]
+    expected = {(1, 1): ones, (1, 2): ones, (1, 3): ones,
+                (1 << 30, 1): [(0, 2), (0, 4), (0, 6)],
+                (1 << 30, 2): [(0, 1), (1, 2), (0, 2), (2, 4), (0, 3), (3, 6)],
+                (1 << 30, 3): [(0, 1), (1, 2), (0, 2), (2, 4), (0, 2), (2, 4), (4, 6)]}
+    for mode in ("weak", "strong"):
+        cfg = weak_config(bounds, levels=((2, 8), (4, 8), (6, 16)))
+        cfg_path = tmp_path / f"{mode}.json"
+        write_config(cfg_path, dataclasses.replace(cfg, mode=mode))
+        hashes = set()
+        for (chunk_bytes, threads), split in expected.items():
+            out = tmp_path / f"{mode}-{chunk_bytes}-{threads}"
+            splits.clear()
+            with monkeypatch.context() as m:
+                m.setattr(mesh, "SAMPLE_CHUNK_BYTES", chunk_bytes)
+                assert main([f"run-{mode}", "--config", str(cfg_path), "--threads", str(threads),
+                             "--out", str(out)]) == 0
+            assert splits == split, (mode, chunk_bytes, threads)
+            hashes.add(hash_dir(out))
+        assert len(hashes) == 1
+
+
 def test_workers_capped_at_cores(bounds, monkeypatch):
     # one core: a threads=3 run solves in-process and never builds a pool
     import concurrent.futures
@@ -572,8 +617,9 @@ def test_pooled_members_keep_read_only_fields(bounds, monkeypatch):
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
     records = [make_record(rho_amp=a, u_amp=0.05) for a in (0.05, 0.1, 0.15)]
     config = weak_config(bounds, threads=2)
-    reports = experiments._solve_members(records, GridSpec(1, 8), config,
-                                         experiments._observation_windows(config), ())
+    reports, mine, rows = experiments._solve_level(
+        records, GridSpec(1, 8), config, experiments._observation_windows(config), [], [], False)
+    assert len(reports) == len(records) and mine is None and rows == []
     # the arrays the trajectories store, not the FluidStates built around them on access
     kept = [a for r in reports for a in r.trajectory.rho + r.trajectory.u]
     assert len(kept) > 2 * len(records)
@@ -583,27 +629,37 @@ def test_pooled_members_keep_read_only_fields(bounds, monkeypatch):
 
 def test_pooled_members_keep_level_states_and_samples(bounds, monkeypatch):
     # at two workers, each member comes back holding only the states around its level
-    # statistics' windows and its samples on the requested grids, bit for bit those
-    # of the same solve in-process
+    # statistics' windows and no samples; its samples on its own grid, and its rows of a
+    # pair read from its samples on the partner's grid, are bit for bit those of the
+    # same solve in-process
     import nsuq.experiments as experiments
+    from nsuq.mesh import N_DISTANCE_TIMES, stack_lq_distance
 
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
     records = [make_record(rho_amp=a, u_amp=0.05) for a in (0.05, 0.1, 0.15)]
     config = weak_config(bounds, threads=2)
     keep = experiments._observation_windows(config)
-    grid, grids = GridSpec(1, 16), [GridSpec(1, 16), GridSpec(1, 8)]
-    pooled = list(experiments._solve_members(records, grid, config, keep, grids))
-    for rec, r in zip(records, pooled):
-        ref, every = solve(rec, grid, config.scheme, keep, grids), solve(rec, grid, config.scheme)
+    grid, coarse = GridSpec(1, 16), GridSpec(1, 8)
+    partners = [solve(rec, coarse, config.scheme, keep, [coarse]).samples[coarse]
+                for rec in records[:2]]
+    partner, norms = np.array([1, 0, 1]), [(2.0, "both"), (1.5, "rho"), (1.2, "momentum")]
+    pooled, mine, (rows,) = experiments._solve_level(
+        records, grid, config, keep, [(partners, partner, coarse)], norms, True)
+    times = np.linspace(0.0, config.scheme.T, N_DISTANCE_TIMES)[None]
+    for j, (rec, r) in enumerate(zip(records, pooled)):
+        ref = solve(rec, grid, config.scheme, keep, [grid, coarse])
+        every = solve(rec, grid, config.scheme)
         assert np.array_equal(r.trajectory.times, every.trajectory.times)
         assert np.array_equal(r.trajectory.steps, thinned(every.trajectory, keep).steps)
         assert len(r.trajectory.steps) < len(r.trajectory)
         for f in ("rho", "u"):
             got, want = getattr(r.trajectory, f), getattr(ref.trajectory, f)
             assert len(got) == len(want) and all(map(np.array_equal, got, want))
-        assert set(r.samples) == set(grids)
-        for g in grids:
-            assert all(map(np.array_equal, r.samples[g], ref.samples[g]))
+        assert r.samples is None
+        assert all(map(np.array_equal, mine[j], ref.samples[grid]))
+        a, b = ([x[None] for x in s] for s in (partners[partner[j]], ref.samples[coarse]))
+        assert rows[j].tolist() == [stack_lq_distance(a, b, times, coarse, q=q, which=which)[0]
+                                    for q, which in norms]
 
 
 def test_one_worker_run_never_imports_multiprocessing(bounds, tmp_path):
@@ -1100,7 +1156,7 @@ def cross_level_reads(run, cfg, monkeypatch):
     from nsuq import experiments, mesh
 
     solves, full, grids, reads, in_level = [], [], [], {}, [False]
-    solve_members, level_statistics = experiments._solve_members, experiments._level_statistics
+    solve_level, level_statistics = experiments._solve_level, experiments._level_statistics
     sample_members = mesh.sample_members
 
     def counted_members(trajs, *args, **kwargs):
@@ -1109,13 +1165,12 @@ def cross_level_reads(run, cfg, monkeypatch):
                 reads[id(traj)] = reads.get(id(traj), 0) + 1
         return sample_members(trajs, *args, **kwargs)
 
-    def recording_solve_members(records, grid, config, keep, sample_grids):
-        solves.append([])  # each report as it is yielded
+    def recording_solve_level(records, grid, config, keep, reading, norms, own):
         full.append([solve(rec, grid, config.scheme).trajectory for rec in records])
-        grids.append(sample_grids)
-        for r in solve_members(records, grid, config, keep, sample_grids):
-            solves[-1].append(r)
-            yield r
+        grids.append([grid] * own + [g for *_, g in reading])
+        result = solve_level(records, grid, config, keep, reading, norms, own)
+        solves.append(result[0])
+        return result
 
     def quiet_level_statistics(*args):
         in_level[0] = True
@@ -1126,14 +1181,14 @@ def cross_level_reads(run, cfg, monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(mesh, "sample_members", counted_members)
-        m.setattr(experiments, "_solve_members", recording_solve_members)
+        m.setattr(experiments, "_solve_level", recording_solve_level)
         m.setattr(experiments, "_level_statistics", quiet_level_statistics)
         report = run(cfg)
     return report, solves, reads, full, grids
 
 
-# a 2-D strong ladder whose fine members each come back with more than
-# SAMPLE_CHUNK_BYTES of states and samples
+# a 2-D strong ladder whose fine members each take more than half SAMPLE_CHUNK_BYTES
+# of samples, so that each is a batch of its own
 STREAMED_LADDER = ((1, 8), (2, 16), (4, 32))
 
 
@@ -1144,9 +1199,9 @@ def test_strong_reads_each_trajectory_once_per_level_pair(bounds, monkeypatch):
     # exactly with pairwise trajectory_lq_distance calls on the unthinned
     # trajectories.  Four ladders run the one pair loop: strong with K = 1; strong
     # with K = 2, where the coarse partners of the fine cells are not in increasing
-    # order; strong in 2-D, whose fine members come back in one chunk each
+    # order; strong in 2-D, whose fine members are solved in one batch each
     # (test_finest_level_streams_in_chunks), so each partner's samples must outlive
-    # the chunks; and weak, whose diagnostics must equal
+    # the batches; and weak, whose diagnostics must equal
     # convergence_in_probability_diagnostic's
     from nsuq.mesh import trajectory_lq_distance
     from nsuq.random_data import build_partition, sample_latent
@@ -1218,9 +1273,9 @@ def streamed_config(bounds, ladder=STREAMED_LADDER):
 
 
 def test_finest_level_streams_in_chunks(bounds, tmp_path, monkeypatch):
-    # the fine members of a 2-D ladder each come back with more than SAMPLE_CHUNK_BYTES
-    # of states and samples, so the fine level gives its pair rows one member at a
-    # time.  The rows, chunk by chunk, equal the per-pair trajectory_lq_distance calls
+    # the fine members of a 2-D ladder each take more than half SAMPLE_CHUNK_BYTES of
+    # samples, so the fine level is solved, and gives its pair rows, one member per
+    # batch.  The rows, batch by batch, equal the per-pair trajectory_lq_distance calls
     # on the unthinned trajectories; the members that the level statistics read are the
     # solved ones, keep only the states around their own level's windows, and hold no
     # samples; and the output is the same at one and two workers
@@ -1229,15 +1284,18 @@ def test_finest_level_streams_in_chunks(bounds, tmp_path, monkeypatch):
     from nsuq.random_data import build_partition
 
     cfg = streamed_config(bounds)
-    chunks, seen = [], []
-    take_chunk, level_statistics = experiments._take_chunk, experiments._level_statistics
+    batches, seen = [], []
+    solve_batch, level_statistics = experiments._solve_batch, experiments._level_statistics
 
-    def recording_take_chunk(reports, lo, reading, norms, times):
-        take_chunk(reports, lo, reading, norms, times)
-        hi = len(reports)
-        if reading and lo < hi:
-            chunks.append([(grid.n, list(partner[lo:hi]), norms, rows[lo:hi].copy())
-                           for rows, _, partner, grid in reading])
+    def recording_solve_batch(records, grid, config, keep, reading, norms, own, bounds):
+        reports, mine, rows = solve_batch(records, grid, config, keep, reading, norms, own,
+                                          bounds)
+        lo, hi = bounds
+        if reading:
+            assert hi - lo == 1 and len(reports) == 1 and mine is None
+            batches.append([(g.n, list(partner[lo:hi]), norms, r.copy())
+                           for (_, partner, g), r in zip(reading, rows)])
+        return reports, mine, rows
 
     def recording_level_statistics(ens, *args):
         assert all(r.samples is None for r in ens.reports)
@@ -1245,20 +1303,18 @@ def test_finest_level_streams_in_chunks(bounds, tmp_path, monkeypatch):
         return level_statistics(ens, *args)
 
     with monkeypatch.context() as m:
-        m.setattr(experiments, "_take_chunk", recording_take_chunk)
+        m.setattr(experiments, "_solve_batch", recording_solve_batch)
         m.setattr(experiments, "_level_statistics", recording_level_statistics)
         _, solves, _, full, grids = cross_level_reads(run_strong, cfg, monkeypatch)
     assert all(r.status == "completed" for level in solves for r in level)
     sample_bytes = sum(mesh.N_DISTANCE_TIMES * g.num_cells * (1 + g.d) * 8 for g in grids[-1])
-    for r in solves[-1]:
-        t = r.trajectory
-        assert sum(a.nbytes for a in t.rho + t.u) + sample_bytes > mesh.SAMPLE_CHUNK_BYTES
+    assert 2 * sample_bytes > mesh.SAMPLE_CHUNK_BYTES
 
     K = cfg.distribution.K
     fine_points = build_partition(K, cfg.ladder[-1].N).points
-    assert len(chunks) == len(full[-1])  # one chunk per fine member
+    assert len(batches) == len(full[-1])  # one batch per fine member
     for p, level in enumerate(cfg.ladder[:-1]):
-        calls = [chunk[p] for chunk in chunks]
+        calls = [batch[p] for batch in batches]
         assert all(c[0] == level.n_cells for c in calls)
         partner = build_partition(K, level.N).locate(fine_points)
         assert sum((c[1] for c in calls), []) == list(partner)
@@ -1291,24 +1347,61 @@ def test_finest_level_streams_in_chunks(bounds, tmp_path, monkeypatch):
     assert hash_dir(outs[0]) == hash_dir(outs[1])
 
 
+def test_pooled_parent_receives_no_finer_samples(bounds, tmp_path, monkeypatch):
+    # at two workers, every batch result the parent receives holds reports without
+    # samples, and own samples only from a level that is a pair's coarser side: the
+    # fine members' samples on their partners' grids stay in the workers
+    import concurrent.futures
+    from nsuq import experiments, mesh
+
+    pool, received = concurrent.futures.ProcessPoolExecutor, []
+
+    class RecordingPool(pool):
+        def map(self, fn, *iterables, **kwargs):
+            results = list(super().map(fn, *iterables, **kwargs))
+            received.extend(results)
+            return iter(results)
+
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, streamed_config(bounds))
+    assert main(["run-strong", "--config", str(cfg_path), "--threads", "2",
+                 "--out", str(tmp_path / "out")]) == 0
+    by_level = {}
+    for reports, mine, rows in received:
+        assert reports and all(r.samples is None for r in reports)
+        by_level.setdefault(reports[0].trajectory.grid.n, []).append((len(reports), mine, rows))
+    # the one-member level on 8 cells solves in-process; 16 cells is the coarser side of
+    # the pair (1, 2), 32 cells the finer side of both pairs
+    assert sorted(by_level) == [16, 32]
+    for size, mine, rows in by_level[16]:
+        assert len(mine) == size and rows == []
+        assert all(rho.shape == (mesh.N_DISTANCE_TIMES, 16, 16) for rho, _ in mine)
+    assert sum(size for size, *_ in by_level[32]) == 4
+    for size, mine, rows in by_level[32]:
+        assert mine is None and [r.shape for r in rows] == [(size, 3)] * 2
+
+
 def test_failed_chunk_leaves_no_worker_running(bounds, monkeypatch):
-    # the fine level streams from a two-worker pool; an error while its first chunk is
-    # taken cancels the solves not started and shuts the pool down before it propagates
+    # the fine level is solved in batches on a two-worker pool; a batch that fails in
+    # its worker cancels the batches not started and shuts the pool down before the
+    # error propagates to the parent
     import multiprocessing
     from nsuq import experiments
 
-    take_chunk = experiments._take_chunk
+    solve_batch, parent = experiments._solve_batch, os.getpid()
 
-    def failing(reports, lo, reading, *args):
-        if len(reading) == 2:  # the fine level, the finer side of both pairs
-            assert len(reports) < 4 and multiprocessing.active_children()
-            raise RuntimeError("chunk failed")
-        return take_chunk(reports, lo, reading, *args)
+    def failing(records, grid, config, keep, reading, norms, own, bounds):
+        if len(reading) == 2 and bounds[0] == 1:  # the fine level's second batch
+            raise RuntimeError(f"batch failed in process {os.getpid()}")
+        return solve_batch(records, grid, config, keep, reading, norms, own, bounds)
 
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(experiments, "_take_chunk", failing)
-    with pytest.raises(RuntimeError, match="chunk failed") as failure:
+    monkeypatch.setattr(experiments, "_solve_batch", failing)
+    with pytest.raises(RuntimeError, match="batch failed") as failure:
         run_strong(dataclasses.replace(streamed_config(bounds), threads=2))
+    assert int(str(failure.value).split()[-1]) != parent  # it failed in a worker
     # while the traceback, and so the run's frames, are still held
     assert failure.traceback and multiprocessing.active_children() == []
 
