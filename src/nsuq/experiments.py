@@ -4,9 +4,10 @@ collocation ladders, and deterministic convergence studies.
 A run is a pure function of (config, seed): member solves are independent
 and run in batches that are split before any solve and joined in record
 order, aggregation is sequential, and every emitted file uses canonical
-float formatting, so reruns are byte-identical at any worker count.  A member
-keeps only the states its level statistics read; the level pairs read the
-samples each solve takes while it steps, in the batch that solves it.
+float formatting, so reruns are byte-identical at any worker count.  A run reads
+its members one way: each solve samples its member, while it steps, at the times
+its level statistics read and at the distance times its level pairs read, in the
+batch that solves it, and the member keeps only its first and last states.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .stats import (
     DiagnosticReport,
     Ensemble,
     SampledEnsemble,
-    _resolved,
     boundedness_in_probability,
     convergence_in_probability_diagnostic,  # noqa: F401 -- wrapped by perfbench/tracing.py
     diagnostic_from_distances,
@@ -50,6 +50,7 @@ from .stats import (
     energy_moment_bound,
     make_functional,
     r_barycenter,
+    read_times,
 )
 
 __all__ = [
@@ -339,32 +340,6 @@ class ExperimentReport:
 # shared machinery
 
 
-def _observation_windows(config: ExperimentConfig):
-    """[lo, hi] windows around every time a level's own statistics sample a member
-    (t = 0, t = T, the report and functional times); None when a statistic reads
-    every step (`tanh_neg_sobolev`).
-
-    Only completed members are sampled, and they end at T, so a relative half-width
-    of 1e-9 around the fractions c of T holds the report times, the final time and
-    t = 0.  `_run_ladder` takes them once per run, and a solve keeps or drops each
-    state by the one rule `mesh._keeps_state` once its two steps are known.  The
-    level pairs read no state: each solve samples its member at the distance times
-    while it steps.
-    """
-    req, T = config.stats, config.scheme.T
-    fracs = [0.0, 1.0]
-    if req.n_report_times > 1:
-        fracs += [k / (req.n_report_times - 1) for k in range(req.n_report_times)]
-    windows = [(c * T - 1e-9 * T, c * T + 1e-9 * T) for c in fracs]
-    for fdoc in req.functionals:
-        if fdoc["kind"] == "tanh_neg_sobolev":
-            return None
-        at = fdoc.get("time", "final")
-        if not isinstance(at, str):
-            windows.append((at, at))
-    return np.array(windows, dtype=float)
-
-
 def _provenance(config: ExperimentConfig) -> dict:
     return {
         "config_sha256": config.config_hash(),
@@ -375,7 +350,11 @@ def _provenance(config: ExperimentConfig) -> dict:
 
 
 def _level_statistics(ens: Ensemble, config: ExperimentConfig, level_idx: int,
-                      level: LadderLevel, report: ExperimentReport) -> dict:
+                      level: LadderLevel, report: ExperimentReport, reads: np.ndarray,
+                      samples: list) -> dict:
+    """The level's summary; its fields go into `report`.  `samples[i]` is member
+    i's (rho, u) at the times `reads`, taken while it stepped (None where its
+    solve did not complete); each is dropped once copied into the level's stacks."""
     req = config.stats
     prefix = _LEVEL_DIR.format(level_idx)
     doc = {
@@ -400,10 +379,15 @@ def _level_statistics(ens: Ensemble, config: ExperimentConfig, level_idx: int,
                     "field_mean_times": [], "barycenters": []})
         return doc
 
-    # one sampling pass: the report times, the final time and the functionals' times
+    # the members' samples at the report times, the final time and the functionals' times
+    done = [i for i, s in enumerate(samples) if s is not None]
+    rho, u = (np.empty((len(done),) + s.shape) for s in samples[done[0]])
+    for k, i in enumerate(done):
+        rho[k], u[k] = samples[i]
+        samples[i] = None
+    sampled = SampledEnsemble(ens, reads, (rho, u))
     functionals = [make_functional(fdoc) for fdoc in req.functionals]
-    times = np.linspace(0.0, _resolved(ens)[2], req.n_report_times)  # up to the earliest end
-    sampled = SampledEnsemble(ens, times, [F for _, F in functionals])
+    times = np.linspace(0.0, config.scheme.T, req.n_report_times)  # completed members end at T
     doc["functional_means"] = {name: empirical_functional_mean(sampled, F)
                                for name, F in functionals}
     doc["energy_moment_bound"] = energy_moment_bound(ens)
@@ -455,21 +439,23 @@ def _expectation_error_row(level: int, dist: np.ndarray, both: np.ndarray, w,
             "r": r_exp, "s": s_exp, "resolved_mass": resolved_mass}
 
 
-def _solve_batch(records, grid: GridSpec, config: ExperimentConfig, keep, reading: list,
-                 norms: list, own: bool, bounds: tuple) -> tuple:
-    """(reports without samples, own samples, rows per pair) of members records[lo:hi].
+def _solve_batch(records, grid: GridSpec, config: ExperimentConfig, keep: bool, reads,
+                 reading: list, norms: list, own: bool, bounds: tuple) -> tuple:
+    """(reports without samples, read samples, own samples, rows per pair) of members
+    records[lo:hi].
 
-    Each member is solved under the windows `keep`, and sampled at the distance
-    times onto its level's grid when `own` (else the own samples are None) and
-    onto the grid of each pair in `reading`: (partners, partner, grid) of a pair
-    the level is the finer side of, the coarser level's samples on `grid` (None
-    where a solve did not complete) and the partner of each finer member.  A
-    pair's rows lo.. are inf where a side did not complete.
+    Each member is solved under `keep` and sampled while it steps onto its level's
+    grid at the times `reads` (the read samples), and at the distance times onto
+    its level's grid when `own` (else the own samples are None) and onto the grid
+    of each pair in `reading`: (partners, partner, grid) of a pair the level is the
+    finer side of, the coarser level's samples on `grid` (None where a solve did
+    not complete) and the partner of each finer member.  Samples are None, and a
+    pair's rows lo.. inf, where a solve did not complete.
     """
     lo, hi = bounds
     times = np.linspace(0.0, config.scheme.T, N_DISTANCE_TIMES)
-    sample_grids = [grid] * own + [g for *_, g in reading]
-    reports = [solve(rec, grid, config.scheme, keep, sample_grids) for rec in records[lo:hi]]
+    plan = [(reads, [grid]), (times, [grid] * own + [g for *_, g in reading])]
+    reports = [solve(rec, grid, config.scheme, keep, plan) for rec in records[lo:hi]]
     rows = []
     for partners, partner, g in reading:
         out = np.full((max(0, min(hi, len(partner)) - lo), len(norms)), np.inf)
@@ -477,15 +463,16 @@ def _solve_batch(records, grid: GridSpec, config: ExperimentConfig, keep, readin
               if reports[j].samples is not None and partners[partner[lo + j]] is not None]
         if js:
             a = tuple(np.stack([partners[partner[lo + j]][f] for j in js]) for f in (0, 1))
-            b = tuple(np.stack([reports[j].samples[g][f] for j in js]) for f in (0, 1))
+            b = tuple(np.stack([reports[j].samples[1][g][f] for j in js]) for f in (0, 1))
             t = np.broadcast_to(times, (len(js), len(times)))
             out[js] = np.transpose([stack_lq_distance(a, b, t, g, q=q, which=which)
                                     for q, which in norms])
         rows.append(out)
-    mine = [None if r.samples is None else r.samples[grid] for r in reports] if own else None
+    read = [None if r.samples is None else r.samples[0][grid] for r in reports]
+    mine = [None if r.samples is None else r.samples[1][grid] for r in reports] if own else None
     for r in reports:
         r.samples = None
-    return reports, mine, rows
+    return reports, read, mine, rows
 
 
 def _run_batch(bounds: tuple) -> tuple:
@@ -493,22 +480,24 @@ def _run_batch(bounds: tuple) -> tuple:
     return _run_batch.task(bounds)
 
 
-def _solve_level(records, grid: GridSpec, config: ExperimentConfig, keep, reading: list,
-                 norms: list, own: bool) -> tuple:
+def _solve_level(records, grid: GridSpec, config: ExperimentConfig, keep: bool, reads,
+                 reading: list, norms: list, own: bool) -> tuple:
     """`_solve_batch`'s results over contiguous batches of a level's records, joined.
 
     The split is fixed before any solve: a batch holds as many members as have
-    samples that fit SAMPLE_CHUNK_BYTES (at least one), and at most an even share
-    of the level among its workers.  One worker maps the batches in-process; more
-    map them in a forked pool, so that the parent never holds a finer member's
-    samples.  A level never starts more workers than cores or members.
+    distance samples that fit SAMPLE_CHUNK_BYTES (at least one), and at most an
+    even share of the level among its workers.  One worker maps the batches
+    in-process; more map them in a forked pool, so that the parent never holds a
+    finer member's distance samples.  A level never starts more workers than
+    cores, members or batches.
     """
     grids = set([grid] * own + [g for *_, g in reading])
     member_bytes = N_DISTANCE_TIMES * sum(g.num_cells for g in grids) * (1 + grid.d) * 8
     workers = min(config.threads, os.cpu_count() or 1, len(records)) if hasattr(os, "fork") else 1
     size = min(max(1, mesh.SAMPLE_CHUNK_BYTES // max(1, member_bytes)), -(-len(records) // workers))
     bounds = [(lo, min(lo + size, len(records))) for lo in range(0, len(records), size)]
-    task = functools.partial(_solve_batch, records, grid, config, keep, reading, norms, own)
+    workers = min(workers, len(bounds))
+    task = functools.partial(_solve_batch, records, grid, config, keep, reads, reading, norms, own)
     if workers <= 1:
         batches = list(map(task, bounds))
     else:
@@ -522,8 +511,9 @@ def _solve_level(records, grid: GridSpec, config: ExperimentConfig, keep, readin
         with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                                  initializer=setattr, initargs=(_run_batch, "task", task)) as ex:
             batches = list(ex.map(_run_batch, bounds))
-    reports, mine, rows = zip(*batches)
-    return ([r for rs in reports for r in rs], [s for ss in mine for s in ss] if own else None,
+    reports, read, mine, rows = zip(*batches)
+    return ([r for rs in reports for r in rs], [s for ss in read for s in ss],
+            [s for ss in mine for s in ss] if own else None,
             [np.concatenate(pair) for pair in zip(*rows)])
 
 
@@ -537,21 +527,27 @@ def _run_ladder(config: ExperimentConfig, draws: list, pairs: list) -> Experimen
     of level a, at weight w[j], on level a's (coarser) grid.  A strong ladder
     adds the density and momentum expectation errors.
 
-    Every level keeps only the states its own statistics read
-    (`_observation_windows`).  The pairs read the samples that the solves take
-    while they step: a level that is a pair's coarser side samples its members
-    onto its own grid, and one that is a finer side onto each partner's grid.
-    Level b is solved in batches of members whose samples fit SAMPLE_CHUNK_BYTES,
-    split before any solve (`_solve_level`); each batch gives its rows of every
-    pair (a, b) and drops its samples.  A level's own samples are dropped once no
-    later pair reads them.  Diagnostics and errors keep `pairs` order.
+    A run reads its members one way: each solve samples its member while it
+    steps (`mesh.StepSampler`), at the times its level statistics read
+    (`stats.read_times`, taken once per run) onto its own grid, and at the
+    distance times for the pairs: onto its own grid where its level is a pair's
+    coarser side, and onto each partner's grid where it is a finer side.  So a
+    member keeps only its first and last states, or every state when a
+    `tanh_neg_sobolev` functional integrates over all of them.  Level b is solved
+    in batches of members whose distance samples fit SAMPLE_CHUNK_BYTES, split
+    before any solve (`_solve_level`); each batch gives its rows of every pair
+    (a, b) and drops its distance samples.  A level's own samples are dropped once
+    no later pair reads them.  Diagnostics and errors keep `pairs` order.
     """
     spec, req = config.distribution, config.stats
     strong = config.mode == "strong"
     norms = [(req.diagnostic_q, "both")]
     if strong:  # the integrability ceilings of density and momentum
         norms += [(spec.gamma, "rho"), (2.0 * spec.gamma / (spec.gamma + 1.0), "momentum")]
-    windows = _observation_windows(config)
+    T = config.scheme.T
+    keep = any(fdoc["kind"] == "tanh_neg_sobolev" for fdoc in req.functionals)
+    reads = read_times(np.linspace(0.0, T, req.n_report_times), T,
+                       [make_functional(fdoc)[1] for fdoc in req.functionals])
     grids = [GridSpec(spec.d, level.n_cells, spec.period) for level in config.ladder]
     dist = [None] * len(pairs)
     report = ExperimentReport(summary={"provenance": _provenance(config)})
@@ -559,8 +555,8 @@ def _run_ladder(config: ExperimentConfig, draws: list, pairs: list) -> Experimen
     for idx, (level, (latents, weights, records)) in enumerate(zip(config.ladder, draws)):
         finer = [(p, a, partner) for p, (a, b, partner, _) in enumerate(pairs) if b == idx]
         reading = [(samples[a], partner, grids[a]) for _, a, partner in finer]
-        reports, mine, rows = _solve_level(records, grids[idx], config, windows, reading, norms,
-                                           any(a == idx for a, *_ in pairs))
+        reports, read, mine, rows = _solve_level(records, grids[idx], config, keep, reads,
+                                                 reading, norms, any(a == idx for a, *_ in pairs))
         del reading  # with its references to the coarser levels' samples
         for (p, *_), r in zip(finer, rows):
             dist[p] = r
@@ -568,7 +564,7 @@ def _run_ladder(config: ExperimentConfig, draws: list, pairs: list) -> Experimen
                    for i, s in enumerate(samples + [mine])]
         ens = Ensemble(latents, reports, weights, config.mode)
         ensembles.append(ens)
-        levels.append(_level_statistics(ens, config, idx, level, report))
+        levels.append(_level_statistics(ens, config, idx, level, report, reads, read))
     report.summary["levels"] = levels
 
     diagnostics, error_rows = [], []

@@ -196,42 +196,20 @@ def _view(cls, grid: GridSpec, values: np.ndarray):
 SAMPLE_CHUNK_BYTES = 1 << 16
 
 
-def _keep_windows(keep) -> list | None:
-    """`keep`, an array of [lo, hi] time windows, as a list of [lo, hi] pairs; None
-    (every state kept) stays None, and a window without lo <= hi (NaN included)
-    raises ValueError."""
-    if keep is None:
-        return None
-    windows = np.asarray(keep, dtype=float).reshape(-1, 2).tolist()
-    if not all(lo <= hi for lo, hi in windows):
-        raise ValueError(f"keep windows must have lo <= hi, got {windows}")
-    return windows
-
-
-def _keeps_state(windows: list | None, times, j: int) -> bool:
-    """The one keep rule: state j of the step times `times` is kept when it is the
-    first or the last, or when a step it bounds, [t_j-1, t_j] or [t_j, t_j+1], meets
-    one of `windows` (a `_keep_windows` list), that is when [t_j-1, t_j+1] does;
-    every state is kept when `windows` is None."""
-    return windows is None or j == 0 or j == len(times) - 1 \
-        or any(lo <= times[j + 1] and hi >= times[j - 1] for lo, hi in windows)
-
-
 class Trajectory:
     """Time history of fluid states on a fixed grid, t0 = 0.
 
     `times` holds every step time and `steps` the indices of the kept steps, a
-    subset that includes the first and the last (every step unless the solve dropped
-    them by the one per-state rule `_keeps_state`, which it applies to each state
-    once its two steps are known).  The kept states are stored as read-only arrays:
+    subset that includes the first and the last (a solve keeps every step, or those
+    two alone).  The kept states are stored as read-only arrays:
     `rho[k]` of shape grid.shape and `u[k]` of shape grid.shape + (d,) at time
     `times[steps[k]]`, each checked once, for finite values and
     positive density, when the trajectory takes it.  Arrays that own their float
     data are frozen in place and kept, not copied: the caller hands them over.
     Sampling between two steps needs both states; `sample_members` reads them, for
-    one trajectory (`sample`) or a whole level at once.  A runner's members keep the
-    states their level statistics read; `StepSampler` takes their cross-level
-    samples while they step.
+    one trajectory (`sample`) or a whole level at once.  A runner's members keep
+    their first and last states only, unless a statistic integrates over every step:
+    `StepSampler` takes every sample a run reads while they step.
     """
 
     def __init__(self, grid: GridSpec, rho: list, u: list, times, steps):
@@ -351,7 +329,9 @@ def sample_members(trajs: list, times, grid: GridSpec) -> tuple:
 class StepSampler:
     """One member's rows of `sample_members` at `times`, moved onto each of `grids`
     (a grid named twice is sampled once), taken from each step's two states while a
-    solve accepts them, so no state is kept for them.  The rows equal, bit for bit,
+    solve accepts them, so no state is kept for them: the one way a runner reads its
+    members, at its level statistics' times and at the distance times.  `times` must
+    be increasing and within the solve's [0, T].  The rows equal, bit for bit,
     those of the member's unthinned trajectory: a time t in [t0, t1) reads the state
     at t0 alone when t = t0, else (1 - w) s0 + w s1 at w = (t - t0) / (t1 - t0),
     `_locate`'s state and weight with `_interpolate`'s arithmetic.

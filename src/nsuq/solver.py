@@ -28,17 +28,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .mesh import (
-    N_DISTANCE_TIMES,
-    GridSpec,
-    StepSampler,
-    Trajectory,
-    _keep_windows,
-    _keeps_state,
-    _mag,
-    check_number,
-    trajectory_lq_distance,
-)
+from .mesh import GridSpec, StepSampler, Trajectory, _mag, check_number, trajectory_lq_distance
 from .physics import DataRecord, FourierField, FourierMode, ForcingSpec, ForcingTerm, \
     pressure, total_energy
 
@@ -111,7 +101,7 @@ class SolveReport:
     linf_history: np.ndarray = field(repr=False)
     energy_history: np.ndarray = field(repr=False)
     status: str = COMPLETED
-    samples: dict | None = field(default=None, repr=False)  # grid -> (rho, u) distance stacks
+    samples: list | None = field(default=None, repr=False)  # grid -> (rho, u) per sample entry
 
     @property
     def max_linf(self) -> float:
@@ -397,8 +387,8 @@ def _linf(rho: np.ndarray, u: np.ndarray) -> float:
 # every non-finite outcome (an energy or sound speed that overflows at large gamma)
 # becomes a member status, or a null energy in the report, rather than a warning
 @np.errstate(over="ignore", invalid="ignore")
-def solve(data: DataRecord, grid: GridSpec, cfg: SchemeConfig, keep=None,
-          sample_grids=()) -> SolveReport:
+def solve(data: DataRecord, grid: GridSpec, cfg: SchemeConfig, keep=True,
+          samples=()) -> SolveReport:
     """Integrate from the record's initial data to cfg.T, or until an abort.
 
     The loop passes plain (rho, u) arrays to `cfl_dt`, `step` and
@@ -415,22 +405,24 @@ def solve(data: DataRecord, grid: GridSpec, cfg: SchemeConfig, keep=None,
     be sized (dt overflows, or is not positive and finite) ends the run as
     NO_CONVERGENCE.
 
-    `keep`, an array of [lo, hi] time windows, thins the trajectory by the one
-    per-state rule `mesh._keeps_state`: a state is kept when a step it bounds
-    meets a window, and the first and last (an abort's too) always are, so any
-    time inside a window can be sampled.  Each state is decided once its two
-    steps are known.  Every step's time, linf and energy are recorded either
-    way.  None keeps every state; a window without lo <= hi (NaN included)
-    raises ValueError.
+    `keep=False` keeps only the first and the last state (an abort's last
+    included); every step's time, linf and energy are recorded either way.
 
-    `sample_grids` names the grids, this one or nested coarser ones, that the
-    member is sampled onto at the N_DISTANCE_TIMES uniform times of [0, cfg.T]
-    while it steps (`mesh.StepSampler`), whatever `keep` drops; the report's
-    `samples` maps each to its (rho, u) stacks, and is None unless the solve
-    completed.
+    `samples` lists (times, grids) entries: each samples the member at its
+    times, increasing within [0, cfg.T], onto its grids, this one or nested
+    coarser ones, while it steps (`mesh.StepSampler`), whatever `keep` drops.
+    The report's `samples` holds one grid -> (rho, u) stacks mapping per entry,
+    and is None unless the solve completed.  A `keep` that is not a bool, or
+    sample times out of order or range (NaN included), raise ValueError.
     """
-    windows = _keep_windows(keep)
-    sampler = StepSampler(grid, np.linspace(0.0, cfg.T, N_DISTANCE_TIMES), sample_grids)
+    if type(keep) is not bool:
+        raise ValueError(f"keep must be a bool, got {keep!r}")
+    samplers = []
+    for at, grids in samples:
+        at = np.asarray(at, dtype=float)
+        if at.ndim != 1 or not (np.all(np.diff(at) > 0) and np.all((at >= 0) & (at <= cfg.T))):
+            raise ValueError(f"sample times must increase within [0, {cfg.T}], got {at}")
+        samplers.append(StepSampler(grid, at, grids))
     s0 = data.initial_state(grid)
     rho, u, t = s0.rho.values, s0.u.values, s0.time
     kept = {0: (rho, u)}  # step -> (rho, u): the kept states and the newest one
@@ -465,11 +457,12 @@ def solve(data: DataRecord, grid: GridSpec, cfg: SchemeConfig, keep=None,
                 status = NO_CONVERGENCE
                 break
             t_new = cfg.T if last else t + dt
-            sampler.take(t, (rho, u), t_new, new)
+            for sampler in samplers:
+                sampler.take(t, (rho, u), t_new, new)
             (rho, u), t = new, t_new
             times.append(t)
             kept[len(times) - 1] = rho, u
-            if not _keeps_state(windows, times, len(times) - 2):
+            if not keep and len(times) > 2:
                 del kept[len(times) - 2]
             linf.append(_linf(rho, u))
             energy.append(total_energy(rho, u, grid, data.a, data.gamma))
@@ -482,7 +475,7 @@ def solve(data: DataRecord, grid: GridSpec, cfg: SchemeConfig, keep=None,
         linf_history=np.array(linf),
         energy_history=np.array(energy),
         status=status,
-        samples=sampler.finish(t, (rho, u)) if status == COMPLETED else None,
+        samples=[s.finish(t, (rho, u)) for s in samplers] if status == COMPLETED else None,
     )
 
 

@@ -35,6 +35,7 @@ __all__ = [
     "boundedness_in_probability",
     "empirical_functional_mean",
     "empirical_field_mean",
+    "read_times",
     "SampledEnsemble",
     "BarycenterResult",
     "r_barycenter",
@@ -142,38 +143,44 @@ def _resolved(ensemble: Ensemble) -> tuple:
     return trajs, w / w.sum(), min(tr.final_time for tr in trajs)
 
 
-class SampledEnsemble(Ensemble):
-    """An ensemble whose completed members are sampled once, by one `sample_members`
-    pass, at `times`, at the earliest final time (the barycenters' default) and
-    at every time a state functional of `functionals` reads that all members reach.
+def read_times(times, T: float, functionals) -> np.ndarray:
+    """The times a level's statistics read its members at: the report `times`, the
+    final time T (the barycenters' default) and the time of each state functional
+    of `functionals`, sorted and distinct, those after T left out."""
+    reads = [*times, T, *(F.time_of(T) for F in functionals if isinstance(F, _StateFunctional))]
+    return np.array(sorted({float(t) for t in reads if t <= T}))
 
-    `rho` and `u` are the (members, len(self.times), *grid.shape[, d]) stacks of
-    the completed members, in order.  The statistics below read a time from
-    these stacks when it was sampled, and sample any other time afresh.
+
+class SampledEnsemble(Ensemble):
+    """An ensemble whose completed members were sampled at `times`: `stacks` is
+    their (rho, u), in member order, of shapes (members, len(times), *grid.shape)
+    and (..., d); a runner's solves take them while they step.
+
+    The statistics below read a time from these stacks when it was sampled, and
+    sample any other time afresh.
     """
 
-    def __init__(self, ensemble: Ensemble, times=(), functionals=()):
+    def __init__(self, ensemble: Ensemble, times, stacks: tuple):
         super().__init__(ensemble.latents, ensemble.reports, ensemble.weights, ensemble.mode)
-        trajs, _, T = _resolved(self)
-        self.grid = trajs[0].grid
-        reads = [*times, T, *(F.time_of(tr) for F in functionals
-                              if isinstance(F, _StateFunctional) for tr in trajs)]
-        self.times = np.array([t for t in dict.fromkeys(map(float, reads)) if t <= T])
-        self._column = {t: c for c, t in enumerate(self.times)}
-        self.rho, self.u = sample_members(trajs, self.times, self.grid)
+        trajs = _resolved(self)[0]
+        self.grid, self.times = trajs[0].grid, np.asarray(times, dtype=float)
+        self.rho, self.u = stacks
+        shape = (len(trajs), len(self.times)) + self.grid.shape
+        if self.rho.shape != shape or self.u.shape != shape + (self.grid.d,):
+            raise ValueError(f"stacks of shapes {self.rho.shape}, {self.u.shape} do not match "
+                             f"{len(trajs)} completed members at {len(self.times)} times")
+        self._column = {t: c for c, t in enumerate(self.times.tolist())}
 
     def _columns(self, times):
-        """The slice of the stacks' time axis that holds `times`, or None
-        unless they were sampled as consecutive columns."""
+        """The columns of the stacks' time axis that hold `times`, or None unless
+        every one was sampled."""
         cols = [self._column.get(float(t)) for t in times]
-        if None in cols or np.any(np.diff(cols) != 1):
-            return None
-        return slice(cols[0], cols[0] + len(cols)) if cols else slice(0, 0)
+        return None if None in cols else cols
 
     def _state_value(self, F: "_StateFunctional", i: int, traj: Trajectory) -> float:
         """F of completed member i (trajectory `traj`), read from the stacks when
         its time was sampled."""
-        c = self._column.get(float(F.time_of(traj)))
+        c = self._column.get(float(F.time_of(traj.final_time)))
         return F(traj) if c is None else F.value(self.rho[i, c], self.u[i, c], self.grid)
 
 
@@ -192,9 +199,8 @@ def _member_stack(ensemble: Ensemble, which: str, times) -> tuple:
     weights w and Y[i] member i's density or momentum at each of `times`
     (None: the earliest final time).
 
-    A `SampledEnsemble` gives Y from its stacks when it sampled `times` as
-    consecutive columns;
-    otherwise one `sample_members` pass samples them.  Y has shape
+    A `SampledEnsemble` gives Y from its stacks when it sampled every one of
+    `times`; otherwise one `sample_members` pass samples them.  Y has shape
     (members, len(times), *grid.shape[, d]).  The members must share one
     grid; a mixed-grid ensemble raises ValueError.
     """
@@ -440,14 +446,15 @@ _FUNCTIONAL_PARAMS = {
 @dataclass(frozen=True)
 class _StateFunctional:
     """A functional of the state a trajectory reaches at one time: `value(rho,
-    u, grid)` of its state at `time_of(traj)`, so that a `SampledEnsemble`
-    can serve that state from its stacks."""
+    u, grid)` of its state at `time_of(T)` for a trajectory that ends at T, so that
+    a runner knows the time before any solve and a `SampledEnsemble` can serve
+    that state from its stacks."""
 
     time_of: object
     value: object
 
     def __call__(self, traj: Trajectory) -> float:
-        rho, u = traj.sample(self.time_of(traj))
+        rho, u = traj.sample(self.time_of(traj.final_time))
         return self.value(rho, u, traj.grid)
 
 
@@ -478,7 +485,7 @@ def make_functional(doc: dict):
         def mean_density(rho, u, grid) -> float:
             return math.tanh(scale * (float(rho.mean()) - center))
 
-        return name, _StateFunctional(lambda traj: traj.final_time, mean_density)
+        return name, _StateFunctional(lambda T: T, mean_density)
     if kind == "clamp_fourier":
         if not isinstance(p["wavevec"], (list, tuple)):
             raise ValueError(f"functional {name}: wavevec must be a list of integers")
@@ -494,8 +501,8 @@ def make_functional(doc: dict):
         wavevec, part, field, lo, hi, scale = (tuple(p["wavevec"]), p["part"], p["field"],
                                                p["lo"], p["hi"], p["scale"])
 
-        def time_of(traj: Trajectory) -> float:
-            return traj.final_time if at == "final" else (0.0 if at == "initial" else float(at))
+        def time_of(T: float) -> float:
+            return T if at == "final" else (0.0 if at == "initial" else float(at))
 
         def clamped_coef(rho, u, grid) -> float:
             vals = rho if field == "rho" else _mag(rho[..., None] * u, vector=True)

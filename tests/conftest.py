@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from nsuq.mesh import GridSpec, Trajectory, _keep_windows, _keeps_state
+from nsuq.mesh import GridSpec, Trajectory
 from nsuq.physics import (
     AdmissibleBounds,
     DataRecord,
@@ -127,12 +127,10 @@ def fake_ensemble(entries, mode="weak", weights=None, grid=None, d=1, n=8):
     return Ensemble(latents=latents, reports=reports, weights=weights, mode=mode)
 
 
-def thinned(traj, keep):
-    """`traj` with only the states that `solve(keep=keep)` keeps: each state j that the
-    one per-state rule `mesh._keeps_state` keeps; the states share `traj`'s arrays."""
-    windows, t = _keep_windows(keep), traj.times.tolist()
-    at = {s: k for k, s in enumerate(traj.steps.tolist())}
-    ks = [at[j] for j in range(len(t)) if _keeps_state(windows, t, j)]
+def ends(traj):
+    """`traj` with only the states that `solve(keep=False)` keeps, its first and its
+    last; the states share `traj`'s arrays."""
+    ks = sorted({0, len(traj.steps) - 1})
     return Trajectory(traj.grid, [traj.rho[k] for k in ks], [traj.u[k] for k in ks],
                       traj.times, traj.steps[ks])
 

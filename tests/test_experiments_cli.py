@@ -28,7 +28,7 @@ from nsuq.experiments import (
 from nsuq.mesh import load_field
 from nsuq.solver import SchemeConfig, solve
 from nsuq.mesh import GridSpec
-from conftest import deep_or, make_record, make_spec, thinned
+from conftest import deep_or, ends, make_record, make_spec
 
 
 SCHEME = SchemeConfig(cfl=0.4, T=0.05)
@@ -523,8 +523,8 @@ def test_cli_seed_override(bounds, tmp_path):
 
 def test_cli_threads_resolution(bounds, tmp_path, monkeypatch):
     # the worker count resolves as flag > config, and output, config hash
-    # included, is the same at 1, 2 and 3 workers; four cores are reported, so that the
-    # 4-member level really runs on 3 processes
+    # included, is the same at 1, 2 and 3 workers; four cores are reported, and at 3
+    # workers the 4-member level, split into 2 batches, forks 2 processes
     import concurrent.futures
     import nsuq.experiments as experiments
 
@@ -541,7 +541,7 @@ def test_cli_threads_resolution(bounds, tmp_path, monkeypatch):
         cfg_path = tmp_path / f"{mode}.json"
         write_config(cfg_path, dataclasses.replace(cfg, mode=mode))
         outs = []
-        for flag, workers in ((["--threads", "3"], [2, 3]), (["--threads", "1"], []),
+        for flag, workers in ((["--threads", "3"], [2, 2]), (["--threads", "1"], []),
                               ([], [2, 2])):
             outs.append(tmp_path / f"{mode}{len(outs)}")
             pools.clear()
@@ -556,13 +556,19 @@ def test_batch_split_does_not_move_output(bounds, tmp_path, monkeypatch):
     # (1: one member per batch) and by an even share of its workers (1 << 30: that
     # alone), and output is the same at every split and at 1, 2 and 3 workers.  The
     # levels hold 2, 4 and 6 members; the finest weak level has members past its
-    # pair's partners
+    # pair's partners.  A level forks no more workers than it has batches: at 3
+    # workers the 4-member level's 2 batches fork 2, the 6-member level's 3 fork 3
     import concurrent.futures
     from nsuq import experiments, mesh
 
     pool, solve_batch, splits = concurrent.futures.ProcessPoolExecutor, experiments._solve_batch, []
+    pools = []
 
     class RecordingPool(pool):
+        def __init__(self, workers, **kwargs):
+            pools.append(workers)
+            super().__init__(workers, **kwargs)
+
         def map(self, fn, *iterables, **kwargs):
             splits.extend(iterables[0])
             return super().map(fn, *iterables, **kwargs)
@@ -579,6 +585,8 @@ def test_batch_split_does_not_move_output(bounds, tmp_path, monkeypatch):
                 (1 << 30, 1): [(0, 2), (0, 4), (0, 6)],
                 (1 << 30, 2): [(0, 1), (1, 2), (0, 2), (2, 4), (0, 3), (3, 6)],
                 (1 << 30, 3): [(0, 1), (1, 2), (0, 2), (2, 4), (0, 2), (2, 4), (4, 6)]}
+    expected_pools = {(1, 1): [], (1, 2): [2, 2, 2], (1, 3): [2, 3, 3],
+                      (1 << 30, 1): [], (1 << 30, 2): [2, 2, 2], (1 << 30, 3): [2, 2, 3]}
     for mode in ("weak", "strong"):
         cfg = weak_config(bounds, levels=((2, 8), (4, 8), (6, 16)))
         cfg_path = tmp_path / f"{mode}.json"
@@ -587,11 +595,13 @@ def test_batch_split_does_not_move_output(bounds, tmp_path, monkeypatch):
         for (chunk_bytes, threads), split in expected.items():
             out = tmp_path / f"{mode}-{chunk_bytes}-{threads}"
             splits.clear()
+            pools.clear()
             with monkeypatch.context() as m:
                 m.setattr(mesh, "SAMPLE_CHUNK_BYTES", chunk_bytes)
                 assert main([f"run-{mode}", "--config", str(cfg_path), "--threads", str(threads),
                              "--out", str(out)]) == 0
             assert splits == split, (mode, chunk_bytes, threads)
+            assert pools == expected_pools[chunk_bytes, threads], (mode, chunk_bytes, threads)
             hashes.add(hash_dir(out))
         assert len(hashes) == 1
 
@@ -617,9 +627,10 @@ def test_pooled_members_keep_read_only_fields(bounds, monkeypatch):
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
     records = [make_record(rho_amp=a, u_amp=0.05) for a in (0.05, 0.1, 0.15)]
     config = weak_config(bounds, threads=2)
-    reports, mine, rows = experiments._solve_level(
-        records, GridSpec(1, 8), config, experiments._observation_windows(config), [], [], False)
-    assert len(reports) == len(records) and mine is None and rows == []
+    reads = np.linspace(0.0, config.scheme.T, 3)
+    reports, read, mine, rows = experiments._solve_level(
+        records, GridSpec(1, 8), config, False, reads, [], [], False)
+    assert len(reports) == len(records) == len(read) and mine is None and rows == []
     # the arrays the trajectories store, not the FluidStates built around them on access
     kept = [a for r in reports for a in r.trajectory.rho + r.trajectory.u]
     assert len(kept) > 2 * len(records)
@@ -628,38 +639,39 @@ def test_pooled_members_keep_read_only_fields(bounds, monkeypatch):
 
 
 def test_pooled_members_keep_level_states_and_samples(bounds, monkeypatch):
-    # at two workers, each member comes back holding only the states around its level
-    # statistics' windows and no samples; its samples on its own grid, and its rows of a
-    # pair read from its samples on the partner's grid, are bit for bit those of the
-    # same solve in-process
+    # at two workers, each member comes back holding only its first and last states
+    # and no samples; its samples at the read times and at the distance times on its
+    # own grid, and its rows of a pair read from its samples on the partner's grid,
+    # are bit for bit those of the same solve in-process
     import nsuq.experiments as experiments
     from nsuq.mesh import N_DISTANCE_TIMES, stack_lq_distance
 
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
     records = [make_record(rho_amp=a, u_amp=0.05) for a in (0.05, 0.1, 0.15)]
     config = weak_config(bounds, threads=2)
-    keep = experiments._observation_windows(config)
     grid, coarse = GridSpec(1, 16), GridSpec(1, 8)
-    partners = [solve(rec, coarse, config.scheme, keep, [coarse]).samples[coarse]
+    times = np.linspace(0.0, config.scheme.T, N_DISTANCE_TIMES)
+    reads = np.linspace(0.0, config.scheme.T, 3)
+    partners = [solve(rec, coarse, config.scheme, False, [(times, [coarse])]).samples[0][coarse]
                 for rec in records[:2]]
     partner, norms = np.array([1, 0, 1]), [(2.0, "both"), (1.5, "rho"), (1.2, "momentum")]
-    pooled, mine, (rows,) = experiments._solve_level(
-        records, grid, config, keep, [(partners, partner, coarse)], norms, True)
-    times = np.linspace(0.0, config.scheme.T, N_DISTANCE_TIMES)[None]
+    pooled, read, mine, (rows,) = experiments._solve_level(
+        records, grid, config, False, reads, [(partners, partner, coarse)], norms, True)
     for j, (rec, r) in enumerate(zip(records, pooled)):
-        ref = solve(rec, grid, config.scheme, keep, [grid, coarse])
+        ref = solve(rec, grid, config.scheme, False, [(reads, [grid]), (times, [grid, coarse])])
         every = solve(rec, grid, config.scheme)
         assert np.array_equal(r.trajectory.times, every.trajectory.times)
-        assert np.array_equal(r.trajectory.steps, thinned(every.trajectory, keep).steps)
+        assert np.array_equal(r.trajectory.steps, ends(every.trajectory).steps)
         assert len(r.trajectory.steps) < len(r.trajectory)
         for f in ("rho", "u"):
             got, want = getattr(r.trajectory, f), getattr(ref.trajectory, f)
             assert len(got) == len(want) and all(map(np.array_equal, got, want))
         assert r.samples is None
-        assert all(map(np.array_equal, mine[j], ref.samples[grid]))
-        a, b = ([x[None] for x in s] for s in (partners[partner[j]], ref.samples[coarse]))
-        assert rows[j].tolist() == [stack_lq_distance(a, b, times, coarse, q=q, which=which)[0]
-                                    for q, which in norms]
+        assert all(map(np.array_equal, read[j], ref.samples[0][grid]))
+        assert all(map(np.array_equal, mine[j], ref.samples[1][grid]))
+        a, b = ([x[None] for x in s] for s in (partners[partner[j]], ref.samples[1][coarse]))
+        assert rows[j].tolist() == [stack_lq_distance(a, b, times[None], coarse, q=q,
+                                                      which=which)[0] for q, which in norms]
 
 
 def test_one_worker_run_never_imports_multiprocessing(bounds, tmp_path):
@@ -1165,10 +1177,10 @@ def cross_level_reads(run, cfg, monkeypatch):
                 reads[id(traj)] = reads.get(id(traj), 0) + 1
         return sample_members(trajs, *args, **kwargs)
 
-    def recording_solve_level(records, grid, config, keep, reading, norms, own):
+    def recording_solve_level(records, grid, config, keep, reads, reading, norms, own):
         full.append([solve(rec, grid, config.scheme).trajectory for rec in records])
         grids.append([grid] * own + [g for *_, g in reading])
-        result = solve_level(records, grid, config, keep, reading, norms, own)
+        result = solve_level(records, grid, config, keep, reads, reading, norms, own)
         solves.append(result[0])
         return result
 
@@ -1276,8 +1288,8 @@ def test_finest_level_streams_in_chunks(bounds, tmp_path, monkeypatch):
     # the fine members of a 2-D ladder each take more than half SAMPLE_CHUNK_BYTES of
     # samples, so the fine level is solved, and gives its pair rows, one member per
     # batch.  The rows, batch by batch, equal the per-pair trajectory_lq_distance calls
-    # on the unthinned trajectories; the members that the level statistics read are the
-    # solved ones, keep only the states around their own level's windows, and hold no
+    # on the trajectories keeping every state; the members that the level statistics
+    # read are the solved ones, keep only their first and last states, and hold no
     # samples; and the output is the same at one and two workers
     from nsuq import experiments, mesh
     from nsuq.mesh import trajectory_lq_distance
@@ -1287,15 +1299,15 @@ def test_finest_level_streams_in_chunks(bounds, tmp_path, monkeypatch):
     batches, seen = [], []
     solve_batch, level_statistics = experiments._solve_batch, experiments._level_statistics
 
-    def recording_solve_batch(records, grid, config, keep, reading, norms, own, bounds):
-        reports, mine, rows = solve_batch(records, grid, config, keep, reading, norms, own,
-                                          bounds)
+    def recording_solve_batch(records, grid, config, keep, reads, reading, norms, own, bounds):
+        reports, read, mine, rows = solve_batch(records, grid, config, keep, reads, reading,
+                                                norms, own, bounds)
         lo, hi = bounds
         if reading:
             assert hi - lo == 1 and len(reports) == 1 and mine is None
             batches.append([(g.n, list(partner[lo:hi]), norms, r.copy())
                            for (_, partner, g), r in zip(reading, rows)])
-        return reports, mine, rows
+        return reports, read, mine, rows
 
     def recording_level_statistics(ens, *args):
         assert all(r.samples is None for r in ens.reports)
@@ -1323,15 +1335,11 @@ def test_finest_level_streams_in_chunks(bounds, tmp_path, monkeypatch):
         assert np.array_equal(np.concatenate([c[3] for c in calls]), whole)
 
     assert [len(level) for level in seen] == [1, 2, 4]
-    windows = experiments._observation_windows(cfg)
     for read, solved, ref in zip(seen, solves, full):
         for traj, r, whole in zip(read, solved, ref):
             times = whole.times
-            meets = (times[:-1, None] <= windows[:, 1]) & (times[1:, None] >= windows[:, 0])
-            kept = {0, len(times) - 1}.union(*({*np.flatnonzero(col),
-                                                *(np.flatnonzero(col) + 1)} for col in meets.T))
             assert traj is r.trajectory and np.array_equal(traj.times, times)
-            assert traj.steps.tolist() == sorted(kept)
+            assert traj.steps.tolist() == [0, len(times) - 1]
             for k, s in enumerate(traj.steps.tolist()):
                 assert np.array_equal(traj.rho[k], whole.rho[s])
                 assert np.array_equal(traj.u[k], whole.u[s])
@@ -1349,8 +1357,9 @@ def test_finest_level_streams_in_chunks(bounds, tmp_path, monkeypatch):
 
 def test_pooled_parent_receives_no_finer_samples(bounds, tmp_path, monkeypatch):
     # at two workers, every batch result the parent receives holds reports without
-    # samples, and own samples only from a level that is a pair's coarser side: the
-    # fine members' samples on their partners' grids stay in the workers
+    # samples, each member's samples at its level's 2 read times on its own grid, and
+    # own samples only from a level that is a pair's coarser side: the fine members'
+    # samples on their partners' grids stay in the workers
     import concurrent.futures
     from nsuq import experiments, mesh
 
@@ -1369,8 +1378,10 @@ def test_pooled_parent_receives_no_finer_samples(bounds, tmp_path, monkeypatch):
     assert main(["run-strong", "--config", str(cfg_path), "--threads", "2",
                  "--out", str(tmp_path / "out")]) == 0
     by_level = {}
-    for reports, mine, rows in received:
+    for reports, read, mine, rows in received:
         assert reports and all(r.samples is None for r in reports)
+        shape = (2,) + reports[0].trajectory.grid.shape
+        assert len(read) == len(reports) and all(rho.shape == shape for rho, _ in read)
         by_level.setdefault(reports[0].trajectory.grid.n, []).append((len(reports), mine, rows))
     # the one-member level on 8 cells solves in-process; 16 cells is the coarser side of
     # the pair (1, 2), 32 cells the finer side of both pairs
@@ -1392,10 +1403,10 @@ def test_failed_chunk_leaves_no_worker_running(bounds, monkeypatch):
 
     solve_batch, parent = experiments._solve_batch, os.getpid()
 
-    def failing(records, grid, config, keep, reading, norms, own, bounds):
+    def failing(records, grid, config, keep, reads, reading, norms, own, bounds):
         if len(reading) == 2 and bounds[0] == 1:  # the fine level's second batch
             raise RuntimeError(f"batch failed in process {os.getpid()}")
-        return solve_batch(records, grid, config, keep, reading, norms, own, bounds)
+        return solve_batch(records, grid, config, keep, reads, reading, norms, own, bounds)
 
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(experiments, "_solve_batch", failing)
@@ -1409,8 +1420,9 @@ def test_failed_chunk_leaves_no_worker_running(bounds, monkeypatch):
 def test_streamed_run_peaks_below_its_finest_level(bounds, monkeypatch):
     # a memory guard that does not drift with the host: the traced peak of a strong run
     # (tracemalloc counts numpy's buffers) stays below half the bytes of the states
-    # that its finest level's members keep around the 17 distance times alone, which
-    # a run keeping states for its level pairs holds while the level streams
+    # that its finest level's members hold around the 17 distance times alone (the
+    # two states of each step that holds one), which a run keeping states for its
+    # level pairs holds while the level streams
     import tracemalloc
     from nsuq import experiments, mesh
 
@@ -1429,31 +1441,35 @@ def test_streamed_run_peaks_below_its_finest_level(bounds, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    T = cfg.scheme.T
-    windows = [(c * T - 1e-9 * T, c * T + 1e-9 * T)
-               for c in (k / (mesh.N_DISTANCE_TIMES - 1) for k in range(mesh.N_DISTANCE_TIMES))]
-    held = [solve(*args, keep=windows).trajectory for args in fine]
-    assert len(held) == 8
-    assert peak < 0.5 * sum(a.nbytes for t in held for a in t.rho + t.u)
+    times = np.linspace(0.0, cfg.scheme.T, mesh.N_DISTANCE_TIMES)
+    held = 0
+    for args in fine:
+        traj = solve(*args).trajectory
+        k = np.searchsorted(traj.times, times, side="right") - 1
+        states = {*k, *np.minimum(k + 1, len(traj) - 1)}
+        held += len(states) * (traj.rho[0].nbytes + traj.u[0].nbytes)
+    assert len(fine) == 8
+    assert peak < 0.5 * held
 
 
 # ---------------------------------------------------------------------------
-# observation windows: members keep only the states the statistics read
+# observations: each solve samples its member at the times the statistics read
 
 
-def recorded_solves(monkeypatch):
-    """Solve reports and keep windows of every member solve a runner makes."""
+def recorded_solves(monkeypatch, keep=None):
+    """Solve reports, and the keep flag and sample plan, of every member solve a
+    runner makes; `keep`, when given, overrides the runner's flag."""
     from nsuq import experiments
 
-    reports, windows = [], []
+    reports, plans = [], []
 
-    def recording(data, grid, cfg, keep=None, sample_grids=()):
-        windows.append(keep)
-        reports.append(solve(data, grid, cfg, keep, sample_grids))
+    def recording(data, grid, cfg, keep_flag=True, samples=()):
+        plans.append((keep_flag, samples))
+        reports.append(solve(data, grid, cfg, keep_flag if keep is None else keep, samples))
         return reports[-1]
 
     monkeypatch.setattr(experiments, "solve", recording)
-    return reports, windows
+    return reports, plans
 
 
 def windowed_config(bounds, mode, d, n_levels=2):
@@ -1464,7 +1480,7 @@ def windowed_config(bounds, mode, d, n_levels=2):
     ))
     spec = make_spec(bounds, d=d, mu=("uniform", 0.02, 0.08, 0), rho_slope=0.02,
                      rho_latent=0)
-    # T long enough that most steps lie between the windows; fewer 2-D members, for time
+    # T long enough that most steps lie between the read times; fewer 2-D members, for time
     fine_N = 4 if d == 1 else 2
     ladder = (LadderLevel(2, 8), LadderLevel(fine_N, 16))[2 - n_levels:]
     return ExperimentConfig(mode=mode, ladder=ladder,
@@ -1480,7 +1496,11 @@ def windowed_config(bounds, mode, d, n_levels=2):
 ])
 def test_observation_windows_leave_reports_unchanged(bounds, tmp_path, monkeypatch, mode, d,
                                                      n_levels):
-    from nsuq import experiments
+    # the level statistics observe their members only at the read times, through the
+    # samples each solve takes while it steps: the reports equal, byte for byte, those
+    # of a run whose members keep every state and whose level statistics sample those
+    # full trajectories with sample_members at the same times
+    from nsuq import experiments, mesh, stats
 
     cfg = windowed_config(bounds, mode, d, n_levels)
     run = run_weak if mode == "weak" else run_strong
@@ -1491,51 +1511,58 @@ def test_observation_windows_leave_reports_unchanged(bounds, tmp_path, monkeypat
             finest.extend(ens.trajectories)
         return level_statistics(ens, config, level_idx, *args)
 
+    def resampled(ens, times, stacks):
+        trajs = [t for t in ens.trajectories if t is not None]
+        assert all(len(t.steps) == len(t) for t in trajs)  # every state kept
+        return stats.SampledEnsemble(ens, times, mesh.sample_members(trajs, times, trajs[0].grid))
+
     with monkeypatch.context() as m:
-        reports, windows = recorded_solves(m)
+        reports, plans = recorded_solves(m)
         m.setattr(experiments, "_level_statistics", recording_level_statistics)
         thin = run(cfg)
     with monkeypatch.context() as m:
-        every, _ = recorded_solves(m)
-        m.setattr(experiments, "_observation_windows", lambda config: None)
+        every, _ = recorded_solves(m, keep=True)
+        m.setattr(experiments, "SampledEnsemble", resampled)
         full = run(cfg)
     thin.write(str(tmp_path / "thin"))
     full.write(str(tmp_path / "full"))
     assert thin.summary == full.summary
     assert hash_dir(tmp_path / "thin") == hash_dir(tmp_path / "full")
 
-    # 4 report times, t = 0, t = T and the functional's time: no distance time
-    [keep] = {w.tobytes(): w for w in windows}.values()
-    assert len(keep) == 4 + 2 + 1
+    # the 4 report times, t = T among them, and the functional's time; no distance time
+    T = cfg.scheme.T
+    assert all(keep is False for keep, _ in plans)
+    [reads] = {plan[0][0].tobytes(): plan[0][0] for _, plan in plans}.values()
+    assert reads.tolist() == sorted({*np.linspace(0.0, T, 4).tolist(), 0.0123})
     assert all(r.status == "completed" for r in reports)
     assert any(len(r.trajectory.states) < len(r.trajectory) for r in reports)
     for r in reports:
         times, traj = r.trajectory.times, r.trajectory
-        meets = (times[:-1, None] <= keep[:, 1]) & (times[1:, None] >= keep[:, 0])
-        per_window = [{*np.flatnonzero(col), *(np.flatnonzero(col) + 1)} for col in meets.T]
-        assert max(map(len, per_window)) <= 2  # at most two states per window
-        kept = sorted({0, len(times) - 1}.union(*per_window))
-        assert [s.time for s in traj.states] == [times[j] for j in kept]
-    # the finest level's statistics read its members as solved, holding only the
-    # states around the level windows of the whole history
+        assert [s.time for s in traj.states] == [times[0], times[-1]]
+    # the finest level's statistics read its members as solved, holding only their
+    # first and last states
     fine, fine_every = reports[-len(finest):], every[-len(finest):]
     assert len(finest) == cfg.ladder[-1].N
     for r, ref, traj in zip(fine, fine_every, finest):
         assert traj is r.trajectory
-        assert np.array_equal(traj.steps, thinned(ref.trajectory, keep).steps)
+        assert np.array_equal(traj.steps, ends(ref.trajectory).steps)
         assert len(traj.steps) < len(ref.trajectory.steps)
 
 
 def test_neg_sobolev_functional_keeps_every_step(bounds, monkeypatch):
-    from nsuq.experiments import _observation_windows
-
+    # a run keeps every state of its members only when a tanh_neg_sobolev functional
+    # integrates over them, and its first and last states otherwise
     cfg = windowed_config(bounds, "weak", 1)
+    reports, plans = recorded_solves(monkeypatch)
+    run_weak(cfg)
+    assert plans and all(keep is False for keep, _ in plans)
+    assert all(len(r.trajectory.states) == 2 < len(r.trajectory) for r in reports)
     cfg = dataclasses.replace(cfg, stats=dataclasses.replace(
         cfg.stats, functionals=cfg.stats.functionals + ({"kind": "tanh_neg_sobolev"},)))
-    assert _observation_windows(cfg) is None
-    reports, windows = recorded_solves(monkeypatch)
+    reports.clear()
+    plans.clear()
     run_weak(cfg)
-    assert windows and all(w is None for w in windows)
+    assert plans and all(keep is True for keep, _ in plans)
     for r in reports:
         assert len(r.trajectory.states) == len(r.trajectory)
 

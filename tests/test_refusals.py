@@ -57,6 +57,7 @@ from nsuq.solver import (
 )
 from nsuq.stats import (
     Ensemble,
+    SampledEnsemble,
     boundedness_in_probability,
     convergence_in_probability_diagnostic,
     diagnostic_from_distances,
@@ -114,8 +115,9 @@ NAN_CASES = [
      "cfl must be"),
     ("residual-dt", lambda: scheme_residual(make_record(), (state(), state()), NAN),
      "dt must be"),
-    ("keep-window", lambda: solve(make_record(), G1, SchemeConfig(), keep=[[NAN, NAN]]),
-     "must have lo <= hi"),
+    ("sample-time",
+     lambda: solve(make_record(), G1, SchemeConfig(), samples=[([0.0, NAN], [G1])]),
+     "sample times must increase"),
     ("barycenter-r", lambda: r_barycenter(fake_ensemble([{}]), r=NAN), "order r must be"),
     ("barycenter-q", lambda: r_barycenter(fake_ensemble([{}]), q=NAN), "exponent q must be"),
     # array and threshold checks
@@ -222,8 +224,14 @@ REFUSALS = [
      ValueError, "share one grid"),
     ("cfl-dt-negative", lambda: cfl_dt(*(f.values for f in rho_u()), make_record(), G1, cfl=-1.0),
      ValueError, "cfl must be a finite number and > 0"),
-    ("keep-window-order", lambda: solve(make_record(), G1, SchemeConfig(), keep=[[0.04, 0.01]]),
-     ValueError, "must have lo <= hi"),
+    ("keep-not-bool", lambda: solve(make_record(), G1, SchemeConfig(), keep=[[0.04, 0.01]]),
+     ValueError, "keep must be a bool"),
+    ("sample-times-order",
+     lambda: solve(make_record(), G1, SchemeConfig(), samples=[([0.02, 0.01], [G1])]),
+     ValueError, "sample times must increase"),
+    ("sample-times-range",
+     lambda: solve(make_record(), G1, SchemeConfig(T=0.25), samples=[([0.0, 0.5], [G1])]),
+     ValueError, r"sample times must increase within \[0, 0.25\]"),
     ("reference-abort",
      lambda: self_convergence(make_record(), [8], 16, SchemeConfig(linf_ceiling=0.5)),
      SolverError, "reference run aborted"),
@@ -232,6 +240,9 @@ REFUSALS = [
      ValueError, "name must be a string"),
     ("functional-wavevec", lambda: make_functional({"kind": "clamp_fourier", "wavevec": 1}),
      ValueError, "wavevec must be a list of integers"),
+    ("sampled-ensemble-shape",
+     lambda: SampledEnsemble(fake_ensemble([{}], grid=G1), [0.0, 0.5, 1.0], stacks()),
+     ValueError, "do not match 1 completed members at 3 times"),
     ("no-completed-member", lambda: r_barycenter(fake_ensemble([{"status": "aborted_vacuum"}])),
      ValueError, "no completed members"),
     # experiments

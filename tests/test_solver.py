@@ -28,7 +28,7 @@ from nsuq.solver import (
     solve,
     step,
 )
-from conftest import deep_or, make_record, thinned
+from conftest import deep_or, ends, make_record
 
 
 CFG = SchemeConfig(cfl=0.4, T=0.1)
@@ -174,25 +174,18 @@ def test_linf_ceiling_abort_after_start():
     # the run ends at the first step above the ceiling, and the steps before it are the free run's
     assert report.linf_history[-1] > ceiling >= report.linf_history[:-1].max()
     assert np.array_equal(report.linf_history, free.linf_history[:report.steps + 1])
-    windows = first_step_window(report)
-    thin = solve(data, grid, SchemeConfig(cfl=0.4, T=0.2, linf_ceiling=ceiling), keep=windows,
-                 sample_grids=[grid])
-    assert_thinned_abort(thin, report, windows)
+    thin = solve(data, grid, SchemeConfig(cfl=0.4, T=0.2, linf_ceiling=ceiling), keep=False,
+                 samples=[([0.0, 0.1], [grid])])
+    assert_ends_of_abort(thin, report)
 
 
-def first_step_window(report):
-    """A keep window that meets the first step of `report` and misses its last."""
-    times = report.trajectory.times
-    assert len(times) > 3
-    return [[0.0, 0.5 * times[1]]]
-
-
-def assert_thinned_abort(thin, full, windows):
-    """`thin`, an aborted solve under `windows`, keeps the state the abort ends on, is
-    the unthinned abort `full` thinned to `windows`, bit for bit, and has no samples."""
-    ref = thinned(full.trajectory, windows)
-    assert len(thin.trajectory.steps) < len(full.trajectory)
-    assert thin.trajectory.steps[-1] == len(full.trajectory) - 1
+def assert_ends_of_abort(thin, full):
+    """`thin`, an aborted solve with keep=False, keeps exactly the first state and the
+    one the abort ends on, bit for bit those of the same abort `full` keeping every
+    state, records the same step times and histories, and has no samples."""
+    ref = ends(full.trajectory)
+    assert len(full.trajectory) > 3
+    assert thin.trajectory.steps.tolist() == [0, len(full.trajectory) - 1]
     assert np.array_equal(thin.trajectory.rho[-1], full.trajectory.rho[-1])
     assert np.array_equal(thin.trajectory.u[-1], full.trajectory.u[-1])
     assert np.array_equal(thin.trajectory.times, ref.times)
@@ -224,10 +217,9 @@ def test_vacuum_abort_keeps_the_accepted_states(monkeypatch):
                       (report.trajectory.u, full.trajectory.u)):
         assert len(kept) == 4 and all(np.array_equal(a, b) for a, b in zip(kept, ref))
     assert np.array_equal(report.energy_history, full.energy_history[:4])
-    windows = first_step_window(report)
     calls.clear()
-    thin = solve(data, grid, CFG, keep=windows, sample_grids=[grid])
-    assert_thinned_abort(thin, report, windows)
+    thin = solve(data, grid, CFG, keep=False, samples=[([0.0, 0.1], [grid])])
+    assert_ends_of_abort(thin, report)
 
 
 def test_no_convergence_status():
@@ -252,11 +244,10 @@ def test_unsizable_step_ends_as_no_convergence(monkeypatch):
         assert report.status == NO_CONVERGENCE and report.steps == 0
 
 
-def test_solve_keeps_only_states_around_windows(monkeypatch):
+def test_solve_keeps_only_first_and_last_state(monkeypatch):
     data = make_record(rho_amp=0.1, u_amp=0.05, mu=0.03)
     grid = GridSpec(1, 32)
     full = solve(data, grid, CFG)
-    windows = np.array([[0.0314, 0.0314], [0.05, 0.06]])
     # the step loop runs on plain arrays: the one FluidState built is the checked
     # initial data, and the trajectory checks each kept state's arrays once
     from nsuq import mesh
@@ -273,10 +264,10 @@ def test_solve_keeps_only_states_around_windows(monkeypatch):
         return frozen(values, shape, positive, copy)
 
     monkeypatch.setattr(FluidState, "__post_init__", counting)
-    thin = solve(data, grid, CFG, keep=windows)
+    thin = solve(data, grid, CFG, keep=False)
     assert built == [0.0]
     monkeypatch.setattr(mesh, "_frozen", checking)
-    thin = solve(data, grid, CFG, keep=windows)
+    thin = solve(data, grid, CFG, keep=False)
     monkeypatch.undo()
     n_kept = len(thin.trajectory.states)
     # the initial data's two fields, then density (positive) and velocity of every kept state
@@ -293,18 +284,14 @@ def test_solve_keeps_only_states_around_windows(monkeypatch):
     assert np.array_equal(thin.energy_history, full.energy_history)
     assert thin.to_summary() == full.to_summary()
     assert len(full.trajectory.states) == len(times)
-    # states j and j + 1 where [t_j, t_j+1] meets a window, and the first and the last
-    meets = ((times[:-1, None] <= windows[:, 1]) & (times[1:, None] >= windows[:, 0])).any(1)
-    expected = np.zeros(len(times), dtype=bool)
-    expected[[0, -1]] = True
-    expected[:-1] |= meets
-    expected[1:] |= meets
+    # exactly the first and the last state, bit for bit the full solve's
     kept = [s.time for s in thin.trajectory.states]
-    assert kept == list(times[expected]) and len(kept) < len(times)
+    assert kept == [times[0], times[-1]] and len(times) > 3
     by_time = {s.time: s for s in full.trajectory.states}
     for s in thin.trajectory.states:
         assert np.array_equal(s.rho.values, by_time[s.time].rho.values)
-    for t in (0.0, 0.0314, 0.05, 0.057, 0.06, CFG.T):
+        assert np.array_equal(s.u.values, by_time[s.time].u.values)
+    for t in (0.0, CFG.T):
         for a, b in zip(thin.trajectory.sample(t), full.trajectory.sample(t)):
             assert np.array_equal(a, b)
     with pytest.raises(ValueError, match="not kept"):
@@ -318,23 +305,30 @@ THIN_FULL = solve(THIN_DATA, THIN_GRID, CFG)
 @deep_or(25)
 @given(st.data())
 def test_thinning_equals_solving_with_the_windows(data):
-    # the one keep rule: a trajectory thinned to windows W, by `mesh._keeps_state` over
-    # its whole history (conftest.thinned), holds exactly what a solve with keep=W holds,
-    # deciding each state as it steps, whether the trajectory kept every state or a
-    # wider set of windows.  Window
-    # ends are drawn off the grid of step times, on it, and outside [0, T]
+    # the one keep rule: the times a solve reads its member at decide nothing it keeps.
+    # A trajectory thinned to its ends (conftest.ends), whether it kept every state or
+    # was itself solved with keep=False, holds exactly what a solve with keep=False holds,
+    # for any read times; and the samples taken while stepping do not depend on keep.
+    # Read times are drawn off the grid of step times, on it, and at 0 and T
     times = THIN_FULL.trajectory.times
-    ends = st.one_of(st.floats(-0.01, CFG.T + 0.01), st.sampled_from(list(times)))
-    pairs = st.lists(st.tuples(ends, ends).map(sorted), min_size=1, max_size=4)
-    windows, extra = data.draw(pairs), data.draw(pairs)
-    wide = solve(THIN_DATA, THIN_GRID, CFG, keep=windows + extra)
-    ref = solve(THIN_DATA, THIN_GRID, CFG, keep=windows)
-    for source in (THIN_FULL, wide):
-        thin = thinned(source.trajectory, windows)
+    at = st.one_of(st.floats(0.0, CFG.T), st.sampled_from(list(times)), st.just(CFG.T))
+    reads = st.lists(at, min_size=1, max_size=6).map(lambda ts: sorted(set(ts)))
+    windows, extra = data.draw(reads), data.draw(reads)
+    grids = [THIN_GRID, GridSpec(1, 16)]
+    wide = solve(THIN_DATA, THIN_GRID, CFG, keep=False, samples=[(extra, grids)])
+    ref = solve(THIN_DATA, THIN_GRID, CFG, keep=False, samples=[(windows, grids)])
+    every = solve(THIN_DATA, THIN_GRID, CFG, keep=True, samples=[(windows, grids)])
+    for source in (THIN_FULL, every, wide):
+        thin = ends(source.trajectory)
         assert np.array_equal(thin.times, ref.trajectory.times)
         assert np.array_equal(thin.steps, ref.trajectory.steps)
         for got, want in ((thin.rho, ref.trajectory.rho), (thin.u, ref.trajectory.u)):
             assert len(got) == len(want) and all(map(np.array_equal, got, want))
+    assert len(ref.samples) == len(every.samples) == 1
+    assert set(ref.samples[0]) == set(every.samples[0]) == set(grids)
+    for g in grids:
+        for got, want in zip(ref.samples[0][g], every.samples[0][g]):
+            assert np.array_equal(got, want)
 
 
 def test_vacuum_error_on_oversized_step():
@@ -902,30 +896,37 @@ def test_preconditioned_solve_meets_tolerance(seed, d, n, dt, mu, eta):
 @given(admissible_problems(), st.data())
 def test_step_samples_equal_sample_members(problem, data):
     # the samples a solve takes while it steps equal, bit for bit, the rows that
-    # sample_members reads off its unthinned trajectory, on the member's grid and on
-    # coarser ones, whatever states `keep` drops: at the distance times, and at times
-    # drawn from a first solve's step times (exact hits) and between them
+    # sample_members reads off the trajectory of the same solve keeping every state,
+    # on the member's grid and on coarser ones, whatever states `keep` drops: at the
+    # distance times, at times drawn from a first solve's step times (exact hits) and
+    # between them, and at both in one solve of two entries.  keep=False keeps that
+    # trajectory's first and last states alone, and records every step
     spec, omega, grid, scheme, _ = problem
     rec = spec.realize(omega)
     full = solve(rec, grid, scheme)
     grids = [GridSpec(grid.d, n) for n in (grid.n, grid.n, grid.n // 2, grid.n // 4)]
-    keep = data.draw(st.sampled_from([None, [[0.0, 0.0]], [[0.5 * scheme.T] * 2]]))
+    keep = data.draw(st.booleans())
     steps = full.trajectory.times.tolist()
     drawn = data.draw(st.lists(st.one_of(st.sampled_from(steps), st.floats(0.0, steps[-1])),
                                min_size=1, max_size=20))
-    sampler = solver.StepSampler
-    for times in (None, sorted(set(drawn))):
-        with mock.patch.object(solver, "StepSampler", sampler if times is None else
-                               lambda src, _, grids: sampler(src, times, grids)):
-            report = solve(rec, grid, scheme, keep=keep, sample_grids=grids)
+    uniform, drawn = np.linspace(0.0, scheme.T, N_DISTANCE_TIMES), sorted(set(drawn))
+    for plan in ([(uniform, grids)], [(drawn, grids)], [(drawn, grids[2:]), (uniform, grids[:3])]):
+        report = solve(rec, grid, scheme, keep=keep, samples=plan)
+        want = full.trajectory if keep else ends(full.trajectory)
+        assert np.array_equal(report.trajectory.times, want.times)
+        assert np.array_equal(report.trajectory.steps, want.steps)
+        for got, ref in ((report.trajectory.rho, want.rho), (report.trajectory.u, want.u)):
+            assert len(got) == len(ref) and all(map(np.array_equal, got, ref))
+        assert np.array_equal(report.energy_history, full.energy_history)
         if full.status != COMPLETED:
             assert report.status == full.status and report.samples is None
-            return
-        times = np.linspace(0.0, scheme.T, N_DISTANCE_TIMES) if times is None else times
-        assert set(report.samples) == set(grids)
-        for g, (rho, u) in report.samples.items():
-            (want_rho,), (want_u,) = sample_members([full.trajectory], times, g)
-            assert np.array_equal(rho, want_rho) and np.array_equal(u, want_u)
+            continue
+        assert len(report.samples) == len(plan)
+        for (times, gs), taken in zip(plan, report.samples):
+            assert set(taken) == set(gs)
+            for g, (rho, u) in taken.items():
+                (want_rho,), (want_u,) = sample_members([full.trajectory], times, g)
+                assert np.array_equal(rho, want_rho) and np.array_equal(u, want_u)
 
 
 @settings(max_examples=40, deadline=None)

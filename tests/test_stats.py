@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nsuq import stats
-from nsuq.mesh import GridSpec, Trajectory
+from nsuq.mesh import GridSpec, Trajectory, sample_members
 from nsuq.solver import SolveReport
 from nsuq.stats import (
     Ensemble,
@@ -19,6 +19,7 @@ from nsuq.stats import (
     make_functional,
     pair_by_index,
     r_barycenter,
+    read_times,
     SampledEnsemble,
 )
 from conftest import deep_or, fake_ensemble, random_member
@@ -426,10 +427,11 @@ def test_stacked_means_equal_member_loop(d):
 @deep_or(15)
 @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2]))
 def test_sampled_ensemble_equals_member_loop(seed, d):
-    # one SampledEnsemble pass serves the means, the barycenters and the state
-    # functionals exactly as per-member reads do.  Members end some ulps apart, so
-    # the final-time functionals of the later ones read their own final time, and
-    # an aborted member sits between the completed ones
+    # one SampledEnsemble's stacks, the members sampled at `read_times`, serve the
+    # means, the barycenters and the state functionals exactly as per-member reads
+    # do.  Members end some ulps apart, so the final-time functionals of the later
+    # ones read their own final time; an aborted member sits between the completed
+    # ones; and a functional's time lies between two report times
     rng = np.random.default_rng(seed)
     grid = GridSpec(d, 8 if d == 1 else 4)
     reports = []
@@ -450,7 +452,9 @@ def test_sampled_ensemble_equals_member_loop(seed, d):
         {"kind": "clamp_fourier", "wavevec": [0] * d, "time": 0.37},
         {"kind": "tanh_neg_sobolev"},
     )]
-    sampled = SampledEnsemble(ens, times, functionals)
+    reads = read_times(times, T, functionals)
+    assert reads.tolist() == sorted({*times.tolist(), 0.37})
+    sampled = SampledEnsemble(ens, reads, sample_members([r.trajectory for r in done], reads, grid))
     for F in functionals:
         loop = float(sum(wi * F(rep.trajectory) for wi, rep in zip(wd, done)))
         assert empirical_functional_mean(sampled, F) == loop
